@@ -182,8 +182,8 @@ def _tolerances(args) -> Tolerances:
     tol = getattr(args, "tol", None)
     if tol is None:
         return DEFAULT_TOLERANCES
-    if tol <= 0.0:
-        raise _InputError("--tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise _InputError(f"--tol must be positive and finite, got {tol}")
     return Tolerances(
         unitarity_tol=tol,
         degenerate_tol=DEFAULT_TOLERANCES.degenerate_tol,

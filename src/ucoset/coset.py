@@ -12,7 +12,11 @@ vector X with r^2 = <X|X> <= 1:
 One factor per level times a diagonal of phases reproduces any unitary
 matrix.  The factors come from a Householder factorization by flipping the
 sign of column k of each reflection (forward ordering) or of row k (reversed
-ordering); the sign flips migrate into the terminal phase diagonal.
+ordering); the sign flips migrate into the terminal phase diagonal.  For a
+pivot u both flips give rho = 2 |u_k|^2 / <u|u> - 1 and
+X = +-2 conj(u_k) u_below / <u|u> (+ forward, - reversed), read off in O(N)
+per level.  A factor is stored as X alone; its dense matrix is built on
+demand, and composing N - 1 factors costs O(N^3) as rank-1 updates.
 
 The pivot direction behind a factor is
 
@@ -43,7 +47,6 @@ from .householder import (
     HouseholderFactorization,
     PhaseDiagonal,
     _canonical_angle,
-    reflect_matrix,
 )
 
 __all__ = [
@@ -154,35 +157,72 @@ class Gamma:
         return self.modulus * complex(math.cos(self.phase), math.sin(self.phase))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class CosetFactor:
-    """One coset factor: a structured unitary matrix plus its level."""
+    """One coset factor at a level, stored as its ball coordinates X.
 
-    matrix: ComplexMatrix
+    Factors from the Householder conversions and ``coset_matrix_from_X``
+    keep only their ``CosetVector`` (``vector``), whose ball bound and
+    ``rho^2 + <X|X> = 1`` make the factor unitary.  ``matrix`` assembles
+    the read-only dense factor in O(N^2) on every access; it is not cached.
+
+    ``CosetFactor(matrix=..., level=...)`` instead keeps a dense factor
+    (``vector`` is None) after checking that it is unitary and the identity
+    below its level.  It serves hand-made factors and ``exp_coset``, whose
+    corner cos(theta) is negative for theta > pi/2, outside the X chart.
+    """
+
     level: int
+    dim: int
+    vector: CosetVector | None
+    _dense: ComplexMatrix | None
 
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
+    def __init__(self, matrix, level: int):
+        m = np.array(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise MalformedFactorError(f"factor must be square, got {m.shape}")
         n = m.shape[0]
-        if not 1 <= self.level <= n - 1:
-            raise ValueError(f"level {self.level} outside 1..{n - 1}")
+        if not 1 <= level <= n - 1:
+            raise ValueError(f"level {level} outside 1..{n - 1}")
         if not np.all(np.isfinite(m)):
             raise ValueError("factor has non-finite entries")
         if unitarity_error(m) > 1e-8:
             raise MalformedFactorError("factor is not unitary")
-        i = self.level - 1
+        i = level - 1
         if i and float(np.max(np.abs(m[:i, :] - np.eye(n)[:i, :]))) > 1e-10:
             raise MalformedFactorError(
-                f"factor must act as the identity below level {self.level}"
+                f"factor must act as the identity below level {level}"
             )
         m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        self._set(level, n, None, m)
+
+    @classmethod
+    def _from_vector(cls, xv: CosetVector) -> "CosetFactor":
+        c = cls.__new__(cls)
+        c._set(xv.level, xv.dim, xv, None)
+        return c
+
+    def _set(self, level, dim, vector, dense):
+        for name, value in (("level", level), ("dim", dim),
+                            ("vector", vector), ("_dense", dense)):
+            object.__setattr__(self, name, value)
 
     @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
+    def matrix(self) -> ComplexMatrix:
+        if self.vector is None:
+            return self._dense
+        xv = self.vector
+        i = xv.level - 1
+        x = xv.x
+        m = np.eye(xv.dim, dtype=complex)
+        m[i, i] = xv.rho
+        m[i + 1:, i] = x
+        m[i, i + 1:] = -x.conj()
+        # 1 / (1 + rho) is the stable form of (1 - sqrt(1 - r^2)) / r^2,
+        # with no singularity as r -> 0.
+        m[i + 1:, i + 1:] -= np.outer(x, x.conj()) / (1.0 + xv.rho)
+        m.setflags(write=False)
+        return m
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,27 +279,42 @@ class Generator:
         object.__setattr__(self, "b", b)
 
 
+def _cosets_from_pivots(f: HouseholderFactorization, ordering: str) -> CosetFactorization:
+    # Column k (forward) or row k (reversed) of R(u) negated has corner
+    # rho = 2 |u_k|^2 / <u|u> - 1 and X = +-2 conj(u_k) u_below / <u|u>;
+    # rho^2 + <X|X> = 1 holds exactly, so no reflector is formed.
+    if f.ordering != ordering:
+        raise WrongOrderingError(f"expected a {ordering} factorization")
+    scale = 2.0 if ordering == FORWARD else -2.0
+    factors = []
+    for refl in f.reflections:
+        i = refl.level - 1
+        uk = complex(refl.pivot[i])
+        below = refl.pivot[i + 1:]
+        uk_sq = uk.real * uk.real + uk.imag * uk.imag
+        norm_sq = uk_sq + float(np.real(np.vdot(below, below)))
+        rho = min(max(2.0 * uk_sq / norm_sq - 1.0, 0.0), 1.0)
+        x = (scale * uk.conjugate() / norm_sq) * below
+        factors.append(CosetFactor._from_vector(
+            CosetVector(x=x, level=refl.level, dim=f.dim, rho=rho)
+        ))
+    terminal = np.array(f.residual.phases)
+    terminal[:-1] *= -1.0
+    return CosetFactorization(
+        factors=tuple(factors),
+        terminal_phases=PhaseDiagonal(terminal, f.dim),
+        ordering=ordering,
+        dim=f.dim,
+    )
+
+
 def cosets_from_householder(f: HouseholderFactorization) -> CosetFactorization:
     """Convert a forward Householder factorization into coset factors.
 
     Each level-k factor is the reflection with column k negated, and the
     first ``dim - 1`` residual phases flip sign in the terminal diagonal.
     """
-    if f.ordering != FORWARD:
-        raise WrongOrderingError("expected a forward factorization")
-    factors = []
-    for refl in f.reflections:
-        m = reflect_matrix(refl)
-        m[:, refl.level - 1] *= -1.0
-        factors.append(CosetFactor(matrix=m, level=refl.level))
-    terminal = np.array(f.residual.phases)
-    terminal[:-1] *= -1.0
-    return CosetFactorization(
-        factors=tuple(factors),
-        terminal_phases=PhaseDiagonal(terminal, f.dim),
-        ordering=FORWARD,
-        dim=f.dim,
-    )
+    return _cosets_from_pivots(f, FORWARD)
 
 
 def cosets_from_householder_reversed(f: HouseholderFactorization) -> CosetFactorization:
@@ -268,41 +323,45 @@ def cosets_from_householder_reversed(f: HouseholderFactorization) -> CosetFactor
     Same as the forward conversion with rows in place of columns: row k of
     each reflection is negated.
     """
-    if f.ordering != REVERSED:
-        raise WrongOrderingError("expected a reversed factorization")
-    factors = []
-    for refl in f.reflections:
-        m = reflect_matrix(refl)
-        m[refl.level - 1, :] *= -1.0
-        factors.append(CosetFactor(matrix=m, level=refl.level))
-    terminal = np.array(f.residual.phases)
-    terminal[:-1] *= -1.0
-    return CosetFactorization(
-        factors=tuple(factors),
-        terminal_phases=PhaseDiagonal(terminal, f.dim),
-        ordering=REVERSED,
-        dim=f.dim,
-    )
+    return _cosets_from_pivots(f, REVERSED)
 
 
 def compose_cosets(cf: CosetFactorization) -> ComplexMatrix:
-    """Multiply a coset factorization back into a dense matrix."""
-    m = cf.terminal_phases.matrix()
-    if cf.ordering == FORWARD:
-        for c in reversed(cf.factors):
-            m = c.matrix @ m
-    else:
-        for c in reversed(cf.factors):
-            m = m @ c.matrix
-    return m
+    """Multiply a coset factorization back into a dense matrix.
+
+    A factor stored as X acts as a rank-1 update of the rows (forward) or
+    columns (reversed) from its level on, so the product costs O(N^3);
+    dense factors are multiplied in.
+    """
+    forward = cf.ordering == FORWARD
+    # m C = (C^T m^T)^T, and the transpose of the reversed factor of X is
+    # the forward factor of -conj(X), so the reversed product is built
+    # transposed, from the terminal diagonal (its own transpose), by rows.
+    t = cf.terminal_phases.matrix()
+    for c in reversed(cf.factors):
+        xv = c.vector
+        if xv is None:
+            t = c.matrix @ t if forward else c.matrix.T @ t
+            continue
+        i = c.level - 1
+        x = xv.x if forward else -xv.x.conj()
+        top = t[i].copy()
+        rest = t[i + 1:]
+        xr = x.conj() @ rest
+        t[i] = xv.rho * top - xr
+        rest += np.outer(x, top - xr / (1.0 + xv.rho))
+    return t if forward else t.T
 
 
 def extract_coset_vector(c: CosetFactor) -> CosetVector:
     """Read the ball coordinates X and rho back off a coset factor.
 
-    Raises MalformedFactorError when the corner entry is not real and
-    nonnegative within 1e-10 or the corner row is not ``-X^dag``.
+    A factor stored as X returns its vector.  For a dense factor, raises
+    MalformedFactorError when the corner entry is not real and nonnegative
+    within 1e-10 or the corner row is not ``-X^dag``.
     """
+    if c.vector is not None:
+        return c.vector
     m = c.matrix
     i = c.level - 1
     n = m.shape[0]
@@ -320,22 +379,8 @@ def extract_coset_vector(c: CosetFactor) -> CosetVector:
 
 
 def coset_matrix_from_X(xv: CosetVector) -> CosetFactor:
-    """Assemble the coset factor for ball coordinates X.
-
-    The trailing block uses the coefficient ``1 / (1 + rho)``, which is the
-    stable equivalent of ``(1 - sqrt(1 - r^2)) / r^2`` and has no
-    singularity as r -> 0.
-    """
-    n = xv.dim
-    i = xv.level - 1
-    x = xv.x
-    rho = xv.rho
-    m = np.eye(n, dtype=complex)
-    m[i, i] = rho
-    m[i + 1:, i] = x
-    m[i, i + 1:] = -x.conj()
-    m[i + 1:, i + 1:] -= np.outer(x, x.conj()) / (1.0 + rho)
-    return CosetFactor(matrix=m, level=xv.level)
+    """The coset factor for ball coordinates X, stored as X itself."""
+    return CosetFactor._from_vector(xv)
 
 
 def gamma_from_rho(rho: float, phase: float) -> Gamma:

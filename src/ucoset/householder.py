@@ -38,6 +38,7 @@ __all__ = [
     "PhaseDiagonal",
     "HouseholderFactorization",
     "NotUnitaryError",
+    "PhaseError",
     "DegeneratePivotError",
     "NotUnitLengthError",
     "LeadingComponentsNonzeroError",
@@ -53,9 +54,24 @@ __all__ = [
 FORWARD = "forward"
 REVERSED = "reversed"
 
+# Largest deviation of a phase entry from the unit circle, and of a residual
+# entry from -e^{i phi_k}.  An input with unitarity defect eps leaves both
+# deviations at about eps / 2, so every input inside the default gate (1e-10)
+# passes with a wide margin.
+PHASE_TOL = 1e-8
+
 
 class NotUnitaryError(UcosetError):
     """Input matrix fails the unitarity tolerance."""
+
+
+class PhaseError(NotUnitaryError):
+    """Phase entries are off the unit circle, or residual entries differ
+    from -e^{i phi_k}, by more than PHASE_TOL.
+
+    Raised while factoring an input whose defect a loosened gate let
+    through but that is too far from unitary to end in a phase diagonal.
+    """
 
 
 class DegeneratePivotError(UcosetError):
@@ -137,8 +153,12 @@ class PhaseDiagonal:
             )
         if not np.all(np.isfinite(phases)):
             raise ValueError("phases have non-finite entries")
-        if float(np.max(np.abs(np.abs(phases) - 1.0))) > 1e-8:
-            raise ValueError("phase entries must have unit modulus")
+        dev = float(np.max(np.abs(np.abs(phases) - 1.0)))
+        if dev > PHASE_TOL:
+            raise PhaseError(
+                f"phase entries deviate from unit modulus by {dev:.3e} "
+                f"(bound {PHASE_TOL:.0e})"
+            )
         phases.setflags(write=False)
         object.__setattr__(self, "phases", phases)
 
@@ -181,10 +201,13 @@ class HouseholderFactorization:
         if phases.size and not np.all((phases > -math.pi) & (phases <= math.pi)):
             raise ValueError("pivot phases must lie in (-pi, pi]")
         expected = -np.exp(1j * phases)
-        if phases.size and float(
-            np.max(np.abs(self.residual.phases[: self.dim - 1] - expected))
-        ) > 1e-12:
-            raise ValueError("residual entries must equal -e^{i phi_k}")
+        if phases.size:
+            dev = float(np.max(np.abs(self.residual.phases[: self.dim - 1] - expected)))
+            if dev > PHASE_TOL:
+                raise PhaseError(
+                    f"residual entries deviate from -e^{{i phi_k}} by {dev:.3e} "
+                    f"(bound {PHASE_TOL:.0e})"
+                )
         phases.setflags(write=False)
         object.__setattr__(self, "reflections", reflections)
         object.__setattr__(self, "pivot_phases", phases)

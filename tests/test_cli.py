@@ -109,6 +109,24 @@ class TestDecompose:
     def test_bad_tolerance(self, u0_file):
         assert run("decompose", "--input", u0_file, "--tol", "-1") == 2
 
+    @pytest.mark.parametrize("command", ["decompose", "verify"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-0.001"])
+    def test_tolerance_must_be_positive_and_finite(self, u0_file, capsys, command, tol):
+        assert run(command, "--input", u0_file, "--tol", tol) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --tol")
+
+    def test_loosened_gate_past_a_phase_diagonal_is_not_unitary(self, tmp_path, capsys):
+        # The 2e-5 defect passes --tol 1e-3, but the residual moduli are
+        # 1 + 1e-5, too far from unit modulus for a phase diagonal.
+        path = write_json(tmp_path / "m.json",
+                          matrix_obj(random_unitary(8, 44) * (1.0 + 1e-5)))
+        for mode in ("householder", "coset", "coset-reversed"):
+            assert run("decompose", "--input", path, "--mode", mode,
+                       "--tol", "1e-3") == 3
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: phase entries")
+
     def test_unwritable_output(self, u0_file):
         assert run("decompose", "--input", u0_file,
                    "--output", "/nonexistent/dir/out.json") == 2

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,7 +35,8 @@ from ucoset import (
     reflect_matrix,
     unitarity_error,
 )
-from ucoset.householder import FORWARD
+import ucoset
+from ucoset.householder import FORWARD, REVERSED
 
 from golden_data import (
     C1,
@@ -450,3 +453,135 @@ class TestAlgebraicIdentities:
     def test_leading_identity_enforced(self):
         with pytest.raises(MalformedFactorError):
             CosetFactor(matrix=np.diag([-1.0, 1.0, 1.0]), level=2)
+
+
+ORDERINGS = [
+    (decompose, cosets_from_householder, FORWARD),
+    (decompose_reversed, cosets_from_householder_reversed, REVERSED),
+]
+
+
+def dense_product(cf):
+    m = np.diag(cf.terminal_phases.phases)
+    for c in reversed(cf.factors):
+        m = c.matrix @ m if cf.ordering == FORWARD else m @ c.matrix
+    return m
+
+
+class TestStructuredFactor:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 64])
+    @pytest.mark.parametrize("dec, conv, ordering", ORDERINGS)
+    def test_matrix_is_reflection_with_flipped_axis(self, dim, dec, conv, ordering):
+        u = random_unitary(dim, 100 + dim)
+        f = dec(u)
+        cf = conv(f)
+        for refl, c in zip(f.reflections, cf.factors):
+            expected = np.array(reflect_matrix(refl))
+            k = refl.level - 1
+            if ordering == FORWARD:
+                expected[:, k] *= -1.0
+            else:
+                expected[k, :] *= -1.0
+            assert maxdiff(c.matrix, expected) <= 1e-13
+        assert maxdiff(compose_cosets(cf), dense_product(cf)) <= 1e-12
+        assert maxdiff(compose_cosets(cf), u) <= 1e-12
+
+    @given(
+        dim=st.integers(2, 6),
+        alpha=st.floats(-math.pi, math.pi, allow_nan=False),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    @settings(max_examples=40)
+    def test_degenerate_pivots(self, dim, alpha, seed):
+        # |w_1| = 1: the first column is a pure phase and factor 1 is
+        # exactly the identity.  w_1 = 0: factor 1 sits on the ball's
+        # boundary, rho = 0 and <X|X> = 1.
+        rng = np.random.default_rng(seed)
+        shape = (dim - 1, dim - 1)
+        w, _ = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        pure = np.zeros((dim, dim), dtype=complex)
+        pure[0, 0] = np.exp(1j * alpha)
+        pure[1:, 1:] = w
+        boundary = np.zeros((dim, dim), dtype=complex)
+        boundary[0, dim - 1] = np.exp(1j * alpha)
+        boundary[1:, : dim - 1] = w
+        for dec, conv, ordering in ORDERINGS:
+            # The reversed ordering clears rows: hand it the transpose.
+            def first_factor(m):
+                return conv(dec(m if ordering == FORWARD else m.T)).factors[0]
+
+            assert maxdiff(first_factor(pure).matrix, np.eye(dim)) == 0.0
+            xv = extract_coset_vector(first_factor(boundary))
+            assert xv.rho <= 1e-15
+            assert abs(xv.r_sq - 1.0) <= 1e-14
+
+    def test_factor_and_matrix_are_immutable(self):
+        cf = cosets_from_householder(decompose(random_unitary(4, 110)))
+        for c in (cf.factors[0], CosetFactor(matrix=np.eye(3), level=1)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                c.level = 2
+            with pytest.raises(ValueError):
+                c.matrix[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            cf.factors[0].vector.x[0] = 0.5
+
+    @pytest.mark.parametrize("ordering", [FORWARD, REVERSED])
+    def test_exp_coset_beyond_quarter_turn_composes_densely(self, ordering):
+        # cos(theta) < 0 for theta in (pi/2, pi] is outside the X chart, so
+        # exp_coset keeps the dense factor; it composes with stored-X ones.
+        rng = np.random.default_rng(111)
+        for theta in (0.6 * math.pi, math.pi):
+            b = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+            dense = exp_coset(Generator(b=b * theta / np.linalg.norm(b), dim=4, level=1))
+            assert dense.vector is None and dense.matrix[0, 0].real < 0.0
+            with pytest.raises(MalformedFactorError):
+                extract_coset_vector(dense)
+            factors = (dense,) + tuple(
+                coset_matrix_from_X(CosetVector.from_coords(random_ball_vector(rng, 4 - k), k, 4))
+                for k in (2, 3)
+            )
+            cf = CosetFactorization(
+                factors=factors,
+                terminal_phases=PhaseDiagonal(np.exp(1j * rng.uniform(-3, 3, 4)), 4),
+                ordering=ordering,
+                dim=4,
+            )
+            assert maxdiff(compose_cosets(cf), dense_product(cf)) <= 1e-12
+
+
+class TestNoDenseFactor:
+    @pytest.mark.parametrize("dec, conv, ordering", ORDERINGS)
+    def test_conversion_forms_no_dense_factor(self, monkeypatch, dec, conv, ordering):
+        calls = {"reflect_matrix": 0, "unitarity_error": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for name, fn in (("reflect_matrix", reflect_matrix), ("unitarity_error", unitarity_error)):
+            for module in (ucoset, ucoset.numkit, ucoset.householder, ucoset.coset):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting(name, fn))
+        u = random_unitary(64, 120)
+        cf = conv(dec(u))
+        vectors = [extract_coset_vector(c) for c in cf.factors]
+        composed = compose_cosets(cf)
+        # The one unitarity_error call is the input gate inside decompose.
+        assert calls == {"reflect_matrix": 0, "unitarity_error": 1}
+        assert len(vectors) == 63
+        assert maxdiff(composed, u) <= 1e-12
+
+    @pytest.mark.parametrize("dec, conv, ordering", ORDERINGS)
+    def test_conversion_and_compose_memory_is_quadratic(self, dec, conv, ordering):
+        # One dense N x N factor per level would need about 250 times this.
+        n = 256
+        f = dec(random_unitary(n, 121))
+        tracemalloc.start()
+        try:
+            compose_cosets(conv(f))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * n * n * 16

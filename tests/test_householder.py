@@ -13,8 +13,12 @@ from ucoset import (
     NotUnitLengthError,
     NotUnitaryError,
     PhaseDiagonal,
+    PhaseError,
     Reflection,
     apply_reflection,
+    compose_cosets,
+    cosets_from_householder,
+    cosets_from_householder_reversed,
     decompose,
     decompose_reversed,
     pivot_from_column,
@@ -344,3 +348,36 @@ class TestValidation:
                 dim=3,
                 pivot_phases=f.pivot_phases,
             )
+
+
+class TestNearUnitary:
+    @pytest.mark.parametrize("scale", [1.0 + 1e-12, 1.0 + 1e-11])
+    @pytest.mark.parametrize(
+        "dec, conv",
+        [
+            (decompose, cosets_from_householder),
+            (decompose_reversed, cosets_from_householder_reversed),
+        ],
+    )
+    def test_scaled_input_inside_the_gate_round_trips(self, scale, dec, conv):
+        # A defect of 2e-12 or 2e-11 is inside the default 1e-10 gate; the
+        # residual deviates from -e^{i phi_k} by about half the defect.
+        u = random_unitary(8, 43) * scale
+        assert unitarity_error(u) <= 1e-10
+        f = dec(u)
+        assert maxdiff(reconstruct(f), u) <= 1e-11
+        assert maxdiff(compose_cosets(conv(f)), u) <= 1e-11
+
+    def test_phase_failures_are_typed(self):
+        with pytest.raises(PhaseError):
+            PhaseDiagonal(np.array([1.0 + 1e-6, 1.0]), 2)
+        f = decompose(U0)
+        with pytest.raises(PhaseError):
+            HouseholderFactorization(
+                reflections=f.reflections,
+                residual=PhaseDiagonal(np.array([-1j * np.exp(1e-6j), -1j, -1.0]), 3),
+                ordering=FORWARD,
+                dim=3,
+                pivot_phases=f.pivot_phases,
+            )
+        assert issubclass(PhaseError, NotUnitaryError)

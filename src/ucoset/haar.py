@@ -4,10 +4,13 @@ A Haar-distributed U(N) matrix is assembled as
 
     U = R(n_1) R(n_2) ... R(n_{N-1}) diag(e^{i phi_1}, ..., e^{i phi_N})
 
-where the level-k pivot direction ``n_k`` comes from a point of the closed
-even ball B^{2(N-k)} drawn uniformly (gamma phase 0) and the ``phi`` are
-independent angles uniform on (-pi, pi].  One matrix consumes exactly N^2
-real variates: 2(N-k) per ball point plus N for the phases, in that order.
+where the level-k pivot direction ``n_k`` comes from a point X_k of the
+closed even ball B^{2(N-k)} drawn uniformly (gamma phase 0) and the ``phi``
+are independent angles uniform on (-pi, pi].  ``R(n_k)`` is the coset
+factor of X_k with column k negated, and the sign flip commutes past the
+later factors, which fix coordinate k; so ``U`` is composed as coset factors
+with the first N - 1 phases negated.  One matrix consumes exactly N^2 real
+variates: 2(N-k) per ball point plus N for the phases, in that order.
 
 The draw order is part of the contract.  For each level k = 1 .. N-1 the
 ball point delivers coordinates (t_1, t_2, ..., t_{2(N-k)}) which pack into
@@ -25,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numkit import ComplexMatrix, UcosetError
-from .coset import CosetVector, normal_from_coset_vector
-from .householder import Reflection, apply_reflection
+from .coset import CosetFactorization, CosetVector, compose_cosets, coset_matrix_from_X
+from .householder import FORWARD, PhaseDiagonal
 
 __all__ = [
     "RngStream",
@@ -176,19 +179,15 @@ def haar_unitary(dim: int, rng: RngStream) -> ComplexMatrix:
     dim = int(dim)
     if dim < 1:
         raise InvalidDimError(f"dim must be at least 1, got {dim}")
-    reflections = []
+    factors = []
     for level in range(1, dim):
         point = sample_ball(2 * (dim - level), rng)
         x = point[0::2] + 1j * point[1::2]
-        xv = CosetVector.from_coords(x, level=level, dim=dim)
-        direction = normal_from_coset_vector(xv, 0.0)
-        pivot = direction * math.sqrt(2.0 * (1.0 + xv.rho))
-        reflections.append(Reflection(pivot=pivot, level=level, dim=dim))
-    angles = math.pi * (1.0 - 2.0 * rng.uniforms(dim))
-    m = np.diag(np.exp(1j * angles))
-    for refl in reversed(reflections):
-        m = apply_reflection(refl, m, "left")
-    return m
+        factors.append(coset_matrix_from_X(CosetVector.from_coords(x, level, dim)))
+    phases = np.exp(1j * (math.pi * (1.0 - 2.0 * rng.uniforms(dim))))
+    phases[:-1] *= -1.0
+    terminal = PhaseDiagonal(phases, dim)
+    return compose_cosets(CosetFactorization(tuple(factors), terminal, FORWARD, dim))
 
 
 def haar_oracle(dim: int, rng: RngStream) -> ComplexMatrix:

@@ -11,9 +11,13 @@ column ``w`` the pivot
 
 gives ``R(u) w = -e^{i phi} e_k`` and ``<u|u> = 2 (1 + |w_k|)``.  Clearing
 one column per level factors any N x N unitary matrix into N - 1 reflections
-times a diagonal of phases (forward ordering); clearing rows instead, with
-the pivot ket taken as the conjugated row, puts the diagonal on the left
-(reversed ordering).
+times a diagonal of phases (forward ordering).
+
+The reversed ordering ``U = D R_{N-1} ... R_1`` is the adjoint of the forward
+one: reflections are Hermitian, so it holds exactly when
+``U^dag = R_1 ... R_{N-1} D^dag``.  The forward column loop on ``U^dag``
+therefore yields the reversed pivots unchanged, the residual conjugated and
+the pivot phases negated.
 """
 
 import math
@@ -78,8 +82,8 @@ class DegeneratePivotError(UcosetError):
     """Pivot norm-squared is too small to define a reflection."""
 
 
-class NotUnitLengthError(UcosetError):
-    """Column or row handed to the pivot builder is not unit length."""
+class NotUnitLengthError(NotUnitaryError):
+    """A column handed to the pivot builder, or a pivot, is not unit length."""
 
 
 class LeadingComponentsNonzeroError(UcosetError):
@@ -129,7 +133,7 @@ class Reflection:
         norm_sq = float(np.real(np.vdot(pivot, pivot)))
         # For a pivot built from a unit column, <u|u> = 2 (1 + rho) >= 2.
         if norm_sq < 2.0 * (1.0 - 1e-8):
-            raise ValueError(f"pivot norm-squared {norm_sq} below the bound 2")
+            raise NotUnitLengthError(f"pivot norm-squared {norm_sq} below the bound 2")
         pivot.setflags(write=False)
         object.__setattr__(self, "pivot", pivot)
 
@@ -321,6 +325,24 @@ def _require_unitary(u, tol: Tolerances) -> np.ndarray:
     return a
 
 
+def _clear_columns(a: np.ndarray, tol: Tolerances) -> HouseholderFactorization:
+    n = a.shape[0]
+    reflections = []
+    phases = np.empty(n - 1)
+    for level in range(1, n):
+        refl, phi = pivot_from_column(a[:, level - 1], level, tol)
+        a = apply_reflection(refl, a, "left", tol)
+        reflections.append(refl)
+        phases[level - 1] = phi
+    return HouseholderFactorization(
+        reflections=tuple(reflections),
+        residual=PhaseDiagonal(np.diag(a).copy(), n),
+        ordering=FORWARD,
+        dim=n,
+        pivot_phases=phases,
+    )
+
+
 def decompose(u, tol: Tolerances | None = None) -> HouseholderFactorization:
     """Factor a unitary matrix as ``U = R_1 R_2 ... R_{N-1} D`` (forward).
 
@@ -330,69 +352,35 @@ def decompose(u, tol: Tolerances | None = None) -> HouseholderFactorization:
     Raises NotUnitaryError when the input fails the unitarity tolerance.
     """
     tol = tol or DEFAULT_TOLERANCES
-    work = _require_unitary(u, tol).copy()
-    n = work.shape[0]
-    reflections = []
-    phases = np.empty(n - 1)
-    for level in range(1, n):
-        refl, phi = pivot_from_column(work[:, level - 1], level, tol)
-        work = apply_reflection(refl, work, "left", tol)
-        reflections.append(refl)
-        phases[level - 1] = phi
-    return HouseholderFactorization(
-        reflections=tuple(reflections),
-        residual=PhaseDiagonal(np.diag(work).copy(), n),
-        ordering=FORWARD,
-        dim=n,
-        pivot_phases=phases,
-    )
+    return _clear_columns(_require_unitary(u, tol), tol)
 
 
 def decompose_reversed(u, tol: Tolerances | None = None) -> HouseholderFactorization:
     """Factor a unitary matrix as ``U = D R_{N-1} ... R_1`` (reversed).
 
-    Works on rows: at level k the pivot ket is the conjugate of
-    ``row_k + e^{i phi_k} e_k`` with ``phi_k = arg(row_k[k])``, so that
-    right-multiplication clears row k to ``-e^{i phi_k} e_k``.
+    Runs the forward column loop on ``U^dag = R_1 ... R_{N-1} D^dag``: the
+    pivots are the same, so right-multiplication by ``R_k`` clears row k of
+    ``U`` to ``-e^{i phi_k} e_k``.  The residual is conjugated and each pivot
+    phase negated, with -pi mapped back to pi.
+
+    Raises NotUnitaryError when ``U`` itself fails the unitarity tolerance.
     """
     tol = tol or DEFAULT_TOLERANCES
-    work = _require_unitary(u, tol).copy()
-    n = work.shape[0]
-    reflections = []
-    phases = np.empty(n - 1)
-    for level in range(1, n):
-        i = level - 1
-        row = np.array(work[i, :])
-        norm = float(np.linalg.norm(row))
-        if abs(norm - 1.0) > tol.unitarity_tol:
-            raise NotUnitLengthError(f"row norm {norm} is not 1 within tolerance")
-        if i and float(np.max(np.abs(row[:i]))) > tol.unitarity_tol:
-            raise LeadingComponentsNonzeroError(
-                f"row components below level {level} exceed tolerance"
-            )
-        row[:i] = 0.0
-        phi = _canonical_angle(float(np.angle(row[i])))
-        row[i] += complex(math.cos(phi), math.sin(phi))
-        refl = Reflection(pivot=row.conj(), level=level, dim=n)
-        work = apply_reflection(refl, work, "right", tol)
-        reflections.append(refl)
-        phases[i] = phi
+    f = _clear_columns(_require_unitary(u, tol).conj().T, tol)
+    phases = f.pivot_phases
     return HouseholderFactorization(
-        reflections=tuple(reflections),
-        residual=PhaseDiagonal(np.diag(work).copy(), n),
+        reflections=f.reflections,
+        residual=PhaseDiagonal(f.residual.phases.conj(), f.dim),
         ordering=REVERSED,
-        dim=n,
-        pivot_phases=phases,
+        dim=f.dim,
+        pivot_phases=np.where(phases == math.pi, math.pi, -phases),
     )
 
 
 def reconstruct(f: HouseholderFactorization) -> ComplexMatrix:
     """Multiply a factorization back into a dense matrix."""
+    side = "left" if f.ordering == FORWARD else "right"
     m = f.residual.matrix()
-    if f.ordering == FORWARD:
-        for refl in reversed(f.reflections):
-            m = apply_reflection(refl, m, "left")
-    else:
-        for refl in reversed(f.reflections):
-            m = apply_reflection(refl, m, "right")
+    for refl in reversed(f.reflections):
+        m = apply_reflection(refl, m, side)
     return m

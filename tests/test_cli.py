@@ -127,6 +127,17 @@ class TestDecompose:
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith("error: phase entries")
 
+    def test_loosened_gate_past_a_short_column_is_not_unitary(self, tmp_path, capsys):
+        # The swap matrix scaled by 1 - 1e-5 passes --tol 1e-3, but its
+        # first pivot has norm-squared 2 - 2e-5, below the bound 2.
+        path = write_json(tmp_path / "m.json",
+                          matrix_obj(np.array([[0.0, 1.0], [1.0, 0.0]]) * (1.0 - 1e-5)))
+        for mode in ("householder", "coset", "coset-reversed"):
+            assert run("decompose", "--input", path, "--mode", mode,
+                       "--tol", "1e-3") == 3
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: pivot norm-squared")
+
     def test_unwritable_output(self, u0_file):
         assert run("decompose", "--input", u0_file,
                    "--output", "/nonexistent/dir/out.json") == 2

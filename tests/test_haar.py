@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,42 @@ class TestHaarUnitary:
         assert np.array_equal(
             haar_unitary(4, RngStream(24)), haar_unitary(4, RngStream(24))
         )
+
+    @pytest.mark.parametrize("dim", range(1, 9))
+    def test_values_replay_the_documented_draw_order(self, dim):
+        # Replays the contract with plain numpy from the same Philox key:
+        # per level a uniform ball point X, the pivot direction
+        # n = gamma e_k + X / (2 gamma), gamma = sqrt((1 + rho) / 2), then
+        # U = R(n_1) ... R(n_{N-1}) diag(e^{i phi}).  A negated terminal
+        # phase is still uniform, so only the values can show a sign slip.
+        seed = 31
+        gen = np.random.Generator(
+            np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+        )
+        u = np.eye(dim, dtype=complex)
+        for level in range(1, dim):
+            size = 2 * (dim - level)
+            g = gen.standard_normal(size)
+            s = float(g @ g)
+            # P(size/2, s/2), the chi-square CDF, as its ascending series.
+            m, t = size // 2, 0.5 * s
+            j = np.arange(m, m + 400)
+            log_terms = j * math.log(t) - t - np.array([math.lgamma(k + 1.0) for k in j])
+            cdf = float(np.sum(np.exp(log_terms)))
+            point = g * (cdf ** (1.0 / size) / math.sqrt(s))
+            x = point[0::2] + 1j * point[1::2]
+            rho = math.sqrt(1.0 - float(np.real(np.vdot(x, x))))
+            gamma = math.sqrt(0.5 * (1.0 + rho))
+            n = np.zeros(dim, dtype=complex)
+            n[level - 1] = gamma
+            n[level:] = x / (2.0 * gamma)
+            u = u @ (np.eye(dim) - 2.0 * np.outer(n, n.conj()))
+        phi = math.pi * (1.0 - 2.0 * gen.random(dim))
+        expected = u * np.exp(1j * phi)
+
+        rng = RngStream(seed)
+        assert maxdiff(haar_unitary(dim, rng), expected) <= 1e-13
+        assert rng.draws == dim * dim
 
 
 class TestHaarOracle:

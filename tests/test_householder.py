@@ -15,6 +15,7 @@ from ucoset import (
     PhaseDiagonal,
     PhaseError,
     Reflection,
+    Tolerances,
     apply_reflection,
     compose_cosets,
     cosets_from_householder,
@@ -231,6 +232,47 @@ class TestDecomposeReversed:
             decompose_reversed(np.diag([2.0, 1.0]))
 
 
+def assert_adjoint_of_forward(u):
+    # U = D R_{N-1} ... R_1 exactly when U^dag = R_1 ... R_{N-1} D^dag.
+    rev = decompose_reversed(u)
+    fwd = decompose(np.conj(u).T)
+    for r, f in zip(rev.reflections, fwd.reflections, strict=True):
+        assert maxdiff(r.pivot, f.pivot) <= 1e-13
+    assert maxdiff(rev.residual.phases, np.conj(fwd.residual.phases)) <= 1e-13
+    phase_dev = np.abs(np.exp(1j * rev.pivot_phases) - np.exp(-1j * fwd.pivot_phases))
+    assert np.all(phase_dev <= 1e-13)
+    return rev
+
+
+class TestReversedIsAdjointOfForward:
+    def test_minus_identity_keeps_phase_pi(self):
+        rev = assert_adjoint_of_forward(-np.eye(3))
+        # Negating pi gives -pi, outside (-pi, pi]; it maps back to pi.
+        assert list(rev.pivot_phases) == [math.pi, math.pi]
+        assert maxdiff(rev.residual.phases, [1.0, 1.0, -1.0]) == 0.0
+
+    def test_identity(self):
+        rev = assert_adjoint_of_forward(np.eye(3))
+        assert list(rev.pivot_phases) == [0.0, 0.0]
+        assert maxdiff(rev.residual.phases, [-1.0, -1.0, 1.0]) == 0.0
+
+    def test_dim_one(self):
+        rev = assert_adjoint_of_forward(np.array([[np.exp(0.7j)]]))
+        assert rev.reflections == ()
+        assert maxdiff(rev.residual.phases, [np.exp(0.7j)]) <= 1e-16
+
+    def test_dim_two(self):
+        assert_adjoint_of_forward(np.array([[0.0, 1j], [1j, 0.0]]))
+        assert_adjoint_of_forward(random_unitary(2, 45))
+
+    @given(st.integers(1, 12), st.integers(0, 2 ** 32))
+    @settings(max_examples=60)
+    def test_haar_matrices(self, dim, seed):
+        u = random_unitary(dim, seed)
+        rev = assert_adjoint_of_forward(u)
+        assert maxdiff(reconstruct(rev), u) <= 1e-12
+
+
 class TestReconstruct:
     def test_no_reflections_identity_residual(self):
         f = HouseholderFactorization(
@@ -381,3 +423,15 @@ class TestNearUnitary:
                 pivot_phases=f.pivot_phases,
             )
         assert issubclass(PhaseError, NotUnitaryError)
+
+    def test_short_column_is_not_unit_length(self):
+        # A 2e-5 defect passes a 1e-3 gate, but the column (0, 1 - 1e-5)
+        # gives a pivot of norm-squared 2 - 2e-5, below the bound 2.
+        u = np.array([[0.0, 1.0], [1.0, 0.0]]) * (1.0 - 1e-5)
+        tol = Tolerances(unitarity_tol=1e-3)
+        for dec in (decompose, decompose_reversed):
+            with pytest.raises(NotUnitLengthError):
+                dec(u, tol)
+        with pytest.raises(NotUnitLengthError):
+            Reflection(pivot=np.array([1.0, 0.9]), level=1, dim=2)
+        assert issubclass(NotUnitLengthError, NotUnitaryError)

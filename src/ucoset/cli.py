@@ -254,7 +254,7 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_sample(args) -> int:
     rng = haar.RngStream(args.seed)
-    matrices = [haar.haar_unitary(args.dim, rng) for _ in range(args.count)]
+    matrices = [m for block in haar._haar_blocks(args.dim, args.count, rng) for m in block]
     obj = {
         "dim": args.dim,
         "count": args.count,

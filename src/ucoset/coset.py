@@ -343,14 +343,21 @@ def compose_cosets(cf: CosetFactorization) -> ComplexMatrix:
         if xv is None:
             t = c.matrix @ t if forward else c.matrix.T @ t
             continue
-        i = c.level - 1
         x = xv.x if forward else -xv.x.conj()
-        top = t[i].copy()
-        rest = t[i + 1:]
-        xr = x.conj() @ rest
-        t[i] = xv.rho * top - xr
-        rest += np.outer(x, top - xr / (1.0 + xv.rho))
+        _apply_coset_rows(t, c.level - 1, x, xv.rho)
     return t if forward else t.T
+
+
+def _apply_coset_rows(t, i, x, rho) -> None:
+    # t <- C t in place, for C the coset factor of (X, rho) at level i + 1:
+    # a rank-1 update of rows i.. of t.  Broadcasts over leading batch axes
+    # shared by t (..., N, N), x (..., N - i - 1) and rho (...).
+    rho = np.asarray(rho)[..., None]
+    top = t[..., i, :].copy()
+    rest = t[..., i + 1:, :]
+    xr = (x.conj()[..., None, :] @ rest)[..., 0, :]
+    t[..., i, :] = rho * top - xr
+    rest += x[..., :, None] * (top - xr / (1.0 + rho))[..., None, :]
 
 
 def extract_coset_vector(c: CosetFactor) -> CosetVector:

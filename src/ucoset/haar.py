@@ -17,19 +17,29 @@ ball point delivers coordinates (t_1, t_2, ..., t_{2(N-k)}) which pack into
 the complex vector X = (t_1 + i t_2, t_3 + i t_4, ...); then the N phase
 angles are derived from uniforms ``u`` as ``phi = pi (1 - 2 u)``.
 
+``haar_unitary_batch`` is the one sampler body.  It draws a stack of
+matrices with two generator calls per matrix, the N(N-1) normals of all its
+ball points and then its N uniforms, so a stack equals as many successive
+``haar_unitary`` calls, which is its count-1 case.  The ball radii of every
+level and matrix come from one vectorized regularized gamma function, and
+the coset factors are applied to the whole stack as rank-1 updates.
+``haar_validate`` and ``ucoset sample`` draw in blocks of bounded size, on
+the same draw order.
+
 ``haar_oracle`` draws from the same distribution through an unrelated
 construction (QR of a complex Gaussian matrix with the phase-of-diagonal
 correction) and exists purely as a statistical cross-check.
 """
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .numkit import ComplexMatrix, UcosetError
-from .coset import CosetFactorization, CosetVector, compose_cosets, coset_matrix_from_X
-from .householder import FORWARD, PhaseDiagonal
+from .coset import _apply_coset_rows
 
 __all__ = [
     "RngStream",
@@ -37,7 +47,9 @@ __all__ = [
     "OddDimensionError",
     "InvalidDimError",
     "TooFewSamplesError",
+    "InvalidCountError",
     "sample_ball",
+    "haar_unitary_batch",
     "haar_unitary",
     "haar_oracle",
     "haar_validate",
@@ -56,6 +68,10 @@ class InvalidDimError(UcosetError):
 
 class TooFewSamplesError(UcosetError):
     """Statistical validation needs more samples to mean anything."""
+
+
+class InvalidCountError(UcosetError):
+    """A batch must hold at least one matrix."""
 
 
 class RngStream:
@@ -125,27 +141,86 @@ class SampleReport:
         object.__setattr__(self, "mean_moduli", moduli)
 
 
-def _reg_gamma_lower(m: int, t: float) -> float:
-    # Regularized lower incomplete gamma P(m, t) for integer m >= 1.
-    if t <= 0.0:
-        return 0.0
-    if t < m + 1.0:
-        # Ascending tail e^{-t} sum_{j >= m} t^j / j!; no cancellation.
-        term = math.exp(m * math.log(t) - t - math.lgamma(m + 1.0))
-        total = term
-        j = m
-        while term > total * 1e-17:
-            j += 1
-            term *= t / j
-            total += term
-        return min(total, 1.0)
-    # Complement of the short head sum; each term is at most 1.
-    term = math.exp(-t)
-    total = term
-    for j in range(1, m):
-        term *= t / j
-        total += term
-    return max(1.0 - total, 0.0)
+# Each sum in P(m, t) keeps its terms down to e^-45 of its largest one.
+_TAIL_LOG = 45.0
+
+# Size of a sampler block in matrix entries: a block's working set stays
+# O(_BLOCK_ENTRIES) whatever the sample count.
+_BLOCK_ENTRIES = 2 ** 13
+
+_TINY = np.finfo(float).tiny
+
+
+def _series_terms(m: int) -> int:
+    # Term k of either sum is at most prod_{i=1..k} (m + 1) / (m + i) of the
+    # first (the ascending series at t = m + 1 is the worst case; the head
+    # sum falls faster); keep terms until that bound passes e^-45.
+    k, decay = 1, 0.0
+    while decay < _TAIL_LOG:
+        k += 1
+        decay += math.log((m + k) / (m + 1.0))
+    return k
+
+
+class _BallPlan(NamedTuple):
+    # Constants for ball points with half-dimensions ``m`` along the last
+    # axis.  ``j`` and ``log_fact`` hold, for both branches of P(m, t)
+    # ([0] from t = m + 1 on, [1] below it) and every level, the term
+    # indexes of the sum and log j!; log j! is +inf past j = 0, so that
+    # those terms vanish.
+    lim: np.ndarray
+    j: np.ndarray
+    log_fact: np.ndarray
+    levels: np.ndarray
+    sizes: np.ndarray
+    starts: np.ndarray
+    inv_sizes: np.ndarray
+
+
+@functools.lru_cache(maxsize=64)
+def _ball_plan(ms: tuple) -> _BallPlan:
+    m = np.array(ms)
+    k = np.arange(_series_terms(max(ms)))
+    j = np.stack([m[:, None] - 1 - k, m[:, None] + k])
+    table = np.array([math.lgamma(v + 1.0) for v in range(int(j.max()) + 1)])
+    log_fact = np.where(j >= 0, table[np.maximum(j, 0)], np.inf)
+    sizes = 2 * m
+    plan = _BallPlan(m + 1.0, j.astype(float), log_fact, np.arange(len(ms)),
+                     sizes, np.cumsum(sizes) - sizes, 1.0 / sizes)
+    for a in plan:
+        a.setflags(write=False)
+    return plan
+
+
+def _reg_gamma(ms: tuple, t) -> np.ndarray:
+    """Regularized lower incomplete gamma P(m, t) for t > 0 and integer m >= 1.
+
+    ``ms`` holds the m of each position along the last axis of ``t``.
+    Below t = m + 1 it sums the ascending series e^-t sum_{j >= m} t^j / j!,
+    which has no cancellation for small P; from t = m + 1 on, where
+    P > 1/2, it takes the complement of the head e^-t sum_{j < m} t^j / j!.
+    Every term is evaluated in log form, j log t - t - log j!, so no factor
+    e^-t underflows on its own at large t.  The terms run along a trailing
+    axis, so the whole array is done in a few array operations.
+    """
+    plan = _ball_plan(ms)
+    t = np.asarray(t, dtype=float)
+    below = t < plan.lim
+    branch = below.astype(np.intp)
+    log_terms = (plan.j[branch, plan.levels] * np.log(t)[..., None]
+                 - (t[..., None] + plan.log_fact[branch, plan.levels]))
+    total = np.exp(log_terms).sum(axis=-1)
+    return np.where(below, total, 1.0 - total)
+
+
+def _ball_points(g: np.ndarray, ms: tuple) -> np.ndarray:
+    # Each run of 2 m entries along the last axis of g, a Gaussian vector,
+    # scaled to a uniform point of the ball B^{2m}: its radius is
+    # P(m, |g|^2 / 2)^(1 / 2m).  A zero run (|g|^2 floored at _TINY) stays 0.
+    plan = _ball_plan(ms)
+    s = np.maximum(np.add.reduceat(g * g, plan.starts, axis=-1), _TINY)
+    scale = _reg_gamma(ms, 0.5 * s) ** plan.inv_sizes / np.sqrt(s)
+    return g * np.repeat(scale, plan.sizes, axis=-1)
 
 
 def sample_ball(dim: int, rng: RngStream) -> np.ndarray:
@@ -162,32 +237,64 @@ def sample_ball(dim: int, rng: RngStream) -> np.ndarray:
     dim = int(dim)
     if dim <= 0 or dim % 2:
         raise OddDimensionError(f"ball dimension must be positive and even, got {dim}")
-    g = rng.normals(dim)
-    s = float(g @ g)
-    if s == 0.0:
-        return np.zeros(dim)
-    radius_frac = _reg_gamma_lower(dim // 2, 0.5 * s)
-    return g * (radius_frac ** (1.0 / dim) / math.sqrt(s))
+    return _ball_points(rng.normals(dim), (dim // 2,))
+
+
+def haar_unitary_batch(dim: int, count: int, rng: RngStream) -> np.ndarray:
+    """Draw ``count`` Haar-distributed ``dim x dim`` unitaries, stacked.
+
+    The matrices, and ``rng``'s state after the call, are those of ``count``
+    successive ``haar_unitary`` calls: for each matrix, ``dim (dim - 1)``
+    normals then ``dim`` uniforms, ``count * dim**2`` variates in all.  The
+    ball radii and the coset products run over the whole stack at once.
+
+    Raises InvalidDimError for ``dim < 1`` and InvalidCountError for
+    ``count < 1``.
+    """
+    dim = int(dim)
+    count = int(count)
+    if dim < 1:
+        raise InvalidDimError(f"dim must be at least 1, got {dim}")
+    if count < 1:
+        raise InvalidCountError(f"count must be at least 1, got {count}")
+    g = np.empty((count, dim * (dim - 1)))
+    u = np.empty((count, dim))
+    for k in range(count):
+        g[k] = rng.normals(dim * (dim - 1))
+        u[k] = rng.uniforms(dim)
+    phases = np.exp(1j * (math.pi * (1.0 - 2.0 * u)))
+    phases[:, :-1] *= -1.0
+    t = np.zeros((count, dim, dim), dtype=complex)
+    t.reshape(count, dim * dim)[:, ::dim + 1] = phases
+    if dim == 1:
+        return t
+    ms = tuple(range(dim - 1, 0, -1))
+    starts = _ball_plan(ms).starts
+    points = _ball_points(g, ms)
+    rho = np.sqrt(np.maximum(0.0, 1.0 - np.add.reduceat(points * points, starts, axis=1)))
+    x = points.view(complex)
+    for i in range(dim - 2, -1, -1):
+        off = starts[i] // 2
+        _apply_coset_rows(t, i, x[:, off:off + dim - 1 - i], rho[:, i])
+    return t
+
+
+def _haar_blocks(dim: int, count: int, rng: RngStream):
+    # ``count`` matrices as successive ``haar_unitary_batch`` stacks of at
+    # most _BLOCK_ENTRIES entries each (at least one matrix).
+    block = max(1, _BLOCK_ENTRIES // (dim * dim))
+    for start in range(0, count, block):
+        yield haar_unitary_batch(dim, min(block, count - start), rng)
 
 
 def haar_unitary(dim: int, rng: RngStream) -> ComplexMatrix:
     """Draw one Haar-distributed ``dim x dim`` unitary matrix.
 
     Consumes exactly ``dim**2`` variates from ``rng`` in the documented
-    order.  ``dim = 1`` reduces to a single uniform phase.
+    order; it is ``haar_unitary_batch(dim, 1, rng)[0]``.  ``dim = 1``
+    reduces to a single uniform phase.
     """
-    dim = int(dim)
-    if dim < 1:
-        raise InvalidDimError(f"dim must be at least 1, got {dim}")
-    factors = []
-    for level in range(1, dim):
-        point = sample_ball(2 * (dim - level), rng)
-        x = point[0::2] + 1j * point[1::2]
-        factors.append(coset_matrix_from_X(CosetVector.from_coords(x, level, dim)))
-    phases = np.exp(1j * (math.pi * (1.0 - 2.0 * rng.uniforms(dim))))
-    phases[:-1] *= -1.0
-    terminal = PhaseDiagonal(phases, dim)
-    return compose_cosets(CosetFactorization(tuple(factors), terminal, FORWARD, dim))
+    return haar_unitary_batch(dim, 1, rng)[0]
 
 
 def haar_oracle(dim: int, rng: RngStream) -> ComplexMatrix:
@@ -235,11 +342,14 @@ def ks_statistic_two_sample(a, b) -> float:
 
 
 def haar_validate(dim: int, samples: int, rng: RngStream) -> SampleReport:
-    """Sample ``haar_unitary`` and summarize two sharp Haar statistics.
+    """Sample Haar unitaries and summarize two sharp Haar statistics.
 
     The |U_11|^2 values are tested against their exact CDF
     ``1 - (1 - t)^(dim - 1)`` and every ``|U_ij|^2`` is averaged (exact
-    mean 1/dim).  Requires ``dim >= 2`` and at least 1000 samples.
+    mean 1/dim).  Requires ``dim >= 2`` and at least 1000 samples.  The
+    matrices are those of ``samples`` successive ``haar_unitary`` calls,
+    drawn in blocks of ``haar_unitary_batch``, so memory stays bounded
+    whatever the sample count.
     """
     dim = int(dim)
     samples = int(samples)
@@ -249,12 +359,13 @@ def haar_validate(dim: int, samples: int, rng: RngStream) -> SampleReport:
         raise TooFewSamplesError(f"need at least 1000 samples, got {samples}")
     moduli_sum = np.zeros((dim, dim))
     corner = np.empty(samples)
-    for k in range(samples):
-        u = haar_unitary(dim, rng)
-        p = np.abs(u)
+    done = 0
+    for block in _haar_blocks(dim, samples, rng):
+        p = np.abs(block)
         p *= p
-        moduli_sum += p
-        corner[k] = p[0, 0]
+        moduli_sum += p.sum(axis=0)
+        corner[done:done + len(p)] = p[:, 0, 0]
+        done += len(p)
     ks = ks_statistic(corner, lambda t: 1.0 - (1.0 - t) ** (dim - 1))
     return SampleReport(
         dim=dim,

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from ucoset import cli
+from ucoset import RngStream, cli, haar_unitary
 from ucoset.haar import SampleReport
 
 from golden_data import GOLDEN_DIR, U0, maxdiff, random_unitary
@@ -225,6 +225,17 @@ class TestSample:
         for obj in payload["matrices"]:
             m = matrix_from_obj(obj)
             assert maxdiff(m.conj().T @ m, np.eye(4)) <= 1e-12
+
+    @pytest.mark.parametrize("dim, count", [(4, 5), (16, 33)])
+    def test_matches_successive_haar_unitary_calls(self, tmp_path, dim, count):
+        # 33 16x16 matrices span two sampler blocks.
+        out = tmp_path / "s.json"
+        assert run("sample", "--dim", str(dim), "--count", str(count), "--seed", "13",
+                   "--output", str(out)) == 0
+        written = np.array([matrix_from_obj(m) for m in json.loads(out.read_text())["matrices"]])
+        rng = RngStream(13)
+        expected = np.array([haar_unitary(dim, rng) for _ in range(count)])
+        assert maxdiff(written, expected) <= 1e-13
 
     def test_seed_changes_output(self, tmp_path):
         a = tmp_path / "a.json"

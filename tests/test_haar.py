@@ -1,23 +1,33 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ucoset import (
+    InvalidCountError,
     InvalidDimError,
     OddDimensionError,
     RngStream,
     TooFewSamplesError,
+    UcosetError,
     haar_oracle,
     haar_unitary,
+    haar_unitary_batch,
     haar_validate,
     ks_statistic,
     ks_statistic_two_sample,
     sample_ball,
     unitarity_error,
 )
+from ucoset.haar import _BLOCK_ENTRIES, _reg_gamma
 
 from golden_data import maxdiff
+
+
+def block_size(dim):
+    # Matrices per sampler block at this dim, as the sampler derives it.
+    return max(1, _BLOCK_ENTRIES // (dim * dim))
 
 
 class TestRngStream:
@@ -75,6 +85,16 @@ class TestSampleBall:
         sample_ball(6, rng)
         assert rng.draws == 6
 
+    @pytest.mark.parametrize("dim", [1500, 2046])
+    def test_large_dims_have_uniform_radius_power(self, dim):
+        # r^dim of a uniform ball point is uniform on (0, 1); a radius
+        # fraction that underflows to 1 puts points on the sphere.
+        rng = RngStream(3)
+        count = 400
+        radii = np.array([np.linalg.norm(sample_ball(dim, rng)) for _ in range(count)])
+        assert np.all(radii < 1.0)
+        assert ks_statistic(radii ** dim, lambda t: t) <= 1.63 / math.sqrt(count)
+
     @pytest.mark.parametrize("dim, expected", [(2, 0.5), (4, 2.0 / 3.0)])
     def test_mean_radius_squared(self, dim, expected):
         rng = RngStream(13 + dim)
@@ -84,6 +104,25 @@ class TestSampleBall:
             p = sample_ball(dim, rng)
             total += float(p @ p)
         assert abs(total / count - expected) <= 0.01
+
+
+class TestRegGamma:
+    @pytest.mark.parametrize("m, t, closed", [
+        (1, [0.05, 0.5, 1.0, 1.99, 2.0, 2.01, 3.5, 10.0, 40.0, 800.0],
+         lambda t: -np.expm1(-t)),
+        (2, [0.05, 0.5, 1.5, 2.99, 3.0, 3.01, 5.0, 20.0, 800.0],
+         lambda t: 1.0 - np.exp(-t) * (1.0 + t)),
+    ])
+    def test_closed_forms_on_both_sides_of_m_plus_1(self, m, t, closed):
+        # t < m + 1 takes the ascending series, t >= m + 1 the complement.
+        t = np.array(t)
+        assert np.any(t < m + 1.0) and np.any(t >= m + 1.0)
+        np.testing.assert_allclose(_reg_gamma((m,), t), closed(t), rtol=1e-13, atol=1e-16)
+
+    def test_large_m_past_the_exp_underflow(self):
+        # e^-1030 underflows to 0; P(1023, 1030) (to 20 digits from a
+        # multiple-precision evaluation) must not come out as 1.
+        assert abs(_reg_gamma((1023,), 1030.0)[0] - 0.59047839622575427628) <= 1e-10
 
 
 class TestHaarUnitary:
@@ -148,6 +187,25 @@ class TestHaarUnitary:
         rng = RngStream(seed)
         assert maxdiff(haar_unitary(dim, rng), expected) <= 1e-13
         assert rng.draws == dim * dim
+
+
+class TestHaarUnitaryBatch:
+    @pytest.mark.parametrize("dim", range(1, 9))
+    def test_equals_successive_single_draws(self, dim):
+        for count in (1, 3, block_size(dim) + 1):
+            a = RngStream(51, dim)
+            b = RngStream(51, dim)
+            batch = haar_unitary_batch(dim, count, a)
+            singles = np.array([haar_unitary(dim, b) for _ in range(count)])
+            assert batch.shape == (count, dim, dim)
+            assert maxdiff(batch, singles) <= 1e-13
+            assert a.draws == b.draws == count * dim * dim
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_count_below_one_is_a_typed_error(self, count):
+        with pytest.raises(InvalidCountError) as info:
+            haar_unitary_batch(3, count, RngStream(52))
+        assert isinstance(info.value, UcosetError)
 
 
 class TestHaarOracle:
@@ -217,6 +275,32 @@ class TestHaarValidate:
         b = haar_validate(3, 1000, RngStream(42))
         assert a.ks_statistic == b.ks_statistic
         assert np.array_equal(a.mean_moduli, b.mean_moduli)
+
+    @pytest.mark.parametrize("dim", [3, 8])
+    def test_blocks_match_single_draws(self, dim):
+        block = block_size(dim)
+        past_boundary = (1000 // block + 1) * block + 1
+        for samples in (1000, past_boundary, 3200):
+            rng = RngStream(44, dim)
+            report = haar_validate(dim, samples, rng)
+            assert rng.draws == samples * dim * dim
+            single = RngStream(44, dim)
+            p = np.abs(np.array([haar_unitary(dim, single) for _ in range(samples)])) ** 2
+            ks = ks_statistic(p[:, 0, 0], lambda t: 1.0 - (1.0 - t) ** (dim - 1))
+            assert abs(report.ks_statistic - ks) <= 1e-12
+            assert maxdiff(report.mean_moduli, p.mean(axis=0)) <= 1e-12
+
+    def test_memory_stays_below_the_stacked_samples(self):
+        # Stacking all 50000 3x3 samples would take 50000 * 9 * 16 bytes
+        # (6.9 MiB); drawing in blocks keeps the peak below that.
+        dim, samples = 3, 50000
+        tracemalloc.start()
+        try:
+            haar_validate(dim, samples, RngStream(45))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= samples * dim * dim * 16
 
     def test_left_invariance_proxy(self):
         # |(V U)_11|^2 for fixed V and sampled U follows the same marginal

@@ -9,23 +9,18 @@ vector X with r^2 = <X|X> <= 1:
     row      -X^dag                      right of the corner
     block    1 - |X><X| / (1 + rho)      trailing
 
-One factor per level times a diagonal of phases reproduces any unitary
-matrix.  The factors come from a Householder factorization by flipping the
-sign of column k of each reflection (forward ordering) or of row k (reversed
-ordering); the sign flips migrate into the terminal phase diagonal.  For a
-pivot u both flips give rho = 2 |u_k|^2 / <u|u> - 1 and
-X = +-2 conj(u_k) u_below / <u|u> (+ forward, - reversed), read off in O(N)
-per level.  A factor is stored as X alone; its dense matrix is built on
-demand, and composing N - 1 factors costs O(N^3) as rank-1 updates.
+That is the Householder reflection R(p) of the pivot p = (1 + rho) e_k + X
+with column k negated, R(p) F_k, so a factor is stored as its pivot, and X
+and rho = 2 |p_k|^2 / <p|p> - 1 are read off it in O(N).  One factor per
+level times a diagonal of phases reproduces any unitary matrix.  The
+conversions from a Householder factorization negate column k (forward) or
+row k (reversed, F_k R(u) = R(F_k u) F_k) of each reflection; the sign flips
+migrate into the terminal phase diagonal, so composing the factors is one
+product of reflections, O(N^3) as rank-1 updates.
 
-The pivot direction behind a factor is
-
-    n = gamma e_k + X / (2 conj(gamma)) ,    |gamma| = sqrt((1 + rho) / 2) ,
-
-with a free overall phase for gamma, and the level-1 factor is also the
-exponential of the anti-Hermitian generator with column B below the corner
-whenever ||B|| <= pi/2; for ||B|| in (pi/2, pi] the exponential leaves the
-nonnegative-corner chart.
+The level-1 factor is also the exponential of the anti-Hermitian generator
+with column B below the corner; for ||B|| in (pi/2, pi] its corner is
+negative, outside the X chart, and only the pivot describes it.
 """
 
 import math
@@ -34,19 +29,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numkit import (
-    DEFAULT_TOLERANCES,
     ComplexMatrix,
     ComplexVector,
-    Tolerances,
     UcosetError,
-    unitarity_error,
 )
 from .householder import (
     FORWARD,
     REVERSED,
+    DimensionMismatchError,
     HouseholderFactorization,
     PhaseDiagonal,
     _canonical_angle,
+    _product,
+    _reflect_rows,
 )
 
 __all__ = [
@@ -59,6 +54,7 @@ __all__ = [
     "MalformedFactorError",
     "BallViolationError",
     "RhoRangeError",
+    "DomainError",
     "cosets_from_householder",
     "cosets_from_householder_reversed",
     "compose_cosets",
@@ -86,7 +82,11 @@ class BallViolationError(UcosetError):
 
 
 class RhoRangeError(UcosetError):
-    """rho must lie in [0, 1]."""
+    """rho must lie in [0, 1] and agree with <X|X>."""
+
+
+class DomainError(UcosetError):
+    """A parameter is not finite or lies outside its documented range."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,21 +104,21 @@ class CosetVector:
 
     def __post_init__(self):
         if not 1 <= self.level <= self.dim - 1:
-            raise ValueError(f"level {self.level} outside 1..{self.dim - 1}")
+            raise DimensionMismatchError(f"level {self.level} outside 1..{self.dim - 1}")
         x = np.array(self.x, dtype=complex)
         if x.shape != (self.dim - self.level,):
-            raise ValueError(
+            raise DimensionMismatchError(
                 f"x must have length {self.dim - self.level}, got shape {x.shape}"
             )
         if not np.all(np.isfinite(x)):
-            raise ValueError("x has non-finite entries")
+            raise DomainError("x has non-finite entries")
         r_sq = float(np.real(np.vdot(x, x)))
         if r_sq > 1.0 + 1e-12:
             raise BallViolationError(f"<x|x> = {r_sq} exceeds 1")
         if not -1e-12 <= self.rho <= 1.0 + 1e-12:
             raise RhoRangeError(f"rho {self.rho} outside [0, 1]")
         if abs(self.rho * self.rho + r_sq - 1.0) > 2e-12:
-            raise ValueError("rho is inconsistent with <x|x>")
+            raise RhoRangeError("rho is inconsistent with <x|x>")
         x.setflags(write=False)
         object.__setattr__(self, "x", x)
 
@@ -148,9 +148,9 @@ class Gamma:
 
     def __post_init__(self):
         if not math.sqrt(0.5) - 1e-12 <= self.modulus <= 1.0 + 1e-12:
-            raise ValueError(f"modulus {self.modulus} outside [sqrt(1/2), 1]")
+            raise RhoRangeError(f"modulus {self.modulus} outside [sqrt(1/2), 1]")
         if not -math.pi < self.phase <= math.pi:
-            raise ValueError(f"phase {self.phase} outside (-pi, pi]")
+            raise DomainError(f"phase {self.phase} outside (-pi, pi]")
 
     @property
     def as_complex(self) -> complex:
@@ -159,23 +159,19 @@ class Gamma:
 
 @dataclass(frozen=True, eq=False, init=False)
 class CosetFactor:
-    """One coset factor at a level, stored as its ball coordinates X.
+    """One coset factor at level k: ``R(p)`` with column k negated.
 
-    Factors from the Householder conversions and ``coset_matrix_from_X``
-    keep only their ``CosetVector`` (``vector``), whose ball bound and
-    ``rho^2 + <X|X> = 1`` make the factor unitary.  ``matrix`` assembles
-    the read-only dense factor in O(N^2) on every access; it is not cached.
-
-    ``CosetFactor(matrix=..., level=...)`` instead keeps a dense factor
-    (``vector`` is None) after checking that it is unitary and the identity
-    below its level.  It serves hand-made factors and ``exp_coset``, whose
-    corner cos(theta) is negative for theta > pi/2, outside the X chart.
+    Only the read-only ``pivot`` p is stored; its components before k are
+    exactly zero.  ``vector`` reads X and rho off it in O(N) and is None
+    when the corner is negative, outside the X chart; ``matrix`` assembles
+    the read-only dense factor in O(N^2).  Neither is cached.
+    ``CosetFactor(matrix=..., level=...)`` reads the pivot off a hand-made
+    factor and checks in O(N^2) that the matrix is that factor.
     """
 
     level: int
     dim: int
-    vector: CosetVector | None
-    _dense: ComplexMatrix | None
+    pivot: ComplexVector
 
     def __init__(self, matrix, level: int):
         m = np.array(matrix, dtype=complex)
@@ -183,44 +179,62 @@ class CosetFactor:
             raise MalformedFactorError(f"factor must be square, got {m.shape}")
         n = m.shape[0]
         if not 1 <= level <= n - 1:
-            raise ValueError(f"level {level} outside 1..{n - 1}")
+            raise DimensionMismatchError(f"level {level} outside 1..{n - 1}")
         if not np.all(np.isfinite(m)):
-            raise ValueError("factor has non-finite entries")
-        if unitarity_error(m) > 1e-8:
-            raise MalformedFactorError("factor is not unitary")
+            raise MalformedFactorError("factor has non-finite entries")
         i = level - 1
         if i and float(np.max(np.abs(m[:i, :] - np.eye(n)[:i, :]))) > 1e-10:
             raise MalformedFactorError(
                 f"factor must act as the identity below level {level}"
             )
-        m.setflags(write=False)
-        self._set(level, n, None, m)
+        # For M = R(p) F_k, 1 - M F_k = (2 / <p|p>) |p><p|: its column at the
+        # largest diagonal entry is p up to a nonzero factor.
+        a = np.eye(n) - m
+        a[:, i] += 2.0 * m[:, i]
+        j = i + int(np.argmax(np.abs(np.diag(a)[i:])))
+        p = a[:, j].copy()
+        p[:i] = 0.0
+        self._set(level, p)
+        if not np.any(p) or float(np.max(np.abs(self.matrix - m))) > 1e-8:
+            raise MalformedFactorError("factor is not a column-flipped reflection")
 
     @classmethod
-    def _from_vector(cls, xv: CosetVector) -> "CosetFactor":
+    def _from_pivot(cls, p, level: int) -> "CosetFactor":
         c = cls.__new__(cls)
-        c._set(xv.level, xv.dim, xv, None)
+        c._set(level, p)
         return c
 
-    def _set(self, level, dim, vector, dense):
-        for name, value in (("level", level), ("dim", dim),
-                            ("vector", vector), ("_dense", dense)):
+    def _set(self, level, p):
+        p.setflags(write=False)
+        for name, value in (("level", level), ("dim", p.shape[0]), ("pivot", p)):
             object.__setattr__(self, name, value)
+
+    def _corner(self):
+        # conj(p_k), 2 / <p|p> and the corner 2 |p_k|^2 / <p|p> - 1, with
+        # <p|p> summed as |p_k|^2 + <below|below>, so that a pure-phase pivot
+        # gives exactly 1.
+        below = self.pivot[self.level:]
+        pk = complex(self.pivot[self.level - 1]).conjugate()
+        pk_sq = pk.real * pk.real + pk.imag * pk.imag
+        norm_sq = pk_sq + float(np.real(np.vdot(below, below)))
+        return pk, 2.0 / norm_sq, 2.0 * pk_sq / norm_sq - 1.0
+
+    @property
+    def vector(self) -> CosetVector | None:
+        pk_bar, c, rho = self._corner()
+        if rho < -1e-12:
+            return None
+        return CosetVector(x=(c * pk_bar) * self.pivot[self.level:], level=self.level,
+                           dim=self.dim, rho=min(max(rho, 0.0), 1.0))
 
     @property
     def matrix(self) -> ComplexMatrix:
-        if self.vector is None:
-            return self._dense
-        xv = self.vector
-        i = xv.level - 1
-        x = xv.x
-        m = np.eye(xv.dim, dtype=complex)
-        m[i, i] = xv.rho
-        m[i + 1:, i] = x
-        m[i, i + 1:] = -x.conj()
-        # 1 / (1 + rho) is the stable form of (1 - sqrt(1 - r^2)) / r^2,
-        # with no singularity as r -> 0.
-        m[i + 1:, i + 1:] -= np.outer(x, x.conj()) / (1.0 + xv.rho)
+        _, c, rho = self._corner()
+        i = self.level - 1
+        m = np.eye(self.dim, dtype=complex)
+        _reflect_rows(m, i, self.pivot, c)
+        m[i:, i] *= -1.0
+        m[i, i] = rho
         m.setflags(write=False)
         return m
 
@@ -240,15 +254,15 @@ class CosetFactorization:
 
     def __post_init__(self):
         if self.ordering not in (FORWARD, REVERSED):
-            raise ValueError(f"unknown ordering {self.ordering!r}")
+            raise MalformedFactorError(f"unknown ordering {self.ordering!r}")
         factors = tuple(self.factors)
         if [c.level for c in factors] != list(range(1, self.dim)):
-            raise ValueError("need one coset factor per level 1..dim-1, in order")
+            raise MalformedFactorError("need one coset factor per level 1..dim-1, in order")
         for c in factors:
             if c.dim != self.dim:
-                raise ValueError("factor dim does not match")
+                raise DimensionMismatchError("factor dim does not match")
         if self.terminal_phases.dim != self.dim:
-            raise ValueError("terminal phases dim does not match")
+            raise DimensionMismatchError("terminal phases dim does not match")
         object.__setattr__(self, "factors", factors)
 
 
@@ -265,39 +279,33 @@ class Generator:
 
     def __post_init__(self):
         if not 1 <= self.level <= self.dim - 1:
-            raise ValueError(f"level {self.level} outside 1..{self.dim - 1}")
+            raise DimensionMismatchError(f"level {self.level} outside 1..{self.dim - 1}")
         b = np.array(self.b, dtype=complex)
         if b.shape != (self.dim - self.level,):
-            raise ValueError(
+            raise DimensionMismatchError(
                 f"b must have length {self.dim - self.level}, got shape {b.shape}"
             )
         if not np.all(np.isfinite(b)):
-            raise ValueError("b has non-finite entries")
+            raise DomainError("b has non-finite entries")
         if float(np.linalg.norm(b)) > math.pi + 1e-12:
-            raise ValueError("||B|| must not exceed pi")
+            raise DomainError("||B|| must not exceed pi")
         b.setflags(write=False)
         object.__setattr__(self, "b", b)
 
 
 def _cosets_from_pivots(f: HouseholderFactorization, ordering: str) -> CosetFactorization:
-    # Column k (forward) or row k (reversed) of R(u) negated has corner
-    # rho = 2 |u_k|^2 / <u|u> - 1 and X = +-2 conj(u_k) u_below / <u|u>;
-    # rho^2 + <X|X> = 1 holds exactly, so no reflector is formed.
+    # Column k of R(u) negated is R(u) F_k, so a forward factor keeps u.  Row
+    # k negated is F_k R(u) = R(F_k u) F_k, so a reversed factor keeps u with
+    # u_k negated.  No reflector is formed.
     if f.ordering != ordering:
         raise WrongOrderingError(f"expected a {ordering} factorization")
-    scale = 2.0 if ordering == FORWARD else -2.0
     factors = []
     for refl in f.reflections:
-        i = refl.level - 1
-        uk = complex(refl.pivot[i])
-        below = refl.pivot[i + 1:]
-        uk_sq = uk.real * uk.real + uk.imag * uk.imag
-        norm_sq = uk_sq + float(np.real(np.vdot(below, below)))
-        rho = min(max(2.0 * uk_sq / norm_sq - 1.0, 0.0), 1.0)
-        x = (scale * uk.conjugate() / norm_sq) * below
-        factors.append(CosetFactor._from_vector(
-            CosetVector(x=x, level=refl.level, dim=f.dim, rho=rho)
-        ))
+        p = refl.pivot
+        if ordering == REVERSED:
+            p = p.copy()
+            p[refl.level - 1] *= -1.0
+        factors.append(CosetFactor._from_pivot(p, refl.level))
     terminal = np.array(f.residual.phases)
     terminal[:-1] *= -1.0
     return CosetFactorization(
@@ -329,65 +337,39 @@ def cosets_from_householder_reversed(f: HouseholderFactorization) -> CosetFactor
 def compose_cosets(cf: CosetFactorization) -> ComplexMatrix:
     """Multiply a coset factorization back into a dense matrix.
 
-    A factor stored as X acts as a rank-1 update of the rows (forward) or
-    columns (reversed) from its level on, so the product costs O(N^3);
-    dense factors are multiplied in.
+    Factor k is ``R(p_k) F_k``, with ``F_k`` the sign flip of coordinate k,
+    which commutes with every reflection of a higher level.  So either
+    ordering is one product of reflections (of ``F_k p_k`` when reversed)
+    and ``T`` with its first N - 1 phases negated, O(N^3) as rank-1 updates.
     """
-    forward = cf.ordering == FORWARD
-    # m C = (C^T m^T)^T, and the transpose of the reversed factor of X is
-    # the forward factor of -conj(X), so the reversed product is built
-    # transposed, from the terminal diagonal (its own transpose), by rows.
-    t = cf.terminal_phases.matrix()
-    for c in reversed(cf.factors):
-        xv = c.vector
-        if xv is None:
-            t = c.matrix @ t if forward else c.matrix.T @ t
-            continue
-        x = xv.x if forward else -xv.x.conj()
-        _apply_coset_rows(t, c.level - 1, x, xv.rho)
-    return t if forward else t.T
-
-
-def _apply_coset_rows(t, i, x, rho) -> None:
-    # t <- C t in place, for C the coset factor of (X, rho) at level i + 1:
-    # a rank-1 update of rows i.. of t.  Broadcasts over leading batch axes
-    # shared by t (..., N, N), x (..., N - i - 1) and rho (...).
-    rho = np.asarray(rho)[..., None]
-    top = t[..., i, :].copy()
-    rest = t[..., i + 1:, :]
-    xr = (x.conj()[..., None, :] @ rest)[..., 0, :]
-    t[..., i, :] = rho * top - xr
-    rest += x[..., :, None] * (top - xr / (1.0 + rho))[..., None, :]
+    n = cf.dim
+    pivots = np.array([c.pivot for c in cf.factors], dtype=complex).reshape(n - 1, n)
+    if cf.ordering == REVERSED:
+        levels = np.arange(n - 1)
+        pivots[levels, levels] *= -1.0
+    phases = np.array(cf.terminal_phases.phases)
+    phases[:-1] *= -1.0
+    return _product(pivots, phases, cf.ordering)
 
 
 def extract_coset_vector(c: CosetFactor) -> CosetVector:
     """Read the ball coordinates X and rho back off a coset factor.
 
-    A factor stored as X returns its vector.  For a dense factor, raises
-    MalformedFactorError when the corner entry is not real and nonnegative
-    within 1e-10 or the corner row is not ``-X^dag``.
+    Raises MalformedFactorError when the corner is negative, outside the X chart.
     """
-    if c.vector is not None:
-        return c.vector
-    m = c.matrix
-    i = c.level - 1
-    n = m.shape[0]
-    corner = complex(m[i, i])
-    if abs(corner.imag) > 1e-10:
-        raise MalformedFactorError(f"corner entry {corner} is not real")
-    rho = corner.real
-    if rho < -1e-10 or rho > 1.0 + 1e-10:
-        raise MalformedFactorError(f"corner entry {rho} outside [0, 1]")
-    x = np.array(m[i + 1:, i])
-    row = m[i, i + 1:]
-    if float(np.max(np.abs(row + x.conj()))) > 1e-10:
-        raise MalformedFactorError("corner row is not -X^dag")
-    return CosetVector(x=x, level=c.level, dim=n, rho=min(max(rho, 0.0), 1.0))
+    xv = c.vector
+    if xv is None:
+        raise MalformedFactorError("corner entry is negative, outside the X chart")
+    return xv
 
 
 def coset_matrix_from_X(xv: CosetVector) -> CosetFactor:
-    """The coset factor for ball coordinates X, stored as X itself."""
-    return CosetFactor._from_vector(xv)
+    """The coset factor of ball coordinates X, stored as ``(1 + rho) e_k + X``."""
+    p = np.zeros(xv.dim, dtype=complex)
+    i = xv.level - 1
+    p[i] = 1.0 + xv.rho
+    p[i + 1:] = xv.x
+    return CosetFactor._from_pivot(p, xv.level)
 
 
 def gamma_from_rho(rho: float, phase: float) -> Gamma:
@@ -428,25 +410,19 @@ def generator_matrix(g: Generator) -> ComplexMatrix:
 def exp_coset(g: Generator) -> CosetFactor:
     """Closed-form exponential of a coset generator.
 
-    With theta = ||B||, the corner is cos(theta), the corner column is
-    sinc(theta) B, and the trailing block is
-    ``1 - ((1 - cos theta) / theta^2) |B><B|``; every coefficient is an
-    entire function of theta, so theta = 0 needs no special casing.  Agrees
-    with the nonnegative-corner factor of X = sinc(theta) B exactly when
-    theta <= pi/2.
+    With theta = ||B||, the factor is the unit pivot
+    ``(cos(theta/2), sin(theta/2) B / theta)``: corner cos(theta), corner
+    column sinc(theta) B and trailing block ``1 - ((1 - cos theta) /
+    theta^2) |B><B|``.  Both pivot coefficients are entire in theta, so
+    theta = 0 needs no special casing, and all of [0, pi] is covered.
+    Agrees with the factor of X = sinc(theta) B exactly when theta <= pi/2.
     """
-    b = g.b
-    theta = float(np.linalg.norm(b))
-    n = g.dim
+    theta = float(np.linalg.norm(g.b))
+    p = np.zeros(g.dim, dtype=complex)
     i = g.level - 1
-    m = np.eye(n, dtype=complex)
-    x = np.sinc(theta / math.pi) * b  # sin(theta)/theta * B
-    m[i, i] = math.cos(theta)
-    m[i + 1:, i] = x
-    m[i, i + 1:] = -x.conj()
-    half_sinc = np.sinc(theta / (2.0 * math.pi))  # sin(theta/2)/(theta/2)
-    m[i + 1:, i + 1:] -= (0.5 * half_sinc * half_sinc) * np.outer(b, b.conj())
-    return CosetFactor(matrix=m, level=g.level)
+    p[i] = math.cos(0.5 * theta)
+    p[i + 1:] = (0.5 * np.sinc(theta / (2.0 * math.pi))) * g.b  # sin(theta/2)/theta
+    return CosetFactor._from_pivot(p, g.level)
 
 
 def coset_u2_explicit(x1: float, x2: float) -> ComplexMatrix:

@@ -4,13 +4,11 @@ A Haar-distributed U(N) matrix is assembled as
 
     U = R(n_1) R(n_2) ... R(n_{N-1}) diag(e^{i phi_1}, ..., e^{i phi_N})
 
-where the level-k pivot direction ``n_k`` comes from a point X_k of the
-closed even ball B^{2(N-k)} drawn uniformly (gamma phase 0) and the ``phi``
-are independent angles uniform on (-pi, pi].  ``R(n_k)`` is the coset
-factor of X_k with column k negated, and the sign flip commutes past the
-later factors, which fix coordinate k; so ``U`` is composed as coset factors
-with the first N - 1 phases negated.  One matrix consumes exactly N^2 real
-variates: 2(N-k) per ball point plus N for the phases, in that order.
+where the level-k pivot is ``n_k = (1 + rho_k) e_k + X_k`` for a point X_k
+of the closed even ball B^{2(N-k)} drawn uniformly, rho_k = sqrt(1 - r_k^2),
+and the ``phi`` are independent angles uniform on (-pi, pi].  One matrix
+consumes exactly N^2 real variates: 2(N-k) per ball point plus N for the
+phases, in that order.
 
 The draw order is part of the contract.  For each level k = 1 .. N-1 the
 ball point delivers coordinates (t_1, t_2, ..., t_{2(N-k)}) which pack into
@@ -22,7 +20,7 @@ matrices with two generator calls per matrix, the N(N-1) normals of all its
 ball points and then its N uniforms, so a stack equals as many successive
 ``haar_unitary`` calls, which is its count-1 case.  The ball radii of every
 level and matrix come from one vectorized regularized gamma function, and
-the coset factors are applied to the whole stack as rank-1 updates.
+the reflections are applied to the whole stack as rank-1 updates.
 ``haar_validate`` and ``ucoset sample`` draw in blocks of bounded size, on
 the same draw order.
 
@@ -39,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .numkit import ComplexMatrix, UcosetError
-from .coset import _apply_coset_rows
+from .householder import FORWARD, _product
 
 __all__ = [
     "RngStream",
@@ -263,20 +261,27 @@ def haar_unitary_batch(dim: int, count: int, rng: RngStream) -> np.ndarray:
         g[k] = rng.normals(dim * (dim - 1))
         u[k] = rng.uniforms(dim)
     phases = np.exp(1j * (math.pi * (1.0 - 2.0 * u)))
-    phases[:, :-1] *= -1.0
-    t = np.zeros((count, dim, dim), dtype=complex)
-    t.reshape(count, dim * dim)[:, ::dim + 1] = phases
     if dim == 1:
-        return t
+        return phases[..., None]
     ms = tuple(range(dim - 1, 0, -1))
-    starts = _ball_plan(ms).starts
     points = _ball_points(g, ms)
-    rho = np.sqrt(np.maximum(0.0, 1.0 - np.add.reduceat(points * points, starts, axis=1)))
-    x = points.view(complex)
-    for i in range(dim - 2, -1, -1):
-        off = starts[i] // 2
-        _apply_coset_rows(t, i, x[:, off:off + dim - 1 - i], rho[:, i])
-    return t
+    rho = np.sqrt(np.maximum(
+        0.0, 1.0 - np.add.reduceat(points * points, _ball_plan(ms).starts, axis=1)))
+    pivots = np.zeros((count, dim - 1, dim), dtype=complex)
+    flat = pivots.reshape(count, (dim - 1) * dim)
+    flat[:, _below_corners(dim)] = points.view(complex)
+    flat[:, ::dim + 1] = 1.0 + rho
+    return _product(pivots, phases, FORWARD)
+
+
+@functools.lru_cache(maxsize=64)
+def _below_corners(dim: int) -> np.ndarray:
+    # Flat indexes of the X_k, in draw order, in a (dim - 1, dim) stack of
+    # pivots (1 + rho_k) e_k + X_k, the level-k one in row k - 1; the corners
+    # sit every dim + 1 entries.
+    below = np.flatnonzero(np.triu(np.ones((dim - 1, dim), dtype=bool), 1))
+    below.setflags(write=False)
+    return below
 
 
 def _haar_blocks(dim: int, count: int, rng: RngStream):

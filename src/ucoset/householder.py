@@ -18,6 +18,10 @@ one: reflections are Hermitian, so it holds exactly when
 ``U^dag = R_1 ... R_{N-1} D^dag``.  The forward column loop on ``U^dag``
 therefore yields the reversed pivots unchanged, the residual conjugated and
 the pivot phases negated.
+
+Every product in the package (one reflection, a factorization, a coset
+composition, a stack of Haar samples) runs one rank-1 update on the rows
+from the pivot's level on, where its leading components are exactly zero.
 """
 
 import math
@@ -219,12 +223,7 @@ class HouseholderFactorization:
 
 def reflect_matrix(r: Reflection, tol: Tolerances | None = None) -> ComplexMatrix:
     """Dense matrix ``1 - (2 / <u|u>) |u><u|`` of the reflection."""
-    tol = tol or DEFAULT_TOLERANCES
-    norm_sq = r.norm_sq
-    if norm_sq <= tol.degenerate_tol:
-        raise DegeneratePivotError(f"pivot norm-squared {norm_sq} is degenerate")
-    u = r.pivot
-    return np.eye(r.dim, dtype=complex) - (2.0 / norm_sq) * np.outer(u, u.conj())
+    return apply_reflection(r, np.eye(r.dim, dtype=complex), "left", tol)
 
 
 def apply_reflection(r: Reflection, m, side: str = "left",
@@ -233,7 +232,8 @@ def apply_reflection(r: Reflection, m, side: str = "left",
 
     ``side="left"`` computes ``R m`` (1-D input is a column), ``side="right"``
     computes ``m R`` (1-D input is a row).  The dense reflector is never
-    formed; cost is O(dim * cols).
+    formed, and only the rows (left) or columns (right) from the level on
+    change; cost is O((dim - level) * cols).
     """
     tol = tol or DEFAULT_TOLERANCES
     if side not in ("left", "right"):
@@ -241,29 +241,46 @@ def apply_reflection(r: Reflection, m, side: str = "left",
     norm_sq = r.norm_sq
     if norm_sq <= tol.degenerate_tol:
         raise DegeneratePivotError(f"pivot norm-squared {norm_sq} is degenerate")
-    u = r.pivot
+    right = side == "right"
     a = np.asarray(m, dtype=complex)
-    if a.ndim == 1:
-        if a.shape[0] != r.dim:
-            raise DimensionMismatchError(
-                f"vector length {a.shape[0]} does not match dim {r.dim}"
-            )
-        if side == "left":
-            return a - ((2.0 / norm_sq) * np.vdot(u, a)) * u
-        return a - ((2.0 / norm_sq) * (a @ u)) * u.conj()
-    if a.ndim != 2:
+    if a.ndim not in (1, 2):
         raise DimensionMismatchError("operand must be a vector or a matrix")
-    if side == "left":
-        if a.shape[0] != r.dim:
-            raise DimensionMismatchError(
-                f"matrix has {a.shape[0]} rows, reflection needs {r.dim}"
-            )
-        return a - np.outer(u, (2.0 / norm_sq) * (u.conj() @ a))
-    if a.shape[1] != r.dim:
-        raise DimensionMismatchError(
-            f"matrix has {a.shape[1]} columns, reflection needs {r.dim}"
-        )
-    return a - np.outer((2.0 / norm_sq) * (a @ u), u.conj())
+    length = a.shape[-1] if right else a.shape[0]
+    if length != r.dim:
+        raise DimensionMismatchError(f"operand length {length} does not match dim {r.dim}")
+    # m R = (R^T m^T)^T and R(u)^T = R(conj u): the right side reflects rows
+    # of the transpose.
+    t = np.array(a.T if right else a, order="C")
+    u = r.pivot.conj() if right else r.pivot
+    _reflect_rows(t.reshape(r.dim, -1), r.level - 1, u, 2.0 / norm_sq)
+    return t.T if right else t
+
+
+def _reflect_rows(t, i, u, c) -> None:
+    # t <- (1 - c |u><u|) t in place for a pivot u whose components before
+    # index i are exactly zero, so only rows i.. of t change.  Broadcasts over
+    # leading batch axes shared by t (..., N, M), u (..., N) and c (...).
+    v = u[..., i:]
+    rows = t[..., i:, :]
+    w = np.asarray(c)[..., None, None] * (v.conj()[..., None, :] @ rows)
+    rows -= v[..., :, None] * w
+
+
+def _product(pivots, phases, ordering: str) -> ComplexMatrix:
+    # R(u_1) ... R(u_{N-1}) D (forward) or D R(u_{N-1}) ... R(u_1) (reversed)
+    # for pivots (..., N - 1, N), the level-k pivot in row k - 1, and phases
+    # (..., N).  R(u)^T = R(conj u), so the reversed product is built as its
+    # transpose, the forward product of the conjugate pivots.
+    n = phases.shape[-1]
+    if ordering == REVERSED:
+        pivots = pivots.conj()
+    c = 2.0 / np.einsum("...j,...j->...", pivots, pivots.conj()).real
+    t = phases[..., None] * np.eye(n)
+    for i in range(n - 2, -1, -1):
+        # R(u_{i+2}) ... D is the identity on the leading i + 1 coordinates,
+        # so rows i.. of t are zero before column i.
+        _reflect_rows(t[..., i:], i, pivots[..., i, :], c[..., i])
+    return t if ordering == FORWARD else np.swapaxes(t, -1, -2)
 
 
 def pivot_from_column(w, level: int, tol: Tolerances | None = None):
@@ -379,8 +396,5 @@ def decompose_reversed(u, tol: Tolerances | None = None) -> HouseholderFactoriza
 
 def reconstruct(f: HouseholderFactorization) -> ComplexMatrix:
     """Multiply a factorization back into a dense matrix."""
-    side = "left" if f.ordering == FORWARD else "right"
-    m = f.residual.matrix()
-    for refl in reversed(f.reflections):
-        m = apply_reflection(refl, m, side)
-    return m
+    pivots = np.array([r.pivot for r in f.reflections], dtype=complex)
+    return _product(pivots.reshape(f.dim - 1, f.dim), f.residual.phases, f.ordering)

@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import ucoset
 from ucoset import RngStream, cli, haar_unitary
 from ucoset.haar import SampleReport
 
@@ -331,10 +333,16 @@ class TestUsage:
 
     def test_module_entry_point(self, tmp_path):
         path = write_json(tmp_path / "u0.json", matrix_obj(U0))
+        # The child imports ucoset from where this process did, even when
+        # that directory reached sys.path only through pytest's pythonpath.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(ucoset.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "ucoset.cli", "verify", "--input", path],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert "PASS" in proc.stderr

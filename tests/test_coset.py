@@ -17,6 +17,7 @@ from ucoset import (
     MalformedFactorError,
     PhaseDiagonal,
     RhoRangeError,
+    UcosetError,
     WrongOrderingError,
     compose_cosets,
     coset_matrix_from_X,
@@ -585,3 +586,93 @@ class TestNoDenseFactor:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * n * n * 16
+
+
+def true_factors():
+    # Factors from both conversions, from X and from the exponential at
+    # every level of small dims, including corners below zero.
+    for dim in (2, 3, 8, 64):
+        u = random_unitary(dim, 130 + dim)
+        for dec, conv, _ in ORDERINGS:
+            yield from conv(dec(u)).factors
+    rng = np.random.default_rng(131)
+    for dim in range(2, 7):
+        for level in range(1, dim):
+            xv = CosetVector.from_coords(random_ball_vector(rng, dim - level), level, dim)
+            yield coset_matrix_from_X(xv)
+            b = rng.standard_normal(dim - level) + 1j * rng.standard_normal(dim - level)
+            for theta in (0.0, 1e-9, 0.3 * math.pi, 0.6 * math.pi, math.pi):
+                yield exp_coset(Generator(b=b * theta / np.linalg.norm(b), dim=dim, level=level))
+
+
+class TestHandMadeFactor:
+    def test_pivot_read_accepts_every_true_factor(self, monkeypatch):
+        factors = list(true_factors())
+        calls = []
+
+        def counting(m):
+            calls.append(m)
+            return unitarity_error(m)
+
+        for module in (ucoset, ucoset.numkit, ucoset.householder, ucoset.coset):
+            if hasattr(module, "unitarity_error"):
+                monkeypatch.setattr(module, "unitarity_error", counting)
+        negative = 0
+        for c in factors:
+            k = c.level - 1
+            read = CosetFactor(matrix=c.matrix, level=c.level)
+            assert maxdiff(read.matrix, c.matrix) <= 1e-13
+            below_zero = c.matrix[k, k].real < 0.0
+            assert (read.vector is None) == below_zero
+            assert (c.vector is None) == below_zero
+            negative += below_zero
+        assert calls == []
+        assert len(factors) == 2 * (1 + 2 + 7 + 63) + 6 * 15
+        assert negative == 2 * 15
+
+    @pytest.mark.parametrize("matrix, level", [
+        (np.diag([1.0, 1j]), 1),
+        (np.diag([1.0, 1.0, -1.0]), 2),
+        (np.block([[np.eye(1), np.zeros((1, 2))],
+                   [np.zeros((2, 1)), random_unitary(2, 132)]]), 2),
+    ], ids=["phase-corner", "flipped-trailing", "generic-u2-block"])
+    def test_non_coset_unitary_rejected(self, matrix, level):
+        # Unitary, and the identity before the level, but no column-flipped
+        # reflection: reading X off it would give the identity instead.
+        assert unitarity_error(matrix) <= 1e-12
+        with pytest.raises(MalformedFactorError):
+            CosetFactor(matrix=matrix, level=level)
+
+
+def eye_factors(dim, levels):
+    return tuple(CosetFactor(matrix=np.eye(dim), level=k) for k in levels)
+
+
+BAD_INPUTS = {
+    "vector-level": lambda: CosetVector(x=[0.1], level=0, dim=2, rho=1.0),
+    "vector-length": lambda: CosetVector.from_coords([0.1, 0.2], level=1, dim=2),
+    "vector-nonfinite": lambda: CosetVector(x=[np.nan], level=1, dim=2, rho=1.0),
+    "vector-rho-inconsistent": lambda: CosetVector(x=[0.6], level=1, dim=2, rho=0.5),
+    "gamma-modulus": lambda: Gamma(modulus=1.5, phase=0.0),
+    "gamma-phase": lambda: Gamma(modulus=1.0, phase=4.0),
+    "factor-level": lambda: CosetFactor(matrix=np.eye(3), level=3),
+    "factor-nonfinite": lambda: CosetFactor(matrix=np.full((2, 2), np.nan), level=1),
+    "factorization-ordering": lambda: CosetFactorization(
+        eye_factors(2, [1]), PhaseDiagonal(np.ones(2), 2), "sideways", 2),
+    "factorization-levels": lambda: CosetFactorization(
+        eye_factors(3, [2, 1]), PhaseDiagonal(np.ones(3), 3), FORWARD, 3),
+    "factorization-factor-dim": lambda: CosetFactorization(
+        eye_factors(3, [1]), PhaseDiagonal(np.ones(2), 2), FORWARD, 2),
+    "factorization-phases-dim": lambda: CosetFactorization(
+        eye_factors(2, [1]), PhaseDiagonal(np.ones(3), 3), FORWARD, 2),
+    "generator-level": lambda: Generator(b=[0.1], dim=2, level=2),
+    "generator-length": lambda: Generator(b=[0.1, 0.2], dim=2, level=1),
+    "generator-nonfinite": lambda: Generator(b=[np.inf], dim=2, level=1),
+    "generator-norm": lambda: Generator(b=[4.0], dim=2, level=1),
+}
+
+
+@pytest.mark.parametrize("build", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_raises_typed_error(build):
+    with pytest.raises(UcosetError):
+        build()

@@ -214,10 +214,10 @@ class CosetFactor:
         # <p|p> summed as |p_k|^2 + <below|below>, so that a pure-phase pivot
         # gives exactly 1.
         below = self.pivot[self.level:]
-        pk = complex(self.pivot[self.level - 1]).conjugate()
-        pk_sq = pk.real * pk.real + pk.imag * pk.imag
+        pk_bar = complex(self.pivot[self.level - 1]).conjugate()
+        pk_sq = pk_bar.real * pk_bar.real + pk_bar.imag * pk_bar.imag
         norm_sq = pk_sq + float(np.real(np.vdot(below, below)))
-        return pk, 2.0 / norm_sq, 2.0 * pk_sq / norm_sq - 1.0
+        return pk_bar, 2.0 / norm_sq, 2.0 * pk_sq / norm_sq - 1.0
 
     @property
     def vector(self) -> CosetVector | None:

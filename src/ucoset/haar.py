@@ -244,7 +244,7 @@ def haar_unitary_batch(dim: int, count: int, rng: RngStream) -> np.ndarray:
     The matrices, and ``rng``'s state after the call, are those of ``count``
     successive ``haar_unitary`` calls: for each matrix, ``dim (dim - 1)``
     normals then ``dim`` uniforms, ``count * dim**2`` variates in all.  The
-    ball radii and the coset products run over the whole stack at once.
+    ball radii and the reflection products run over the whole stack at once.
 
     Raises InvalidDimError for ``dim < 1`` and InvalidCountError for
     ``count < 1``.

@@ -277,7 +277,7 @@ def _product(pivots, phases, ordering: str) -> ComplexMatrix:
     c = 2.0 / np.einsum("...j,...j->...", pivots, pivots.conj()).real
     t = phases[..., None] * np.eye(n)
     for i in range(n - 2, -1, -1):
-        # R(u_{i+2}) ... D is the identity on the leading i + 1 coordinates,
+        # R(u_{i+2}) ... D is diagonal on the leading i + 1 coordinates,
         # so rows i.. of t are zero before column i.
         _reflect_rows(t[..., i:], i, pivots[..., i, :], c[..., i])
     return t if ordering == FORWARD else np.swapaxes(t, -1, -2)

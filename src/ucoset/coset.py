@@ -16,7 +16,7 @@ level times a diagonal of phases reproduces any unitary matrix.  The
 conversions from a Householder factorization negate column k (forward) or
 row k (reversed, F_k R(u) = R(F_k u) F_k) of each reflection; the sign flips
 migrate into the terminal phase diagonal, so composing the factors is one
-product of reflections, O(N^3) as rank-1 updates.
+product of reflections, O(N^3) in the panels of ``householder``.
 
 The level-1 factor is also the exponential of the anti-Hermitian generator
 with column B below the corner; for ||B|| in (pi/2, pi] its corner is
@@ -37,6 +37,7 @@ from .householder import (
     FORWARD,
     REVERSED,
     DimensionMismatchError,
+    DomainError,
     HouseholderFactorization,
     PhaseDiagonal,
     _canonical_angle,
@@ -83,10 +84,6 @@ class BallViolationError(UcosetError):
 
 class RhoRangeError(UcosetError):
     """rho must lie in [0, 1] and agree with <X|X>."""
-
-
-class DomainError(UcosetError):
-    """A parameter is not finite or lies outside its documented range."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,7 +337,8 @@ def compose_cosets(cf: CosetFactorization) -> ComplexMatrix:
     Factor k is ``R(p_k) F_k``, with ``F_k`` the sign flip of coordinate k,
     which commutes with every reflection of a higher level.  So either
     ordering is one product of reflections (of ``F_k p_k`` when reversed)
-    and ``T`` with its first N - 1 phases negated, O(N^3) as rank-1 updates.
+    and ``T`` with its first N - 1 phases negated, O(N^3) in the panels of
+    the Householder product.
     """
     n = cf.dim
     pivots = np.array([c.pivot for c in cf.factors], dtype=complex).reshape(n - 1, n)

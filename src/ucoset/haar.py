@@ -20,7 +20,8 @@ matrices with two generator calls per matrix, the N(N-1) normals of all its
 ball points and then its N uniforms, so a stack equals as many successive
 ``haar_unitary`` calls, which is its count-1 case.  The ball radii of every
 level and matrix come from one vectorized regularized gamma function, and
-the reflections are applied to the whole stack as rank-1 updates.
+the product of reflections runs over the whole stack at once, in the
+panels of ``householder``.
 ``haar_validate`` and ``ucoset sample`` draw in blocks of bounded size, on
 the same draw order.
 

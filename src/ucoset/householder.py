@@ -19,9 +19,20 @@ one: reflections are Hermitian, so it holds exactly when
 therefore yields the reversed pivots unchanged, the residual conjugated and
 the pivot phases negated.
 
-Every product in the package (one reflection, a factorization, a coset
-composition, a stack of Haar samples) runs one rank-1 update on the rows
-from the pivot's level on, where its leading components are exactly zero.
+Every product of reflections in the package runs in panels of ``_PANEL``
+consecutive reflections.  A panel with at least ``_PANEL`` columns after it
+is blocked: its reflections act at once in compact-WY form
+``1 - V T V^dag``, the pivots as the columns of ``V``, by two matrix
+products (Schreiber & Van Loan 1989).  While a factorization is being found,
+each pivot depends on the reflections before it, so within a blocked panel
+each reflection first updates the panel's own columns as a rank-1 update
+of the rows from its level on, where its leading components are exactly
+zero, and only the columns after the panel take the blocked update.  When
+all pivots are known (a factorization multiplied back, a coset
+composition, a stack of Haar samples), the blocked update covers the
+panel's own columns too.  Every other panel is rank-1 updates across all
+columns, so below dimension ``2 * _PANEL`` a product is rank-1 updates
+alone, as is a single reflection.
 """
 
 import math
@@ -51,6 +62,7 @@ __all__ = [
     "NotUnitLengthError",
     "LeadingComponentsNonzeroError",
     "DimensionMismatchError",
+    "DomainError",
     "reflect_matrix",
     "pivot_from_column",
     "apply_reflection",
@@ -67,6 +79,9 @@ REVERSED = "reversed"
 # deviations at about eps / 2, so every input inside the default gate (1e-10)
 # passes with a wide margin.
 PHASE_TOL = 1e-8
+
+# Reflections per compact-WY panel (see the module docstring).
+_PANEL = 32
 
 
 class NotUnitaryError(UcosetError):
@@ -95,7 +110,11 @@ class LeadingComponentsNonzeroError(UcosetError):
 
 
 class DimensionMismatchError(UcosetError):
-    """Operand shapes are inconsistent with the reflection dimension."""
+    """A level, dimension or operand shape is out of range or inconsistent."""
+
+
+class DomainError(UcosetError):
+    """A parameter is not finite or lies outside its documented range."""
 
 
 def _canonical_angle(phi: float) -> float:
@@ -122,15 +141,15 @@ class Reflection:
 
     def __post_init__(self):
         if not 1 <= self.level <= self.dim - 1:
-            raise ValueError(f"level {self.level} outside 1..{self.dim - 1}")
+            raise DimensionMismatchError(f"level {self.level} outside 1..{self.dim - 1}")
         pivot = np.array(self.pivot, dtype=complex)
         if pivot.shape != (self.dim,):
             raise DimensionMismatchError(
                 f"pivot shape {pivot.shape} does not match dim {self.dim}"
             )
-        if not np.all(np.isfinite(pivot)):
-            raise ValueError("pivot has non-finite entries")
-        if np.any(pivot[: self.level - 1] != 0):
+        if not np.isfinite(pivot).all():
+            raise DomainError("pivot has non-finite entries")
+        if (pivot[: self.level - 1] != 0).any():
             raise LeadingComponentsNonzeroError(
                 f"pivot components below level {self.level} must be exactly zero"
             )
@@ -160,7 +179,7 @@ class PhaseDiagonal:
                 f"expected {self.dim} phases, got shape {phases.shape}"
             )
         if not np.all(np.isfinite(phases)):
-            raise ValueError("phases have non-finite entries")
+            raise DomainError("phases have non-finite entries")
         dev = float(np.max(np.abs(np.abs(phases) - 1.0)))
         if dev > PHASE_TOL:
             raise PhaseError(
@@ -192,12 +211,12 @@ class HouseholderFactorization:
 
     def __post_init__(self):
         if self.ordering not in (FORWARD, REVERSED):
-            raise ValueError(f"unknown ordering {self.ordering!r}")
+            raise DomainError(f"unknown ordering {self.ordering!r}")
         if self.dim < 1:
-            raise ValueError("dim must be at least 1")
+            raise DimensionMismatchError("dim must be at least 1")
         reflections = tuple(self.reflections)
         if [r.level for r in reflections] != list(range(1, self.dim)):
-            raise ValueError("need one reflection per level 1..dim-1, in order")
+            raise DimensionMismatchError("need one reflection per level 1..dim-1, in order")
         for r in reflections:
             if r.dim != self.dim:
                 raise DimensionMismatchError("reflection dim does not match")
@@ -207,7 +226,7 @@ class HouseholderFactorization:
         if phases.shape != (self.dim - 1,):
             raise DimensionMismatchError("need one pivot phase per reflection")
         if phases.size and not np.all((phases > -math.pi) & (phases <= math.pi)):
-            raise ValueError("pivot phases must lie in (-pi, pi]")
+            raise DomainError("pivot phases must lie in (-pi, pi]")
         expected = -np.exp(1j * phases)
         if phases.size:
             dev = float(np.max(np.abs(self.residual.phases[: self.dim - 1] - expected)))
@@ -237,7 +256,7 @@ def apply_reflection(r: Reflection, m, side: str = "left",
     """
     tol = tol or DEFAULT_TOLERANCES
     if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+        raise DomainError(f"side must be 'left' or 'right', got {side!r}")
     norm_sq = r.norm_sq
     if norm_sq <= tol.degenerate_tol:
         raise DegeneratePivotError(f"pivot norm-squared {norm_sq} is degenerate")
@@ -266,20 +285,60 @@ def _reflect_rows(t, i, u, c) -> None:
     rows -= v[..., :, None] * w
 
 
+def _panels(n: int) -> list:
+    # (lo, hi, end) per panel of pivot rows lo .. hi - 1 of the N - 1
+    # reflections of an N-dim product.  A panel is blocked when at least
+    # _PANEL columns follow it: then end = hi, and columns end.. take the
+    # panel as one compact-WY update.  Otherwise end = n.
+    panels = []
+    for lo in range(0, n - 1, _PANEL):
+        hi = min(lo + _PANEL, n - 1)
+        panels.append((lo, hi, hi if n - hi >= _PANEL else n))
+    return panels
+
+
+def _wy_factor(v, c) -> np.ndarray:
+    # Upper-triangular T with R(v_1) ... R(v_b) = 1 - V T V^dag, for the
+    # pivots v (..., b, m) as the columns of V and c (..., b) their real
+    # 2 / <v|v>.  Schreiber & Van Loan's recurrence: T_jj = c_j and
+    # T[:j, j] = -c_j T[:j, :j] (V^dag V)[:j, j], where column j above the
+    # diagonal holds -c_j (V^dag V)[:j, j] until its turn.  Broadcasts over
+    # batch axes.
+    b = c.shape[-1]
+    t = np.triu((v.conj() @ np.swapaxes(v, -1, -2)) * -c[..., None, :], 1)
+    t[..., range(b), range(b)] = c
+    for j in range(1, b):
+        t[..., :j, j:j + 1] = t[..., :j, :j] @ t[..., :j, j:j + 1]
+    return t
+
+
+def _apply_wy(blk, v, t) -> None:
+    # blk <- (1 - V t V^dag) blk in place, the pivots v (..., b, m) as the
+    # columns of V: two matrix products through the b-row middle term.
+    blk -= np.swapaxes(v, -1, -2) @ (t @ (v.conj() @ blk))
+
+
 def _product(pivots, phases, ordering: str) -> ComplexMatrix:
     # R(u_1) ... R(u_{N-1}) D (forward) or D R(u_{N-1}) ... R(u_1) (reversed)
     # for pivots (..., N - 1, N), the level-k pivot in row k - 1, and phases
     # (..., N).  R(u)^T = R(conj u), so the reversed product is built as its
-    # transpose, the forward product of the conjugate pivots.
+    # transpose, the forward product of the conjugate pivots.  Panels run
+    # from the last one back.  R(u_{i+2}) ... D is diagonal on the leading
+    # i + 1 coordinates, so rows i.. of t are zero before column i, and a
+    # blocked panel, whose pivots are all known, takes its own columns in
+    # the same blocked update as those after it.
     n = phases.shape[-1]
     if ordering == REVERSED:
         pivots = pivots.conj()
     c = 2.0 / np.einsum("...j,...j->...", pivots, pivots.conj()).real
     t = phases[..., None] * np.eye(n)
-    for i in range(n - 2, -1, -1):
-        # R(u_{i+2}) ... D is diagonal on the leading i + 1 coordinates,
-        # so rows i.. of t are zero before column i.
-        _reflect_rows(t[..., i:], i, pivots[..., i, :], c[..., i])
+    for lo, hi, end in reversed(_panels(n)):
+        if end < n:
+            v = pivots[..., lo:hi, lo:]
+            _apply_wy(t[..., lo:, lo:], v, _wy_factor(v, c[..., lo:hi]))
+        else:
+            for i in range(hi - 1, lo - 1, -1):
+                _reflect_rows(t[..., i:], i, pivots[..., i, :], c[..., i])
     return t if ordering == FORWARD else np.swapaxes(t, -1, -2)
 
 
@@ -313,11 +372,11 @@ def pivot_from_column(w, level: int, tol: Tolerances | None = None):
     v = np.array(w, dtype=complex)
     if v.ndim != 1:
         raise DimensionMismatchError("column must be one-dimensional")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("column has non-finite entries")
+    if not np.isfinite(v).all():
+        raise DomainError("column has non-finite entries")
     n = v.shape[0]
     if not 1 <= level <= n - 1:
-        raise ValueError(f"level {level} outside 1..{n - 1}")
+        raise DimensionMismatchError(f"level {level} outside 1..{n - 1}")
     norm = float(np.linalg.norm(v))
     if abs(norm - 1.0) > tol.unitarity_tol:
         raise NotUnitLengthError(f"column norm {norm} is not 1 within tolerance")
@@ -343,14 +402,24 @@ def _require_unitary(u, tol: Tolerances) -> np.ndarray:
 
 
 def _clear_columns(a: np.ndarray, tol: Tolerances) -> HouseholderFactorization:
+    # Overwrites a, a C-ordered work copy.  Rows i.. of the columns before i
+    # are never read again, so reflection i updates only columns i.. .  The
+    # columns after a panel take R(u_hi) ... R(u_lo) = (1 - V T V^dag)^dag,
+    # hence T^dag; V starts at the panel's first row, where the pivots'
+    # leading zeros end.
     n = a.shape[0]
     reflections = []
     phases = np.empty(n - 1)
-    for level in range(1, n):
-        refl, phi = pivot_from_column(a[:, level - 1], level, tol)
-        a = apply_reflection(refl, a, "left", tol)
-        reflections.append(refl)
-        phases[level - 1] = phi
+    c = np.empty(n - 1)
+    for lo, hi, end in _panels(n):
+        for i in range(lo, hi):
+            refl, phases[i] = pivot_from_column(a[:, i], i + 1, tol)
+            reflections.append(refl)
+            c[i] = 2.0 / refl.norm_sq
+            _reflect_rows(a[:, i:end], i, refl.pivot, c[i])
+        if end < n:
+            v = np.array([r.pivot[lo:] for r in reflections[lo:hi]])
+            _apply_wy(a[lo:, end:], v, _wy_factor(v, c[lo:hi]).conj().T)
     return HouseholderFactorization(
         reflections=tuple(reflections),
         residual=PhaseDiagonal(np.diag(a).copy(), n),
@@ -369,7 +438,7 @@ def decompose(u, tol: Tolerances | None = None) -> HouseholderFactorization:
     Raises NotUnitaryError when the input fails the unitarity tolerance.
     """
     tol = tol or DEFAULT_TOLERANCES
-    return _clear_columns(_require_unitary(u, tol), tol)
+    return _clear_columns(np.array(_require_unitary(u, tol), order="C"), tol)
 
 
 def decompose_reversed(u, tol: Tolerances | None = None) -> HouseholderFactorization:
@@ -383,7 +452,7 @@ def decompose_reversed(u, tol: Tolerances | None = None) -> HouseholderFactoriza
     Raises NotUnitaryError when ``U`` itself fails the unitarity tolerance.
     """
     tol = tol or DEFAULT_TOLERANCES
-    f = _clear_columns(_require_unitary(u, tol).conj().T, tol)
+    f = _clear_columns(np.conj(_require_unitary(u, tol).T, order="C"), tol)
     phases = f.pivot_phases
     return HouseholderFactorization(
         reflections=f.reflections,

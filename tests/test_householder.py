@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ucoset import (
     FORWARD,
+    REVERSED,
     DimensionMismatchError,
     HouseholderFactorization,
     LeadingComponentsNonzeroError,
@@ -16,6 +17,7 @@ from ucoset import (
     PhaseError,
     Reflection,
     Tolerances,
+    UcosetError,
     apply_reflection,
     compose_cosets,
     cosets_from_householder,
@@ -27,6 +29,8 @@ from ucoset import (
     reflect_matrix,
     unitarity_error,
 )
+import ucoset
+from ucoset.householder import _PANEL, _panels, _product
 
 from golden_data import (
     PIVOT_PHASES,
@@ -435,3 +439,124 @@ class TestNearUnitary:
         with pytest.raises(NotUnitLengthError):
             Reflection(pivot=np.array([1.0, 0.9]), level=1, dim=2)
         assert issubclass(NotUnitLengthError, NotUnitaryError)
+
+
+def unblocked_column_loop(u):
+    # Reference forward factorization: one dense reflection per level, each
+    # applied to the whole matrix; returns pivots, pivot phases and residual.
+    a = np.array(u, dtype=complex)
+    n = a.shape[0]
+    pivots = np.zeros((n - 1, n), dtype=complex)
+    phases = np.zeros(n - 1)
+    for k in range(n - 1):
+        w = a[:, k].copy()
+        w[:k] = 0.0
+        phases[k] = np.angle(w[k])
+        w[k] += np.exp(1j * phases[k])
+        a -= (2.0 / np.vdot(w, w).real) * np.outer(w, w.conj() @ a)
+        pivots[k] = w
+    return pivots, phases, np.diag(a)
+
+
+PANEL_DIMS = [1, 2, _PANEL - 1, _PANEL, _PANEL + 1, _PANEL + 2, 2 * _PANEL + 1, 3 * _PANEL + 2]
+PANEL_ORDERINGS = [
+    (decompose, cosets_from_householder, False),
+    (decompose_reversed, cosets_from_householder_reversed, True),
+]
+
+
+class TestPanels:
+    def test_crossover_depends_only_on_dim(self):
+        # A panel is blocked when at least _PANEL columns follow it.
+        def blocked(n):
+            return [end < n for _, _, end in _panels(n)]
+
+        assert blocked(1) == []
+        assert blocked(_PANEL + 1) == [False]
+        assert blocked(2 * _PANEL - 1) == [False, False]
+        assert blocked(2 * _PANEL) == [True, False]
+        assert blocked(3 * _PANEL + 2) == [True, True, False, False]
+        assert blocked(256) == [True] * 7 + [False]
+        for n in range(1, 3 * _PANEL + 3):
+            covered = [i for lo, hi, _ in _panels(n) for i in range(lo, hi)]
+            assert covered == list(range(n - 1))
+
+    @pytest.mark.parametrize("dim", PANEL_DIMS)
+    @pytest.mark.parametrize("dec, conv, adjoint", PANEL_ORDERINGS)
+    def test_matches_unblocked_column_loop(self, dim, dec, conv, adjoint):
+        u = random_unitary(dim, 700 + dim)
+        f = dec(u)
+        # The reversed pivots are those of the forward loop on U^dag.
+        pivots, phases, residual = unblocked_column_loop(np.conj(u).T if adjoint else u)
+        if adjoint:
+            phases, residual = -phases, np.conj(residual)
+        got = np.array([r.pivot for r in f.reflections]).reshape(dim - 1, dim)
+        assert np.all(np.abs(got - pivots) <= 1e-12)
+        assert np.all(np.abs(np.exp(1j * f.pivot_phases) - np.exp(1j * phases)) <= 1e-12)
+        assert maxdiff(f.residual.phases, residual) <= 1e-12
+        deviation = f.residual.phases[: dim - 1] + np.exp(1j * f.pivot_phases)
+        assert np.all(np.abs(deviation) <= 1e-12)
+        assert maxdiff(reconstruct(f), u) <= 1e-12
+        assert maxdiff(compose_cosets(conv(f)), u) <= 1e-12
+
+    @pytest.mark.parametrize("ordering", [FORWARD, REVERSED])
+    def test_stacked_product_matches_each_matrix(self, ordering):
+        n = 2 * _PANEL + 3
+        fs = [decompose(random_unitary(n, 710 + k)) for k in range(3)]
+        pivots = np.array([[r.pivot for r in f.reflections] for f in fs])
+        phases = np.array([f.residual.phases for f in fs])
+        stacked = _product(pivots, phases, ordering)
+        assert stacked.shape == (3, n, n)
+        for k in range(3):
+            assert maxdiff(stacked[k], _product(pivots[k], phases[k], ordering)) <= 1e-13
+
+    @pytest.mark.parametrize("dec", [decompose, decompose_reversed])
+    def test_column_loop_makes_no_copies(self, monkeypatch, dec):
+        calls = {"apply_reflection": 0, "pivot_from_column": 0, "unitarity_error": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for name, fn in (("apply_reflection", apply_reflection),
+                         ("pivot_from_column", pivot_from_column),
+                         ("unitarity_error", unitarity_error)):
+            for module in (ucoset, ucoset.numkit, ucoset.householder, ucoset.coset):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting(name, fn))
+        n = 2 * _PANEL + 1
+        u = random_unitary(n, 720)
+        f = dec(u)
+        assert calls == {"apply_reflection": 0, "pivot_from_column": n - 1,
+                         "unitarity_error": 1}
+        assert maxdiff(reconstruct(f), u) <= 1e-12
+
+
+def factorization_with(**changes):
+    f = decompose(U0)
+    fields = dict(reflections=f.reflections, residual=f.residual, ordering=FORWARD,
+                  dim=3, pivot_phases=f.pivot_phases)
+    return HouseholderFactorization(**{**fields, **changes})
+
+
+BAD_INPUTS = {
+    "reflection-level": lambda: Reflection(pivot=np.array([1.0, 1.0]), level=2, dim=2),
+    "reflection-nonfinite": lambda: Reflection(pivot=np.array([np.nan, 1.0]), level=1, dim=2),
+    "phases-nonfinite": lambda: PhaseDiagonal(np.array([np.inf, 1.0]), 2),
+    "factorization-ordering": lambda: factorization_with(ordering="sideways"),
+    "factorization-dim": lambda: factorization_with(dim=0),
+    "factorization-levels": lambda: factorization_with(
+        reflections=decompose(U0).reflections[::-1]),
+    "factorization-phase-range": lambda: factorization_with(pivot_phases=[4.0, 0.0]),
+    "apply-side": lambda: apply_reflection(decompose(U0).reflections[0], np.eye(3), "top"),
+    "column-nonfinite": lambda: pivot_from_column(np.array([np.nan, 1.0]), 1),
+    "column-level": lambda: pivot_from_column(np.array([1.0, 0.0]), 2),
+}
+
+
+@pytest.mark.parametrize("build", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_raises_typed_error(build):
+    with pytest.raises(UcosetError):
+        build()

@@ -6,134 +6,14 @@ into canonical coset factors parametrized by ball coordinates, and samples
 Haar-distributed unitary matrices by drawing those coordinates uniformly.
 """
 
-from .numkit import (
-    DEFAULT_TOLERANCES,
-    ComplexMatrix,
-    ComplexVector,
-    NonSquareError,
-    Tolerances,
-    UcosetError,
-    expm_series,
-    unitarity_error,
-)
-from .householder import (
-    FORWARD,
-    REVERSED,
-    DegeneratePivotError,
-    DimensionMismatchError,
-    DomainError,
-    HouseholderFactorization,
-    LeadingComponentsNonzeroError,
-    NotUnitLengthError,
-    NotUnitaryError,
-    PhaseDiagonal,
-    PhaseError,
-    Reflection,
-    apply_reflection,
-    decompose,
-    decompose_reversed,
-    pivot_from_column,
-    reconstruct,
-    reflect_matrix,
-)
-from .coset import (
-    BallViolationError,
-    CosetFactor,
-    CosetFactorization,
-    CosetVector,
-    Gamma,
-    Generator,
-    MalformedFactorError,
-    RhoRangeError,
-    WrongOrderingError,
-    compose_cosets,
-    coset_matrix_from_X,
-    coset_u2_explicit,
-    coset_u3_explicit,
-    cosets_from_householder,
-    cosets_from_householder_reversed,
-    exp_coset,
-    extract_coset_vector,
-    gamma_from_rho,
-    generator_matrix,
-    normal_from_coset_vector,
-)
-from .haar import (
-    InvalidCountError,
-    InvalidDimError,
-    OddDimensionError,
-    RngStream,
-    SampleReport,
-    TooFewSamplesError,
-    haar_oracle,
-    haar_unitary,
-    haar_unitary_batch,
-    haar_validate,
-    ks_statistic,
-    ks_statistic_two_sample,
-    sample_ball,
-)
+from . import coset, haar, householder, numkit
+from .numkit import *  # noqa: F401,F403
+from .householder import *  # noqa: F401,F403
+from .coset import *  # noqa: F401,F403
+from .haar import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ComplexMatrix",
-    "ComplexVector",
-    "Tolerances",
-    "DEFAULT_TOLERANCES",
-    "UcosetError",
-    "NonSquareError",
-    "unitarity_error",
-    "expm_series",
-    "FORWARD",
-    "REVERSED",
-    "Reflection",
-    "PhaseDiagonal",
-    "HouseholderFactorization",
-    "NotUnitaryError",
-    "PhaseError",
-    "DegeneratePivotError",
-    "NotUnitLengthError",
-    "LeadingComponentsNonzeroError",
-    "DimensionMismatchError",
-    "reflect_matrix",
-    "pivot_from_column",
-    "apply_reflection",
-    "decompose",
-    "decompose_reversed",
-    "reconstruct",
-    "CosetVector",
-    "Gamma",
-    "CosetFactor",
-    "CosetFactorization",
-    "Generator",
-    "WrongOrderingError",
-    "MalformedFactorError",
-    "BallViolationError",
-    "RhoRangeError",
-    "DomainError",
-    "cosets_from_householder",
-    "cosets_from_householder_reversed",
-    "compose_cosets",
-    "extract_coset_vector",
-    "coset_matrix_from_X",
-    "gamma_from_rho",
-    "normal_from_coset_vector",
-    "generator_matrix",
-    "exp_coset",
-    "coset_u2_explicit",
-    "coset_u3_explicit",
-    "RngStream",
-    "SampleReport",
-    "OddDimensionError",
-    "InvalidDimError",
-    "TooFewSamplesError",
-    "InvalidCountError",
-    "sample_ball",
-    "haar_unitary_batch",
-    "haar_unitary",
-    "haar_oracle",
-    "haar_validate",
-    "ks_statistic",
-    "ks_statistic_two_sample",
-]
+# The public names are the modules' own; a name two modules export is one object.
+__all__ = list(dict.fromkeys(
+    name for module in (numkit, householder, coset, haar) for name in module.__all__))

@@ -14,8 +14,11 @@ File formats are JSON with complex numbers as [re, im] pairs:
                        "phases": [pair, ...] }
                       plus "pivot_phases": [angle, ...] for kind householder
 
-Non-finite numbers are rejected on input.  JSON payloads go to --output or
-stdout; status messages go to stderr.
+A factorization file is read into a HouseholderFactorization or a
+CosetFactorization, whose constructors check its structure, and written back
+from one; every product runs in the library.  Non-finite numbers, including
+literals that overflow a float, are rejected on input.  JSON payloads go to
+--output or stdout; status messages go to stderr.
 """
 
 import argparse
@@ -68,19 +71,33 @@ def _dump_json(obj, path):
         raise _InputError(f"cannot write {path}: {exc}") from exc
 
 
-def _pair(z) -> list:
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
+def _numbers(data, shape, what) -> np.ndarray:
+    # One JSON list as a float array of the given shape, converted at once:
+    # every leaf must be an int or a float (not a bool, string or null) whose
+    # value is finite as a float.
+    try:
+        a = np.array(data, dtype=object)
+    except ValueError:
+        a = None
+    if a is None or a.shape != shape:
+        raise _InputError(f"{what} must be a list of shape {list(shape)}")
+    if not {type(v) for v in a.flat} <= {int, float}:
+        raise _InputError(f"{what} must hold numbers only")
+    try:
+        a = a.astype(float)
+    except (ValueError, OverflowError):
+        a = None
+    if a is None or not np.isfinite(a).all():
+        raise _InputError(f"non-finite number in {what}")
+    return a
 
 
-def _complex_from_pair(entry, what) -> complex:
-    if (
-        not isinstance(entry, (list, tuple))
-        or len(entry) != 2
-        or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in entry)
-    ):
-        raise _InputError(f"{what} must be a [re, im] pair, got {entry!r}")
-    return complex(float(entry[0]), float(entry[1]))
+def _complex_numbers(data, shape, what) -> np.ndarray:
+    return _numbers(data, shape + (2,), what).view(complex)[..., 0]
+
+
+def _pairs(a) -> list:
+    return np.stack([a.real, a.imag], -1).tolist()
 
 
 def _int_field(obj, key, minimum, what):
@@ -91,12 +108,7 @@ def _int_field(obj, key, minimum, what):
 
 
 def _matrix_to_obj(m) -> dict:
-    m = np.asarray(m, dtype=complex)
-    return {
-        "rows": int(m.shape[0]),
-        "cols": int(m.shape[1]),
-        "data": [[_pair(z) for z in row] for row in m],
-    }
+    return {"rows": m.shape[0], "cols": m.shape[1], "data": _pairs(m)}
 
 
 def _matrix_from_obj(obj, what="matrix") -> np.ndarray:
@@ -104,40 +116,36 @@ def _matrix_from_obj(obj, what="matrix") -> np.ndarray:
         raise _InputError(f"{what} must be a JSON object")
     rows = _int_field(obj, "rows", 1, what)
     cols = _int_field(obj, "cols", 1, what)
-    data = obj.get("data")
-    if not isinstance(data, list) or len(data) != rows:
-        raise _InputError(f"{what} data must be a list of {rows} rows")
-    out = np.empty((rows, cols), dtype=complex)
-    for i, row in enumerate(data):
-        if not isinstance(row, list) or len(row) != cols:
-            raise _InputError(f"{what} row {i + 1} must have {cols} entries")
-        for j, entry in enumerate(row):
-            out[i, j] = _complex_from_pair(entry, f"{what} entry ({i + 1},{j + 1})")
-    return out
+    return _complex_numbers(obj.get("data"), (rows, cols), f"{what} data")
 
 
-def _phases_from_obj(obj, dim, what) -> np.ndarray:
-    raw = obj.get("phases")
-    if not isinstance(raw, list) or len(raw) != dim:
-        raise _InputError(f"{what} needs {dim} phases")
-    return np.array(
-        [_complex_from_pair(p, f"{what} phase {k + 1}") for k, p in enumerate(raw)]
-    )
+def _kind(f) -> str:
+    if isinstance(f, householder.HouseholderFactorization):
+        return "householder"
+    return "coset" if f.ordering == householder.FORWARD else "coset-reversed"
 
 
-def _factorization_to_obj(kind, dim, factor_matrices, phases, pivot_phases=None):
+def _factorization_to_obj(f) -> dict:
+    """File form of a forward HouseholderFactorization or a CosetFactorization."""
+    if isinstance(f, householder.HouseholderFactorization):
+        factors = [householder.reflect_matrix(r) for r in f.reflections]
+        phases = f.residual.phases
+    else:
+        factors = [c.matrix for c in f.factors]
+        phases = f.terminal_phases.phases
     obj = {
-        "kind": kind,
-        "dim": int(dim),
-        "factors": [_matrix_to_obj(f) for f in factor_matrices],
-        "phases": [_pair(z) for z in phases],
+        "kind": _kind(f),
+        "dim": f.dim,
+        "factors": [_matrix_to_obj(m) for m in factors],
+        "phases": _pairs(phases),
     }
-    if pivot_phases is not None:
-        obj["pivot_phases"] = [float(p) for p in pivot_phases]
+    if obj["kind"] == "householder":
+        obj["pivot_phases"] = f.pivot_phases.tolist()
     return obj
 
 
-def _factorization_from_obj(obj) -> dict:
+def _factorization_fields(obj):
+    """Kind, dense factors, phases and pivot phases (or None) of a file."""
     if not isinstance(obj, dict):
         raise _InputError("factorization file must be a JSON object")
     kind = obj.get("kind")
@@ -148,34 +156,55 @@ def _factorization_from_obj(obj) -> dict:
     if not isinstance(raw_factors, list) or len(raw_factors) != dim - 1:
         raise _InputError(f"factorization needs {dim - 1} factors")
     factors = []
-    for k, raw in enumerate(raw_factors):
-        f = _matrix_from_obj(raw, f"factor {k + 1}")
+    for k, raw in enumerate(raw_factors, start=1):
+        f = _matrix_from_obj(raw, f"factor {k}")
         if f.shape != (dim, dim):
-            raise _InputError(f"factor {k + 1} must be {dim}x{dim}")
+            raise _InputError(f"factor {k} must be {dim}x{dim}")
         factors.append(f)
-    phases = _phases_from_obj(obj, dim, "factorization")
+    phases = _complex_numbers(obj.get("phases"), (dim,), "factorization phases")
     pivot_phases = None
     if kind == "householder":
-        raw_pivots = obj.get("pivot_phases")
-        if not isinstance(raw_pivots, list) or len(raw_pivots) != dim - 1:
-            raise _InputError(f"householder factorization needs {dim - 1} pivot_phases")
-        for p in raw_pivots:
-            if isinstance(p, bool) or not isinstance(p, (int, float)):
-                raise _InputError("pivot_phases must be numbers")
-        pivot_phases = np.array([float(p) for p in raw_pivots])
-    return {"kind": kind, "dim": dim, "factors": factors,
-            "phases": phases, "pivot_phases": pivot_phases}
+        pivot_phases = _numbers(obj.get("pivot_phases"), (dim - 1,), "pivot_phases")
+    return kind, factors, phases, pivot_phases
 
 
-def _product_from_factorization(info) -> np.ndarray:
-    m = np.diag(info["phases"])
-    if info["kind"] == "coset-reversed":
-        for f in reversed(info["factors"]):
-            m = m @ f
-    else:
-        for f in reversed(info["factors"]):
-            m = f @ m
-    return m
+def _reflection(m, k):
+    # R(u) with column k negated is R(u) F_k, the coset factor of u.  Its
+    # pivot p times 2 conj(p_k) / <p|p> is column k of 1 - R(u), which is
+    # e^{-i phi_k} u for the reflection of a column-clearing step; the bound
+    # <u|u> >= 2 of Reflection then holds exactly when R(u)_kk <= 0, as it
+    # does for every such step.
+    n = m.shape[0]
+    p = coset.CosetFactor(matrix=np.where(np.arange(n) == k - 1, -m, m), level=k).pivot
+    return householder.Reflection(2.0 * p[k - 1].conjugate() / np.vdot(p, p).real * p, k, n)
+
+
+def _factorization_from_fields(kind, factors, phases, pivot_phases):
+    # The library constructors check the structure and raise UcosetError.
+    dim = phases.shape[0]
+    diag = householder.PhaseDiagonal(phases, dim)
+    if kind == "householder":
+        reflections = tuple(_reflection(m, k) for k, m in enumerate(factors, start=1))
+        return householder.HouseholderFactorization(
+            reflections, diag, householder.FORWARD, dim, pivot_phases)
+    ordering = householder.FORWARD if kind == "coset" else householder.REVERSED
+    cosets = [coset.CosetFactor(matrix=m, level=k) for k, m in enumerate(factors, start=1)]
+    return coset.CosetFactorization(tuple(cosets), diag, ordering, dim)
+
+
+def _factorization_from_obj(obj):
+    """The library factorization a file holds; unusable input otherwise."""
+    fields = _factorization_fields(obj)
+    try:
+        return _factorization_from_fields(*fields)
+    except UcosetError as exc:
+        raise _InputError(f"not a {fields[0]} factorization: {exc}") from exc
+
+
+def _product(f) -> np.ndarray:
+    if isinstance(f, householder.HouseholderFactorization):
+        return householder.reconstruct(f)
+    return coset.compose_cosets(f)
 
 
 def _tolerances(args) -> Tolerances:
@@ -184,11 +213,7 @@ def _tolerances(args) -> Tolerances:
         return DEFAULT_TOLERANCES
     if not 0.0 < tol < math.inf:
         raise _InputError(f"--tol must be positive and finite, got {tol}")
-    return Tolerances(
-        unitarity_tol=tol,
-        degenerate_tol=DEFAULT_TOLERANCES.degenerate_tol,
-        reconstruction_tol=tol,
-    )
+    return Tolerances(unitarity_tol=tol, reconstruction_tol=tol)
 
 
 def cmd_decompose(args) -> int:
@@ -204,26 +229,11 @@ def cmd_decompose(args) -> int:
     except householder.NotUnitaryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_UNITARY
-    if args.mode == "householder":
-        rebuilt = householder.reconstruct(f)
-        obj = _factorization_to_obj(
-            "householder",
-            f.dim,
-            [householder.reflect_matrix(r) for r in f.reflections],
-            f.residual.phases,
-            f.pivot_phases,
-        )
-    else:
-        if args.mode == "coset":
-            cf = coset.cosets_from_householder(f)
-        else:
-            cf = coset.cosets_from_householder_reversed(f)
-        rebuilt = coset.compose_cosets(cf)
-        obj = _factorization_to_obj(
-            args.mode, cf.dim, [c.matrix for c in cf.factors],
-            cf.terminal_phases.phases,
-        )
-    err = float(np.max(np.abs(rebuilt - u)))
+    if args.mode == "coset":
+        f = coset.cosets_from_householder(f)
+    elif args.mode == "coset-reversed":
+        f = coset.cosets_from_householder_reversed(f)
+    err = float(np.max(np.abs(_product(f) - u)))
     if err > tol.reconstruction_tol:
         print(
             f"internal error: reconstruction error {err:.3e} exceeds "
@@ -231,7 +241,7 @@ def cmd_decompose(args) -> int:
             file=sys.stderr,
         )
         return EXIT_INTERNAL
-    _dump_json(obj, args.output)
+    _dump_json(_factorization_to_obj(f), args.output)
     print(
         f"decomposed {u.shape[0]}x{u.shape[1]} matrix, mode {args.mode}, "
         f"reconstruction error {err:.3e}",
@@ -241,12 +251,12 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    info = _factorization_from_obj(_load_json(args.input))
-    m = _product_from_factorization(info)
+    f = _factorization_from_obj(_load_json(args.input))
+    m = _product(f)
     _dump_json(_matrix_to_obj(m), args.output)
     print(
-        f"reconstructed {info['dim']}x{info['dim']} matrix from "
-        f"{info['kind']} factorization, unitarity error {unitarity_error(m):.3e}",
+        f"reconstructed {f.dim}x{f.dim} matrix from {_kind(f)} factorization, "
+        f"unitarity error {unitarity_error(m):.3e}",
         file=sys.stderr,
     )
     return EXIT_OK
@@ -287,24 +297,30 @@ def _verify_matrix(m, tol) -> int:
     return EXIT_OK if verdict == "PASS" else EXIT_VERIFY
 
 
-def _verify_factorization(info, tol) -> int:
+def _verify_factorization(obj, tol) -> int:
+    # The file's own numbers are checked at --tol, which may be tighter than
+    # the library's fixed bounds; the library constructors check structure.
+    kind, factors, phases, pivot_phases = _factorization_fields(obj)
     problems = []
     worst = 0.0
-    for k, f in enumerate(info["factors"], start=1):
+    for k, f in enumerate(factors, start=1):
         err = unitarity_error(f)
         worst = max(worst, err)
         if err > tol.unitarity_tol:
             problems.append(f"factor {k} unitarity error {err:.3e}")
-        if info["kind"] == "householder":
+        if kind == "householder":
             herm = float(np.max(np.abs(f - f.conj().T)))
             if herm > tol.unitarity_tol:
                 problems.append(f"factor {k} is not Hermitian ({herm:.3e})")
-    phase_dev = float(np.max(np.abs(np.abs(info["phases"]) - 1.0))) \
-        if info["dim"] else 0.0
+    phase_dev = float(np.max(np.abs(np.abs(phases) - 1.0)))
     if phase_dev > tol.unitarity_tol:
         problems.append(f"phase moduli deviate by {phase_dev:.3e}")
+    try:
+        _factorization_from_fields(kind, factors, phases, pivot_phases)
+    except UcosetError as exc:
+        problems.append(f"not a {kind} factorization: {exc}")
     print(
-        f"verify: {info['kind']} factorization, dim {info['dim']}, "
+        f"verify: {kind} factorization, dim {phases.shape[0]}, "
         f"worst factor unitarity error {worst:.3e}, "
         f"phase modulus deviation {phase_dev:.3e}",
         file=sys.stderr,
@@ -321,7 +337,7 @@ def cmd_verify(args) -> int:
     obj = _load_json(args.input)
     tol = _tolerances(args)
     if isinstance(obj, dict) and "kind" in obj:
-        return _verify_factorization(_factorization_from_obj(obj), tol)
+        return _verify_factorization(obj, tol)
     return _verify_matrix(_matrix_from_obj(obj, "input matrix"), tol)
 
 

@@ -31,13 +31,13 @@ import numpy as np
 from .numkit import (
     ComplexMatrix,
     ComplexVector,
+    DimensionMismatchError,
+    DomainError,
     UcosetError,
 )
 from .householder import (
     FORWARD,
     REVERSED,
-    DimensionMismatchError,
-    DomainError,
     HouseholderFactorization,
     PhaseDiagonal,
     _canonical_angle,
@@ -192,7 +192,9 @@ class CosetFactor:
         p = a[:, j].copy()
         p[:i] = 0.0
         self._set(level, p)
-        if not np.any(p) or float(np.max(np.abs(self.matrix - m))) > 1e-8:
+        # Entries too large for <p|p> to be finite give a NaN corner, which
+        # must fail this check rather than pass it.
+        if not np.any(p) or not float(np.max(np.abs(self.matrix - m))) <= 1e-8:
             raise MalformedFactorError("factor is not a column-flipped reflection")
 
     @classmethod

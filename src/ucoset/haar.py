@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numkit import ComplexMatrix, UcosetError
+from .numkit import ComplexMatrix, DomainError, UcosetError
 from .householder import FORWARD, _product
 
 __all__ = [
@@ -94,9 +94,9 @@ class RngStream:
         seed = int(seed)
         stream = int(stream)
         if not 0 <= seed < 2 ** 64:
-            raise ValueError("seed must lie in [0, 2^64)")
+            raise DomainError("seed must lie in [0, 2^64)")
         if not 0 <= stream < 2 ** 64:
-            raise ValueError("stream must lie in [0, 2^64)")
+            raise DomainError("stream must lie in [0, 2^64)")
         self.seed = seed
         self.stream = stream
         key = np.array([seed, stream], dtype=np.uint64)
@@ -328,7 +328,7 @@ def ks_statistic(samples, cdf) -> float:
     x = np.sort(np.asarray(samples, dtype=float))
     n = x.shape[0]
     if n == 0:
-        raise ValueError("need at least one sample")
+        raise TooFewSamplesError("need at least one sample")
     f = np.asarray(cdf(x), dtype=float)
     upper = np.arange(1, n + 1) / n - f
     lower = f - np.arange(0, n) / n
@@ -340,7 +340,7 @@ def ks_statistic_two_sample(a, b) -> float:
     a = np.sort(np.asarray(a, dtype=float))
     b = np.sort(np.asarray(b, dtype=float))
     if a.shape[0] == 0 or b.shape[0] == 0:
-        raise ValueError("need at least one sample on each side")
+        raise TooFewSamplesError("need at least one sample on each side")
     everything = np.concatenate([a, b])
     cdf_a = np.searchsorted(a, everything, side="right") / a.shape[0]
     cdf_b = np.searchsorted(b, everything, side="right") / b.shape[0]

@@ -44,6 +44,8 @@ from .numkit import (
     DEFAULT_TOLERANCES,
     ComplexMatrix,
     ComplexVector,
+    DimensionMismatchError,
+    DomainError,
     Tolerances,
     UcosetError,
     _as_square_matrix,
@@ -58,7 +60,6 @@ __all__ = [
     "HouseholderFactorization",
     "NotUnitaryError",
     "PhaseError",
-    "DegeneratePivotError",
     "NotUnitLengthError",
     "LeadingComponentsNonzeroError",
     "DimensionMismatchError",
@@ -97,24 +98,12 @@ class PhaseError(NotUnitaryError):
     """
 
 
-class DegeneratePivotError(UcosetError):
-    """Pivot norm-squared is too small to define a reflection."""
-
-
 class NotUnitLengthError(NotUnitaryError):
     """A column handed to the pivot builder, or a pivot, is not unit length."""
 
 
 class LeadingComponentsNonzeroError(UcosetError):
     """Components that must already be cleared are not negligible."""
-
-
-class DimensionMismatchError(UcosetError):
-    """A level, dimension or operand shape is out of range or inconsistent."""
-
-
-class DomainError(UcosetError):
-    """A parameter is not finite or lies outside its documented range."""
 
 
 def _canonical_angle(phi: float) -> float:
@@ -240,13 +229,12 @@ class HouseholderFactorization:
         object.__setattr__(self, "pivot_phases", phases)
 
 
-def reflect_matrix(r: Reflection, tol: Tolerances | None = None) -> ComplexMatrix:
+def reflect_matrix(r: Reflection) -> ComplexMatrix:
     """Dense matrix ``1 - (2 / <u|u>) |u><u|`` of the reflection."""
-    return apply_reflection(r, np.eye(r.dim, dtype=complex), "left", tol)
+    return apply_reflection(r, np.eye(r.dim, dtype=complex), "left")
 
 
-def apply_reflection(r: Reflection, m, side: str = "left",
-                     tol: Tolerances | None = None):
+def apply_reflection(r: Reflection, m, side: str = "left"):
     """Apply the reflection to a matrix or vector as a rank-1 update.
 
     ``side="left"`` computes ``R m`` (1-D input is a column), ``side="right"``
@@ -254,12 +242,8 @@ def apply_reflection(r: Reflection, m, side: str = "left",
     formed, and only the rows (left) or columns (right) from the level on
     change; cost is O((dim - level) * cols).
     """
-    tol = tol or DEFAULT_TOLERANCES
     if side not in ("left", "right"):
         raise DomainError(f"side must be 'left' or 'right', got {side!r}")
-    norm_sq = r.norm_sq
-    if norm_sq <= tol.degenerate_tol:
-        raise DegeneratePivotError(f"pivot norm-squared {norm_sq} is degenerate")
     right = side == "right"
     a = np.asarray(m, dtype=complex)
     if a.ndim not in (1, 2):
@@ -271,7 +255,7 @@ def apply_reflection(r: Reflection, m, side: str = "left",
     # of the transpose.
     t = np.array(a.T if right else a, order="C")
     u = r.pivot.conj() if right else r.pivot
-    _reflect_rows(t.reshape(r.dim, -1), r.level - 1, u, 2.0 / norm_sq)
+    _reflect_rows(t.reshape(r.dim, -1), r.level - 1, u, 2.0 / r.norm_sq)
     return t.T if right else t
 
 

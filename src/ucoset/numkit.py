@@ -20,6 +20,8 @@ __all__ = [
     "DEFAULT_TOLERANCES",
     "UcosetError",
     "NonSquareError",
+    "DimensionMismatchError",
+    "DomainError",
     "unitarity_error",
     "expm_series",
 ]
@@ -37,6 +39,14 @@ class NonSquareError(UcosetError):
     """A square matrix was required but the input is not square."""
 
 
+class DimensionMismatchError(UcosetError):
+    """A level, dimension or operand shape is out of range or inconsistent."""
+
+
+class DomainError(UcosetError):
+    """A parameter is not finite or lies outside its documented range."""
+
+
 @dataclass(frozen=True)
 class Tolerances:
     """Numeric tolerances shared by the decomposition routines.
@@ -46,21 +56,18 @@ class Tolerances:
     unitarity_tol : float
         Largest unitarity defect ``max |M^dag M - 1|`` accepted for an
         input that must be unitary.
-    degenerate_tol : float
-        Pivot norm-squared at or below this value counts as degenerate.
     reconstruction_tol : float
         Largest entrywise deviation allowed when a factorization is
         multiplied back together and compared with its input.
     """
 
     unitarity_tol: float = 1e-10
-    degenerate_tol: float = 1e-14
     reconstruction_tol: float = 1e-10
 
     def __post_init__(self):
-        for name in ("unitarity_tol", "degenerate_tol", "reconstruction_tol"):
+        for name in ("unitarity_tol", "reconstruction_tol"):
             if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be strictly positive")
+                raise DomainError(f"{name} must be strictly positive")
 
 
 DEFAULT_TOLERANCES = Tolerances()
@@ -71,9 +78,9 @@ def _as_square_matrix(m) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NonSquareError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] == 0:
-        raise ValueError("matrix must have at least one row")
+        raise DimensionMismatchError("matrix must have at least one row")
     if not np.all(np.isfinite(a)):
-        raise ValueError("matrix has non-finite entries")
+        raise DomainError("matrix has non-finite entries")
     return a
 
 

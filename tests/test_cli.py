@@ -173,15 +173,23 @@ class TestReconstruct:
         got = matrix_from_obj(json.loads(capsys.readouterr().out))
         assert maxdiff(got, np.eye(1)) == 0.0
 
-    def test_round_trip_through_files(self, tmp_path):
+    def test_round_trip_through_files(self, tmp_path, capsys):
+        # Dim 65 runs a blocked panel; dim 1 has no factors.
         modes = ["householder", "coset", "coset-reversed"]
-        for k in range(6):
-            u = random_unitary(2 + k, 500 + k)
+        cases = [(2 + k, modes[k % 3]) for k in range(6)]
+        cases += [(dim, mode) for dim in (1, 33, 65) for mode in modes]
+        for k, (dim, mode) in enumerate(cases):
+            u = random_unitary(dim, 500 + k)
             src = write_json(tmp_path / f"u{k}.json", matrix_obj(u))
             fact = tmp_path / f"f{k}.json"
             back = tmp_path / f"b{k}.json"
-            assert run("decompose", "--input", src, "--mode", modes[k % 3],
+            assert run("decompose", "--input", src, "--mode", mode,
                        "--output", str(fact)) == 0
+            f = cli._factorization_from_obj(json.loads(fact.read_text()))
+            assert (cli._kind(f), f.dim) == (mode, dim)
+            capsys.readouterr()
+            assert run("verify", "--input", str(fact)) == 0
+            assert "verify: PASS" in capsys.readouterr().err
             assert run("reconstruct", "--input", str(fact),
                        "--output", str(back)) == 0
             got = matrix_from_obj(json.loads(back.read_text()))
@@ -204,6 +212,74 @@ class TestReconstruct:
         del obj["pivot_phases"]
         path = write_json(tmp_path / "nopiv.json", obj)
         assert run("reconstruct", "--input", path) == 2
+
+
+def golden_with(name, path, value):
+    """A golden file with the entry at ``path`` (keys and indices) replaced."""
+    obj = json.loads((GOLDEN_DIR / name).read_text())
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return obj
+
+
+HOUSEHOLDER_FACTOR_1 = json.loads((GOLDEN_DIR / "u0_householder.json").read_text())["factors"][0]
+V = np.array([0.1, 1.0, 0.5j])
+# A reflection with a positive corner maps no column w to -e^{i phi} e_1
+# with phi = arg(w_1), so no column-clearing step produces it.
+POSITIVE_CORNER_REFLECTION = np.eye(3) - 2.0 * np.outer(V, V.conj()) / np.vdot(V, V).real
+
+# Files that pass the format checks and whose factors are unitary (and
+# Hermitian, for kind householder) but that are not factorizations.
+NOT_FACTORIZATIONS = {
+    "coset-random-factor": ("u0_coset.json", ("factors", 0),
+                            matrix_obj(random_unitary(3, 31))),
+    "coset-diagonal-factor": ("u0_coset.json", ("factors", 1),
+                              matrix_obj(np.diag([1.0, 1j, 1.0]))),
+    "householder-residual": ("u0_householder.json", ("pivot_phases",), [0.0, 0.0]),
+    "householder-level": ("u0_householder.json", ("factors", 1), HOUSEHOLDER_FACTOR_1),
+    "householder-corner": ("u0_householder.json", ("factors", 0),
+                           matrix_obj(POSITIVE_CORNER_REFLECTION)),
+}
+
+
+@pytest.mark.parametrize("case", NOT_FACTORIZATIONS.values(), ids=NOT_FACTORIZATIONS.keys())
+def test_not_a_factorization_is_rejected(tmp_path, capsys, case):
+    obj = golden_with(*case)
+    path = write_json(tmp_path / "f.json", obj)
+    assert run("verify", "--input", path) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert any(line.startswith(f"verify: FAIL not a {obj['kind']} factorization: ")
+               for line in err)
+    assert run("reconstruct", "--input", path) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    err = err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: not a {obj['kind']} factorization: ")
+
+
+PLACEHOLDER = "@literal@"
+BAD_LITERALS = {"1e400": "1e400", "int400": "1" + "0" * 400, "true": "true",
+                "string": '"1.5"', "null": "null"}
+LITERAL_PLACES = {
+    "matrix": (("u0.json", ("data", 0, 0, 0)), ["decompose", "verify"]),
+    "factor": (("u0_coset.json", ("factors", 0, "data", 1, 2, 1)), ["reconstruct", "verify"]),
+    "phases": (("u0_coset.json", ("phases", 2, 0)), ["reconstruct", "verify"]),
+}
+
+
+@pytest.mark.parametrize("place", LITERAL_PLACES)
+@pytest.mark.parametrize("literal", BAD_LITERALS.values(), ids=BAD_LITERALS.keys())
+def test_bad_literal_is_unusable_input(tmp_path, capsys, place, literal):
+    (name, where), commands = LITERAL_PLACES[place]
+    path = tmp_path / "bad.json"
+    text = json.dumps(golden_with(name, where, PLACEHOLDER))
+    path.write_text(text.replace(f'"{PLACEHOLDER}"', literal))
+    for command in commands:
+        assert run(command, "--input", str(path)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
 
 
 class TestSample:

@@ -644,6 +644,15 @@ class TestHandMadeFactor:
             CosetFactor(matrix=matrix, level=level)
 
 
+    @pytest.mark.parametrize("entry", [1e200, 1e300])
+    def test_entry_too_large_for_the_pivot_norm_rejected(self, entry):
+        # <p|p> overflows to inf, so the factor rebuilt from p has a NaN corner.
+        matrix = np.eye(3, dtype=complex)
+        matrix[0, 0] = entry
+        with pytest.raises(MalformedFactorError):
+            CosetFactor(matrix=matrix, level=1)
+
+
 def eye_factors(dim, levels):
     return tuple(CosetFactor(matrix=np.eye(dim), level=k) for k in levels)
 

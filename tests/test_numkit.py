@@ -77,11 +77,10 @@ class TestTolerances:
     def test_defaults(self):
         tol = Tolerances()
         assert tol.unitarity_tol == 1e-10
-        assert tol.degenerate_tol == 1e-14
         assert tol.reconstruction_tol == 1e-10
 
     @pytest.mark.parametrize(
-        "field", ["unitarity_tol", "degenerate_tol", "reconstruction_tol"]
+        "field", ["unitarity_tol", "reconstruction_tol"]
     )
     def test_must_be_positive(self, field):
         with pytest.raises(ValueError):

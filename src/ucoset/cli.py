@@ -60,7 +60,7 @@ def _load_json(path):
 
 
 def _dump_json(obj, path):
-    text = json.dumps(obj, indent=2) + "\n"
+    text = json.dumps(obj) + "\n"
     if path is None:
         sys.stdout.write(text)
         return
@@ -168,28 +168,30 @@ def _factorization_fields(obj):
     return kind, factors, phases, pivot_phases
 
 
-def _reflection(m, k):
-    # R(u) with column k negated is R(u) F_k, the coset factor of u.  Its
-    # pivot p times 2 conj(p_k) / <p|p> is column k of 1 - R(u), which is
-    # e^{-i phi_k} u for the reflection of a column-clearing step; the bound
-    # <u|u> >= 2 of Reflection then holds exactly when R(u)_kk <= 0, as it
-    # does for every such step.
-    n = m.shape[0]
-    p = coset.CosetFactor(matrix=np.where(np.arange(n) == k - 1, -m, m), level=k).pivot
-    return householder.Reflection(2.0 * p[k - 1].conjugate() / np.vdot(p, p).real * p, k, n)
-
-
 def _factorization_from_fields(kind, factors, phases, pivot_phases):
-    # The library constructors check the structure and raise UcosetError.
+    # CosetFactor reads each pivot off its dense factor, and the library
+    # constructors check the stack; all raise UcosetError.  A householder
+    # factor R(u) with column k negated is R(u) F_k, the coset factor of u.
+    # Its pivot p times 2 conj(p_k) / <p|p> is column k of 1 - R(u), which is
+    # e^{-i phi_k} u for the reflection of a column-clearing step; the bound
+    # <u|u> >= 2 then holds exactly when R(u)_kk <= 0, as it does for every
+    # such step.
     dim = phases.shape[0]
     diag = householder.PhaseDiagonal(phases, dim)
+    pivots = np.zeros((dim - 1, dim), dtype=complex)
+    for k, m in enumerate(factors, start=1):
+        if kind == "householder":
+            m = np.where(np.arange(dim) == k - 1, -m, m)
+            p = coset.CosetFactor(matrix=m, level=k).pivot
+            p = 2.0 * p[k - 1].conjugate() / np.vdot(p, p).real * p
+        else:
+            p = coset.CosetFactor(matrix=m, level=k).pivot
+        pivots[k - 1] = p
     if kind == "householder":
-        reflections = tuple(_reflection(m, k) for k, m in enumerate(factors, start=1))
         return householder.HouseholderFactorization(
-            reflections, diag, householder.FORWARD, dim, pivot_phases)
+            pivots, diag, householder.FORWARD, dim, pivot_phases)
     ordering = householder.FORWARD if kind == "coset" else householder.REVERSED
-    cosets = [coset.CosetFactor(matrix=m, level=k) for k, m in enumerate(factors, start=1)]
-    return coset.CosetFactorization(tuple(cosets), diag, ordering, dim)
+    return coset.CosetFactorization(pivots, diag, ordering, dim)
 
 
 def _factorization_from_obj(obj):

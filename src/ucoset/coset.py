@@ -12,11 +12,15 @@ vector X with r^2 = <X|X> <= 1:
 That is the Householder reflection R(p) of the pivot p = (1 + rho) e_k + X
 with column k negated, R(p) F_k, so a factor is stored as its pivot, and X
 and rho = 2 |p_k|^2 / <p|p> - 1 are read off it in O(N).  One factor per
-level times a diagonal of phases reproduces any unitary matrix.  The
-conversions from a Householder factorization negate column k (forward) or
-row k (reversed, F_k R(u) = R(F_k u) F_k) of each reflection; the sign flips
-migrate into the terminal phase diagonal, so composing the factors is one
-product of reflections, O(N^3) in the panels of ``householder``.
+level times a diagonal of phases reproduces any unitary matrix.  Like a
+Householder factorization, a coset factorization stores its pivots as one
+read-only (N - 1) x N stack, and its ``factors`` are ``CosetFactor`` views
+on the rows.  The conversions from a Householder factorization negate
+column k (forward: the stack is shared as it is) or row k (reversed,
+F_k R(u) = R(F_k u) F_k: one copy with each u_k negated) of each
+reflection; the sign flips migrate into the terminal phase diagonal, so
+composing the factors is one product of reflections, O(N^3) in the panels
+of ``householder``.
 
 The level-1 factor is also the exponential of the anti-Hermitian generator
 with column B below the corner; for ||B|| in (pi/2, pi] its corner is
@@ -41,6 +45,9 @@ from .householder import (
     HouseholderFactorization,
     PhaseDiagonal,
     _canonical_angle,
+    _pivot_norms,
+    _pivot_record,
+    _pivot_stack,
     _product,
     _reflect_rows,
 )
@@ -173,16 +180,17 @@ class CosetFactor:
     def __init__(self, matrix, level: int):
         m = np.array(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise MalformedFactorError(f"factor must be square, got {m.shape}")
+            raise MalformedFactorError(
+                f"factor at level {level} must be square, got {m.shape}")
         n = m.shape[0]
         if not 1 <= level <= n - 1:
             raise DimensionMismatchError(f"level {level} outside 1..{n - 1}")
         if not np.all(np.isfinite(m)):
-            raise MalformedFactorError("factor has non-finite entries")
+            raise MalformedFactorError(f"factor at level {level} has non-finite entries")
         i = level - 1
         if i and float(np.max(np.abs(m[:i, :] - np.eye(n)[:i, :]))) > 1e-10:
             raise MalformedFactorError(
-                f"factor must act as the identity below level {level}"
+                f"factor at level {level} must act as the identity below its level"
             )
         # For M = R(p) F_k, 1 - M F_k = (2 / <p|p>) |p><p|: its column at the
         # largest diagonal entry is p up to a nonzero factor.
@@ -191,22 +199,16 @@ class CosetFactor:
         j = i + int(np.argmax(np.abs(np.diag(a)[i:])))
         p = a[:, j].copy()
         p[:i] = 0.0
-        self._set(level, p)
+        _pivot_record(self, p, level)
         # Entries too large for <p|p> to be finite give a NaN corner, which
         # must fail this check rather than pass it.
         if not np.any(p) or not float(np.max(np.abs(self.matrix - m))) <= 1e-8:
-            raise MalformedFactorError("factor is not a column-flipped reflection")
+            raise MalformedFactorError(
+                f"factor at level {level} is not a column-flipped reflection")
 
     @classmethod
     def _from_pivot(cls, p, level: int) -> "CosetFactor":
-        c = cls.__new__(cls)
-        c._set(level, p)
-        return c
-
-    def _set(self, level, p):
-        p.setflags(write=False)
-        for name, value in (("level", level), ("dim", p.shape[0]), ("pivot", p)):
-            object.__setattr__(self, name, value)
+        return _pivot_record(cls.__new__(cls), p, level)
 
     def _corner(self):
         # conj(p_k), 2 / <p|p> and the corner 2 |p_k|^2 / <p|p> - 1, with
@@ -240,13 +242,16 @@ class CosetFactor:
 
 @dataclass(frozen=True, eq=False)
 class CosetFactorization:
-    """Coset factors plus terminal phases for one unitary matrix.
+    """Pivot stack of the coset factors plus terminal phases.
 
-    Forward ordering composes as ``C_1 C_2 ... C_{dim-1} T``; reversed
-    ordering as ``T C_{dim-1} ... C_1`` with ``T`` the terminal diagonal.
+    ``pivots`` is the read-only (dim - 1) x dim array of the factor pivots,
+    the level-k pivot in row k - 1; ``factors`` are ``CosetFactor`` views on
+    its rows.  Forward ordering composes as ``C_1 C_2 ... C_{dim-1} T``;
+    reversed ordering as ``T C_{dim-1} ... C_1`` with ``T`` the terminal
+    diagonal.
     """
 
-    factors: tuple
+    pivots: np.ndarray
     terminal_phases: PhaseDiagonal
     ordering: str
     dim: int
@@ -254,15 +259,21 @@ class CosetFactorization:
     def __post_init__(self):
         if self.ordering not in (FORWARD, REVERSED):
             raise MalformedFactorError(f"unknown ordering {self.ordering!r}")
-        factors = tuple(self.factors)
-        if [c.level for c in factors] != list(range(1, self.dim)):
-            raise MalformedFactorError("need one coset factor per level 1..dim-1, in order")
-        for c in factors:
-            if c.dim != self.dim:
-                raise DimensionMismatchError("factor dim does not match")
+        pivots = _pivot_stack(self.pivots, self.dim)
+        norm_sq = _pivot_norms(pivots, 1, MalformedFactorError, MalformedFactorError)
+        # Any nonzero pivot is a factor, but one with <p|p> = 0, a zero row
+        # or one that underflows, has no 2 / <p|p>.
+        zero = np.flatnonzero(norm_sq == 0.0)
+        if zero.size:
+            raise MalformedFactorError(f"pivot at level {zero[0] + 1} has <p|p> = 0")
         if self.terminal_phases.dim != self.dim:
             raise DimensionMismatchError("terminal phases dim does not match")
-        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "pivots", pivots)
+
+    @property
+    def factors(self) -> tuple:
+        return tuple(CosetFactor._from_pivot(p, k)
+                     for k, p in enumerate(self.pivots, start=1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -292,23 +303,26 @@ class Generator:
         object.__setattr__(self, "b", b)
 
 
+def _negated_corners(pivots) -> np.ndarray:
+    # Read-only copy of a pivot stack with each level-k pivot's component k
+    # negated: F_k u for every row u.
+    p = pivots.copy()
+    k = np.arange(p.shape[0])
+    p[k, k] *= -1.0
+    p.setflags(write=False)
+    return p
+
+
 def _cosets_from_pivots(f: HouseholderFactorization, ordering: str) -> CosetFactorization:
-    # Column k of R(u) negated is R(u) F_k, so a forward factor keeps u.  Row
-    # k negated is F_k R(u) = R(F_k u) F_k, so a reversed factor keeps u with
-    # u_k negated.  No reflector is formed.
+    # Column k of R(u) negated is R(u) F_k, so a forward factor keeps u and
+    # the stack is shared.  Row k negated is F_k R(u) = R(F_k u) F_k, so a
+    # reversed factor keeps u with u_k negated.  No reflector is formed.
     if f.ordering != ordering:
         raise WrongOrderingError(f"expected a {ordering} factorization")
-    factors = []
-    for refl in f.reflections:
-        p = refl.pivot
-        if ordering == REVERSED:
-            p = p.copy()
-            p[refl.level - 1] *= -1.0
-        factors.append(CosetFactor._from_pivot(p, refl.level))
     terminal = np.array(f.residual.phases)
     terminal[:-1] *= -1.0
     return CosetFactorization(
-        factors=tuple(factors),
+        pivots=f.pivots if ordering == FORWARD else _negated_corners(f.pivots),
         terminal_phases=PhaseDiagonal(terminal, f.dim),
         ordering=ordering,
         dim=f.dim,
@@ -342,11 +356,7 @@ def compose_cosets(cf: CosetFactorization) -> ComplexMatrix:
     and ``T`` with its first N - 1 phases negated, O(N^3) in the panels of
     the Householder product.
     """
-    n = cf.dim
-    pivots = np.array([c.pivot for c in cf.factors], dtype=complex).reshape(n - 1, n)
-    if cf.ordering == REVERSED:
-        levels = np.arange(n - 1)
-        pivots[levels, levels] *= -1.0
+    pivots = cf.pivots if cf.ordering == FORWARD else _negated_corners(cf.pivots)
     phases = np.array(cf.terminal_phases.phases)
     phases[:-1] *= -1.0
     return _product(pivots, phases, cf.ordering)

@@ -19,6 +19,12 @@ one: reflections are Hermitian, so it holds exactly when
 therefore yields the reversed pivots unchanged, the residual conjugated and
 the pivot phases negated.
 
+A factorization stores its N - 1 pivots as one read-only (N - 1) x N array,
+the level-k pivot in row k - 1, so the strict lower triangle is exactly
+zero; its constructor checks that stack once, in array form.  The column
+loop writes each pivot straight into its row, and ``reflections`` are
+``Reflection`` views on the rows.
+
 Every product of reflections in the package runs in panels of ``_PANEL``
 consecutive reflections.  A panel with at least ``_PANEL`` columns after it
 is blocked: its reflections act at once in compact-WY form
@@ -84,6 +90,10 @@ PHASE_TOL = 1e-8
 # Reflections per compact-WY panel (see the module docstring).
 _PANEL = 32
 
+# Smallest <u|u> of a pivot: one built from a unit column has
+# <u|u> = 2 (1 + rho) >= 2.
+_MIN_NORM_SQ = 2.0 * (1.0 - 1e-8)
+
 
 class NotUnitaryError(UcosetError):
     """Input matrix fails the unitarity tolerance."""
@@ -115,6 +125,15 @@ def _canonical_angle(phi: float) -> float:
     return phi
 
 
+def _pivot_record(obj, pivot, level: int):
+    # Sets the fields of a frozen Reflection or CosetFactor: the pivot, made
+    # read-only, its level and its dim.
+    pivot.setflags(write=False)
+    for name, value in (("pivot", pivot), ("level", level), ("dim", pivot.shape[0])):
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @dataclass(frozen=True, eq=False)
 class Reflection:
     """Householder reflection pivot acting on coordinates ``level`` .. ``dim``.
@@ -136,18 +155,14 @@ class Reflection:
             raise DimensionMismatchError(
                 f"pivot shape {pivot.shape} does not match dim {self.dim}"
             )
-        if not np.isfinite(pivot).all():
-            raise DomainError("pivot has non-finite entries")
-        if (pivot[: self.level - 1] != 0).any():
-            raise LeadingComponentsNonzeroError(
-                f"pivot components below level {self.level} must be exactly zero"
-            )
-        norm_sq = float(np.real(np.vdot(pivot, pivot)))
-        # For a pivot built from a unit column, <u|u> = 2 (1 + rho) >= 2.
-        if norm_sq < 2.0 * (1.0 - 1e-8):
-            raise NotUnitLengthError(f"pivot norm-squared {norm_sq} below the bound 2")
-        pivot.setflags(write=False)
-        object.__setattr__(self, "pivot", pivot)
+        _reflection_norms(pivot[None], self.level)
+        _pivot_record(self, pivot, self.level)
+
+    @classmethod
+    def _from_pivot(cls, pivot, level: int) -> "Reflection":
+        # The reflection of a pivot that is already checked: a row of a
+        # factorization's stack, or a pivot just built from a column.
+        return _pivot_record(cls.__new__(cls), pivot, level)
 
     @property
     def norm_sq(self) -> float:
@@ -182,17 +197,59 @@ class PhaseDiagonal:
         return np.diag(self.phases)
 
 
+def _pivot_stack(pivots, dim: int) -> np.ndarray:
+    # The (dim - 1) x dim pivot stack as a read-only complex array.  A
+    # read-only complex array is kept as it is, so that factorizations can
+    # share a stack; anything else is copied.
+    try:
+        p = np.asarray(pivots)
+        if p.dtype != complex or p.flags.writeable:
+            p = np.array(p, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise DimensionMismatchError(f"pivots do not form an array: {exc}") from exc
+    if p.shape != (dim - 1, dim):
+        raise DimensionMismatchError(f"pivot stack shape {p.shape} is not {(dim - 1, dim)}")
+    p.setflags(write=False)
+    return p
+
+
+def _pivot_norms(p, level: int, invalid, leading) -> np.ndarray:
+    # <u|u> of each row of the pivots p, row j at level ``level + j``.  A row
+    # whose entries or <u|u> are not finite raises invalid, and one with an
+    # entry before its level that is not exactly zero raises leading.
+    norm_sq = np.einsum("ij,ij->i", p, p.conj()).real
+    bad = np.flatnonzero(~np.isfinite(norm_sq))
+    if bad.size:
+        raise invalid(f"pivot at level {bad[0] + level} has non-finite entries or norm")
+    bad = np.flatnonzero(np.tril(p, level - 2).any(axis=1))
+    if bad.size:
+        raise leading(f"pivot at level {bad[0] + level} must be exactly zero before its level")
+    return norm_sq
+
+
+def _reflection_norms(p, level: int) -> None:
+    # _pivot_norms for reflection pivots, which also need <u|u> >= 2.
+    norm_sq = _pivot_norms(p, level, DomainError, LeadingComponentsNonzeroError)
+    short = np.flatnonzero(norm_sq < _MIN_NORM_SQ)
+    if short.size:
+        raise NotUnitLengthError(f"pivot at level {short[0] + level} has norm-squared "
+                                 f"{norm_sq[short[0]]} below the bound 2")
+
+
 @dataclass(frozen=True, eq=False)
 class HouseholderFactorization:
-    """Reflections plus residual phases for one unitary matrix.
+    """Pivot stack plus residual phases for one unitary matrix.
 
-    Forward ordering reconstructs as ``R_1 R_2 ... R_{dim-1} D``; reversed
-    ordering as ``D R_{dim-1} ... R_1`` with ``D`` the residual diagonal.
-    For every level ``k < dim`` the residual entry equals ``-e^{i phi_k}``
-    with ``phi_k`` the stored pivot phase; the last entry is free.
+    ``pivots`` is the read-only (dim - 1) x dim array of the reflection
+    pivots, the level-k pivot in row k - 1; ``reflections`` are ``Reflection``
+    views on its rows.  Forward ordering reconstructs as
+    ``R_1 R_2 ... R_{dim-1} D``; reversed ordering as ``D R_{dim-1} ... R_1``
+    with ``D`` the residual diagonal.  For every level ``k < dim`` the
+    residual entry equals ``-e^{i phi_k}`` with ``phi_k`` the stored pivot
+    phase; the last entry is free.
     """
 
-    reflections: tuple
+    pivots: np.ndarray
     residual: PhaseDiagonal
     ordering: str
     dim: int
@@ -203,12 +260,8 @@ class HouseholderFactorization:
             raise DomainError(f"unknown ordering {self.ordering!r}")
         if self.dim < 1:
             raise DimensionMismatchError("dim must be at least 1")
-        reflections = tuple(self.reflections)
-        if [r.level for r in reflections] != list(range(1, self.dim)):
-            raise DimensionMismatchError("need one reflection per level 1..dim-1, in order")
-        for r in reflections:
-            if r.dim != self.dim:
-                raise DimensionMismatchError("reflection dim does not match")
+        pivots = _pivot_stack(self.pivots, self.dim)
+        _reflection_norms(pivots, 1)
         if self.residual.dim != self.dim:
             raise DimensionMismatchError("residual dim does not match")
         phases = np.array(self.pivot_phases, dtype=float)
@@ -225,8 +278,12 @@ class HouseholderFactorization:
                     f"(bound {PHASE_TOL:.0e})"
                 )
         phases.setflags(write=False)
-        object.__setattr__(self, "reflections", reflections)
+        object.__setattr__(self, "pivots", pivots)
         object.__setattr__(self, "pivot_phases", phases)
+
+    @property
+    def reflections(self) -> tuple:
+        return tuple(Reflection._from_pivot(p, k) for k, p in enumerate(self.pivots, start=1))
 
 
 def reflect_matrix(r: Reflection) -> ComplexMatrix:
@@ -348,7 +405,8 @@ def pivot_from_column(w, level: int, tol: Tolerances | None = None):
     Raises
     ------
     NotUnitLengthError
-        If ``w`` is not unit length within ``tol.unitarity_tol``.
+        If ``w`` is not unit length within ``tol.unitarity_tol``, or the
+        pivot's ``<u|u>`` falls below the bound 2.
     LeadingComponentsNonzeroError
         If the leading components exceed ``tol.unitarity_tol``.
     """
@@ -356,23 +414,38 @@ def pivot_from_column(w, level: int, tol: Tolerances | None = None):
     v = np.array(w, dtype=complex)
     if v.ndim != 1:
         raise DimensionMismatchError("column must be one-dimensional")
+    phi, _ = _pivot_in_place(v, level, tol.unitarity_tol)
+    return Reflection._from_pivot(v, level), phi
+
+
+def _pivot_in_place(v, level: int, tol: float):
+    # Checks the column v, a contiguous vector, at tolerance tol and
+    # overwrites it with its level-``level`` pivot; returns the pivot phase
+    # and <u|u>.
     if not np.isfinite(v).all():
-        raise DomainError("column has non-finite entries")
+        raise DomainError(f"column at level {level} has non-finite entries")
     n = v.shape[0]
     if not 1 <= level <= n - 1:
         raise DimensionMismatchError(f"level {level} outside 1..{n - 1}")
-    norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > tol.unitarity_tol:
-        raise NotUnitLengthError(f"column norm {norm} is not 1 within tolerance")
+    norm = math.sqrt(np.vdot(v, v).real)
+    if abs(norm - 1.0) > tol:
+        raise NotUnitLengthError(
+            f"column norm {norm} at level {level} is not 1 within tolerance"
+        )
     i = level - 1
-    if i and float(np.max(np.abs(v[:i]))) > tol.unitarity_tol:
+    if i and np.abs(v[:i]).max() > tol:
         raise LeadingComponentsNonzeroError(
             f"components below level {level} exceed tolerance"
         )
     v[:i] = 0.0  # exact zeros keep the leading subspace exactly invariant
     phi = _canonical_angle(float(np.angle(v[i])))
     v[i] += complex(math.cos(phi), math.sin(phi))
-    return Reflection(pivot=v, level=level, dim=n), phi
+    norm_sq = float(np.real(np.vdot(v, v)))
+    if norm_sq < _MIN_NORM_SQ:
+        raise NotUnitLengthError(
+            f"pivot norm-squared {norm_sq} at level {level} below the bound 2"
+        )
+    return phi, norm_sq
 
 
 def _require_unitary(u, tol: Tolerances) -> np.ndarray:
@@ -385,32 +458,42 @@ def _require_unitary(u, tol: Tolerances) -> np.ndarray:
     return a
 
 
-def _clear_columns(a: np.ndarray, tol: Tolerances) -> HouseholderFactorization:
-    # Overwrites a, a C-ordered work copy.  Rows i.. of the columns before i
-    # are never read again, so reflection i updates only columns i.. .  The
-    # columns after a panel take R(u_hi) ... R(u_lo) = (1 - V T V^dag)^dag,
-    # hence T^dag; V starts at the panel's first row, where the pivots'
-    # leading zeros end.
+def _clear_columns(u, tol: Tolerances, ordering: str) -> HouseholderFactorization:
+    # The forward column loop, on a C-ordered work copy of U (forward) or
+    # U^dag (reversed), after the gate on U.  With eps = max |a^dag a - 1|
+    # for the matrix a the loop works on, the column of level k has a norm
+    # within about eps / 2 of 1, and its component j < k is (a^dag a)_jk
+    # plus at most eps / sqrt 2 left by the norm error of column j; so every
+    # level passes its column checks at 2 eps.  The gate bounds eps for U;
+    # max |U U^dag - 1| is at most the equal 2-norms of both defects, so at
+    # most N times it.  Rows i.. of the columns before i are never read
+    # again, so reflection i updates only columns i.. .  The columns after a
+    # panel take R(u_hi) ... R(u_lo) = (1 - V T V^dag)^dag, hence T^dag; V
+    # is the panel's rows of the stack from the panel's first column on,
+    # where the pivots' leading zeros end.
+    a = _require_unitary(u, tol)
     n = a.shape[0]
-    reflections = []
+    if ordering == FORWARD:
+        a, check_tol = np.array(a, order="C"), 2.0 * tol.unitarity_tol
+    else:
+        a, check_tol = np.conj(a.T, order="C"), 2.0 * n * tol.unitarity_tol
+    pivots = np.zeros((n - 1, n), dtype=complex)
     phases = np.empty(n - 1)
     c = np.empty(n - 1)
     for lo, hi, end in _panels(n):
         for i in range(lo, hi):
-            refl, phases[i] = pivot_from_column(a[:, i], i + 1, tol)
-            reflections.append(refl)
-            c[i] = 2.0 / refl.norm_sq
-            _reflect_rows(a[:, i:end], i, refl.pivot, c[i])
+            pivots[i] = a[:, i]
+            phases[i], norm_sq = _pivot_in_place(pivots[i], i + 1, check_tol)
+            c[i] = 2.0 / norm_sq
+            _reflect_rows(a[:, i:end], i, pivots[i], c[i])
         if end < n:
-            v = np.array([r.pivot[lo:] for r in reflections[lo:hi]])
+            v = pivots[lo:hi, lo:]
             _apply_wy(a[lo:, end:], v, _wy_factor(v, c[lo:hi]).conj().T)
-    return HouseholderFactorization(
-        reflections=tuple(reflections),
-        residual=PhaseDiagonal(np.diag(a).copy(), n),
-        ordering=FORWARD,
-        dim=n,
-        pivot_phases=phases,
-    )
+    pivots.setflags(write=False)
+    residual = np.diag(a)
+    if ordering == REVERSED:
+        residual, phases = residual.conj(), np.where(phases == math.pi, math.pi, -phases)
+    return HouseholderFactorization(pivots, PhaseDiagonal(residual, n), ordering, n, phases)
 
 
 def decompose(u, tol: Tolerances | None = None) -> HouseholderFactorization:
@@ -421,8 +504,7 @@ def decompose(u, tol: Tolerances | None = None) -> HouseholderFactorization:
 
     Raises NotUnitaryError when the input fails the unitarity tolerance.
     """
-    tol = tol or DEFAULT_TOLERANCES
-    return _clear_columns(np.array(_require_unitary(u, tol), order="C"), tol)
+    return _clear_columns(u, tol or DEFAULT_TOLERANCES, FORWARD)
 
 
 def decompose_reversed(u, tol: Tolerances | None = None) -> HouseholderFactorization:
@@ -435,19 +517,9 @@ def decompose_reversed(u, tol: Tolerances | None = None) -> HouseholderFactoriza
 
     Raises NotUnitaryError when ``U`` itself fails the unitarity tolerance.
     """
-    tol = tol or DEFAULT_TOLERANCES
-    f = _clear_columns(np.conj(_require_unitary(u, tol).T, order="C"), tol)
-    phases = f.pivot_phases
-    return HouseholderFactorization(
-        reflections=f.reflections,
-        residual=PhaseDiagonal(f.residual.phases.conj(), f.dim),
-        ordering=REVERSED,
-        dim=f.dim,
-        pivot_phases=np.where(phases == math.pi, math.pi, -phases),
-    )
+    return _clear_columns(u, tol or DEFAULT_TOLERANCES, REVERSED)
 
 
 def reconstruct(f: HouseholderFactorization) -> ComplexMatrix:
     """Multiply a factorization back into a dense matrix."""
-    pivots = np.array([r.pivot for r in f.reflections], dtype=complex)
-    return _product(pivots.reshape(f.dim - 1, f.dim), f.residual.phases, f.ordering)
+    return _product(f.pivots, f.residual.phases, f.ordering)

@@ -95,8 +95,9 @@ def unitarity_error(m) -> float:
     Returns
     -------
     float
-        Zero for an exactly unitary matrix; invariant under taking the
-        conjugate transpose of ``m``.
+        Zero for an exactly unitary matrix.  Otherwise it can differ from
+        the defect of ``m^dag`` by up to a factor N: the largest entries of
+        both defects are bounded by their equal 2-norms.
     """
     a = _as_square_matrix(m)
     defect = a.conj().T @ a - np.eye(a.shape[0])

@@ -259,6 +259,16 @@ def test_not_a_factorization_is_rejected(tmp_path, capsys, case):
     assert len(err) == 1 and err[0].startswith(f"error: not a {obj['kind']} factorization: ")
 
 
+@pytest.mark.parametrize("case", ["coset-diagonal-factor", "householder-level"])
+def test_rejected_factor_names_its_level(tmp_path, capsys, case):
+    # Both files have a bad factor 2.
+    path = write_json(tmp_path / "f.json", golden_with(*NOT_FACTORIZATIONS[case]))
+    assert run("verify", "--input", path) == 4
+    assert "level 2" in capsys.readouterr().err
+    assert run("reconstruct", "--input", path) == 2
+    assert "level 2" in capsys.readouterr().err
+
+
 PLACEHOLDER = "@literal@"
 BAD_LITERALS = {"1e400": "1e400", "int400": "1" + "0" * 400, "true": "true",
                 "string": '"1.5"', "null": "null"}

@@ -16,6 +16,7 @@ from ucoset import (
     Generator,
     MalformedFactorError,
     PhaseDiagonal,
+    Reflection,
     RhoRangeError,
     UcosetError,
     WrongOrderingError,
@@ -33,6 +34,7 @@ from ucoset import (
     gamma_from_rho,
     generator_matrix,
     normal_from_coset_vector,
+    reconstruct,
     reflect_matrix,
     unitarity_error,
 )
@@ -414,7 +416,7 @@ class TestCompose:
     def test_all_identity_factors(self):
         factors = tuple(CosetFactor(matrix=np.eye(4), level=k) for k in (1, 2, 3))
         cf = CosetFactorization(
-            factors=factors,
+            pivots=np.array([c.pivot for c in factors]),
             terminal_phases=PhaseDiagonal(np.ones(4, dtype=complex), 4),
             ordering=FORWARD,
             dim=4,
@@ -542,7 +544,7 @@ class TestStructuredFactor:
                 for k in (2, 3)
             )
             cf = CosetFactorization(
-                factors=factors,
+                pivots=np.array([c.pivot for c in factors]),
                 terminal_phases=PhaseDiagonal(np.exp(1j * rng.uniform(-3, 3, 4)), 4),
                 ordering=ordering,
                 dim=4,
@@ -586,6 +588,51 @@ class TestNoDenseFactor:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * n * n * 16
+
+
+class TestPivotStack:
+    def test_products_and_conversions_build_no_factor_objects(self, monkeypatch):
+        calls = {"Reflection": 0, "CosetFactor": 0}
+
+        def count(cls, attr):
+            raw = cls.__dict__[attr]
+            fn = raw.__func__ if isinstance(raw, classmethod) else raw
+
+            def wrapped(*args, **kwargs):
+                calls[cls.__name__] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(cls, attr,
+                                classmethod(wrapped) if isinstance(raw, classmethod) else wrapped)
+
+        for cls, attr in ((Reflection, "__post_init__"), (Reflection, "_from_pivot"),
+                          (CosetFactor, "__init__"), (CosetFactor, "_from_pivot")):
+            count(cls, attr)
+        n = 65
+        u = random_unitary(n, 140)
+        f, rev = decompose(u), decompose_reversed(u)
+        cf, cr = cosets_from_householder(f), cosets_from_householder_reversed(rev)
+        products = [reconstruct(f), reconstruct(rev), compose_cosets(cf), compose_cosets(cr)]
+        assert calls == {"Reflection": 0, "CosetFactor": 0}
+        for m in products:
+            assert maxdiff(m, u) <= 1e-12
+        # The forward conversion shares the stack; the reversed one copies it.
+        assert np.shares_memory(cf.pivots, f.pivots)
+        assert not np.shares_memory(cr.pivots, rev.pivots)
+        for pivots in (f.pivots, rev.pivots, cf.pivots, cr.pivots):
+            assert pivots.shape == (n - 1, n) and not pivots.flags.writeable
+            with pytest.raises(ValueError):
+                pivots[0, 0] = 1.0
+        # The views are the constructions the counter sees.
+        assert len(f.reflections) == len(cf.factors) == n - 1
+        assert calls == {"Reflection": n - 1, "CosetFactor": n - 1}
+
+    def test_views_are_rows_of_the_stack(self):
+        f = decompose(random_unitary(5, 141))
+        cf = cosets_from_householder(f)
+        for stack, views in ((f.pivots, f.reflections), (cf.pivots, cf.factors)):
+            for k, v in enumerate(views, start=1):
+                assert v.level == k and v.dim == 5
+                assert np.shares_memory(v.pivot, stack) and np.array_equal(v.pivot, stack[k - 1])
 
 
 def true_factors():
@@ -653,8 +700,19 @@ class TestHandMadeFactor:
             CosetFactor(matrix=matrix, level=1)
 
 
-def eye_factors(dim, levels):
-    return tuple(CosetFactor(matrix=np.eye(dim), level=k) for k in levels)
+def eye_pivots(dim, levels):
+    return np.array([CosetFactor(matrix=np.eye(dim), level=k).pivot for k in levels])
+
+
+def edited_stack(row, col, value):
+    # The 3x3 identity's coset pivots with one entry replaced.
+    pivots = eye_pivots(3, [1, 2])
+    pivots[row, col] = value
+    return pivots
+
+
+def stack_factorization(pivots, dim=3):
+    return CosetFactorization(pivots, PhaseDiagonal(np.ones(dim), dim), FORWARD, dim)
 
 
 BAD_INPUTS = {
@@ -667,13 +725,21 @@ BAD_INPUTS = {
     "factor-level": lambda: CosetFactor(matrix=np.eye(3), level=3),
     "factor-nonfinite": lambda: CosetFactor(matrix=np.full((2, 2), np.nan), level=1),
     "factorization-ordering": lambda: CosetFactorization(
-        eye_factors(2, [1]), PhaseDiagonal(np.ones(2), 2), "sideways", 2),
+        eye_pivots(2, [1]), PhaseDiagonal(np.ones(2), 2), "sideways", 2),
     "factorization-levels": lambda: CosetFactorization(
-        eye_factors(3, [2, 1]), PhaseDiagonal(np.ones(3), 3), FORWARD, 3),
+        eye_pivots(3, [2, 1]), PhaseDiagonal(np.ones(3), 3), FORWARD, 3),
     "factorization-factor-dim": lambda: CosetFactorization(
-        eye_factors(3, [1]), PhaseDiagonal(np.ones(2), 2), FORWARD, 2),
+        eye_pivots(3, [1]), PhaseDiagonal(np.ones(2), 2), FORWARD, 2),
     "factorization-phases-dim": lambda: CosetFactorization(
-        eye_factors(2, [1]), PhaseDiagonal(np.ones(3), 3), FORWARD, 2),
+        eye_pivots(2, [1]), PhaseDiagonal(np.ones(3), 3), FORWARD, 2),
+    "stack-zero-row": lambda: stack_factorization(edited_stack(1, slice(None), 0.0)),
+    "stack-nonfinite": lambda: stack_factorization(edited_stack(0, 2, np.nan)),
+    "stack-overflowing-norm": lambda: stack_factorization(edited_stack(0, 2, 1e200)),
+    "stack-leading": lambda: stack_factorization(edited_stack(1, 0, 1e-300)),
+    "stack-order": lambda: stack_factorization(
+        cosets_from_householder(decompose(U0)).pivots[::-1]),
+    "stack-shape": lambda: stack_factorization(eye_pivots(3, [1, 2]).T),
+    "stack-ragged": lambda: stack_factorization([[2.0, 0.0, 0.0], [0.0, 2.0]]),
     "generator-level": lambda: Generator(b=[0.1], dim=2, level=2),
     "generator-length": lambda: Generator(b=[0.1, 0.2], dim=2, level=1),
     "generator-nonfinite": lambda: Generator(b=[np.inf], dim=2, level=1),

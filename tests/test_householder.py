@@ -280,7 +280,7 @@ class TestReversedIsAdjointOfForward:
 class TestReconstruct:
     def test_no_reflections_identity_residual(self):
         f = HouseholderFactorization(
-            reflections=(),
+            pivots=np.zeros((0, 1)),
             residual=PhaseDiagonal(np.array([1.0 + 0j]), 1),
             ordering=FORWARD,
             dim=1,
@@ -300,7 +300,7 @@ class TestReconstruct:
         assert maxdiff(reconstruct(fwd), u) <= 1e-12
         assert maxdiff(reconstruct(rev), u) <= 1e-12
         swapped = HouseholderFactorization(
-            reflections=rev.reflections,
+            pivots=rev.pivots,
             residual=rev.residual,
             ordering=FORWARD,
             dim=rev.dim,
@@ -377,18 +377,26 @@ class TestValidation:
         f = decompose(U0)
         with pytest.raises(ValueError):
             HouseholderFactorization(
-                reflections=f.reflections,
+                pivots=f.pivots,
                 residual=PhaseDiagonal(np.array([1.0, -1j, -1.0]), 3),
                 ordering=FORWARD,
                 dim=3,
                 pivot_phases=f.pivot_phases,
             )
 
+    def test_writable_stack_is_copied(self):
+        f = decompose(U0)
+        pivots = f.pivots.copy()
+        g = factorization_with(pivots=pivots)
+        pivots[0, 0] = 5.0
+        assert np.array_equal(g.pivots, f.pivots) and not g.pivots.flags.writeable
+        assert factorization_with(pivots=f.pivots).pivots is f.pivots
+
     def test_factorization_levels_must_be_ordered(self):
         f = decompose(U0)
         with pytest.raises(ValueError):
             HouseholderFactorization(
-                reflections=tuple(reversed(f.reflections)),
+                pivots=f.pivots[::-1],
                 residual=f.residual,
                 ordering=FORWARD,
                 dim=3,
@@ -420,7 +428,7 @@ class TestNearUnitary:
         f = decompose(U0)
         with pytest.raises(PhaseError):
             HouseholderFactorization(
-                reflections=f.reflections,
+                pivots=f.pivots,
                 residual=PhaseDiagonal(np.array([-1j * np.exp(1e-6j), -1j, -1.0]), 3),
                 ordering=FORWARD,
                 dim=3,
@@ -439,6 +447,51 @@ class TestNearUnitary:
         with pytest.raises(NotUnitLengthError):
             Reflection(pivot=np.array([1.0, 0.9]), level=1, dim=2)
         assert issubclass(NotUnitLengthError, NotUnitaryError)
+
+
+# Round-trip error of an input inside the gate, in units of its defect plus
+# N eps.  Fixed; the measured worst case is about 3.3 over 4000 draws of
+# these perturbations, and about 5 for rank-one ones rotated onto a
+# coordinate axis.
+GATE_ROUND_TRIP = 8.0
+
+
+def perturbed_to_defect(dim, seed, frac, rank_one, tol):
+    # U V diag(sqrt(1 + t r)) V^dag for a Haar U: (U')^dag U' - 1 is
+    # t V diag(r) V^dag, so t is chosen for a defect of frac times the gate,
+    # less a 1e-4 margin for rounding.  The rank-one case puts r = +-1 on
+    # a direction with entries of equal modulus, which maximizes the 2-norm
+    # of the defect for its largest entry.
+    rng = np.random.default_rng(seed)
+    u = random_unitary(dim, seed)
+    v = random_unitary(dim, seed + 1)
+    r = rng.uniform(-1.0, 1.0, dim)
+    if rank_one:
+        x = np.exp(1j * rng.uniform(-math.pi, math.pi, dim)) / math.sqrt(dim)
+        v, _ = np.linalg.qr(np.column_stack([x, v[:, 1:]]))
+        r = np.zeros(dim)
+        r[0] = rng.choice([-1.0, 1.0])
+    t = frac * tol * (1.0 - 1e-4) / float(np.max(np.abs((v * r) @ v.conj().T)))
+    return ((u @ v) * np.sqrt(1.0 + t * r)) @ v.conj().T
+
+
+class TestGate:
+    @given(dim=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 2),
+           frac=st.one_of(st.just(1.0), st.floats(0.0, 1.0)), rank_one=st.booleans())
+    @settings(max_examples=100)
+    def test_round_trip_at_the_gate(self, dim, seed, frac, rank_one):
+        tol = Tolerances().unitarity_tol
+        u = perturbed_to_defect(dim, seed, frac, rank_one, tol)
+        defect = unitarity_error(u)
+        assert defect <= tol
+        if frac == 1.0:
+            assert defect >= 0.999 * tol
+        bound = GATE_ROUND_TRIP * (defect + dim * np.finfo(float).eps)
+        for dec, conv in ((decompose, cosets_from_householder),
+                          (decompose_reversed, cosets_from_householder_reversed)):
+            f = dec(u)
+            assert maxdiff(reconstruct(f), u) <= bound
+            assert maxdiff(compose_cosets(conv(f)), u) <= bound
 
 
 def unblocked_column_loop(u):
@@ -529,16 +582,22 @@ class TestPanels:
         n = 2 * _PANEL + 1
         u = random_unitary(n, 720)
         f = dec(u)
-        assert calls == {"apply_reflection": 0, "pivot_from_column": n - 1,
+        assert calls == {"apply_reflection": 0, "pivot_from_column": 0,
                          "unitarity_error": 1}
         assert maxdiff(reconstruct(f), u) <= 1e-12
 
 
 def factorization_with(**changes):
     f = decompose(U0)
-    fields = dict(reflections=f.reflections, residual=f.residual, ordering=FORWARD,
+    fields = dict(pivots=f.pivots, residual=f.residual, ordering=FORWARD,
                   dim=3, pivot_phases=f.pivot_phases)
     return HouseholderFactorization(**{**fields, **changes})
+
+
+def edited_pivots(row, col, value):
+    pivots = decompose(U0).pivots.copy()
+    pivots[row, col] = value
+    return pivots
 
 
 BAD_INPUTS = {
@@ -548,8 +607,14 @@ BAD_INPUTS = {
     "factorization-ordering": lambda: factorization_with(ordering="sideways"),
     "factorization-dim": lambda: factorization_with(dim=0),
     "factorization-levels": lambda: factorization_with(
-        reflections=decompose(U0).reflections[::-1]),
+        pivots=decompose(U0).pivots[::-1]),
     "factorization-phase-range": lambda: factorization_with(pivot_phases=[4.0, 0.0]),
+    "stack-zero-row": lambda: factorization_with(pivots=edited_pivots(1, slice(None), 0.0)),
+    "stack-nonfinite": lambda: factorization_with(pivots=edited_pivots(1, 2, np.nan)),
+    "stack-overflowing-norm": lambda: factorization_with(pivots=edited_pivots(0, 2, 1e200)),
+    "stack-leading": lambda: factorization_with(pivots=edited_pivots(1, 0, 1e-300)),
+    "stack-shape": lambda: factorization_with(pivots=decompose(U0).pivots[:1]),
+    "stack-ragged": lambda: factorization_with(pivots=[[2.0, 0.0, 0.0], [0.0, 2.0]]),
     "apply-side": lambda: apply_reflection(decompose(U0).reflections[0], np.eye(3), "top"),
     "column-nonfinite": lambda: pivot_from_column(np.array([np.nan, 1.0]), 1),
     "column-level": lambda: pivot_from_column(np.array([1.0, 0.0]), 2),

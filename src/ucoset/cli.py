@@ -29,7 +29,7 @@ import sys
 import numpy as np
 
 from . import coset, haar, householder
-from .numkit import DEFAULT_TOLERANCES, Tolerances, UcosetError, unitarity_error
+from .numkit import DEFAULT_TOLERANCES, DomainError, Tolerances, UcosetError, unitarity_error
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -210,12 +210,10 @@ def _product(f) -> np.ndarray:
 
 
 def _tolerances(args) -> Tolerances:
-    tol = getattr(args, "tol", None)
-    if tol is None:
-        return DEFAULT_TOLERANCES
-    if not 0.0 < tol < math.inf:
-        raise _InputError(f"--tol must be positive and finite, got {tol}")
-    return Tolerances(unitarity_tol=tol, reconstruction_tol=tol)
+    try:
+        return Tolerances(unitarity_tol=args.tol)
+    except DomainError as exc:
+        raise _InputError(f"--tol must be positive and finite, got {args.tol}") from exc
 
 
 def cmd_decompose(args) -> int:
@@ -236,10 +234,10 @@ def cmd_decompose(args) -> int:
     elif args.mode == "coset-reversed":
         f = coset.cosets_from_householder_reversed(f)
     err = float(np.max(np.abs(_product(f) - u)))
-    if err > tol.reconstruction_tol:
+    if err > tol.unitarity_tol:
         print(
             f"internal error: reconstruction error {err:.3e} exceeds "
-            f"{tol.reconstruction_tol:.1e}",
+            f"{tol.unitarity_tol:.1e}",
             file=sys.stderr,
         )
         return EXIT_INTERNAL
@@ -344,14 +342,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_haar_test(args) -> int:
-    if args.dim < 2:
-        print("error: haar-test needs --dim at least 2", file=sys.stderr)
-        return EXIT_USAGE
-    if args.samples < 1000:
-        print("error: haar-test needs --samples at least 1000", file=sys.stderr)
-        return EXIT_USAGE
-    rng = haar.RngStream(args.seed)
-    report = haar.haar_validate(args.dim, args.samples, rng)
+    try:
+        report = haar.haar_validate(args.dim, args.samples, haar.RngStream(args.seed))
+    except (haar.InvalidDimError, haar.TooFewSamplesError) as exc:
+        raise _InputError(f"haar-test: {exc}") from exc
     threshold = 2.0 * 1.63 / math.sqrt(args.samples)
     mean_dev = float(np.max(np.abs(report.mean_moduli - 1.0 / args.dim)))
     print(
@@ -408,7 +402,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="matrix file to decompose")
     p.add_argument("--mode", choices=KINDS, default="householder")
     p.add_argument("--output", help="factorization file (default: stdout)")
-    p.add_argument("--tol", type=float, help="unitarity/reconstruction tolerance")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOLERANCES.unitarity_tol,
+                   help="unitarity and round-trip tolerance")
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("reconstruct", help="multiply a factorization file out")
@@ -425,7 +420,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check a matrix or factorization file")
     p.add_argument("--input", required=True)
-    p.add_argument("--tol", type=float, help="unitarity tolerance")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOLERANCES.unitarity_tol,
+                   help="unitarity tolerance")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("haar-test", help="statistical test of the sampler")

@@ -24,7 +24,8 @@ of ``householder``.
 
 The level-1 factor is also the exponential of the anti-Hermitian generator
 with column B below the corner; for ||B|| in (pi/2, pi] its corner is
-negative, outside the X chart, and only the pivot describes it.
+negative, outside the X chart, and only the pivot describes it.  Closed
+ranges and identities are checked with the fixed slack bounds of ``numkit``.
 """
 
 import math
@@ -33,11 +34,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numkit import (
+    BALL_SLACK,
+    FACTOR_IDENTITY_TOL,
+    FACTOR_MATCH_TOL,
+    RHO_SLACK,
     ComplexMatrix,
     ComplexVector,
     DimensionMismatchError,
     DomainError,
     UcosetError,
+    _frozen_array,
 )
 from .householder import (
     FORWARD,
@@ -109,21 +115,14 @@ class CosetVector:
     def __post_init__(self):
         if not 1 <= self.level <= self.dim - 1:
             raise DimensionMismatchError(f"level {self.level} outside 1..{self.dim - 1}")
-        x = np.array(self.x, dtype=complex)
-        if x.shape != (self.dim - self.level,):
-            raise DimensionMismatchError(
-                f"x must have length {self.dim - self.level}, got shape {x.shape}"
-            )
-        if not np.all(np.isfinite(x)):
-            raise DomainError("x has non-finite entries")
+        x = _frozen_array(self.x, (self.dim - self.level,), complex, "x")
         r_sq = float(np.real(np.vdot(x, x)))
-        if r_sq > 1.0 + 1e-12:
+        if r_sq > 1.0 + BALL_SLACK:
             raise BallViolationError(f"<x|x> = {r_sq} exceeds 1")
-        if not -1e-12 <= self.rho <= 1.0 + 1e-12:
+        if not -BALL_SLACK <= self.rho <= 1.0 + BALL_SLACK:
             raise RhoRangeError(f"rho {self.rho} outside [0, 1]")
-        if abs(self.rho * self.rho + r_sq - 1.0) > 2e-12:
+        if abs(self.rho * self.rho + r_sq - 1.0) > RHO_SLACK:
             raise RhoRangeError("rho is inconsistent with <x|x>")
-        x.setflags(write=False)
         object.__setattr__(self, "x", x)
 
     @classmethod
@@ -151,7 +150,7 @@ class Gamma:
     phase: float
 
     def __post_init__(self):
-        if not math.sqrt(0.5) - 1e-12 <= self.modulus <= 1.0 + 1e-12:
+        if not math.sqrt(0.5) - BALL_SLACK <= self.modulus <= 1.0 + BALL_SLACK:
             raise RhoRangeError(f"modulus {self.modulus} outside [sqrt(1/2), 1]")
         if not -math.pi < self.phase <= math.pi:
             raise DomainError(f"phase {self.phase} outside (-pi, pi]")
@@ -188,7 +187,7 @@ class CosetFactor:
         if not np.all(np.isfinite(m)):
             raise MalformedFactorError(f"factor at level {level} has non-finite entries")
         i = level - 1
-        if i and float(np.max(np.abs(m[:i, :] - np.eye(n)[:i, :]))) > 1e-10:
+        if i and float(np.max(np.abs(m[:i, :] - np.eye(n)[:i, :]))) > FACTOR_IDENTITY_TOL:
             raise MalformedFactorError(
                 f"factor at level {level} must act as the identity below its level"
             )
@@ -202,7 +201,7 @@ class CosetFactor:
         _pivot_record(self, p, level)
         # Entries too large for <p|p> to be finite give a NaN corner, which
         # must fail this check rather than pass it.
-        if not np.any(p) or not float(np.max(np.abs(self.matrix - m))) <= 1e-8:
+        if not np.any(p) or not float(np.max(np.abs(self.matrix - m))) <= FACTOR_MATCH_TOL:
             raise MalformedFactorError(
                 f"factor at level {level} is not a column-flipped reflection")
 
@@ -223,7 +222,7 @@ class CosetFactor:
     @property
     def vector(self) -> CosetVector | None:
         pk_bar, c, rho = self._corner()
-        if rho < -1e-12:
+        if rho < -BALL_SLACK:
             return None
         return CosetVector(x=(c * pk_bar) * self.pivot[self.level:], level=self.level,
                            dim=self.dim, rho=min(max(rho, 0.0), 1.0))
@@ -290,16 +289,9 @@ class Generator:
     def __post_init__(self):
         if not 1 <= self.level <= self.dim - 1:
             raise DimensionMismatchError(f"level {self.level} outside 1..{self.dim - 1}")
-        b = np.array(self.b, dtype=complex)
-        if b.shape != (self.dim - self.level,):
-            raise DimensionMismatchError(
-                f"b must have length {self.dim - self.level}, got shape {b.shape}"
-            )
-        if not np.all(np.isfinite(b)):
-            raise DomainError("b has non-finite entries")
-        if float(np.linalg.norm(b)) > math.pi + 1e-12:
+        b = _frozen_array(self.b, (self.dim - self.level,), complex, "b")
+        if float(np.linalg.norm(b)) > math.pi + BALL_SLACK:
             raise DomainError("||B|| must not exceed pi")
-        b.setflags(write=False)
         object.__setattr__(self, "b", b)
 
 
@@ -384,7 +376,7 @@ def coset_matrix_from_X(xv: CosetVector) -> CosetFactor:
 
 def gamma_from_rho(rho: float, phase: float) -> Gamma:
     """Corner overlap gamma with ``|gamma| = sqrt((1 + rho) / 2)``."""
-    if not -1e-12 <= rho <= 1.0 + 1e-12:
+    if not -BALL_SLACK <= rho <= 1.0 + BALL_SLACK:
         raise RhoRangeError(f"rho {rho} outside [0, 1]")
     rho = min(max(float(rho), 0.0), 1.0)
     return Gamma(
@@ -442,7 +434,7 @@ def coset_u2_explicit(x1: float, x2: float) -> ComplexMatrix:
     entries of the active block equal rho = sqrt(1 - x1^2 - x2^2).
     """
     r_sq = x1 * x1 + x2 * x2
-    if r_sq > 1.0 + 1e-12:
+    if r_sq > 1.0 + BALL_SLACK:
         raise BallViolationError(f"x1^2 + x2^2 = {r_sq} exceeds 1")
     rho = math.sqrt(max(0.0, 1.0 - r_sq))
     m = np.eye(3, dtype=complex)
@@ -470,7 +462,7 @@ def coset_u3_explicit(x3: float, x4: float, x5: float, x6: float) -> ComplexMatr
     a = x5 * x5 + x6 * x6
     b = x3 * x3 + x4 * x4
     xi_sq = a + b
-    if xi_sq > 1.0 + 1e-12:
+    if xi_sq > 1.0 + BALL_SLACK:
         raise BallViolationError(f"xi^2 = {xi_sq} exceeds 1")
     if xi_sq == 0.0:
         return np.eye(3, dtype=complex)

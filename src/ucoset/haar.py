@@ -17,11 +17,11 @@ angles are derived from uniforms ``u`` as ``phi = pi (1 - 2 u)``.
 
 ``haar_unitary_batch`` is the one sampler body.  It draws a stack of
 matrices with two generator calls per matrix, the N(N-1) normals of all its
-ball points and then its N uniforms, so a stack equals as many successive
-``haar_unitary`` calls, which is its count-1 case.  The ball radii of every
-level and matrix come from one vectorized regularized gamma function, and
-the product of reflections runs over the whole stack at once, in the
-panels of ``householder``.
+ball points and then its N uniforms, each straight into the block, so a
+stack equals as many successive ``haar_unitary`` calls, which is its count-1
+case.  The ball radii of every level and matrix come from one vectorized
+regularized gamma function, and the product of reflections runs over the
+whole stack at once, in the panels of ``householder``.
 ``haar_validate`` and ``ucoset sample`` draw in blocks of bounded size, on
 the same draw order.
 
@@ -259,8 +259,9 @@ def haar_unitary_batch(dim: int, count: int, rng: RngStream) -> np.ndarray:
     g = np.empty((count, dim * (dim - 1)))
     u = np.empty((count, dim))
     for k in range(count):
-        g[k] = rng.normals(dim * (dim - 1))
-        u[k] = rng.uniforms(dim)
+        rng._gen.standard_normal(out=g[k])
+        rng._gen.random(out=u[k])
+    rng.draws += count * dim * dim
     phases = np.exp(1j * (math.pi * (1.0 - 2.0 * u)))
     if dim == 1:
         return phases[..., None]

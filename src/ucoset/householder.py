@@ -23,7 +23,8 @@ A factorization stores its N - 1 pivots as one read-only (N - 1) x N array,
 the level-k pivot in row k - 1, so the strict lower triangle is exactly
 zero; its constructor checks that stack once, in array form.  The column
 loop writes each pivot straight into its row, and ``reflections`` are
-``Reflection`` views on the rows.
+``Reflection`` views on the rows.  The column loop is gated by the caller's
+``Tolerances``; the phase and pivot-norm bounds are fixed, named in ``numkit``.
 
 Every product of reflections in the package runs in panels of ``_PANEL``
 consecutive reflections.  A panel with at least ``_PANEL`` columns after it
@@ -48,6 +49,8 @@ import numpy as np
 
 from .numkit import (
     DEFAULT_TOLERANCES,
+    PHASE_TOL,
+    PIVOT_NORM_SLACK,
     ComplexMatrix,
     ComplexVector,
     DimensionMismatchError,
@@ -55,6 +58,7 @@ from .numkit import (
     Tolerances,
     UcosetError,
     _as_square_matrix,
+    _frozen_array,
     unitarity_error,
 )
 
@@ -81,18 +85,11 @@ __all__ = [
 FORWARD = "forward"
 REVERSED = "reversed"
 
-# Largest deviation of a phase entry from the unit circle, and of a residual
-# entry from -e^{i phi_k}.  An input with unitarity defect eps leaves both
-# deviations at about eps / 2, so every input inside the default gate (1e-10)
-# passes with a wide margin.
-PHASE_TOL = 1e-8
-
 # Reflections per compact-WY panel (see the module docstring).
 _PANEL = 32
 
-# Smallest <u|u> of a pivot: one built from a unit column has
-# <u|u> = 2 (1 + rho) >= 2.
-_MIN_NORM_SQ = 2.0 * (1.0 - 1e-8)
+# Smallest <u|u> of a pivot; one built from a unit column has 2 (1 + rho) >= 2.
+_MIN_NORM_SQ = 2.0 * (1.0 - PIVOT_NORM_SLACK)
 
 
 class NotUnitaryError(UcosetError):
@@ -150,11 +147,7 @@ class Reflection:
     def __post_init__(self):
         if not 1 <= self.level <= self.dim - 1:
             raise DimensionMismatchError(f"level {self.level} outside 1..{self.dim - 1}")
-        pivot = np.array(self.pivot, dtype=complex)
-        if pivot.shape != (self.dim,):
-            raise DimensionMismatchError(
-                f"pivot shape {pivot.shape} does not match dim {self.dim}"
-            )
+        pivot = _frozen_array(self.pivot, (self.dim,), complex, "pivot")
         _reflection_norms(pivot[None], self.level)
         _pivot_record(self, pivot, self.level)
 
@@ -177,24 +170,14 @@ class PhaseDiagonal:
     dim: int
 
     def __post_init__(self):
-        phases = np.array(self.phases, dtype=complex)
-        if phases.shape != (self.dim,):
-            raise DimensionMismatchError(
-                f"expected {self.dim} phases, got shape {phases.shape}"
-            )
-        if not np.all(np.isfinite(phases)):
-            raise DomainError("phases have non-finite entries")
+        phases = _frozen_array(self.phases, (self.dim,), complex, "phases")
         dev = float(np.max(np.abs(np.abs(phases) - 1.0)))
         if dev > PHASE_TOL:
             raise PhaseError(
                 f"phase entries deviate from unit modulus by {dev:.3e} "
                 f"(bound {PHASE_TOL:.0e})"
             )
-        phases.setflags(write=False)
         object.__setattr__(self, "phases", phases)
-
-    def matrix(self) -> ComplexMatrix:
-        return np.diag(self.phases)
 
 
 def _pivot_stack(pivots, dim: int) -> np.ndarray:
@@ -264,20 +247,15 @@ class HouseholderFactorization:
         _reflection_norms(pivots, 1)
         if self.residual.dim != self.dim:
             raise DimensionMismatchError("residual dim does not match")
-        phases = np.array(self.pivot_phases, dtype=float)
-        if phases.shape != (self.dim - 1,):
-            raise DimensionMismatchError("need one pivot phase per reflection")
-        if phases.size and not np.all((phases > -math.pi) & (phases <= math.pi)):
+        phases = _frozen_array(self.pivot_phases, (self.dim - 1,), float, "pivot phases")
+        if not np.all((phases > -math.pi) & (phases <= math.pi)):
             raise DomainError("pivot phases must lie in (-pi, pi]")
-        expected = -np.exp(1j * phases)
-        if phases.size:
-            dev = float(np.max(np.abs(self.residual.phases[: self.dim - 1] - expected)))
-            if dev > PHASE_TOL:
-                raise PhaseError(
-                    f"residual entries deviate from -e^{{i phi_k}} by {dev:.3e} "
-                    f"(bound {PHASE_TOL:.0e})"
-                )
-        phases.setflags(write=False)
+        dev = float(np.max(np.abs(self.residual.phases[:-1] + np.exp(1j * phases)), initial=0.0))
+        if dev > PHASE_TOL:
+            raise PhaseError(
+                f"residual entries deviate from -e^{{i phi_k}} by {dev:.3e} "
+                f"(bound {PHASE_TOL:.0e})"
+            )
         object.__setattr__(self, "pivots", pivots)
         object.__setattr__(self, "pivot_phases", phases)
 

@@ -2,8 +2,10 @@
 
 Everything in this package works on dense complex matrices stored as
 ``numpy.ndarray`` with ``dtype=complex``.  This module keeps the pieces the
-other modules share: a tolerance bundle, the max-norm unitarity defect used
-to gate every decomposition, and a deliberately simple series matrix
+other modules share: the unitarity gate ``Tolerances``, the one tolerance
+a caller sets; the fixed bounds of the identities checked up to rounding,
+each a module constant named once; the max-norm unitarity defect used to
+gate every decomposition; and a deliberately simple series matrix
 exponential that serves as an independent cross-check for the closed-form
 coset exponential.
 """
@@ -47,27 +49,37 @@ class DomainError(UcosetError):
     """A parameter is not finite or lies outside its documented range."""
 
 
+# The fixed bounds, each named once; the one bound a caller sets is ``Tolerances``.
+
+# Slack of the closed ranges <X|X> <= 1, rho in [0, 1], |Gamma| in
+# [sqrt(1/2), 1] and ||B|| <= pi, and of the X chart's edge rho >= 0.
+BALL_SLACK = 1e-12
+# Largest |rho^2 + <X|X> - 1| of ball coordinates given with their rho.
+RHO_SLACK = 2e-12
+# Largest deviation from the identity of a coset factor's rows before its level.
+FACTOR_IDENTITY_TOL = 1e-10
+# Largest entry of a dense coset factor minus the factor of the pivot read off it.
+FACTOR_MATCH_TOL = 1e-8
+# Largest deviation of a phase entry from the unit circle, and of a residual
+# entry from -e^{i phi_k}; a unitarity defect eps leaves both near eps / 2.
+PHASE_TOL = 1e-8
+# Relative shortfall of a pivot's <u|u> below 2, its least value from a unit column.
+PIVOT_NORM_SLACK = 1e-8
+# expm_series stops once a series term's largest entry falls below this.
+SERIES_CUTOFF = 1e-18
+
+
 @dataclass(frozen=True)
 class Tolerances:
-    """Numeric tolerances shared by the decomposition routines.
-
-    Attributes
-    ----------
-    unitarity_tol : float
-        Largest unitarity defect ``max |M^dag M - 1|`` accepted for an
-        input that must be unitary.
-    reconstruction_tol : float
-        Largest entrywise deviation allowed when a factorization is
-        multiplied back together and compared with its input.
-    """
+    """The unitarity gate: ``unitarity_tol`` is the largest defect
+    ``max |M^dag M - 1|`` accepted for an input that must be unitary.  It
+    must be positive and finite; anything else raises ``DomainError``."""
 
     unitarity_tol: float = 1e-10
-    reconstruction_tol: float = 1e-10
 
     def __post_init__(self):
-        for name in ("unitarity_tol", "reconstruction_tol"):
-            if not getattr(self, name) > 0.0:
-                raise DomainError(f"{name} must be strictly positive")
+        if not 0.0 < self.unitarity_tol < math.inf:
+            raise DomainError(f"unitarity_tol must be positive and finite: {self.unitarity_tol}")
 
 
 DEFAULT_TOLERANCES = Tolerances()
@@ -82,6 +94,22 @@ def _as_square_matrix(m) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise DomainError("matrix has non-finite entries")
     return a
+
+
+def _frozen_array(a, shape: tuple, dtype, what: str) -> np.ndarray:
+    # A read-only copy of a as an array of the given shape and dtype.  Any
+    # other shape, ragged input included, raises DimensionMismatchError and
+    # a non-finite entry DomainError.
+    try:
+        out = np.array(a, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise DimensionMismatchError(f"{what}: not an array: {exc}") from exc
+    if out.shape != shape:
+        raise DimensionMismatchError(f"{what}: shape {out.shape}, expected {shape}")
+    if not np.isfinite(out).all():
+        raise DomainError(f"{what}: non-finite entries")
+    out.setflags(write=False)
+    return out
 
 
 def unitarity_error(m) -> float:
@@ -110,10 +138,10 @@ def expm_series(a) -> ComplexMatrix:
     The input is scaled by ``2**-s`` with
     ``s = max(0, ceil(log2(max |a_ij|)) + 2)`` so the series converges
     quickly, terms are accumulated until their max-magnitude drops below
-    1e-18, and the result is squared ``s`` times.  Accurate to roughly
-    machine precision for the moderate norms used here; kept intentionally
-    free of clever rational approximations so it can act as an independent
-    oracle.
+    ``SERIES_CUTOFF``, and the result is squared ``s`` times.  Accurate to
+    roughly machine precision for the moderate norms used here; kept
+    intentionally free of clever rational approximations so it can act as
+    an independent oracle.
     """
     mat = _as_square_matrix(a)
     n = mat.shape[0]
@@ -128,7 +156,7 @@ def expm_series(a) -> ComplexMatrix:
     k = 1
     while True:
         term = term @ scaled / k
-        if float(np.max(np.abs(term))) < 1e-18:
+        if float(np.max(np.abs(term))) < SERIES_CUTOFF:
             break
         result = result + term
         k += 1

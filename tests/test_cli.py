@@ -144,6 +144,15 @@ class TestDecompose:
         assert run("decompose", "--input", u0_file,
                    "--output", "/nonexistent/dir/out.json") == 2
 
+    def test_round_trip_failure_is_internal_error(self, tmp_path, u0_file, monkeypatch,
+                                                  capsys):
+        monkeypatch.setattr(cli, "_product", lambda f: U0 + 1e-6)
+        out = tmp_path / "fact.json"
+        assert run("decompose", "--input", u0_file, "--output", str(out)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("internal error: reconstruction error")
+        assert not out.exists()
+
     def test_internal_error_path(self, u0_file, monkeypatch):
         def boom(u, tol):
             raise cli.UcosetError("synthetic invariant violation")
@@ -279,6 +288,28 @@ LITERAL_PLACES = {
 }
 
 
+# Files of the wrong form, and the commands that must refuse them.
+UNUSABLE_FILES = {
+    "matrix-not-object": ([[[1.0, 0.0]]], ["decompose", "verify"]),
+    "factorization-not-object": (["coset", 1], ["reconstruct", "verify"]),
+    "factor-rows-string": (golden_with("u0_coset.json", ("factors", 0, "rows"), "3"),
+                           ["reconstruct", "verify"]),
+    "kind-unknown": (golden_with("u0_coset.json", ("kind",), "qr"), ["reconstruct", "verify"]),
+    "factor-dim": (golden_with("u0_coset.json", ("factors", 1), matrix_obj(np.eye(2))),
+                   ["reconstruct", "verify"]),
+}
+
+
+@pytest.mark.parametrize("case", UNUSABLE_FILES.values(), ids=UNUSABLE_FILES.keys())
+def test_unusable_file(tmp_path, capsys, case):
+    obj, commands = case
+    path = write_json(tmp_path / "bad.json", obj)
+    for command in commands:
+        assert run(command, "--input", path) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+
 @pytest.mark.parametrize("place", LITERAL_PLACES)
 @pytest.mark.parametrize("literal", BAD_LITERALS.values(), ids=BAD_LITERALS.keys())
 def test_bad_literal_is_unusable_input(tmp_path, capsys, place, literal):
@@ -370,6 +401,16 @@ class TestVerify:
         obj["pivot_phases"] = [0.0, 0.0]
         path = write_json(tmp_path / "h.json", obj)
         assert run("verify", "--input", path) == 4
+
+    def test_phase_moduli_are_checked_at_tol(self, tmp_path, capsys):
+        # 1e-9 off the unit circle is inside the library's phase bound, but
+        # not inside the default --tol.
+        obj = json.loads((GOLDEN_DIR / "u0_coset.json").read_text())
+        obj["phases"] = [[re * (1.0 + 1e-9), im * (1.0 + 1e-9)] for re, im in obj["phases"]]
+        path = write_json(tmp_path / "p.json", obj)
+        assert run("verify", "--input", path) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert any(line.startswith("verify: FAIL phase moduli deviate") for line in err)
 
     def test_tol_flag_loosens_the_gate(self, tmp_path):
         m = U0 * (1.0 + 5e-7)

@@ -720,10 +720,13 @@ BAD_INPUTS = {
     "vector-length": lambda: CosetVector.from_coords([0.1, 0.2], level=1, dim=2),
     "vector-nonfinite": lambda: CosetVector(x=[np.nan], level=1, dim=2, rho=1.0),
     "vector-rho-inconsistent": lambda: CosetVector(x=[0.6], level=1, dim=2, rho=0.5),
+    "vector-rho-range": lambda: CosetVector(x=[0.0], level=1, dim=2, rho=2.0),
+    "vector-ragged": lambda: CosetVector(x=[0.0, [0.0]], level=1, dim=3, rho=1.0),
     "gamma-modulus": lambda: Gamma(modulus=1.5, phase=0.0),
     "gamma-phase": lambda: Gamma(modulus=1.0, phase=4.0),
     "factor-level": lambda: CosetFactor(matrix=np.eye(3), level=3),
     "factor-nonfinite": lambda: CosetFactor(matrix=np.full((2, 2), np.nan), level=1),
+    "factor-nonsquare": lambda: CosetFactor(matrix=np.ones((2, 3)), level=1),
     "factorization-ordering": lambda: CosetFactorization(
         eye_pivots(2, [1]), PhaseDiagonal(np.ones(2), 2), "sideways", 2),
     "factorization-levels": lambda: CosetFactorization(

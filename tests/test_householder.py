@@ -603,12 +603,18 @@ def edited_pivots(row, col, value):
 BAD_INPUTS = {
     "reflection-level": lambda: Reflection(pivot=np.array([1.0, 1.0]), level=2, dim=2),
     "reflection-nonfinite": lambda: Reflection(pivot=np.array([np.nan, 1.0]), level=1, dim=2),
+    "reflection-length": lambda: Reflection(pivot=np.array([2.0, 0.0, 0.0]), level=1, dim=2),
+    "reflection-ragged": lambda: Reflection(pivot=[2.0, [0.0]], level=1, dim=2),
+    "phases-ragged": lambda: PhaseDiagonal([1.0, [1.0]], 2),
     "phases-nonfinite": lambda: PhaseDiagonal(np.array([np.inf, 1.0]), 2),
     "factorization-ordering": lambda: factorization_with(ordering="sideways"),
     "factorization-dim": lambda: factorization_with(dim=0),
     "factorization-levels": lambda: factorization_with(
         pivots=decompose(U0).pivots[::-1]),
     "factorization-phase-range": lambda: factorization_with(pivot_phases=[4.0, 0.0]),
+    "factorization-residual-dim": lambda: factorization_with(
+        residual=PhaseDiagonal(np.ones(2), 2)),
+    "factorization-phase-count": lambda: factorization_with(pivot_phases=[0.0]),
     "stack-zero-row": lambda: factorization_with(pivots=edited_pivots(1, slice(None), 0.0)),
     "stack-nonfinite": lambda: factorization_with(pivots=edited_pivots(1, 2, np.nan)),
     "stack-overflowing-norm": lambda: factorization_with(pivots=edited_pivots(0, 2, 1e200)),
@@ -616,8 +622,10 @@ BAD_INPUTS = {
     "stack-shape": lambda: factorization_with(pivots=decompose(U0).pivots[:1]),
     "stack-ragged": lambda: factorization_with(pivots=[[2.0, 0.0, 0.0], [0.0, 2.0]]),
     "apply-side": lambda: apply_reflection(decompose(U0).reflections[0], np.eye(3), "top"),
+    "apply-3d": lambda: apply_reflection(decompose(U0).reflections[0], np.ones((3, 3, 3))),
     "column-nonfinite": lambda: pivot_from_column(np.array([np.nan, 1.0]), 1),
     "column-level": lambda: pivot_from_column(np.array([1.0, 0.0]), 2),
+    "column-2d": lambda: pivot_from_column(np.ones((2, 1)), 1),
 }
 
 

@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from ucoset import NonSquareError, Tolerances, expm_series, unitarity_error
+from ucoset import DomainError, NonSquareError, Tolerances, expm_series, unitarity_error
 
 from golden_data import U0, maxdiff, random_unitary
 
@@ -77,11 +78,18 @@ class TestTolerances:
     def test_defaults(self):
         tol = Tolerances()
         assert tol.unitarity_tol == 1e-10
-        assert tol.reconstruction_tol == 1e-10
 
     @pytest.mark.parametrize(
-        "field", ["unitarity_tol", "reconstruction_tol"]
+        "field", ["unitarity_tol"]
     )
     def test_must_be_positive(self, field):
         with pytest.raises(ValueError):
             Tolerances(**{field: 0.0})
+
+    def test_has_one_field(self):
+        assert [f.name for f in dataclasses.fields(Tolerances)] == ["unitarity_tol"]
+
+    @pytest.mark.parametrize("value", [0.0, -1e-3, math.nan, math.inf])
+    def test_gate_must_be_positive_and_finite(self, value):
+        with pytest.raises(DomainError):
+            Tolerances(unitarity_tol=value)

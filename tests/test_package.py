@@ -1,4 +1,7 @@
-"""Package-wide contracts: one list of public names, typed errors."""
+"""Package-wide contracts: one list of public names, typed errors, named bounds."""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,13 +22,14 @@ def test_public_names_are_the_modules_own():
 
 
 BAD_INPUTS = {
-    "tolerance": lambda: numkit.Tolerances(reconstruction_tol=0.0),
+    "tolerance": lambda: numkit.Tolerances(unitarity_tol=float("inf")),
     "seed": lambda: haar.RngStream(-1),
     "stream": lambda: haar.RngStream(0, 2 ** 64),
     "matrix-nonfinite": lambda: numkit.unitarity_error(np.array([[np.nan]])),
     "matrix-empty": lambda: numkit.unitarity_error(np.zeros((0, 0))),
     "ks-empty": lambda: haar.ks_statistic([], lambda x: x),
     "ks-two-sample-empty": lambda: haar.ks_statistic_two_sample([0.5], []),
+    "oracle-dim": lambda: haar.haar_oracle(0, haar.RngStream(0)),
 }
 
 
@@ -33,3 +37,26 @@ BAD_INPUTS = {
 def test_bad_input_raises_typed_error(build):
     with pytest.raises(UcosetError):
         build()
+
+
+def small_float_literals(src_dir):
+    """``file:line`` of every float literal with 0 < |v| < 1e-6 in the package
+    sources that is not the whole value of a module-level constant of
+    numkit.py or the default of a ``Tolerances`` field."""
+    found = []
+    for path in sorted(Path(src_dir).glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        named = set()
+        if path.name == "numkit.py":
+            bodies = [tree.body] + [node.body for node in tree.body
+                                    if isinstance(node, ast.ClassDef) and node.name == "Tolerances"]
+            named = {id(stmt.value) for body in bodies for stmt in body
+                     if isinstance(stmt, (ast.Assign, ast.AnnAssign))}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and type(node.value) is float
+                  and 0.0 < abs(node.value) < 1e-6 and id(node) not in named]
+    return found
+
+
+def test_every_fixed_bound_is_named_once():
+    assert small_float_literals(Path(numkit.__file__).parent) == []

@@ -16,7 +16,9 @@ File formats are JSON with complex numbers as [re, im] pairs:
 
 A factorization file is read into a HouseholderFactorization or a
 CosetFactorization, whose constructors check its structure, and written back
-from one; every product runs in the library.  Non-finite numbers, including
+from one; every product runs in the library.  The reader restores each
+dense reflection's pivot phase from "pivot_phases", which must equal the
+phases then read off the pivots' corners.  Non-finite numbers, including
 literals that overflow a float, are rejected on input.  JSON payloads go to
 --output or stdout; status messages go to stderr.
 """
@@ -171,25 +173,26 @@ def _factorization_fields(obj):
 def _factorization_from_fields(kind, factors, phases, pivot_phases):
     # CosetFactor reads each pivot off its dense factor, and the library
     # constructors check the stack; all raise UcosetError.  A householder
-    # factor R(u) with column k negated is R(u) F_k, the coset factor of u.
-    # Its pivot p times 2 conj(p_k) / <p|p> is column k of 1 - R(u), which is
-    # e^{-i phi_k} u for the reflection of a column-clearing step; the bound
-    # <u|u> >= 2 then holds exactly when R(u)_kk <= 0, as it does for every
-    # such step.
+    # factor R(u) with column k negated is R(u) F_k, the coset factor of u,
+    # and its pivot p times 2 conj(p_k) / <p|p> is column k of 1 - R(u):
+    # e^{-i phi_k} u for a column-clearing step, so the file's e^{i phi_k}
+    # restores u.  <u|u> >= 2 then holds exactly when R(u)_kk <= 0, as it
+    # does for every such step, and the file's phi_k must equal arg u_kk.
     dim = phases.shape[0]
     diag = householder.PhaseDiagonal(phases, dim)
     pivots = np.zeros((dim - 1, dim), dtype=complex)
     for k, m in enumerate(factors, start=1):
         if kind == "householder":
             m = np.where(np.arange(dim) == k - 1, -m, m)
-            p = coset.CosetFactor(matrix=m, level=k).pivot
-            p = 2.0 * p[k - 1].conjugate() / np.vdot(p, p).real * p
-        else:
-            p = coset.CosetFactor(matrix=m, level=k).pivot
-        pivots[k - 1] = p
+        pivots[k - 1] = coset.CosetFactor(matrix=m, level=k).pivot
     if kind == "householder":
-        return householder.HouseholderFactorization(
-            pivots, diag, householder.FORWARD, dim, pivot_phases)
+        norm_sq = np.einsum("ij,ij->i", pivots, pivots.conj()).real
+        pivots *= (2.0 * np.diagonal(pivots).conj() / norm_sq * np.exp(1j * pivot_phases))[:, None]
+        f = householder.HouseholderFactorization(pivots, diag, householder.FORWARD, dim)
+        dev = np.abs(f.pivot_phases - pivot_phases).max(initial=0.0)
+        if dev > householder.PHASE_TOL:
+            raise householder.PhaseError(f"pivot_phases deviate from the pivots' by {dev:.3e}")
+        return f
     ordering = householder.FORWARD if kind == "coset" else householder.REVERSED
     return coset.CosetFactorization(pivots, diag, ordering, dim)
 

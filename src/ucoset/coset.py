@@ -43,6 +43,7 @@ from .numkit import (
     DimensionMismatchError,
     DomainError,
     UcosetError,
+    _as_array,
     _frozen_array,
 )
 from .householder import (
@@ -51,9 +52,8 @@ from .householder import (
     HouseholderFactorization,
     PhaseDiagonal,
     _canonical_angle,
-    _pivot_norms,
+    _check_record,
     _pivot_record,
-    _pivot_stack,
     _product,
     _reflect_rows,
 )
@@ -128,7 +128,7 @@ class CosetVector:
     @classmethod
     def from_coords(cls, x, level: int, dim: int) -> "CosetVector":
         """Build from ball coordinates alone, deriving rho."""
-        arr = np.asarray(x, dtype=complex)
+        arr = _as_array(x, "x")
         r_sq = float(np.real(np.vdot(arr, arr)))
         rho = math.sqrt(max(0.0, 1.0 - r_sq))
         return cls(x=arr, level=level, dim=dim, rho=rho)
@@ -177,7 +177,7 @@ class CosetFactor:
     pivot: ComplexVector
 
     def __init__(self, matrix, level: int):
-        m = np.array(matrix, dtype=complex)
+        m = _as_array(matrix, f"factor at level {level}")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise MalformedFactorError(
                 f"factor at level {level} must be square, got {m.shape}")
@@ -256,18 +256,13 @@ class CosetFactorization:
     dim: int
 
     def __post_init__(self):
-        if self.ordering not in (FORWARD, REVERSED):
-            raise MalformedFactorError(f"unknown ordering {self.ordering!r}")
-        pivots = _pivot_stack(self.pivots, self.dim)
-        norm_sq = _pivot_norms(pivots, 1, MalformedFactorError, MalformedFactorError)
+        norm_sq = _check_record(self, self.terminal_phases, MalformedFactorError,
+                                MalformedFactorError)
         # Any nonzero pivot is a factor, but one with <p|p> = 0, a zero row
         # or one that underflows, has no 2 / <p|p>.
         zero = np.flatnonzero(norm_sq == 0.0)
         if zero.size:
             raise MalformedFactorError(f"pivot at level {zero[0] + 1} has <p|p> = 0")
-        if self.terminal_phases.dim != self.dim:
-            raise DimensionMismatchError("terminal phases dim does not match")
-        object.__setattr__(self, "pivots", pivots)
 
     @property
     def factors(self) -> tuple:

@@ -57,6 +57,7 @@ from .numkit import (
     DomainError,
     Tolerances,
     UcosetError,
+    _as_array,
     _as_square_matrix,
     _frozen_array,
     unitarity_error,
@@ -148,7 +149,8 @@ class Reflection:
         if not 1 <= self.level <= self.dim - 1:
             raise DimensionMismatchError(f"level {self.level} outside 1..{self.dim - 1}")
         pivot = _frozen_array(self.pivot, (self.dim,), complex, "pivot")
-        _reflection_norms(pivot[None], self.level)
+        _short_pivots(_pivot_norms(pivot[None], self.level, DomainError,
+                                   LeadingComponentsNonzeroError), self.level)
         _pivot_record(self, pivot, self.level)
 
     @classmethod
@@ -170,30 +172,14 @@ class PhaseDiagonal:
     dim: int
 
     def __post_init__(self):
+        if self.dim < 1:
+            raise DimensionMismatchError("phase diagonal dim must be at least 1")
         phases = _frozen_array(self.phases, (self.dim,), complex, "phases")
         dev = float(np.max(np.abs(np.abs(phases) - 1.0)))
         if dev > PHASE_TOL:
-            raise PhaseError(
-                f"phase entries deviate from unit modulus by {dev:.3e} "
-                f"(bound {PHASE_TOL:.0e})"
-            )
+            raise PhaseError(f"phase entries deviate from unit modulus by {dev:.3e} "
+                             f"(bound {PHASE_TOL:.0e})")
         object.__setattr__(self, "phases", phases)
-
-
-def _pivot_stack(pivots, dim: int) -> np.ndarray:
-    # The (dim - 1) x dim pivot stack as a read-only complex array.  A
-    # read-only complex array is kept as it is, so that factorizations can
-    # share a stack; anything else is copied.
-    try:
-        p = np.asarray(pivots)
-        if p.dtype != complex or p.flags.writeable:
-            p = np.array(p, dtype=complex)
-    except (TypeError, ValueError) as exc:
-        raise DimensionMismatchError(f"pivots do not form an array: {exc}") from exc
-    if p.shape != (dim - 1, dim):
-        raise DimensionMismatchError(f"pivot stack shape {p.shape} is not {(dim - 1, dim)}")
-    p.setflags(write=False)
-    return p
 
 
 def _pivot_norms(p, level: int, invalid, leading) -> np.ndarray:
@@ -210,13 +196,31 @@ def _pivot_norms(p, level: int, invalid, leading) -> np.ndarray:
     return norm_sq
 
 
-def _reflection_norms(p, level: int) -> None:
-    # _pivot_norms for reflection pivots, which also need <u|u> >= 2.
-    norm_sq = _pivot_norms(p, level, DomainError, LeadingComponentsNonzeroError)
+def _short_pivots(norm_sq, level: int) -> None:
+    # Reflection pivots also need <u|u> >= 2; norm_sq[j] is at level level + j.
     short = np.flatnonzero(norm_sq < _MIN_NORM_SQ)
     if short.size:
         raise NotUnitLengthError(f"pivot at level {short[0] + level} has norm-squared "
                                  f"{norm_sq[short[0]]} below the bound 2")
+
+
+def _check_record(f, phases: PhaseDiagonal, invalid, leading) -> np.ndarray:
+    # What both factorization records check: the ordering (invalid), the dim
+    # of the phase diagonal, and the pivot stack, which replaces f.pivots as
+    # a read-only (dim - 1) x dim complex array; a read-only complex array is
+    # kept, so that records can share a stack, and anything else is copied.
+    # Returns the stack's <u|u>, as _pivot_norms.
+    if f.ordering not in (FORWARD, REVERSED):
+        raise invalid(f"unknown ordering {f.ordering!r}")
+    if phases.dim != f.dim:
+        raise DimensionMismatchError(f"phase diagonal dim {phases.dim} is not dim {f.dim}")
+    p = _as_array(f.pivots, "pivots")
+    p = p.copy() if p.flags.writeable else p
+    if p.shape != (f.dim - 1, f.dim):
+        raise DimensionMismatchError(f"pivot stack shape {p.shape} is not {(f.dim - 1, f.dim)}")
+    p.setflags(write=False)
+    object.__setattr__(f, "pivots", p)
+    return _pivot_norms(p, 1, invalid, leading)
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,36 +232,31 @@ class HouseholderFactorization:
     views on its rows.  Forward ordering reconstructs as
     ``R_1 R_2 ... R_{dim-1} D``; reversed ordering as ``D R_{dim-1} ... R_1``
     with ``D`` the residual diagonal.  For every level ``k < dim`` the
-    residual entry equals ``-e^{i phi_k}`` with ``phi_k`` the stored pivot
-    phase; the last entry is free.
+    residual entry equals ``-e^{i phi_k}``, with the pivot phase ``phi_k``
+    the argument of the pivot's corner ``u_kk = (1 + |w_k|) e^{i phi_k}``;
+    the last entry is free.
     """
 
     pivots: np.ndarray
     residual: PhaseDiagonal
     ordering: str
     dim: int
-    pivot_phases: np.ndarray
 
     def __post_init__(self):
-        if self.ordering not in (FORWARD, REVERSED):
-            raise DomainError(f"unknown ordering {self.ordering!r}")
-        if self.dim < 1:
-            raise DimensionMismatchError("dim must be at least 1")
-        pivots = _pivot_stack(self.pivots, self.dim)
-        _reflection_norms(pivots, 1)
-        if self.residual.dim != self.dim:
-            raise DimensionMismatchError("residual dim does not match")
-        phases = _frozen_array(self.pivot_phases, (self.dim - 1,), float, "pivot phases")
-        if not np.all((phases > -math.pi) & (phases <= math.pi)):
-            raise DomainError("pivot phases must lie in (-pi, pi]")
-        dev = float(np.max(np.abs(self.residual.phases[:-1] + np.exp(1j * phases)), initial=0.0))
+        norm_sq = _check_record(self, self.residual, DomainError, LeadingComponentsNonzeroError)
+        _short_pivots(norm_sq, 1)
+        dev = np.abs(self.residual.phases[:-1] + np.exp(1j * self.pivot_phases)).max(initial=0.0)
         if dev > PHASE_TOL:
-            raise PhaseError(
-                f"residual entries deviate from -e^{{i phi_k}} by {dev:.3e} "
-                f"(bound {PHASE_TOL:.0e})"
-            )
-        object.__setattr__(self, "pivots", pivots)
-        object.__setattr__(self, "pivot_phases", phases)
+            raise PhaseError(f"residual entries deviate from -e^{{i phi_k}} by {dev:.3e} "
+                             f"(bound {PHASE_TOL:.0e})")
+
+    @property
+    def pivot_phases(self) -> np.ndarray:
+        """The pivot phases ``arg u_kk`` (reversed: ``-arg u_kk``) in (-pi, pi]."""
+        phi = np.angle(np.diagonal(self.pivots))
+        if self.ordering == REVERSED:
+            phi = -phi
+        return np.where(phi == -math.pi, math.pi, phi)
 
     @property
     def reflections(self) -> tuple:
@@ -280,7 +279,7 @@ def apply_reflection(r: Reflection, m, side: str = "left"):
     if side not in ("left", "right"):
         raise DomainError(f"side must be 'left' or 'right', got {side!r}")
     right = side == "right"
-    a = np.asarray(m, dtype=complex)
+    a = _as_array(m, "operand")
     if a.ndim not in (1, 2):
         raise DimensionMismatchError("operand must be a vector or a matrix")
     length = a.shape[-1] if right else a.shape[0]
@@ -389,7 +388,7 @@ def pivot_from_column(w, level: int, tol: Tolerances | None = None):
         If the leading components exceed ``tol.unitarity_tol``.
     """
     tol = tol or DEFAULT_TOLERANCES
-    v = np.array(w, dtype=complex)
+    v = _as_array(w, "column", copy=True)
     if v.ndim != 1:
         raise DimensionMismatchError("column must be one-dimensional")
     phi, _ = _pivot_in_place(v, level, tol.unitarity_tol)
@@ -456,22 +455,19 @@ def _clear_columns(u, tol: Tolerances, ordering: str) -> HouseholderFactorizatio
     else:
         a, check_tol = np.conj(a.T, order="C"), 2.0 * n * tol.unitarity_tol
     pivots = np.zeros((n - 1, n), dtype=complex)
-    phases = np.empty(n - 1)
     c = np.empty(n - 1)
     for lo, hi, end in _panels(n):
         for i in range(lo, hi):
             pivots[i] = a[:, i]
-            phases[i], norm_sq = _pivot_in_place(pivots[i], i + 1, check_tol)
+            _, norm_sq = _pivot_in_place(pivots[i], i + 1, check_tol)
             c[i] = 2.0 / norm_sq
             _reflect_rows(a[:, i:end], i, pivots[i], c[i])
         if end < n:
             v = pivots[lo:hi, lo:]
             _apply_wy(a[lo:, end:], v, _wy_factor(v, c[lo:hi]).conj().T)
     pivots.setflags(write=False)
-    residual = np.diag(a)
-    if ordering == REVERSED:
-        residual, phases = residual.conj(), np.where(phases == math.pi, math.pi, -phases)
-    return HouseholderFactorization(pivots, PhaseDiagonal(residual, n), ordering, n, phases)
+    residual = np.diag(a) if ordering == FORWARD else np.diag(a).conj()
+    return HouseholderFactorization(pivots, PhaseDiagonal(residual, n), ordering, n)
 
 
 def decompose(u, tol: Tolerances | None = None) -> HouseholderFactorization:
@@ -490,8 +486,8 @@ def decompose_reversed(u, tol: Tolerances | None = None) -> HouseholderFactoriza
 
     Runs the forward column loop on ``U^dag = R_1 ... R_{N-1} D^dag``: the
     pivots are the same, so right-multiplication by ``R_k`` clears row k of
-    ``U`` to ``-e^{i phi_k} e_k``.  The residual is conjugated and each pivot
-    phase negated, with -pi mapped back to pi.
+    ``U`` to ``-e^{i phi_k} e_k``.  The residual is conjugated, and the
+    pivot phases, read off the same pivots, are negated.
 
     Raises NotUnitaryError when ``U`` itself fails the unitarity tolerance.
     """

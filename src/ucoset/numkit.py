@@ -85,8 +85,16 @@ class Tolerances:
 DEFAULT_TOLERANCES = Tolerances()
 
 
+def _as_array(a, what: str, dtype=complex, copy=False) -> np.ndarray:
+    # np.asarray(a, dtype), or a new np.array if copy; ragged -> DimensionMismatchError.
+    try:
+        return np.array(a, dtype=dtype) if copy else np.asarray(a, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise DimensionMismatchError(f"{what}: not an array: {exc}") from exc
+
+
 def _as_square_matrix(m) -> np.ndarray:
-    a = np.asarray(m, dtype=complex)
+    a = _as_array(m, "matrix")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NonSquareError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] == 0:
@@ -100,10 +108,7 @@ def _frozen_array(a, shape: tuple, dtype, what: str) -> np.ndarray:
     # A read-only copy of a as an array of the given shape and dtype.  Any
     # other shape, ragged input included, raises DimensionMismatchError and
     # a non-finite entry DomainError.
-    try:
-        out = np.array(a, dtype=dtype)
-    except (TypeError, ValueError) as exc:
-        raise DimensionMismatchError(f"{what}: not an array: {exc}") from exc
+    out = _as_array(a, what, dtype, copy=True)
     if out.shape != shape:
         raise DimensionMismatchError(f"{what}: shape {out.shape}, expected {shape}")
     if not np.isfinite(out).all():

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -182,6 +183,17 @@ class TestReconstruct:
         got = matrix_from_obj(json.loads(capsys.readouterr().out))
         assert maxdiff(got, np.eye(1)) == 0.0
 
+    @pytest.mark.parametrize("u", [U0, random_unitary(40, 520), -np.eye(4)],
+                             ids=["u0", "haar-40", "minus-identity"])
+    def test_householder_file_reads_back_the_pivot_stack(self, tmp_path, u):
+        # A dense reflection fixes its pivot only up to a phase, which the
+        # reader restores from the file's pivot_phases.
+        src = write_json(tmp_path / "u.json", matrix_obj(u))
+        fact = tmp_path / "f.json"
+        assert run("decompose", "--input", src, "--output", str(fact)) == 0
+        f = cli._factorization_from_obj(json.loads(fact.read_text()))
+        assert maxdiff(f.pivots, ucoset.decompose(u).pivots) <= 1e-15
+
     def test_round_trip_through_files(self, tmp_path, capsys):
         # Dim 65 runs a blocked panel; dim 1 has no factors.
         modes = ["householder", "coset", "coset-reversed"]
@@ -247,6 +259,9 @@ NOT_FACTORIZATIONS = {
     "coset-diagonal-factor": ("u0_coset.json", ("factors", 1),
                               matrix_obj(np.diag([1.0, 1j, 1.0]))),
     "householder-residual": ("u0_householder.json", ("pivot_phases",), [0.0, 0.0]),
+    # Equal to the pivots' phases modulo 2 pi only: outside (-pi, pi].
+    "householder-phase-range": ("u0_householder.json", ("pivot_phases",),
+                                [math.pi / 2 + 2 * math.pi, math.pi / 2]),
     "householder-level": ("u0_householder.json", ("factors", 1), HOUSEHOLDER_FACTOR_1),
     "householder-corner": ("u0_householder.json", ("factors", 0),
                            matrix_obj(POSITIVE_CORNER_REFLECTION)),
@@ -297,6 +312,8 @@ UNUSABLE_FILES = {
     "kind-unknown": (golden_with("u0_coset.json", ("kind",), "qr"), ["reconstruct", "verify"]),
     "factor-dim": (golden_with("u0_coset.json", ("factors", 1), matrix_obj(np.eye(2))),
                    ["reconstruct", "verify"]),
+    "householder-phase-count": (golden_with("u0_householder.json", ("pivot_phases",),
+                                            [math.pi / 2]), ["reconstruct", "verify"]),
 }
 
 

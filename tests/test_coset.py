@@ -510,13 +510,22 @@ class TestStructuredFactor:
         boundary[1:, : dim - 1] = w
         for dec, conv, ordering in ORDERINGS:
             # The reversed ordering clears rows: hand it the transpose.
-            def first_factor(m):
-                return conv(dec(m if ordering == FORWARD else m.T)).factors[0]
+            def factorization(m):
+                return dec(m if ordering == FORWARD else m.T)
 
-            assert maxdiff(first_factor(pure).matrix, np.eye(dim)) == 0.0
-            xv = extract_coset_vector(first_factor(boundary))
+            f = factorization(pure)
+            assert maxdiff(conv(f).factors[0].matrix, np.eye(dim)) == 0.0
+            # The pivot phase read off the corner is alpha, -pi included,
+            # within (-pi, pi].
+            phi = f.pivot_phases[0]
+            assert -math.pi < phi <= math.pi
+            assert abs(np.exp(1j * phi) - np.exp(1j * alpha)) <= 1e-15
+            f = factorization(boundary)
+            xv = extract_coset_vector(conv(f).factors[0])
             assert xv.rho <= 1e-15
             assert abs(xv.r_sq - 1.0) <= 1e-14
+            # w_1 = 0 leaves the corner u_11 = 1, whose phase is exactly 0.
+            assert f.pivot_phases[0] == 0.0
 
     def test_factor_and_matrix_are_immutable(self):
         cf = cosets_from_householder(decompose(random_unitary(4, 110)))
@@ -722,11 +731,13 @@ BAD_INPUTS = {
     "vector-rho-inconsistent": lambda: CosetVector(x=[0.6], level=1, dim=2, rho=0.5),
     "vector-rho-range": lambda: CosetVector(x=[0.0], level=1, dim=2, rho=2.0),
     "vector-ragged": lambda: CosetVector(x=[0.0, [0.0]], level=1, dim=3, rho=1.0),
+    "vector-coords-ragged": lambda: CosetVector.from_coords([0.0, [0.0]], level=1, dim=3),
     "gamma-modulus": lambda: Gamma(modulus=1.5, phase=0.0),
     "gamma-phase": lambda: Gamma(modulus=1.0, phase=4.0),
     "factor-level": lambda: CosetFactor(matrix=np.eye(3), level=3),
     "factor-nonfinite": lambda: CosetFactor(matrix=np.full((2, 2), np.nan), level=1),
     "factor-nonsquare": lambda: CosetFactor(matrix=np.ones((2, 3)), level=1),
+    "factor-ragged": lambda: CosetFactor(matrix=[[1.0, 0.0], [0.0]], level=1),
     "factorization-ordering": lambda: CosetFactorization(
         eye_pivots(2, [1]), PhaseDiagonal(np.ones(2), 2), "sideways", 2),
     "factorization-levels": lambda: CosetFactorization(

@@ -284,7 +284,6 @@ class TestReconstruct:
             residual=PhaseDiagonal(np.array([1.0 + 0j]), 1),
             ordering=FORWARD,
             dim=1,
-            pivot_phases=np.zeros(0),
         )
         assert maxdiff(reconstruct(f), np.eye(1)) == 0.0
 
@@ -294,19 +293,20 @@ class TestReconstruct:
     def test_reversed_order_matters(self):
         # Forward and reversed factorizations of the same matrix are
         # genuinely different objects; each reconstructs only its own way.
+        # Relabelled forward, the reversed residual -e^{-i arg u_kk} no
+        # longer matches the pivot phases arg u_kk, so it is not a record.
         u = random_unitary(5, 43)
         fwd = decompose(u)
         rev = decompose_reversed(u)
         assert maxdiff(reconstruct(fwd), u) <= 1e-12
         assert maxdiff(reconstruct(rev), u) <= 1e-12
-        swapped = HouseholderFactorization(
-            pivots=rev.pivots,
-            residual=rev.residual,
-            ordering=FORWARD,
-            dim=rev.dim,
-            pivot_phases=rev.pivot_phases,
-        )
-        assert maxdiff(reconstruct(swapped), u) > 1e-6
+        with pytest.raises(PhaseError):
+            HouseholderFactorization(
+                pivots=rev.pivots,
+                residual=rev.residual,
+                ordering=FORWARD,
+                dim=rev.dim,
+            )
 
 
 class TestInvariants:
@@ -381,7 +381,6 @@ class TestValidation:
                 residual=PhaseDiagonal(np.array([1.0, -1j, -1.0]), 3),
                 ordering=FORWARD,
                 dim=3,
-                pivot_phases=f.pivot_phases,
             )
 
     def test_writable_stack_is_copied(self):
@@ -400,7 +399,6 @@ class TestValidation:
                 residual=f.residual,
                 ordering=FORWARD,
                 dim=3,
-                pivot_phases=f.pivot_phases,
             )
 
 
@@ -432,7 +430,6 @@ class TestNearUnitary:
                 residual=PhaseDiagonal(np.array([-1j * np.exp(1e-6j), -1j, -1.0]), 3),
                 ordering=FORWARD,
                 dim=3,
-                pivot_phases=f.pivot_phases,
             )
         assert issubclass(PhaseError, NotUnitaryError)
 
@@ -589,8 +586,7 @@ class TestPanels:
 
 def factorization_with(**changes):
     f = decompose(U0)
-    fields = dict(pivots=f.pivots, residual=f.residual, ordering=FORWARD,
-                  dim=3, pivot_phases=f.pivot_phases)
+    fields = dict(pivots=f.pivots, residual=f.residual, ordering=FORWARD, dim=3)
     return HouseholderFactorization(**{**fields, **changes})
 
 
@@ -607,14 +603,13 @@ BAD_INPUTS = {
     "reflection-ragged": lambda: Reflection(pivot=[2.0, [0.0]], level=1, dim=2),
     "phases-ragged": lambda: PhaseDiagonal([1.0, [1.0]], 2),
     "phases-nonfinite": lambda: PhaseDiagonal(np.array([np.inf, 1.0]), 2),
+    "phases-dim0": lambda: PhaseDiagonal(np.ones(0), 0),
     "factorization-ordering": lambda: factorization_with(ordering="sideways"),
     "factorization-dim": lambda: factorization_with(dim=0),
     "factorization-levels": lambda: factorization_with(
         pivots=decompose(U0).pivots[::-1]),
-    "factorization-phase-range": lambda: factorization_with(pivot_phases=[4.0, 0.0]),
     "factorization-residual-dim": lambda: factorization_with(
         residual=PhaseDiagonal(np.ones(2), 2)),
-    "factorization-phase-count": lambda: factorization_with(pivot_phases=[0.0]),
     "stack-zero-row": lambda: factorization_with(pivots=edited_pivots(1, slice(None), 0.0)),
     "stack-nonfinite": lambda: factorization_with(pivots=edited_pivots(1, 2, np.nan)),
     "stack-overflowing-norm": lambda: factorization_with(pivots=edited_pivots(0, 2, 1e200)),
@@ -623,9 +618,12 @@ BAD_INPUTS = {
     "stack-ragged": lambda: factorization_with(pivots=[[2.0, 0.0, 0.0], [0.0, 2.0]]),
     "apply-side": lambda: apply_reflection(decompose(U0).reflections[0], np.eye(3), "top"),
     "apply-3d": lambda: apply_reflection(decompose(U0).reflections[0], np.ones((3, 3, 3))),
+    "apply-ragged": lambda: apply_reflection(decompose(U0).reflections[0], [1.0, [0.0], 0.0]),
     "column-nonfinite": lambda: pivot_from_column(np.array([np.nan, 1.0]), 1),
     "column-level": lambda: pivot_from_column(np.array([1.0, 0.0]), 2),
     "column-2d": lambda: pivot_from_column(np.ones((2, 1)), 1),
+    "column-ragged": lambda: pivot_from_column([1.0, [0.0]], 1),
+    "decompose-ragged": lambda: decompose([[1.0, 0.0], [0.0]]),
 }
 
 

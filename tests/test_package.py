@@ -1,6 +1,7 @@
 """Package-wide contracts: one list of public names, typed errors, named bounds."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,8 @@ BAD_INPUTS = {
     "stream": lambda: haar.RngStream(0, 2 ** 64),
     "matrix-nonfinite": lambda: numkit.unitarity_error(np.array([[np.nan]])),
     "matrix-empty": lambda: numkit.unitarity_error(np.zeros((0, 0))),
+    "matrix-ragged": lambda: numkit.unitarity_error([1.0, [0.0]]),
+    "expm-ragged": lambda: numkit.expm_series([[0.0, 1.0], [0.0]]),
     "ks-empty": lambda: haar.ks_statistic([], lambda x: x),
     "ks-two-sample-empty": lambda: haar.ks_statistic_two_sample([0.5], []),
     "oracle-dim": lambda: haar.haar_oracle(0, haar.RngStream(0)),
@@ -37,6 +40,16 @@ BAD_INPUTS = {
 def test_bad_input_raises_typed_error(build):
     with pytest.raises(UcosetError):
         build()
+
+
+def test_factorization_records_store_no_redundant_field():
+    # The pivot phases are read off the stack, not stored beside it.
+    def names(cls):
+        return [field.name for field in dataclasses.fields(cls)]
+
+    assert names(householder.HouseholderFactorization) == ["pivots", "residual", "ordering", "dim"]
+    assert names(coset.CosetFactorization) == ["pivots", "terminal_phases", "ordering", "dim"]
+    assert isinstance(householder.HouseholderFactorization.pivot_phases, property)
 
 
 def small_float_literals(src_dir):

@@ -10,17 +10,23 @@ File formats are JSON with complex numbers as [re, im] pairs:
 
   matrix file         {"rows": R, "cols": C, "data": [[pair, ...], ...]}
   factorization file  {"kind": "householder" | "coset" | "coset-reversed",
-                       "dim": N, "factors": [matrix file, ...],
+                       "dim": N, "pivots": [[pair, ...] x N] x (N - 1),
                        "phases": [pair, ...] }
-                      plus "pivot_phases": [angle, ...] for kind householder
+  dense (read only)   the same with "factors": [matrix file, ...] in place
+                      of "pivots", plus "pivot_phases": [angle, ...] for
+                      kind householder
 
-A factorization file is read into a HouseholderFactorization or a
-CosetFactorization, whose constructors check its structure, and written back
-from one; every product runs in the library.  The reader restores each
-dense reflection's pivot phase from "pivot_phases", which must equal the
-phases then read off the pivots' corners.  Non-finite numbers, including
-literals that overflow a float, are rejected on input.  JSON payloads go to
---output or stdout; status messages go to stderr.
+decompose writes the pivot form: the record's pivot stack as it is, the
+level-k pivot in row k - 1 with its leading zeros, so a file is O(N^2) and
+reads back bitwise.  A dense file, one N x N matrix per level, is still
+read: each pivot is read off its factor, and for kind householder restored
+to the phase in "pivot_phases", which must then equal the phases read off
+the pivots' corners.  The encoding is told by the key; a file with both
+keys or neither is unusable.  Either way the file is read into a
+HouseholderFactorization or a CosetFactorization, whose constructors check
+its structure; every product runs in the library.  Non-finite numbers,
+including literals that overflow a float, are rejected on input.  JSON
+payloads go to --output or stdout; status messages go to stderr.
 """
 
 import argparse
@@ -76,7 +82,10 @@ def _dump_json(obj, path):
 def _numbers(data, shape, what) -> np.ndarray:
     # One JSON list as a float array of the given shape, converted at once:
     # every leaf must be an int or a float (not a bool, string or null) whose
-    # value is finite as a float.
+    # value is finite as a float.  [] is every shape with no rows, such as
+    # the pivot stack of dim 1.
+    if data == [] and shape[0] == 0:
+        data = np.empty(shape, dtype=object)
     try:
         a = np.array(data, dtype=object)
     except ValueError:
@@ -128,33 +137,32 @@ def _kind(f) -> str:
 
 
 def _factorization_to_obj(f) -> dict:
-    """File form of a forward HouseholderFactorization or a CosetFactorization."""
+    """Pivot-form file of a forward HouseholderFactorization or a CosetFactorization."""
     if isinstance(f, householder.HouseholderFactorization):
-        factors = [householder.reflect_matrix(r) for r in f.reflections]
         phases = f.residual.phases
     else:
-        factors = [c.matrix for c in f.factors]
         phases = f.terminal_phases.phases
-    obj = {
-        "kind": _kind(f),
-        "dim": f.dim,
-        "factors": [_matrix_to_obj(m) for m in factors],
-        "phases": _pairs(phases),
-    }
-    if obj["kind"] == "householder":
-        obj["pivot_phases"] = f.pivot_phases.tolist()
-    return obj
+    return {"kind": _kind(f), "dim": f.dim, "pivots": _pairs(f.pivots), "phases": _pairs(phases)}
 
 
 def _factorization_fields(obj):
-    """Kind, dense factors, phases and pivot phases (or None) of a file."""
+    """Kind, phases, pivot stack, dense factors and pivot phases of a file.
+
+    A pivot file has no dense factors and a dense file no pivot stack (each
+    None); pivot phases are those of a dense householder file, else None.
+    """
     if not isinstance(obj, dict):
         raise _InputError("factorization file must be a JSON object")
     kind = obj.get("kind")
     if kind not in KINDS:
         raise _InputError(f"kind must be one of {KINDS}, got {kind!r}")
     dim = _int_field(obj, "dim", 1, "factorization")
-    raw_factors = obj.get("factors")
+    if ("pivots" in obj) == ("factors" in obj):
+        raise _InputError("factorization file needs exactly one of 'pivots' and 'factors'")
+    phases = _complex_numbers(obj.get("phases"), (dim,), "factorization phases")
+    if "pivots" in obj:
+        return kind, phases, _complex_numbers(obj["pivots"], (dim - 1, dim), "pivots"), None, None
+    raw_factors = obj["factors"]
     if not isinstance(raw_factors, list) or len(raw_factors) != dim - 1:
         raise _InputError(f"factorization needs {dim - 1} factors")
     factors = []
@@ -163,23 +171,19 @@ def _factorization_fields(obj):
         if f.shape != (dim, dim):
             raise _InputError(f"factor {k} must be {dim}x{dim}")
         factors.append(f)
-    phases = _complex_numbers(obj.get("phases"), (dim,), "factorization phases")
     pivot_phases = None
     if kind == "householder":
         pivot_phases = _numbers(obj.get("pivot_phases"), (dim - 1,), "pivot_phases")
-    return kind, factors, phases, pivot_phases
+    return kind, phases, None, factors, pivot_phases
 
 
-def _factorization_from_fields(kind, factors, phases, pivot_phases):
-    # CosetFactor reads each pivot off its dense factor, and the library
-    # constructors check the stack; all raise UcosetError.  A householder
-    # factor R(u) with column k negated is R(u) F_k, the coset factor of u,
-    # and its pivot p times 2 conj(p_k) / <p|p> is column k of 1 - R(u):
-    # e^{-i phi_k} u for a column-clearing step, so the file's e^{i phi_k}
-    # restores u.  <u|u> >= 2 then holds exactly when R(u)_kk <= 0, as it
-    # does for every such step, and the file's phi_k must equal arg u_kk.
-    dim = phases.shape[0]
-    diag = householder.PhaseDiagonal(phases, dim)
+def _pivots_from_factors(kind, factors, pivot_phases) -> np.ndarray:
+    # CosetFactor reads each pivot off its dense factor and raises
+    # UcosetError if it is not one.  A householder factor R(u) with column k
+    # negated is R(u) F_k, the coset factor of u, and its pivot p times
+    # 2 conj(p_k) / <p|p> is column k of 1 - R(u): e^{-i phi_k} u for a
+    # column-clearing step, so the file's e^{i phi_k} restores u.
+    dim = len(factors) + 1
     pivots = np.zeros((dim - 1, dim), dtype=complex)
     for k, m in enumerate(factors, start=1):
         if kind == "householder":
@@ -188,10 +192,24 @@ def _factorization_from_fields(kind, factors, phases, pivot_phases):
     if kind == "householder":
         norm_sq = np.einsum("ij,ij->i", pivots, pivots.conj()).real
         pivots *= (2.0 * np.diagonal(pivots).conj() / norm_sq * np.exp(1j * pivot_phases))[:, None]
+    return pivots
+
+
+def _factorization_from_fields(kind, phases, pivots, factors, pivot_phases):
+    # The library constructors check the stack and raise UcosetError.  A
+    # restored householder pivot has <u|u> >= 2 exactly when R(u)_kk <= 0,
+    # as for every column-clearing step, and the file's phi_k must equal
+    # arg u_kk.
+    if factors is not None:
+        pivots = _pivots_from_factors(kind, factors, pivot_phases)
+    dim = phases.shape[0]
+    diag = householder.PhaseDiagonal(phases, dim)
+    if kind == "householder":
         f = householder.HouseholderFactorization(pivots, diag, householder.FORWARD, dim)
-        dev = np.abs(f.pivot_phases - pivot_phases).max(initial=0.0)
-        if dev > householder.PHASE_TOL:
-            raise householder.PhaseError(f"pivot_phases deviate from the pivots' by {dev:.3e}")
+        if pivot_phases is not None:
+            dev = np.abs(f.pivot_phases - pivot_phases).max(initial=0.0)
+            if dev > householder.PHASE_TOL:
+                raise householder.PhaseError(f"pivot_phases deviate from the pivots' by {dev:.3e}")
         return f
     ordering = householder.FORWARD if kind == "coset" else householder.REVERSED
     return coset.CosetFactorization(pivots, diag, ordering, dim)
@@ -303,10 +321,13 @@ def _verify_matrix(m, tol) -> int:
 def _verify_factorization(obj, tol) -> int:
     # The file's own numbers are checked at --tol, which may be tighter than
     # the library's fixed bounds; the library constructors check structure.
-    kind, factors, phases, pivot_phases = _factorization_fields(obj)
+    # R(p) is unitary and Hermitian for every nonzero pivot p, so only the
+    # factors of a dense file have a unitarity and a Hermiticity to check.
+    fields = _factorization_fields(obj)
+    kind, phases, _, factors, _ = fields
     problems = []
     worst = 0.0
-    for k, f in enumerate(factors, start=1):
+    for k, f in enumerate(factors or (), start=1):
         err = unitarity_error(f)
         worst = max(worst, err)
         if err > tol.unitarity_tol:
@@ -319,12 +340,12 @@ def _verify_factorization(obj, tol) -> int:
     if phase_dev > tol.unitarity_tol:
         problems.append(f"phase moduli deviate by {phase_dev:.3e}")
     try:
-        _factorization_from_fields(kind, factors, phases, pivot_phases)
+        _factorization_from_fields(*fields)
     except UcosetError as exc:
         problems.append(f"not a {kind} factorization: {exc}")
+    dense = "" if factors is None else f"worst factor unitarity error {worst:.3e}, "
     print(
-        f"verify: {kind} factorization, dim {phases.shape[0]}, "
-        f"worst factor unitarity error {worst:.3e}, "
+        f"verify: {kind} factorization, dim {phases.shape[0]}, {dense}"
         f"phase modulus deviation {phase_dev:.3e}",
         file=sys.stderr,
     )

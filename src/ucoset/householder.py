@@ -59,6 +59,7 @@ from .numkit import (
     UcosetError,
     _as_array,
     _as_square_matrix,
+    _check_shape,
     _frozen_array,
     unitarity_error,
 )
@@ -216,8 +217,7 @@ def _check_record(f, phases: PhaseDiagonal, invalid, leading) -> np.ndarray:
         raise DimensionMismatchError(f"phase diagonal dim {phases.dim} is not dim {f.dim}")
     p = _as_array(f.pivots, "pivots")
     p = p.copy() if p.flags.writeable else p
-    if p.shape != (f.dim - 1, f.dim):
-        raise DimensionMismatchError(f"pivot stack shape {p.shape} is not {(f.dim - 1, f.dim)}")
+    _check_shape(p, (f.dim - 1, f.dim), "pivot stack")
     p.setflags(write=False)
     object.__setattr__(f, "pivots", p)
     return _pivot_norms(p, 1, invalid, leading)

@@ -104,13 +104,22 @@ def _as_square_matrix(m) -> np.ndarray:
     return a
 
 
+def _check_shape(a: np.ndarray, shape: tuple, what: str) -> None:
+    # DimensionMismatchError unless a has the given shape, whose entries must
+    # be integers: (2,) == (2.0,) and (1,) == (True,), so a record's float or
+    # bool dim would otherwise pass and be stored as given.
+    if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) for n in shape):
+        raise DimensionMismatchError(f"{what}: dimensions {shape} must be integers")
+    if a.shape != shape:
+        raise DimensionMismatchError(f"{what}: shape {a.shape}, expected {shape}")
+
+
 def _frozen_array(a, shape: tuple, dtype, what: str) -> np.ndarray:
     # A read-only copy of a as an array of the given shape and dtype.  Any
     # other shape, ragged input included, raises DimensionMismatchError and
     # a non-finite entry DomainError.
     out = _as_array(a, what, dtype, copy=True)
-    if out.shape != shape:
-        raise DimensionMismatchError(f"{what}: shape {out.shape}, expected {shape}")
+    _check_shape(out, shape, what)
     if not np.isfinite(out).all():
         raise DomainError(f"{what}: non-finite entries")
     out.setflags(write=False)

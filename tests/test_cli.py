@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import os
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import ucoset
-from ucoset import RngStream, cli, haar_unitary
+from ucoset import RngStream, cli, haar_unitary, reflect_matrix
 from ucoset.haar import SampleReport
 
 from golden_data import GOLDEN_DIR, U0, maxdiff, random_unitary
@@ -41,6 +42,36 @@ def write_json(path, obj):
     return str(path)
 
 
+def record(u, mode):
+    """The library factorization that ``decompose --mode mode`` writes."""
+    if mode == "householder":
+        return ucoset.decompose(u)
+    if mode == "coset":
+        return ucoset.cosets_from_householder(ucoset.decompose(u))
+    return ucoset.cosets_from_householder_reversed(ucoset.decompose_reversed(u))
+
+
+def dense_file(f):
+    """The dense file of a factorization: one N x N factor per level."""
+    if isinstance(f, ucoset.HouseholderFactorization):
+        factors = [reflect_matrix(r) for r in f.reflections]
+        phases = f.residual.phases
+    else:
+        factors = [c.matrix for c in f.factors]
+        phases = f.terminal_phases.phases
+    obj = {"kind": cli._kind(f), "dim": f.dim, "factors": [matrix_obj(m) for m in factors],
+           "phases": [[z.real, z.imag] for z in phases]}
+    if obj["kind"] == "householder":
+        obj["pivot_phases"] = f.pivot_phases.tolist()
+    return obj
+
+
+def unphased(pivots):
+    """Each pivot row times the phase that makes its corner real and positive."""
+    corner = np.diagonal(pivots)
+    return pivots * (corner.conj() / np.abs(corner))[:, None]
+
+
 @pytest.fixture
 def u0_file(tmp_path):
     return write_json(tmp_path / "u0.json", matrix_obj(U0))
@@ -63,23 +94,32 @@ class TestDecompose:
         expected = json.loads((GOLDEN_DIR / golden).read_text())
         assert got["kind"] == expected["kind"] == mode
         assert got["dim"] == 3
-        for g, e in zip(got["factors"], expected["factors"]):
-            assert maxdiff(matrix_from_obj(g), matrix_from_obj(e)) <= 1e-12
+        # The golden files are dense; a dense coset factor fixes its pivot
+        # only up to a phase, so coset stacks are compared with real corners.
+        g = cli._factorization_from_obj(got)
+        e = cli._factorization_from_obj(expected)
+        if mode == "householder":
+            assert maxdiff(g.pivots, e.pivots) <= 1e-12
+            assert maxdiff(g.pivot_phases, expected["pivot_phases"]) <= 1e-12
+            got_factors = [reflect_matrix(r) for r in g.reflections]
+        else:
+            assert maxdiff(unphased(g.pivots), unphased(e.pivots)) <= 1e-12
+            got_factors = [c.matrix for c in g.factors]
         got_phases = [complex(re, im) for re, im in got["phases"]]
         exp_phases = [complex(re, im) for re, im in expected["phases"]]
         assert maxdiff(got_phases, exp_phases) <= 1e-12
-        if mode == "householder":
-            assert maxdiff(got["pivot_phases"], expected["pivot_phases"]) <= 1e-12
+        assert len(got_factors) == len(expected["factors"]) == 2
+        for m, dense in zip(got_factors, expected["factors"]):
+            assert maxdiff(m, matrix_from_obj(dense)) <= 1e-12
 
     def test_identity_householder(self, tmp_path):
         path = write_json(tmp_path / "eye.json", matrix_obj(np.eye(3)))
         out = tmp_path / "fact.json"
         assert run("decompose", "--input", path, "--output", str(out)) == 0
         got = json.loads(out.read_text())
-        assert maxdiff(matrix_from_obj(got["factors"][0]),
-                       np.diag([-1.0, 1.0, 1.0])) == 0.0
-        assert maxdiff(matrix_from_obj(got["factors"][1]),
-                       np.diag([1.0, -1.0, 1.0])) == 0.0
+        r1, r2 = cli._factorization_from_obj(got).reflections
+        assert maxdiff(reflect_matrix(r1), np.diag([-1.0, 1.0, 1.0])) == 0.0
+        assert maxdiff(reflect_matrix(r2), np.diag([1.0, -1.0, 1.0])) == 0.0
         assert [complex(re, im) for re, im in got["phases"]] == [-1.0, -1.0, 1.0]
 
     def test_writes_to_stdout_by_default(self, u0_file, capsys):
@@ -186,8 +226,6 @@ class TestReconstruct:
     @pytest.mark.parametrize("u", [U0, random_unitary(40, 520), -np.eye(4)],
                              ids=["u0", "haar-40", "minus-identity"])
     def test_householder_file_reads_back_the_pivot_stack(self, tmp_path, u):
-        # A dense reflection fixes its pivot only up to a phase, which the
-        # reader restores from the file's pivot_phases.
         src = write_json(tmp_path / "u.json", matrix_obj(u))
         fact = tmp_path / "f.json"
         assert run("decompose", "--input", src, "--output", str(fact)) == 0
@@ -216,6 +254,37 @@ class TestReconstruct:
             got = matrix_from_obj(json.loads(back.read_text()))
             assert maxdiff(got, u) <= 1e-10
 
+    @pytest.mark.parametrize("dim", [33, 65])
+    def test_dense_files_read_as_the_pivot_files(self, tmp_path, capsys, dim):
+        # decompose writes the pivot stack, O(N^2), bitwise; the dense file
+        # of the same record, O(N^3), is built here and must read back to the
+        # same stack.  A dense reflection fixes its pivot only up to a phase,
+        # which the reader restores from the file's pivot_phases; a dense
+        # coset factor does not, so coset stacks are compared with real corners.
+        u = random_unitary(dim, 600 + dim)
+        src = write_json(tmp_path / "u.json", matrix_obj(u))
+        for mode in ("householder", "coset", "coset-reversed"):
+            fact = tmp_path / f"{mode}.json"
+            assert run("decompose", "--input", src, "--mode", mode, "--output", str(fact)) == 0
+            obj = json.loads(fact.read_text())
+            assert np.shape(obj["pivots"]) == (dim - 1, dim, 2) and "factors" not in obj
+            f = cli._factorization_from_obj(obj)
+            lib = record(u, mode)
+            assert f.pivots.tobytes() == lib.pivots.tobytes()
+            dense = tmp_path / f"{mode}-dense.json"
+            back = tmp_path / f"{mode}-back.json"
+            write_json(dense, dense_file(lib))
+            capsys.readouterr()
+            assert run("verify", "--input", str(dense)) == 0
+            assert "verify: PASS" in capsys.readouterr().err
+            assert run("reconstruct", "--input", str(dense), "--output", str(back)) == 0
+            assert maxdiff(matrix_from_obj(json.loads(back.read_text())), u) <= 1e-10
+            g = cli._factorization_from_obj(json.loads(dense.read_text()))
+            if mode == "householder":
+                assert maxdiff(g.pivots, f.pivots) <= 1e-15
+            else:
+                assert maxdiff(unphased(g.pivots), unphased(f.pivots)) <= 1e-15
+
     def test_wrong_factor_count(self, tmp_path):
         path = write_json(
             tmp_path / "short.json",
@@ -235,9 +304,21 @@ class TestReconstruct:
         assert run("reconstruct", "--input", path) == 2
 
 
+# U0's pivot files, by kind, as decompose writes them.
+PIVOT_FILES = {mode: cli._factorization_to_obj(record(U0, mode))
+               for mode in ("householder", "coset", "coset-reversed")}
+
+
+def base_file(name):
+    """A golden file, or U0's pivot file of the kind ``name``."""
+    if name in PIVOT_FILES:
+        return copy.deepcopy(PIVOT_FILES[name])
+    return json.loads((GOLDEN_DIR / name).read_text())
+
+
 def golden_with(name, path, value):
-    """A golden file with the entry at ``path`` (keys and indices) replaced."""
-    obj = json.loads((GOLDEN_DIR / name).read_text())
+    """A golden or pivot file with the entry at ``path`` (keys and indices) replaced."""
+    obj = base_file(name)
     target = obj
     for key in path[:-1]:
         target = target[key]
@@ -265,6 +346,12 @@ NOT_FACTORIZATIONS = {
     "householder-level": ("u0_householder.json", ("factors", 1), HOUSEHOLDER_FACTOR_1),
     "householder-corner": ("u0_householder.json", ("factors", 0),
                            matrix_obj(POSITIVE_CORNER_REFLECTION)),
+    "pivots-leading-coset": ("coset", ("pivots", 1, 0), [0.5, 0.0]),
+    "pivots-leading-householder": ("householder", ("pivots", 1, 0), [0.5, 0.0]),
+    # Half the level-1 pivot: the same corner phase, <u|u> below 2.
+    "pivots-short": ("householder", ("pivots", 0),
+                     [[0.5 * re, 0.5 * im] for re, im in PIVOT_FILES["householder"]["pivots"][0]]),
+    "pivots-zero-row": ("coset-reversed", ("pivots", 1), [[0.0, 0.0]] * 3),
 }
 
 
@@ -283,9 +370,11 @@ def test_not_a_factorization_is_rejected(tmp_path, capsys, case):
     assert len(err) == 1 and err[0].startswith(f"error: not a {obj['kind']} factorization: ")
 
 
-@pytest.mark.parametrize("case", ["coset-diagonal-factor", "householder-level"])
+@pytest.mark.parametrize("case", ["coset-diagonal-factor", "householder-level",
+                                  "pivots-leading-coset", "pivots-leading-householder",
+                                  "pivots-zero-row"])
 def test_rejected_factor_names_its_level(tmp_path, capsys, case):
-    # Both files have a bad factor 2.
+    # Each file has a bad factor 2.
     path = write_json(tmp_path / "f.json", golden_with(*NOT_FACTORIZATIONS[case]))
     assert run("verify", "--input", path) == 4
     assert "level 2" in capsys.readouterr().err
@@ -300,6 +389,7 @@ LITERAL_PLACES = {
     "matrix": (("u0.json", ("data", 0, 0, 0)), ["decompose", "verify"]),
     "factor": (("u0_coset.json", ("factors", 0, "data", 1, 2, 1)), ["reconstruct", "verify"]),
     "phases": (("u0_coset.json", ("phases", 2, 0)), ["reconstruct", "verify"]),
+    "pivots": (("coset", ("pivots", 1, 2, 1)), ["reconstruct", "verify"]),
 }
 
 
@@ -314,6 +404,15 @@ UNUSABLE_FILES = {
                    ["reconstruct", "verify"]),
     "householder-phase-count": (golden_with("u0_householder.json", ("pivot_phases",),
                                             [math.pi / 2]), ["reconstruct", "verify"]),
+    "pivots-shape": (golden_with("coset", ("pivots",), PIVOT_FILES["coset"]["pivots"][:1]),
+                     ["reconstruct", "verify"]),
+    "pivots-ragged": (golden_with("coset", ("pivots", 1), [[1.0, 0.0]] * 2),
+                      ["reconstruct", "verify"]),
+    "pivots-and-factors": (golden_with("coset", ("factors",),
+                                       base_file("u0_coset.json")["factors"]),
+                           ["reconstruct", "verify"]),
+    "pivots-nor-factors": ({k: v for k, v in PIVOT_FILES["coset"].items() if k != "pivots"},
+                           ["reconstruct", "verify"]),
 }
 
 
@@ -419,10 +518,11 @@ class TestVerify:
         path = write_json(tmp_path / "h.json", obj)
         assert run("verify", "--input", path) == 4
 
-    def test_phase_moduli_are_checked_at_tol(self, tmp_path, capsys):
+    @pytest.mark.parametrize("name", ["u0_coset.json", "coset"])
+    def test_phase_moduli_are_checked_at_tol(self, tmp_path, capsys, name):
         # 1e-9 off the unit circle is inside the library's phase bound, but
         # not inside the default --tol.
-        obj = json.loads((GOLDEN_DIR / "u0_coset.json").read_text())
+        obj = base_file(name)
         obj["phases"] = [[re * (1.0 + 1e-9), im * (1.0 + 1e-9)] for re, im in obj["phases"]]
         path = write_json(tmp_path / "p.json", obj)
         assert run("verify", "--input", path) == 4

@@ -52,6 +52,23 @@ def test_factorization_records_store_no_redundant_field():
     assert isinstance(householder.HouseholderFactorization.pivot_phases, property)
 
 
+@pytest.mark.parametrize("dim", [2.0, True, np.float64(3)], ids=["float", "bool", "np.float64"])
+def test_records_reject_a_dim_that_is_not_an_integer(dim):
+    # (2,) == (2.0,), so a shape check alone would store such a dim as given.
+    n = int(dim)
+    f = householder.decompose(np.eye(n))
+    cf = coset.cosets_from_householder(f)
+    builds = [
+        lambda: householder.PhaseDiagonal(np.ones(n), dim),
+        lambda: householder.HouseholderFactorization(f.pivots, f.residual, f.ordering, dim),
+        lambda: coset.CosetFactorization(cf.pivots, cf.terminal_phases, cf.ordering, dim),
+        lambda: coset.CosetVector(np.zeros(n - 1), 1, dim, 1.0),
+    ]
+    for build in builds:
+        with pytest.raises(numkit.DimensionMismatchError):
+            build()
+
+
 def small_float_literals(src_dir):
     """``file:line`` of every float literal with 0 < |v| < 1e-6 in the package
     sources that is not the whole value of a module-level constant of

@@ -113,10 +113,33 @@ class CosetVector:
     rho: float
 
     def __post_init__(self):
+        self._check_level()
+        self._check_coords(_frozen_array(self.x, (self.dim - self.level,), complex, "x"))
+
+    @classmethod
+    def _from_new_array(cls, x, level: int, dim: int, rho: float) -> "CosetVector":
+        # The public constructor's checks on x, a complex array of length
+        # dim - level that the caller has just made and keeps no reference
+        # to, so it is made read-only instead of copied.
+        xv = cls.__new__(cls)
+        for name, value in (("level", level), ("dim", dim), ("rho", rho)):
+            object.__setattr__(xv, name, value)
+        xv._check_level()
+        x.setflags(write=False)
+        xv._check_coords(x)
+        return xv
+
+    def _check_level(self):
         if not 1 <= self.level <= self.dim - 1:
             raise DimensionMismatchError(f"level {self.level} outside 1..{self.dim - 1}")
-        x = _frozen_array(self.x, (self.dim - self.level,), complex, "x")
-        r_sq = float(np.real(np.vdot(x, x)))
+
+    def _check_coords(self, x):
+        # Checks the read-only array x against the ball and rho, then stores
+        # it.  A finite <x|x> means finite entries, so the entrywise test
+        # runs only when the sum is not finite.
+        r_sq = float(np.vdot(x, x).real)
+        if not math.isfinite(r_sq) and not np.isfinite(x).all():
+            raise DomainError("x: non-finite entries")
         if r_sq > 1.0 + BALL_SLACK:
             raise BallViolationError(f"<x|x> = {r_sq} exceeds 1")
         if not -BALL_SLACK <= self.rho <= 1.0 + BALL_SLACK:
@@ -224,8 +247,8 @@ class CosetFactor:
         pk_bar, c, rho = self._corner()
         if rho < -BALL_SLACK:
             return None
-        return CosetVector(x=(c * pk_bar) * self.pivot[self.level:], level=self.level,
-                           dim=self.dim, rho=min(max(rho, 0.0), 1.0))
+        return CosetVector._from_new_array((c * pk_bar) * self.pivot[self.level:], self.level,
+                                           self.dim, min(max(rho, 0.0), 1.0))
 
     @property
     def matrix(self) -> ComplexMatrix:

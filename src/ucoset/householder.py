@@ -381,6 +381,11 @@ def pivot_from_column(w, level: int, tol: Tolerances | None = None):
 
     Raises
     ------
+    DomainError
+        If ``w`` has a non-finite entry.
+    DimensionMismatchError
+        If ``w`` is not one-dimensional, or ``level`` lies outside
+        ``1 .. len(w) - 1``.
     NotUnitLengthError
         If ``w`` is not unit length within ``tol.unitarity_tol``, or the
         pivot's ``<u|u>`` falls below the bound 2.
@@ -388,36 +393,48 @@ def pivot_from_column(w, level: int, tol: Tolerances | None = None):
         If the leading components exceed ``tol.unitarity_tol``.
     """
     tol = tol or DEFAULT_TOLERANCES
-    v = _as_array(w, "column", copy=True)
-    if v.ndim != 1:
+    col = _as_array(w, "column")
+    if col.ndim != 1:
         raise DimensionMismatchError("column must be one-dimensional")
-    phi, _ = _pivot_in_place(v, level, tol.unitarity_tol)
-    return Reflection._from_pivot(v, level), phi
+    p = np.zeros(col.shape[0], dtype=complex)
+    phi, _ = _column_pivot(col, p, level, tol.unitarity_tol)
+    return Reflection._from_pivot(p, level), phi
 
 
-def _pivot_in_place(v, level: int, tol: float):
-    # Checks the column v, a contiguous vector, at tolerance tol and
-    # overwrites it with its level-``level`` pivot; returns the pivot phase
-    # and <u|u>.
-    if not np.isfinite(v).all():
+def _column_pivot(col, p, level: int, tol: float):
+    # Checks the column col at tolerance tol and writes its level-``level``
+    # pivot into p, which is zero before the level: exact zeros keep the
+    # leading subspace exactly invariant.  Returns the pivot phase and <u|u>.
+    # The checks run on sums of squares: a finite <w|w> means finite
+    # entries, and max |w_j| <= ||lead|| for the entries before the level, so
+    # an entrywise test runs only when a sum says an entry may fail.  The
+    # lead's sum is trusted at half the tolerance, which covers its rounding,
+    # and not at all once that bound underflows.
+    norm_sq = float(np.vdot(col, col).real)
+    if not math.isfinite(norm_sq) and not np.isfinite(col).all():
         raise DomainError(f"column at level {level} has non-finite entries")
-    n = v.shape[0]
+    n = col.shape[0]
     if not 1 <= level <= n - 1:
         raise DimensionMismatchError(f"level {level} outside 1..{n - 1}")
-    norm = math.sqrt(np.vdot(v, v).real)
-    if abs(norm - 1.0) > tol:
+    norm = math.sqrt(norm_sq)
+    if not abs(norm - 1.0) <= tol:
         raise NotUnitLengthError(
             f"column norm {norm} at level {level} is not 1 within tolerance"
         )
     i = level - 1
-    if i and np.abs(v[:i]).max() > tol:
-        raise LeadingComponentsNonzeroError(
-            f"components below level {level} exceed tolerance"
-        )
-    v[:i] = 0.0  # exact zeros keep the leading subspace exactly invariant
-    phi = _canonical_angle(float(np.angle(v[i])))
-    v[i] += complex(math.cos(phi), math.sin(phi))
-    norm_sq = float(np.real(np.vdot(v, v)))
+    if i:
+        lead = col[:i]
+        bound = 0.25 * tol * tol
+        if ((np.vdot(lead, lead).real > bound or bound == 0.0)
+                and np.abs(lead).max() > tol):
+            raise LeadingComponentsNonzeroError(
+                f"components below level {level} exceed tolerance"
+            )
+    p[i:] = col[i:]
+    wk = complex(col[i])
+    phi = _canonical_angle(math.atan2(wk.imag, wk.real))
+    p[i] = wk + complex(math.cos(phi), math.sin(phi))
+    norm_sq = float(np.vdot(p[i:], p[i:]).real)
     if norm_sq < _MIN_NORM_SQ:
         raise NotUnitLengthError(
             f"pivot norm-squared {norm_sq} at level {level} below the bound 2"
@@ -443,10 +460,14 @@ def _clear_columns(u, tol: Tolerances, ordering: str) -> HouseholderFactorizatio
     # plus at most eps / sqrt 2 left by the norm error of column j; so every
     # level passes its column checks at 2 eps.  The gate bounds eps for U;
     # max |U U^dag - 1| is at most the equal 2-norms of both defects, so at
-    # most N times it.  Rows i.. of the columns before i are never read
-    # again, so reflection i updates only columns i.. .  The columns after a
-    # panel take R(u_hi) ... R(u_lo) = (1 - V T V^dag)^dag, hence T^dag; V
-    # is the panel's rows of the stack from the panel's first column on,
+    # most N times it.  Each level is one step: _column_pivot, which
+    # pivot_from_column shares, checks column i of the work matrix and
+    # writes its pivot's tail straight into row i of the stack; then one
+    # rank-1 update on the 2-D work matrix, with no batch axes to broadcast,
+    # applies the reflection to rows i.. of the panel's columns i.. .  Rows
+    # i.. of the columns before i are never read again.  The columns after
+    # a panel take R(u_hi) ... R(u_lo) = (1 - V T V^dag)^dag, hence T^dag;
+    # V is the panel's rows of the stack from the panel's first column on,
     # where the pivots' leading zeros end.
     a = _require_unitary(u, tol)
     n = a.shape[0]
@@ -458,10 +479,10 @@ def _clear_columns(u, tol: Tolerances, ordering: str) -> HouseholderFactorizatio
     c = np.empty(n - 1)
     for lo, hi, end in _panels(n):
         for i in range(lo, hi):
-            pivots[i] = a[:, i]
-            _, norm_sq = _pivot_in_place(pivots[i], i + 1, check_tol)
-            c[i] = 2.0 / norm_sq
-            _reflect_rows(a[:, i:end], i, pivots[i], c[i])
+            _, norm_sq = _column_pivot(a[:, i], pivots[i], i + 1, check_tol)
+            c[i] = ci = 2.0 / norm_sq
+            v, rows = pivots[i, i:], a[i:, i:end]
+            rows -= v[:, None] * (ci * (v.conj() @ rows))
         if end < n:
             v = pivots[lo:hi, lo:]
             _apply_wy(a[lo:, end:], v, _wy_factor(v, c[lo:hi]).conj().T)

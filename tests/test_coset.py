@@ -471,6 +471,50 @@ def dense_product(cf):
     return m
 
 
+class TestVectorRead:
+    @given(st.integers(2, 40), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=30)
+    def test_vector_is_the_public_constructors(self, dim, seed):
+        u = random_unitary(dim, seed)
+        for dec, conv, _ in ORDERINGS:
+            cf = conv(dec(u))
+            for c in cf.factors:
+                xv = c.vector
+                # The public constructor on the value the read takes:
+                # X = (2 conj(p_k) / <p|p>) p_below, rho clipped to [0, 1].
+                pk_bar, scale, rho = c._corner()
+                public = CosetVector(x=(scale * pk_bar) * c.pivot[c.level:], level=c.level,
+                                     dim=c.dim, rho=min(max(rho, 0.0), 1.0))
+                assert xv.x.dtype == public.x.dtype and xv.x.shape == public.x.shape
+                assert xv.x.tobytes() == public.x.tobytes()
+                assert (xv.level, xv.dim) == (public.level, public.dim)
+                assert type(xv.rho) is type(public.rho) is float
+                assert xv.rho.hex() == public.rho.hex()
+                assert not xv.x.flags.writeable and not np.shares_memory(xv.x, cf.pivots)
+                with pytest.raises(ValueError):
+                    xv.x[0] = 0.5
+
+    @given(st.integers(2, 40), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=20)
+    def test_negative_corner_has_no_vector(self, dim, seed):
+        # Each corner shrunk to half the norm of the entries below it:
+        # rho = 2 (1/4) / (5/4) - 1 = -3/5.
+        u = random_unitary(dim, seed)
+        for dec, conv, _ in ORDERINGS:
+            cf = conv(dec(u))
+            pivots = cf.pivots.copy()
+            k = np.arange(dim - 1)
+            below_sq = np.sum(np.abs(pivots) ** 2, axis=1) - np.abs(pivots[k, k]) ** 2
+            assume(np.all(below_sq > 0.0))
+            pivots[k, k] *= 0.5 * np.sqrt(below_sq) / np.abs(pivots[k, k])
+            neg = CosetFactorization(pivots=pivots, terminal_phases=cf.terminal_phases,
+                                     ordering=cf.ordering, dim=dim)
+            for c in neg.factors:
+                assert c.vector is None
+                with pytest.raises(MalformedFactorError):
+                    extract_coset_vector(c)
+
+
 class TestStructuredFactor:
     @pytest.mark.parametrize("dim", [1, 2, 3, 8, 64])
     @pytest.mark.parametrize("dec, conv, ordering", ORDERINGS)

@@ -9,6 +9,7 @@ from ucoset import (
     FORWARD,
     REVERSED,
     DimensionMismatchError,
+    DomainError,
     HouseholderFactorization,
     LeadingComponentsNonzeroError,
     NotUnitLengthError,
@@ -116,6 +117,65 @@ class TestPivotFromColumn:
         w = np.array([0.5, math.sqrt(0.75), 0.0])
         with pytest.raises(LeadingComponentsNonzeroError):
             pivot_from_column(w, 2)
+
+    @pytest.mark.parametrize("tol", [None, Tolerances(unitarity_tol=1e-6)])
+    def test_leading_components_bound_each_entry(self, tol):
+        # The bound is on each entry, max |w_j| <= tol: four entries of
+        # 0.9 tol pass although their 2-norm is 1.8 tol.
+        bound = (tol or Tolerances()).unitarity_tol
+        w = np.zeros(7, dtype=complex)
+        w[4:] = np.array([0.6, 0.0, 0.8j])
+        w[:4] = 0.9 * bound
+        assert np.linalg.norm(w[:4]) > bound
+        r, phi = pivot_from_column(w, 5, tol)
+        assert np.all(r.pivot[:4] == 0.0) and np.array_equal(r.pivot[5:], w[5:])
+        assert phi == 0.0 and r.pivot[4] == 1.6
+        w[2] = 1.1 * bound
+        with pytest.raises(LeadingComponentsNonzeroError, match="level 5"):
+            pivot_from_column(w, 5, tol)
+
+    def test_leading_components_bound_where_squares_underflow(self):
+        # |w_1|^2 = 1e-340 underflows to 0, yet |w_1| exceeds the tolerance.
+        tol = Tolerances(unitarity_tol=1e-200)
+        with pytest.raises(LeadingComponentsNonzeroError):
+            pivot_from_column(np.array([1e-170, 1.0, 0.0]), 2, tol)
+        r, _ = pivot_from_column(np.array([1e-201, 1.0, 0.0]), 2, tol)
+        assert maxdiff(r.pivot, [0.0, 2.0, 0.0]) == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    @pytest.mark.parametrize("index, level", [(0, 1), (2, 1), (0, 2), (2, 3)])
+    def test_non_finite_entry_is_a_domain_error(self, bad, index, level):
+        w = np.array([0.0, 0.0, 0.6, 0.8], dtype=complex)
+        w[index] = bad
+        with pytest.raises(DomainError):
+            pivot_from_column(w, level)
+
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_overflowing_norm_is_not_unit_length(self, level):
+        # Finite entries whose norm-squared overflows are not a DomainError.
+        w = np.array([1e200, 1e200, 0.0])
+        with pytest.raises(NotUnitLengthError):
+            pivot_from_column(w, level)
+
+    @pytest.mark.parametrize("dec", [decompose, decompose_reversed])
+    def test_column_loop_shares_the_column_helper(self, monkeypatch, dec):
+        # Both the column loop and pivot_from_column build their pivots, and
+        # run their column checks, through one helper.
+        calls = []
+        helper = ucoset.householder._column_pivot
+
+        def counting(col, p, level, tol):
+            calls.append(level)
+            return helper(col, p, level, tol)
+
+        monkeypatch.setattr(ucoset.householder, "_column_pivot", counting)
+        n = 2 * _PANEL + 1
+        u = random_unitary(n, 730)
+        f = dec(u)
+        assert calls == list(range(1, n))
+        r, _ = pivot_from_column(U0[:, 0], 1)
+        assert calls[n - 1:] == [1] and maxdiff(r.pivot, PIVOT_U1) <= 1e-15
+        assert maxdiff(reconstruct(f), u) <= 1e-12
 
     @given(unit_columns())
     @settings(max_examples=60)

@@ -15,12 +15,14 @@ and rho = 2 |p_k|^2 / <p|p> - 1 are read off it in O(N).  One factor per
 level times a diagonal of phases reproduces any unitary matrix.  Like a
 Householder factorization, a coset factorization stores its pivots as one
 read-only (N - 1) x N stack, and its ``factors`` are ``CosetFactor`` views
-on the rows.  The conversions from a Householder factorization negate
-column k (forward: the stack is shared as it is) or row k (reversed,
-F_k R(u) = R(F_k u) F_k: one copy with each u_k negated) of each
-reflection; the sign flips migrate into the terminal phase diagonal, so
-composing the factors is one product of reflections, O(N^3) in the panels
-of ``householder``.
+on the rows, each carrying the X that one array pass over the whole stack
+read for it; a lone factor reads its X off its pivot by the same
+arithmetic on one row, so both reads agree bit for bit.  The conversions
+from a Householder factorization negate column k (forward: the stack is
+shared as it is) or row k (reversed, F_k R(u) = R(F_k u) F_k: one copy
+with each u_k negated) of each reflection; the sign flips migrate into the
+terminal phase diagonal, so composing the factors is one product of
+reflections, O(N^3) in the panels of ``householder``.
 
 The level-1 factor is also the exponential of the anti-Hermitian generator
 with column B below the corner; for ||B|| in (pi/2, pi] its corner is
@@ -99,6 +101,10 @@ class RhoRangeError(UcosetError):
     """rho must lie in [0, 1] and agree with <X|X>."""
 
 
+# The vector of a factor that reads it off its pivot on each access.
+_ON_DEMAND = object()
+
+
 @dataclass(frozen=True, eq=False)
 class CosetVector:
     """Ball coordinates X of a level-k coset factor, with cached rho.
@@ -122,11 +128,18 @@ class CosetVector:
         # dim - level that the caller has just made and keeps no reference
         # to, so it is made read-only instead of copied.
         xv = cls.__new__(cls)
-        for name, value in (("level", level), ("dim", dim), ("rho", rho)):
-            object.__setattr__(xv, name, value)
+        xv.__dict__.update(level=level, dim=dim, rho=rho)
         xv._check_level()
         x.setflags(write=False)
         xv._check_coords(x)
+        return xv
+
+    @classmethod
+    def _from_checked(cls, x, level: int, dim: int, rho: float) -> "CosetVector":
+        # A vector whose read-only x and rho have passed the checks, in the
+        # array form of _stack_vectors.
+        xv = cls.__new__(cls)
+        xv.__dict__.update(x=x, level=level, dim=dim, rho=rho)
         return xv
 
     def _check_level(self):
@@ -187,17 +200,24 @@ class Gamma:
 class CosetFactor:
     """One coset factor at level k: ``R(p)`` with column k negated.
 
-    Only the read-only ``pivot`` p is stored; its components before k are
-    exactly zero.  ``vector`` reads X and rho off it in O(N) and is None
-    when the corner is negative, outside the X chart; ``matrix`` assembles
-    the read-only dense factor in O(N^2).  Neither is cached.
-    ``CosetFactor(matrix=..., level=...)`` reads the pivot off a hand-made
-    factor and checks in O(N^2) that the matrix is that factor.
+    The read-only ``pivot`` p is stored; its components before k are
+    exactly zero.  ``vector`` is X and rho, read off p, and is None when
+    the corner is negative, outside the X chart.  A factor of
+    ``CosetFactorization.factors`` carries the vector its stack read gave
+    it; any other factor (``CosetFactor(matrix=...)``,
+    ``coset_matrix_from_X``, ``exp_coset``) reads it in O(N) on each
+    access.  ``matrix`` assembles the read-only dense factor in O(N^2) on
+    each access.  ``CosetFactor(matrix=..., level=...)`` reads the pivot off
+    a hand-made factor and checks in O(N^2) that the matrix is that factor.
     """
 
     level: int
     dim: int
     pivot: ComplexVector
+
+    # A vector from the stack read, set per factor by _from_pivot; the
+    # class default reads it off the pivot on each access.
+    _vector = _ON_DEMAND
 
     def __init__(self, matrix, level: int):
         m = _as_array(matrix, f"factor at level {level}")
@@ -229,26 +249,24 @@ class CosetFactor:
                 f"factor at level {level} is not a column-flipped reflection")
 
     @classmethod
-    def _from_pivot(cls, p, level: int) -> "CosetFactor":
-        return _pivot_record(cls.__new__(cls), p, level)
+    def _from_pivot(cls, p, level: int, vector=_ON_DEMAND) -> "CosetFactor":
+        return _pivot_record(cls.__new__(cls), p, level, _vector=vector)
 
     def _corner(self):
-        # conj(p_k), 2 / <p|p> and the corner 2 |p_k|^2 / <p|p> - 1, with
-        # <p|p> summed as |p_k|^2 + <below|below>, so that a pure-phase pivot
-        # gives exactly 1.
-        below = self.pivot[self.level:]
-        pk_bar = complex(self.pivot[self.level - 1]).conjugate()
-        pk_sq = pk_bar.real * pk_bar.real + pk_bar.imag * pk_bar.imag
-        norm_sq = pk_sq + float(np.real(np.vdot(below, below)))
-        return pk_bar, 2.0 / norm_sq, 2.0 * pk_sq / norm_sq - 1.0
+        # conj(p_k), 2 / <p|p> and the corner rho, as _chart reads them.
+        pk_bar, c, rho, _ = _chart(self.pivot[None], self.level - 1)
+        return complex(pk_bar[0]), float(c[0]), float(rho[0])
 
     @property
     def vector(self) -> CosetVector | None:
-        pk_bar, c, rho = self._corner()
+        if self._vector is not _ON_DEMAND:
+            return self._vector
+        *_, rho, x = _chart(self.pivot[None], self.level - 1)
+        rho = float(rho[0])
         if rho < -BALL_SLACK:
             return None
-        return CosetVector._from_new_array((c * pk_bar) * self.pivot[self.level:], self.level,
-                                           self.dim, min(max(rho, 0.0), 1.0))
+        return CosetVector._from_new_array(x[0, self.level:], self.level, self.dim,
+                                           min(max(rho, 0.0), 1.0))
 
     @property
     def matrix(self) -> ComplexMatrix:
@@ -267,10 +285,12 @@ class CosetFactorization:
     """Pivot stack of the coset factors plus terminal phases.
 
     ``pivots`` is the read-only (dim - 1) x dim array of the factor pivots,
-    the level-k pivot in row k - 1; ``factors`` are ``CosetFactor`` views on
-    its rows.  Forward ordering composes as ``C_1 C_2 ... C_{dim-1} T``;
-    reversed ordering as ``T C_{dim-1} ... C_1`` with ``T`` the terminal
-    diagonal.
+    the level-k pivot in row k - 1.  ``factors`` are ``CosetFactor`` views
+    on its rows, built on each access together with one array pass that
+    reads X and rho for every level; each factor carries its ``vector``
+    from that pass (None for a negative corner).  Forward ordering
+    composes as ``C_1 C_2 ... C_{dim-1} T``; reversed ordering as
+    ``T C_{dim-1} ... C_1`` with ``T`` the terminal diagonal.
     """
 
     pivots: np.ndarray
@@ -289,8 +309,8 @@ class CosetFactorization:
 
     @property
     def factors(self) -> tuple:
-        return tuple(CosetFactor._from_pivot(p, k)
-                     for k, p in enumerate(self.pivots, start=1))
+        return tuple(CosetFactor._from_pivot(p, k, xv) for k, (p, xv)
+                     in enumerate(zip(self.pivots, _stack_vectors(self.pivots)), start=1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -311,6 +331,57 @@ class Generator:
         if float(np.linalg.norm(b)) > math.pi + BALL_SLACK:
             raise DomainError("||B|| must not exceed pi")
         object.__setattr__(self, "b", b)
+
+
+def _chart(p, k):
+    # conj(p_k), 2 / <p|p>, the corner rho = 2 |p_k|^2 / <p|p> - 1 and the
+    # row times 2 conj(p_k) / <p|p>, whose entries after the corner are X,
+    # of each row of the pivots p, as arrays; row j has its corner in
+    # column k[j] (or k, for one int).  <p|p> is summed as |p_k|^2 plus the
+    # row's other |p_i|^2, so that a pure-phase pivot gives exactly 1.
+    # Elementwise steps and row sums make a row's result the same, bit for
+    # bit, whether it is read alone or in a stack.  Entries whose squares
+    # overflow give a NaN corner, without a warning, as Python floats would.
+    rows = np.arange(p.shape[0])
+    pk_bar = p[rows, k].conj()
+    with np.errstate(all="ignore"):
+        pk_sq = pk_bar.real * pk_bar.real + pk_bar.imag * pk_bar.imag
+        sq = np.square(p.real)
+        sq += np.square(p.imag)
+        sq[rows, k] = 0.0
+        norm_sq = pk_sq + sq.sum(axis=1)
+        del sq
+        c = 2.0 / norm_sq
+        return pk_bar, c, 2.0 * pk_sq / norm_sq - 1.0, (c * pk_bar)[:, None] * p
+
+
+def _stack_vectors(pivots) -> list:
+    # The vector of each level of a pivot stack, from one _chart pass: None
+    # where the corner is negative, as CosetFactor.vector gives, and
+    # _ON_DEMAND where the read fails a check of CosetVector, so that the
+    # factor's own read raises that check's error when it is read.  The
+    # checks (finite X, <x|x> <= 1, rho in [0, 1], rho against <x|x>) run on
+    # the row sums of |X|^2 in array form, the corner left out; the entries
+    # before it are exact zeros unless the row's scale is not finite, and
+    # then X fails anyway.  The X of every level is a view on one read-only
+    # array.
+    n = pivots.shape[1]
+    k = np.arange(n - 1)
+    *_, rho, x = _chart(pivots, k)
+    x.setflags(write=False)
+    with np.errstate(all="ignore"):
+        sq = np.square(x.real)
+        sq += np.square(x.imag)
+        sq[k, k] = 0.0
+        r_sq = sq.sum(axis=1)
+    del sq
+    rho_in = np.clip(rho, 0.0, 1.0)
+    ok = ((r_sq <= 1.0 + BALL_SLACK)
+          & (np.abs(rho_in * rho_in + r_sq - 1.0) <= RHO_SLACK)).tolist()
+    return [None if r < -BALL_SLACK
+            else CosetVector._from_checked(x[j, j + 1:], j + 1, n, r_in) if ok[j]
+            else _ON_DEMAND
+            for j, (r, r_in) in enumerate(zip(rho.tolist(), rho_in.tolist()))]
 
 
 def _negated_corners(pivots) -> np.ndarray:

@@ -27,19 +27,23 @@ loop writes each pivot straight into its row, and ``reflections`` are
 ``Tolerances``; the phase and pivot-norm bounds are fixed, named in ``numkit``.
 
 Every product of reflections in the package runs in panels of ``_PANEL``
-consecutive reflections.  A panel with at least ``_PANEL`` columns after it
-is blocked: its reflections act at once in compact-WY form
-``1 - V T V^dag``, the pivots as the columns of ``V``, by two matrix
-products (Schreiber & Van Loan 1989).  While a factorization is being found,
-each pivot depends on the reflections before it, so within a blocked panel
-each reflection first updates the panel's own columns as a rank-1 update
-of the rows from its level on, where its leading components are exactly
-zero, and only the columns after the panel take the blocked update.  When
-all pivots are known (a factorization multiplied back, a coset
-composition, a stack of Haar samples), the blocked update covers the
-panel's own columns too.  Every other panel is rank-1 updates across all
-columns, so below dimension ``2 * _PANEL`` a product is rank-1 updates
-alone, as is a single reflection.
+consecutive reflections.  A blocked panel's reflections act at once in
+compact-WY form ``1 - V T V^dag``, the pivots as the columns of ``V``, by
+two matrix products (Schreiber & Van Loan 1989); any other panel is
+rank-1 updates.  Which panels are blocked depends on what is known.  While
+a factorization is being found, each pivot depends on the reflections
+before it, so the column loop blocks a panel by the columns that follow
+it: with at least ``_PANEL`` of them, each reflection first updates the
+panel's own columns as a rank-1 update of the rows from its level on,
+where its leading components are exactly zero, and only the columns after
+the panel take the blocked update; below dimension ``2 * _PANEL`` the loop
+is rank-1 updates alone.  When all pivots are known (a factorization
+multiplied back, a coset composition, a stack of Haar samples), a product
+blocks a panel by its width: one of at least ``_WY_WIDTH`` reflections
+takes the blocked update across its own columns and those after it, and a
+narrower one, the last panel of a small product included, stays rank-1
+updates, which cost less there than forming ``T``.  A single reflection is
+a rank-1 update.
 """
 
 import math
@@ -58,7 +62,6 @@ from .numkit import (
     Tolerances,
     UcosetError,
     _as_array,
-    _as_square_matrix,
     _check_shape,
     _frozen_array,
     unitarity_error,
@@ -89,6 +92,8 @@ REVERSED = "reversed"
 
 # Reflections per compact-WY panel (see the module docstring).
 _PANEL = 32
+# Fewest reflections in a panel that a product runs as one compact-WY update.
+_WY_WIDTH = 16
 
 # Smallest <u|u> of a pivot; one built from a unit column has 2 (1 + rho) >= 2.
 _MIN_NORM_SQ = 2.0 * (1.0 - PIVOT_NORM_SLACK)
@@ -124,12 +129,13 @@ def _canonical_angle(phi: float) -> float:
     return phi
 
 
-def _pivot_record(obj, pivot, level: int):
-    # Sets the fields of a frozen Reflection or CosetFactor: the pivot, made
-    # read-only, its level and its dim.
-    pivot.setflags(write=False)
-    for name, value in (("pivot", pivot), ("level", level), ("dim", pivot.shape[0])):
-        object.__setattr__(obj, name, value)
+def _pivot_record(obj, pivot, level: int, **fields):
+    # Sets the fields of a frozen Reflection or CosetFactor in one step: the
+    # pivot, made read-only unless it is already (a row of a frozen stack),
+    # its level, its dim and any other fields given.
+    if pivot.flags.writeable:
+        pivot.setflags(write=False)
+    obj.__dict__.update(pivot=pivot, level=level, dim=pivot.shape[0], **fields)
     return obj
 
 
@@ -305,9 +311,9 @@ def _reflect_rows(t, i, u, c) -> None:
 
 def _panels(n: int) -> list:
     # (lo, hi, end) per panel of pivot rows lo .. hi - 1 of the N - 1
-    # reflections of an N-dim product.  A panel is blocked when at least
-    # _PANEL columns follow it: then end = hi, and columns end.. take the
-    # panel as one compact-WY update.  Otherwise end = n.
+    # reflections of an N-dim product.  The column loop blocks a panel when
+    # at least _PANEL columns follow it: then end = hi, and columns end..
+    # take the panel as one compact-WY update.  Otherwise end = n.
     panels = []
     for lo in range(0, n - 1, _PANEL):
         hi = min(lo + _PANEL, n - 1)
@@ -341,17 +347,18 @@ def _product(pivots, phases, ordering: str) -> ComplexMatrix:
     # for pivots (..., N - 1, N), the level-k pivot in row k - 1, and phases
     # (..., N).  R(u)^T = R(conj u), so the reversed product is built as its
     # transpose, the forward product of the conjugate pivots.  Panels run
-    # from the last one back.  R(u_{i+2}) ... D is diagonal on the leading
-    # i + 1 coordinates, so rows i.. of t are zero before column i, and a
-    # blocked panel, whose pivots are all known, takes its own columns in
-    # the same blocked update as those after it.
+    # from the last one back, and one of at least _WY_WIDTH reflections is
+    # blocked.  R(u_{i+2}) ... D is diagonal on the leading i + 1
+    # coordinates, so rows i.. of t are zero before column i, and a blocked
+    # panel, whose pivots are all known, takes its own columns in the same
+    # blocked update as those after it.
     n = phases.shape[-1]
     if ordering == REVERSED:
         pivots = pivots.conj()
     c = 2.0 / np.einsum("...j,...j->...", pivots, pivots.conj()).real
     t = phases[..., None] * np.eye(n)
-    for lo, hi, end in reversed(_panels(n)):
-        if end < n:
+    for lo, hi, _ in reversed(_panels(n)):
+        if hi - lo >= _WY_WIDTH:
             v = pivots[..., lo:hi, lo:]
             _apply_wy(t[..., lo:, lo:], v, _wy_factor(v, c[..., lo:hi]))
         else:
@@ -443,7 +450,8 @@ def _column_pivot(col, p, level: int, tol: float):
 
 
 def _require_unitary(u, tol: Tolerances) -> np.ndarray:
-    a = _as_square_matrix(u)
+    # unitarity_error is the one check of the array's shape and entries.
+    a = _as_array(u, "matrix")
     err = unitarity_error(a)
     if err > tol.unitarity_tol:
         raise NotUnitaryError(

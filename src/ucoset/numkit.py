@@ -142,7 +142,8 @@ def unitarity_error(m) -> float:
         both defects are bounded by their equal 2-norms.
     """
     a = _as_square_matrix(m)
-    defect = a.conj().T @ a - np.eye(a.shape[0])
+    defect = a.conj().T @ a
+    defect[np.diag_indices(a.shape[0])] -= 1.0
     return float(np.max(np.abs(defect)))
 
 

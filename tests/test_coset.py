@@ -12,6 +12,7 @@ from ucoset import (
     CosetFactor,
     CosetFactorization,
     CosetVector,
+    DomainError,
     Gamma,
     Generator,
     MalformedFactorError,
@@ -513,6 +514,87 @@ class TestVectorRead:
                 assert c.vector is None
                 with pytest.raises(MalformedFactorError):
                     extract_coset_vector(c)
+
+
+def assert_same_vector(got, lone):
+    # Bitwise equal X and rho, read-only X, no memory shared with a stack.
+    assert (got.level, got.dim) == (lone.level, lone.dim)
+    assert got.x.dtype == lone.x.dtype and got.x.shape == lone.x.shape
+    assert got.x.tobytes() == lone.x.tobytes()
+    assert type(got.rho) is type(lone.rho) is float and got.rho.hex() == lone.rho.hex()
+    assert not got.x.flags.writeable
+    with pytest.raises(ValueError):
+        got.x[0] = 0.5
+
+
+class TestStackRead:
+    # cf.factors reads X for the whole stack in one pass; a lone factor on
+    # the same pivot reads its own row on demand.
+    @given(st.integers(2, 40), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=30)
+    def test_stack_read_is_the_single_row_read(self, dim, seed):
+        u = random_unitary(dim, seed)
+        for dec, conv, _ in ORDERINGS:
+            cf = conv(dec(u))
+            for c in cf.factors:
+                lone = CosetFactor._from_pivot(np.array(c.pivot), c.level)
+                assert_same_vector(c.vector, lone.vector)
+                assert extract_coset_vector(c) is c.vector
+                assert not np.shares_memory(c.vector.x, cf.pivots)
+
+    @given(st.integers(3, 30), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=30)
+    def test_mixed_stack(self, dim, seed):
+        # Rows edited to a negative corner (rho = -3/5), a pure phase
+        # (rho = 1 exactly) and a scale so small that 2 / <p|p> overflows,
+        # among rows left as decompose made them.
+        rng = np.random.default_rng(seed)
+        cf = cosets_from_householder(decompose(random_unitary(dim, seed)))
+        pivots = cf.pivots.copy()
+        kinds = rng.integers(0, 4, dim - 1)
+        for j, kind in enumerate(kinds):
+            below_sq = float(np.sum(np.abs(pivots[j, j + 1:]) ** 2))
+            if kind == 1 and below_sq > 0.0:
+                pivots[j, j] *= 0.5 * math.sqrt(below_sq) / abs(pivots[j, j])
+            elif kind == 2:
+                pivots[j, j + 1:] = 0.0
+                pivots[j, j] = 2.0 * np.exp(1j * rng.uniform(-math.pi, math.pi))
+            elif kind == 3:
+                pivots[j] = 0.0
+                pivots[j, j], pivots[j, j + 1] = 1.5e-160, 0.5e-160
+        edited = CosetFactorization(pivots=pivots, terminal_phases=cf.terminal_phases,
+                                    ordering=FORWARD, dim=dim)
+        factors = edited.factors
+        for c, kind in zip(factors, kinds):
+            lone = CosetFactor._from_pivot(np.array(c.pivot), c.level)
+            if kind == 3:
+                # Only reading this factor raises, and as the lone read does.
+                with pytest.raises(DomainError):
+                    c.vector
+                with pytest.raises(DomainError):
+                    lone.vector
+            elif c.vector is None:
+                assert kind == 1 and lone.vector is None
+                with pytest.raises(MalformedFactorError):
+                    extract_coset_vector(c)
+            else:
+                assert_same_vector(c.vector, lone.vector)
+                if kind == 2:
+                    assert c.vector.rho == 1.0 and not np.any(c.vector.x)
+
+    def test_stack_read_keeps_one_temporary(self):
+        # Beyond what the factors keep (X and the view objects), the read
+        # needs at most one (N - 1) x N complex temporary at a time.
+        n = 96
+        cf = cosets_from_householder(decompose(random_unitary(n, 150)))
+        tracemalloc.start()
+        try:
+            factors = cf.factors
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(factors) == n - 1
+        assert peak - kept <= (n - 1) * n * 16 + 2 ** 14
 
 
 class TestStructuredFactor:

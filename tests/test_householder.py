@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ucoset import (
@@ -31,7 +31,8 @@ from ucoset import (
     unitarity_error,
 )
 import ucoset
-from ucoset.householder import _PANEL, _panels, _product
+import ucoset.householder
+from ucoset.householder import _PANEL, _WY_WIDTH, _panels, _product
 
 from golden_data import (
     PIVOT_PHASES,
@@ -642,6 +643,80 @@ class TestPanels:
         assert calls == {"apply_reflection": 0, "pivot_from_column": 0,
                          "unitarity_error": 1}
         assert maxdiff(reconstruct(f), u) <= 1e-12
+
+
+def rank1_product(pivots, phases, ordering):
+    # Reference product of one matrix, one dense rank-1 update per
+    # reflection from the phase diagonal outwards: R(u_1) ... R(u_{N-1}) D
+    # (forward) or D R(u_{N-1}) ... R(u_1) (reversed).
+    t = np.diag(phases).astype(complex)
+    for u in pivots[::-1]:
+        c = 2.0 / np.vdot(u, u).real
+        if ordering == FORWARD:
+            t -= c * np.outer(u, u.conj() @ t)
+        else:
+            t -= c * np.outer(t @ u, u.conj())
+    return t
+
+
+# Products whose last panel is one narrower than _WY_WIDTH, exactly it and
+# one wider, alone and after a full panel, and 2 _PANEL +- 1.
+PRODUCT_DIMS = [_WY_WIDTH, _WY_WIDTH + 1, _WY_WIDTH + 2, _PANEL + _WY_WIDTH,
+                _PANEL + _WY_WIDTH + 1, _PANEL + _WY_WIDTH + 2, 2 * _PANEL - 1, 2 * _PANEL + 1]
+
+
+class TestProductPanels:
+    def test_product_blocks_panels_by_width(self, monkeypatch):
+        # Only panels of at least _WY_WIDTH reflections form T, whatever
+        # follows them; the column loop keeps its rule by trailing columns.
+        calls = []
+        wy_factor = ucoset.householder._wy_factor
+
+        def counting(v, c):
+            calls.append(c.shape[-1])
+            return wy_factor(v, c)
+
+        monkeypatch.setattr(ucoset.householder, "_wy_factor", counting)
+        for n, widths in ((_WY_WIDTH, []), (_WY_WIDTH + 1, [_WY_WIDTH]),
+                          (_PANEL + _WY_WIDTH, [_PANEL]),
+                          (_PANEL + _WY_WIDTH + 1, [_WY_WIDTH, _PANEL]),
+                          (2 * _PANEL + 1, [_PANEL, _PANEL])):
+            u = random_unitary(n, 730 + n)
+            f = decompose(u)
+            calls.clear()
+            assert maxdiff(reconstruct(f), u) <= 1e-12
+            assert calls == widths
+
+    @given(dim=st.integers(2, 70), count=st.integers(1, 4),
+           ordering=st.sampled_from([FORWARD, REVERSED]), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40)
+    @example(dim=PRODUCT_DIMS[0], count=1, ordering=FORWARD, seed=0)
+    @example(dim=PRODUCT_DIMS[1], count=2, ordering=REVERSED, seed=1)
+    @example(dim=PRODUCT_DIMS[2], count=3, ordering=FORWARD, seed=2)
+    @example(dim=PRODUCT_DIMS[3], count=4, ordering=REVERSED, seed=3)
+    @example(dim=PRODUCT_DIMS[4], count=1, ordering=FORWARD, seed=4)
+    @example(dim=PRODUCT_DIMS[5], count=2, ordering=REVERSED, seed=5)
+    @example(dim=PRODUCT_DIMS[6], count=3, ordering=FORWARD, seed=6)
+    @example(dim=PRODUCT_DIMS[7], count=4, ordering=REVERSED, seed=7)
+    def test_product_matches_rank1_reference(self, dim, count, ordering, seed):
+        # Any nonzero pivots with exact zeros before their levels, and any
+        # unit phases: the product is unitary whatever the stack holds.
+        rng = np.random.default_rng(seed)
+        shape = (count, dim - 1, dim)
+        pivots = np.triu(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        pivots[:, range(dim - 1), range(dim - 1)] += 2.0
+        phases = np.exp(1j * rng.uniform(-math.pi, math.pi, (count, dim)))
+        stacked = _product(pivots, phases, ordering)
+        assert stacked.shape == (count, dim, dim)
+        for k in range(count):
+            expected = rank1_product(pivots[k], phases[k], ordering)
+            assert maxdiff(stacked[k], expected) <= 1e-13 * dim
+            assert maxdiff(_product(pivots[k], phases[k], ordering), expected) <= 1e-13 * dim
+        u = random_unitary(dim, seed)
+        for dec, conv, _ in PANEL_ORDERINGS:
+            f = dec(u)
+            assert maxdiff(reconstruct(f), u) <= 1e-12
+            assert maxdiff(compose_cosets(conv(f)), u) <= 1e-12
 
 
 def factorization_with(**changes):

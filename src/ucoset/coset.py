@@ -16,13 +16,13 @@ level times a diagonal of phases reproduces any unitary matrix.  Like a
 Householder factorization, a coset factorization stores its pivots as one
 read-only (N - 1) x N stack, and its ``factors`` are ``CosetFactor`` views
 on the rows, each carrying the X that one array pass over the whole stack
-read for it; a lone factor reads its X off its pivot by the same
-arithmetic on one row, so both reads agree bit for bit.  The conversions
-from a Householder factorization negate column k (forward: the stack is
-shared as it is) or row k (reversed, F_k R(u) = R(F_k u) F_k: one copy
-with each u_k negated) of each reflection; the sign flips migrate into the
-terminal phase diagonal, so composing the factors is one product of
-reflections, O(N^3) in the panels of ``householder``.
+read for it.  A lone factor is a stack of one row, read by the same pass,
+so both reads agree bit for bit.  The conversions from a Householder
+factorization negate column k (forward: the stack is shared as it is) or
+row k (reversed, F_k R(u) = R(F_k u) F_k: one copy with each u_k negated)
+of each reflection; the sign flips migrate into the terminal phase
+diagonal, so composing the factors is one product of reflections, O(N^3)
+in the panels of ``householder``.
 
 The level-1 factor is also the exponential of the anti-Hermitian generator
 with column B below the corner; for ||B|| in (pi/2, pi] its corner is
@@ -101,10 +101,6 @@ class RhoRangeError(UcosetError):
     """rho must lie in [0, 1] and agree with <X|X>."""
 
 
-# The vector of a factor that reads it off its pivot on each access.
-_ON_DEMAND = object()
-
-
 @dataclass(frozen=True, eq=False)
 class CosetVector:
     """Ball coordinates X of a level-k coset factor, with cached rho.
@@ -119,40 +115,10 @@ class CosetVector:
     rho: float
 
     def __post_init__(self):
-        self._check_level()
-        self._check_coords(_frozen_array(self.x, (self.dim - self.level,), complex, "x"))
-
-    @classmethod
-    def _from_new_array(cls, x, level: int, dim: int, rho: float) -> "CosetVector":
-        # The public constructor's checks on x, a complex array of length
-        # dim - level that the caller has just made and keeps no reference
-        # to, so it is made read-only instead of copied.
-        xv = cls.__new__(cls)
-        xv.__dict__.update(level=level, dim=dim, rho=rho)
-        xv._check_level()
-        x.setflags(write=False)
-        xv._check_coords(x)
-        return xv
-
-    @classmethod
-    def _from_checked(cls, x, level: int, dim: int, rho: float) -> "CosetVector":
-        # A vector whose read-only x and rho have passed the checks, in the
-        # array form of _stack_vectors.
-        xv = cls.__new__(cls)
-        xv.__dict__.update(x=x, level=level, dim=dim, rho=rho)
-        return xv
-
-    def _check_level(self):
         if not 1 <= self.level <= self.dim - 1:
             raise DimensionMismatchError(f"level {self.level} outside 1..{self.dim - 1}")
-
-    def _check_coords(self, x):
-        # Checks the read-only array x against the ball and rho, then stores
-        # it.  A finite <x|x> means finite entries, so the entrywise test
-        # runs only when the sum is not finite.
-        r_sq = float(np.vdot(x, x).real)
-        if not math.isfinite(r_sq) and not np.isfinite(x).all():
-            raise DomainError("x: non-finite entries")
+        x = _frozen_array(self.x, (self.dim - self.level,), complex, "x")
+        r_sq = float(np.real(np.vdot(x, x)))
         if r_sq > 1.0 + BALL_SLACK:
             raise BallViolationError(f"<x|x> = {r_sq} exceeds 1")
         if not -BALL_SLACK <= self.rho <= 1.0 + BALL_SLACK:
@@ -160,6 +126,14 @@ class CosetVector:
         if abs(self.rho * self.rho + r_sq - 1.0) > RHO_SLACK:
             raise RhoRangeError("rho is inconsistent with <x|x>")
         object.__setattr__(self, "x", x)
+
+    @classmethod
+    def _from_checked(cls, x, level: int, dim: int, rho: float) -> "CosetVector":
+        # A vector whose read-only x and rho have passed the checks, in the
+        # array form of _vectors.
+        xv = cls.__new__(cls)
+        xv.__dict__.update(x=x, level=level, dim=dim, rho=rho)
+        return xv
 
     @classmethod
     def from_coords(cls, x, level: int, dim: int) -> "CosetVector":
@@ -201,23 +175,21 @@ class CosetFactor:
     """One coset factor at level k: ``R(p)`` with column k negated.
 
     The read-only ``pivot`` p is stored; its components before k are
-    exactly zero.  ``vector`` is X and rho, read off p, and is None when
-    the corner is negative, outside the X chart.  A factor of
-    ``CosetFactorization.factors`` carries the vector its stack read gave
-    it; any other factor (``CosetFactor(matrix=...)``,
-    ``coset_matrix_from_X``, ``exp_coset``) reads it in O(N) on each
-    access.  ``matrix`` assembles the read-only dense factor in O(N^2) on
-    each access.  ``CosetFactor(matrix=..., level=...)`` reads the pivot off
-    a hand-made factor and checks in O(N^2) that the matrix is that factor.
+    exactly zero.  ``vector`` is X and rho, read off p when the factor is
+    built, and is None when the corner is negative, outside the X chart.
+    A factor of ``CosetFactorization.factors`` is a row of its stack and
+    carries what the read of the whole stack gave that row; any other
+    factor (``CosetFactor(matrix=...)``, ``coset_matrix_from_X``,
+    ``exp_coset``) is a stack of one row and is read the same way.
+    ``matrix`` assembles the read-only dense factor in O(N^2) on each
+    access.  ``CosetFactor(matrix=..., level=...)`` reads the pivot off a
+    hand-made factor and checks in O(N^2) that the matrix is that factor.
     """
 
     level: int
     dim: int
     pivot: ComplexVector
-
-    # A vector from the stack read, set per factor by _from_pivot; the
-    # class default reads it off the pivot on each access.
-    _vector = _ON_DEMAND
+    vector: CosetVector | None
 
     def __init__(self, matrix, level: int):
         m = _as_array(matrix, f"factor at level {level}")
@@ -247,26 +219,21 @@ class CosetFactor:
         if not np.any(p) or not float(np.max(np.abs(self.matrix - m))) <= FACTOR_MATCH_TOL:
             raise MalformedFactorError(
                 f"factor at level {level} is not a column-flipped reflection")
+        self.__dict__["vector"] = _vectors(p[None], [i])[0]
 
     @classmethod
-    def _from_pivot(cls, p, level: int, vector=_ON_DEMAND) -> "CosetFactor":
-        return _pivot_record(cls.__new__(cls), p, level, _vector=vector)
+    def _from_pivot(cls, p, level: int, vector) -> "CosetFactor":
+        return _pivot_record(cls.__new__(cls), p, level, vector=vector)
+
+    @classmethod
+    def _lone(cls, p, level: int) -> "CosetFactor":
+        # The factor of a pivot that is no row of a stack: a stack of one row.
+        return cls._from_pivot(p, level, _vectors(p[None], [level - 1])[0])
 
     def _corner(self):
         # conj(p_k), 2 / <p|p> and the corner rho, as _chart reads them.
         pk_bar, c, rho, _ = _chart(self.pivot[None], self.level - 1)
         return complex(pk_bar[0]), float(c[0]), float(rho[0])
-
-    @property
-    def vector(self) -> CosetVector | None:
-        if self._vector is not _ON_DEMAND:
-            return self._vector
-        *_, rho, x = _chart(self.pivot[None], self.level - 1)
-        rho = float(rho[0])
-        if rho < -BALL_SLACK:
-            return None
-        return CosetVector._from_new_array(x[0, self.level:], self.level, self.dim,
-                                           min(max(rho, 0.0), 1.0))
 
     @property
     def matrix(self) -> ComplexMatrix:
@@ -285,10 +252,12 @@ class CosetFactorization:
     """Pivot stack of the coset factors plus terminal phases.
 
     ``pivots`` is the read-only (dim - 1) x dim array of the factor pivots,
-    the level-k pivot in row k - 1.  ``factors`` are ``CosetFactor`` views
-    on its rows, built on each access together with one array pass that
-    reads X and rho for every level; each factor carries its ``vector``
-    from that pass (None for a negative corner).  Forward ordering
+    the level-k pivot in row k - 1; each must have a normal ``<p|p>``.
+    ``factors`` are ``CosetFactor`` views on its rows, built on each access
+    together with one array pass that reads X and rho for every level; each
+    factor carries its ``vector`` from that pass (None for a negative
+    corner), and a level whose read fails a check of ``CosetVector``
+    raises that check's error there.  Forward ordering
     composes as ``C_1 C_2 ... C_{dim-1} T``; reversed ordering as
     ``T C_{dim-1} ... C_1`` with ``T`` the terminal diagonal.
     """
@@ -301,16 +270,20 @@ class CosetFactorization:
     def __post_init__(self):
         norm_sq = _check_record(self, self.terminal_phases, MalformedFactorError,
                                 MalformedFactorError)
-        # Any nonzero pivot is a factor, but one with <p|p> = 0, a zero row
-        # or one that underflows, has no 2 / <p|p>.
-        zero = np.flatnonzero(norm_sq == 0.0)
-        if zero.size:
-            raise MalformedFactorError(f"pivot at level {zero[0] + 1} has <p|p> = 0")
+        # Any nonzero pivot is a factor, but one whose <p|p> is below the
+        # least normal float, a zero row included, may have no finite
+        # 2 / <p|p>: the X read and the products sum <p|p> in other orders
+        # than this check, and at this bound 2 / <p|p> is finite for all.
+        tiny = np.flatnonzero(norm_sq < np.finfo(float).tiny)
+        if tiny.size:
+            raise MalformedFactorError(f"pivot at level {tiny[0] + 1} has <p|p> = "
+                                       f"{norm_sq[tiny[0]]}, too small for 2 / <p|p>")
 
     @property
     def factors(self) -> tuple:
-        return tuple(CosetFactor._from_pivot(p, k, xv) for k, (p, xv)
-                     in enumerate(zip(self.pivots, _stack_vectors(self.pivots)), start=1))
+        vectors = _vectors(self.pivots, np.arange(self.dim - 1))
+        return tuple(CosetFactor._from_pivot(p, k, xv)
+                     for k, (p, xv) in enumerate(zip(self.pivots, vectors), start=1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -355,33 +328,33 @@ def _chart(p, k):
         return pk_bar, c, 2.0 * pk_sq / norm_sq - 1.0, (c * pk_bar)[:, None] * p
 
 
-def _stack_vectors(pivots) -> list:
-    # The vector of each level of a pivot stack, from one _chart pass: None
-    # where the corner is negative, as CosetFactor.vector gives, and
-    # _ON_DEMAND where the read fails a check of CosetVector, so that the
-    # factor's own read raises that check's error when it is read.  The
-    # checks (finite X, <x|x> <= 1, rho in [0, 1], rho against <x|x>) run on
-    # the row sums of |X|^2 in array form, the corner left out; the entries
-    # before it are exact zeros unless the row's scale is not finite, and
-    # then X fails anyway.  The X of every level is a view on one read-only
-    # array.
-    n = pivots.shape[1]
-    k = np.arange(n - 1)
+def _vectors(pivots, k) -> list:
+    # The vector of each row of pivots, row j with its corner in column k[j],
+    # from one _chart pass: None where the corner is negative.  The checks
+    # of CosetVector (finite X, <x|x> <= 1, rho in [0, 1], rho against
+    # <x|x>) run on the row sums of |X|^2 in array form, the corner left
+    # out; the entries before it are exact zeros unless the row's scale is
+    # not finite, and then X fails anyway.  A row that fails goes to
+    # CosetVector itself, which raises that check's error.  The X of every
+    # row is a view on one read-only array.
+    k = np.asarray(k)
+    rows = np.arange(k.shape[0])
     *_, rho, x = _chart(pivots, k)
     x.setflags(write=False)
     with np.errstate(all="ignore"):
         sq = np.square(x.real)
         sq += np.square(x.imag)
-        sq[k, k] = 0.0
+        sq[rows, k] = 0.0
         r_sq = sq.sum(axis=1)
     del sq
     rho_in = np.clip(rho, 0.0, 1.0)
     ok = ((r_sq <= 1.0 + BALL_SLACK)
           & (np.abs(rho_in * rho_in + r_sq - 1.0) <= RHO_SLACK)).tolist()
-    return [None if r < -BALL_SLACK
-            else CosetVector._from_checked(x[j, j + 1:], j + 1, n, r_in) if ok[j]
-            else _ON_DEMAND
-            for j, (r, r_in) in enumerate(zip(rho.tolist(), rho_in.tolist()))]
+    n, vectors = pivots.shape[1], []
+    for j, (kj, r, r_in, good) in enumerate(zip(k.tolist(), rho.tolist(), rho_in.tolist(), ok)):
+        make = CosetVector._from_checked if good else CosetVector
+        vectors.append(None if r < -BALL_SLACK else make(x[j, kj + 1:], kj + 1, n, r_in))
+    return vectors
 
 
 def _negated_corners(pivots) -> np.ndarray:
@@ -460,7 +433,7 @@ def coset_matrix_from_X(xv: CosetVector) -> CosetFactor:
     i = xv.level - 1
     p[i] = 1.0 + xv.rho
     p[i + 1:] = xv.x
-    return CosetFactor._from_pivot(p, xv.level)
+    return CosetFactor._lone(p, xv.level)
 
 
 def gamma_from_rho(rho: float, phase: float) -> Gamma:
@@ -513,7 +486,7 @@ def exp_coset(g: Generator) -> CosetFactor:
     i = g.level - 1
     p[i] = math.cos(0.5 * theta)
     p[i + 1:] = (0.5 * np.sinc(theta / (2.0 * math.pi))) * g.b  # sin(theta/2)/theta
-    return CosetFactor._from_pivot(p, g.level)
+    return CosetFactor._lone(p, g.level)
 
 
 def coset_u2_explicit(x1: float, x2: float) -> ComplexMatrix:

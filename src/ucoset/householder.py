@@ -29,21 +29,22 @@ loop writes each pivot straight into its row, and ``reflections`` are
 Every product of reflections in the package runs in panels of ``_PANEL``
 consecutive reflections.  A blocked panel's reflections act at once in
 compact-WY form ``1 - V T V^dag``, the pivots as the columns of ``V``, by
-two matrix products (Schreiber & Van Loan 1989); any other panel is
-rank-1 updates.  Which panels are blocked depends on what is known.  While
-a factorization is being found, each pivot depends on the reflections
-before it, so the column loop blocks a panel by the columns that follow
-it: with at least ``_PANEL`` of them, each reflection first updates the
-panel's own columns as a rank-1 update of the rows from its level on,
-where its leading components are exactly zero, and only the columns after
-the panel take the blocked update; below dimension ``2 * _PANEL`` the loop
-is rank-1 updates alone.  When all pivots are known (a factorization
-multiplied back, a coset composition, a stack of Haar samples), a product
-blocks a panel by its width: one of at least ``_WY_WIDTH`` reflections
-takes the blocked update across its own columns and those after it, and a
-narrower one, the last panel of a small product included, stays rank-1
-updates, which cost less there than forming ``T``.  A single reflection is
-a rank-1 update.
+two matrix products (Schreiber & Van Loan 1989); ``T`` is the inverse of
+the upper triangle of ``V^dag V`` with each diagonal entry ``<v|v>``
+halved (Puglisi 1992).  Any other panel is rank-1 updates.  Which panels
+are blocked depends on what is known.  While a factorization is being
+found, each pivot depends on the reflections before it, so the column loop
+blocks a panel by the columns that follow it: with at least ``_PANEL`` of
+them, each reflection first updates the panel's own columns as a rank-1
+update of the rows from its level on, where its leading components are
+exactly zero, and only the columns after the panel take the blocked
+update; below dimension ``2 * _PANEL`` the loop is rank-1 updates alone.
+When all pivots are known (a factorization multiplied back, a coset
+composition, a stack of Haar samples), a product blocks a panel by its
+width: one of at least ``_WY_WIDTH`` reflections takes the blocked update
+across its own columns and those after it, and a narrower one, the last
+panel of a small product included, stays rank-1 updates, which cost less
+there than forming ``T``.  A single reflection is a rank-1 update.
 """
 
 import math
@@ -321,19 +322,15 @@ def _panels(n: int) -> list:
     return panels
 
 
-def _wy_factor(v, c) -> np.ndarray:
+def _wy_factor(v) -> np.ndarray:
     # Upper-triangular T with R(v_1) ... R(v_b) = 1 - V T V^dag, for the
-    # pivots v (..., b, m) as the columns of V and c (..., b) their real
-    # 2 / <v|v>.  Schreiber & Van Loan's recurrence: T_jj = c_j and
-    # T[:j, j] = -c_j T[:j, :j] (V^dag V)[:j, j], where column j above the
-    # diagonal holds -c_j (V^dag V)[:j, j] until its turn.  Broadcasts over
-    # batch axes.
-    b = c.shape[-1]
-    t = np.triu((v.conj() @ np.swapaxes(v, -1, -2)) * -c[..., None, :], 1)
-    t[..., range(b), range(b)] = c
-    for j in range(1, b):
-        t[..., :j, j:j + 1] = t[..., :j, :j] @ t[..., :j, j:j + 1]
-    return t
+    # pivots v (..., b, m) as the columns of V, in closed form:
+    # T = inv(diag(h) + triu(V^dag V, 1)) with h_j = <v_j|v_j> / 2 (Puglisi
+    # 1992; Joffrain et al. 2006).  Broadcasts over batch axes.
+    b = v.shape[-2]
+    a = np.triu(v.conj() @ np.swapaxes(v, -1, -2))
+    a[..., range(b), range(b)] = 0.5 * a[..., range(b), range(b)].real
+    return np.linalg.inv(a)
 
 
 def _apply_wy(blk, v, t) -> None:
@@ -360,7 +357,7 @@ def _product(pivots, phases, ordering: str) -> ComplexMatrix:
     for lo, hi, _ in reversed(_panels(n)):
         if hi - lo >= _WY_WIDTH:
             v = pivots[..., lo:hi, lo:]
-            _apply_wy(t[..., lo:, lo:], v, _wy_factor(v, c[..., lo:hi]))
+            _apply_wy(t[..., lo:, lo:], v, _wy_factor(v))
         else:
             for i in range(hi - 1, lo - 1, -1):
                 _reflect_rows(t[..., i:], i, pivots[..., i, :], c[..., i])
@@ -484,16 +481,14 @@ def _clear_columns(u, tol: Tolerances, ordering: str) -> HouseholderFactorizatio
     else:
         a, check_tol = np.conj(a.T, order="C"), 2.0 * n * tol.unitarity_tol
     pivots = np.zeros((n - 1, n), dtype=complex)
-    c = np.empty(n - 1)
     for lo, hi, end in _panels(n):
         for i in range(lo, hi):
             _, norm_sq = _column_pivot(a[:, i], pivots[i], i + 1, check_tol)
-            c[i] = ci = 2.0 / norm_sq
             v, rows = pivots[i, i:], a[i:, i:end]
-            rows -= v[:, None] * (ci * (v.conj() @ rows))
+            rows -= v[:, None] * ((2.0 / norm_sq) * (v.conj() @ rows))
         if end < n:
             v = pivots[lo:hi, lo:]
-            _apply_wy(a[lo:, end:], v, _wy_factor(v, c[lo:hi]).conj().T)
+            _apply_wy(a[lo:, end:], v, _wy_factor(v).conj().T)
     pivots.setflags(write=False)
     residual = np.diag(a) if ordering == FORWARD else np.diag(a).conj()
     return HouseholderFactorization(pivots, PhaseDiagonal(residual, n), ordering, n)

@@ -304,9 +304,10 @@ class TestReconstruct:
         assert run("reconstruct", "--input", path) == 2
 
 
-# U0's pivot files, by kind, as decompose writes them.
+# U0's pivot files, by kind, as decompose writes them, and a coset file of dim 20.
 PIVOT_FILES = {mode: cli._factorization_to_obj(record(U0, mode))
                for mode in ("householder", "coset", "coset-reversed")}
+PIVOT_FILES["coset-20"] = cli._factorization_to_obj(record(random_unitary(20, 35), "coset"))
 
 
 def base_file(name):
@@ -352,6 +353,9 @@ NOT_FACTORIZATIONS = {
     "pivots-short": ("householder", ("pivots", 0),
                      [[0.5 * re, 0.5 * im] for re, im in PIVOT_FILES["householder"]["pivots"][0]]),
     "pivots-zero-row": ("coset-reversed", ("pivots", 1), [[0.0, 0.0]] * 3),
+    # <p|p> = 2.5e-320 at level 5, too small for a finite 2 / <p|p>.
+    "pivots-subnormal-norm": ("coset-20", ("pivots", 4), [[0.0, 0.0]] * 4 + [
+        [1.5e-160, 0.0], [0.5e-160, 0.0]] + [[0.0, 0.0]] * 14),
 }
 
 

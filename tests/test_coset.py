@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ucoset import (
@@ -12,7 +12,6 @@ from ucoset import (
     CosetFactor,
     CosetFactorization,
     CosetVector,
-    DomainError,
     Gamma,
     Generator,
     MalformedFactorError,
@@ -476,10 +475,22 @@ class TestVectorRead:
     @given(st.integers(2, 40), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=30)
     def test_vector_is_the_public_constructors(self, dim, seed):
+        # The factors of both conversions, and lone factors at a random
+        # level: from X, from the exponential and read off a dense matrix.
         u = random_unitary(dim, seed)
+        rng = np.random.default_rng(seed)
         for dec, conv, _ in ORDERINGS:
             cf = conv(dec(u))
-            for c in cf.factors:
+            level = int(rng.integers(1, dim))
+            b = rng.standard_normal(dim - level) + 1j * rng.standard_normal(dim - level)
+            b *= rng.uniform(0.0, 0.5 * math.pi) / np.linalg.norm(b)
+            lone = (
+                coset_matrix_from_X(CosetVector.from_coords(random_ball_vector(rng, dim - level),
+                                                            level, dim)),
+                exp_coset(Generator(b=b, dim=dim, level=level)),
+                CosetFactor(matrix=cf.factors[level - 1].matrix, level=level),
+            )
+            for c in cf.factors + lone:
                 xv = c.vector
                 # The public constructor on the value the read takes:
                 # X = (2 conj(p_k) / <p|p>) p_below, rho clipped to [0, 1].
@@ -492,6 +503,7 @@ class TestVectorRead:
                 assert type(xv.rho) is type(public.rho) is float
                 assert xv.rho.hex() == public.rho.hex()
                 assert not xv.x.flags.writeable and not np.shares_memory(xv.x, cf.pivots)
+                assert not np.shares_memory(xv.x, c.pivot)
                 with pytest.raises(ValueError):
                     xv.x[0] = 0.5
 
@@ -537,7 +549,7 @@ class TestStackRead:
         for dec, conv, _ in ORDERINGS:
             cf = conv(dec(u))
             for c in cf.factors:
-                lone = CosetFactor._from_pivot(np.array(c.pivot), c.level)
+                lone = CosetFactor._lone(np.array(c.pivot), c.level)
                 assert_same_vector(c.vector, lone.vector)
                 assert extract_coset_vector(c) is c.vector
                 assert not np.shares_memory(c.vector.x, cf.pivots)
@@ -562,18 +574,21 @@ class TestStackRead:
             elif kind == 3:
                 pivots[j] = 0.0
                 pivots[j, j], pivots[j, j + 1] = 1.5e-160, 0.5e-160
-        edited = CosetFactorization(pivots=pivots, terminal_phases=cf.terminal_phases,
-                                    ordering=FORWARD, dim=dim)
-        factors = edited.factors
-        for c, kind in zip(factors, kinds):
-            lone = CosetFactor._from_pivot(np.array(c.pivot), c.level)
-            if kind == 3:
-                # Only reading this factor raises, and as the lone read does.
-                with pytest.raises(DomainError):
-                    c.vector
-                with pytest.raises(DomainError):
-                    lone.vector
-            elif c.vector is None:
+
+        def edited():
+            return CosetFactorization(pivots=pivots, terminal_phases=cf.terminal_phases,
+                                      ordering=FORWARD, dim=dim)
+
+        if 3 in kinds:
+            # The record refuses such a row, naming the first one; the rest
+            # of the stack is read with those rows as decompose made them.
+            first = int(np.flatnonzero(kinds == 3)[0]) + 1
+            with pytest.raises(MalformedFactorError, match=f"level {first} has"):
+                edited()
+            pivots[kinds == 3] = cf.pivots[kinds == 3]
+        for c, kind in zip(edited().factors, kinds):
+            lone = CosetFactor._lone(np.array(c.pivot), c.level)
+            if c.vector is None:
                 assert kind == 1 and lone.vector is None
                 with pytest.raises(MalformedFactorError):
                     extract_coset_vector(c)
@@ -595,6 +610,51 @@ class TestStackRead:
             tracemalloc.stop()
         assert len(factors) == n - 1
         assert peak - kept <= (n - 1) * n * 16 + 2 ** 14
+
+
+# Row scales 2^s whose <p|p>, 2^(2s + 1) to 2^(2s + 2) for a pivot with
+# <p|p> in [2, 4], is subnormal (or zero), normal, or too large for a float.
+SCALE_RANGES = {"subnormal": (-540, -513), "normal": (-511, 510), "overflow": (512, 540)}
+
+
+class TestPivotScale:
+    @given(dim=st.integers(2, 40), ordering=st.sampled_from([FORWARD, REVERSED]),
+           outside=st.sampled_from(["none", "subnormal", "overflow"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60)
+    @example(dim=17, ordering=FORWARD, outside="none", seed=0)
+    @example(dim=40, ordering=REVERSED, outside="none", seed=1)
+    @example(dim=33, ordering=FORWARD, outside="subnormal", seed=2)
+    @example(dim=20, ordering=REVERSED, outside="overflow", seed=3)
+    def test_accepted_records_compose_finite(self, dim, ordering, outside, seed):
+        # Every row scaled by 2^s within the normal range, and possibly some
+        # rows outside it: a record is accepted exactly when all rows are in
+        # range, and then composes, as any reflection is scale-free, to the
+        # matrix of its unscaled stack, with no warning (warnings are errors),
+        # and reads the X of its unscaled stack.
+        rng = np.random.default_rng(seed)
+        dec, conv = {o: (d, c) for d, c, o in ORDERINGS}[ordering]
+        cf = conv(dec(random_unitary(dim, seed)))
+        s = rng.integers(*SCALE_RANGES["normal"], dim - 1, endpoint=True)
+        if outside != "none":
+            rows = rng.choice(dim - 1, rng.integers(1, dim, endpoint=False), replace=False)
+            s[rows] = rng.integers(*SCALE_RANGES[outside], rows.size, endpoint=True)
+        scaled = cf.pivots * np.ldexp(1.0, s)[:, None]
+
+        def record():
+            return CosetFactorization(pivots=scaled, terminal_phases=cf.terminal_phases,
+                                      ordering=ordering, dim=dim)
+
+        if outside != "none":
+            with pytest.raises(UcosetError):
+                record()
+            return
+        accepted = record()
+        composed = compose_cosets(accepted)
+        assert np.isfinite(composed).all()
+        assert maxdiff(composed, compose_cosets(cf)) <= 1e-13 * dim
+        for c, ref in zip(accepted.factors, cf.factors):
+            assert maxdiff(c.vector.x, ref.vector.x) <= 1e-13
 
 
 class TestStructuredFactor:

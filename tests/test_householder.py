@@ -672,9 +672,9 @@ class TestProductPanels:
         calls = []
         wy_factor = ucoset.householder._wy_factor
 
-        def counting(v, c):
-            calls.append(c.shape[-1])
-            return wy_factor(v, c)
+        def counting(v):
+            calls.append(v.shape[-2])
+            return wy_factor(v)
 
         monkeypatch.setattr(ucoset.householder, "_wy_factor", counting)
         for n, widths in ((_WY_WIDTH, []), (_WY_WIDTH + 1, [_WY_WIDTH]),

@@ -37,7 +37,8 @@ import sys
 import numpy as np
 
 from . import coset, haar, householder
-from .numkit import DEFAULT_TOLERANCES, DomainError, Tolerances, UcosetError, unitarity_error
+from .numkit import (DEFAULT_TOLERANCES, ROUND_TRIP_FACTOR, DomainError, Tolerances,
+                     UcosetError, unitarity_error)
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -254,20 +255,16 @@ def cmd_decompose(args) -> int:
         f = coset.cosets_from_householder(f)
     elif args.mode == "coset-reversed":
         f = coset.cosets_from_householder_reversed(f)
+    n = u.shape[0]
+    bound = ROUND_TRIP_FACTOR * (math.sqrt(n) * tol.unitarity_tol + n * np.finfo(float).eps)
     err = float(np.max(np.abs(_product(f) - u)))
-    if err > tol.unitarity_tol:
-        print(
-            f"internal error: reconstruction error {err:.3e} exceeds "
-            f"{tol.unitarity_tol:.1e}",
-            file=sys.stderr,
-        )
+    if err > bound:
+        print(f"internal error: reconstruction error {err:.3e} exceeds {bound:.1e}",
+              file=sys.stderr)
         return EXIT_INTERNAL
     _dump_json(_factorization_to_obj(f), args.output)
-    print(
-        f"decomposed {u.shape[0]}x{u.shape[1]} matrix, mode {args.mode}, "
-        f"reconstruction error {err:.3e}",
-        file=sys.stderr,
-    )
+    print(f"decomposed {n}x{n} matrix, mode {args.mode}, reconstruction error {err:.3e}",
+          file=sys.stderr)
     return EXIT_OK
 
 
@@ -427,7 +424,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=KINDS, default="householder")
     p.add_argument("--output", help="factorization file (default: stdout)")
     p.add_argument("--tol", type=float, default=DEFAULT_TOLERANCES.unitarity_tol,
-                   help="unitarity and round-trip tolerance")
+                   help="unitarity gate on max |M^dag M - 1| of the matrix factored, "
+                        "M = U (U^dag in coset-reversed mode)")
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("reconstruct", help="multiply a factorization file out")
@@ -445,7 +443,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a matrix or factorization file")
     p.add_argument("--input", required=True)
     p.add_argument("--tol", type=float, default=DEFAULT_TOLERANCES.unitarity_tol,
-                   help="unitarity tolerance")
+                   help="unitarity tolerance (of max |U^dag U - 1| on a matrix file)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("haar-test", help="statistical test of the sampler")

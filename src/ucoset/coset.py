@@ -438,6 +438,8 @@ def coset_matrix_from_X(xv: CosetVector) -> CosetFactor:
 
 def gamma_from_rho(rho: float, phase: float) -> Gamma:
     """Corner overlap gamma with ``|gamma| = sqrt((1 + rho) / 2)``."""
+    if not math.isfinite(phase):
+        raise DomainError(f"phase {phase} is not finite")
     if not -BALL_SLACK <= rho <= 1.0 + BALL_SLACK:
         raise RhoRangeError(f"rho {rho} outside [0, 1]")
     rho = min(max(float(rho), 0.0), 1.0)
@@ -495,6 +497,8 @@ def coset_u2_explicit(x1: float, x2: float) -> ComplexMatrix:
     The corner column is the single entry X = x1 + i x2 and both diagonal
     entries of the active block equal rho = sqrt(1 - x1^2 - x2^2).
     """
+    if not np.isfinite([x1, x2]).all():
+        raise DomainError(f"coordinates ({x1}, {x2}) are not all finite")
     r_sq = x1 * x1 + x2 * x2
     if r_sq > 1.0 + BALL_SLACK:
         raise BallViolationError(f"x1^2 + x2^2 = {r_sq} exceeds 1")
@@ -521,6 +525,8 @@ def coset_u3_explicit(x3: float, x4: float, x5: float, x6: float) -> ComplexMatr
     and V32 = conj(V23); both diagonal entries are quadratic forms, which
     is forced by unitarity.  xi -> 0 gives the identity.
     """
+    if not np.isfinite([x3, x4, x5, x6]).all():
+        raise DomainError(f"coordinates ({x3}, {x4}, {x5}, {x6}) are not all finite")
     a = x5 * x5 + x6 * x6
     b = x3 * x3 + x4 * x4
     xi_sq = a + b

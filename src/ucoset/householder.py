@@ -23,8 +23,8 @@ A factorization stores its N - 1 pivots as one read-only (N - 1) x N array,
 the level-k pivot in row k - 1, so the strict lower triangle is exactly
 zero; its constructor checks that stack once, in array form.  The column
 loop writes each pivot straight into its row, and ``reflections`` are
-``Reflection`` views on the rows.  The column loop is gated by the caller's
-``Tolerances``; the phase and pivot-norm bounds are fixed, named in ``numkit``.
+``Reflection`` views on the rows.  The column loop's checks are the gate of
+the caller's ``Tolerances``; the record bounds are fixed, named in ``numkit``.
 
 Every product of reflections in the package runs in panels of ``_PANEL``
 consecutive reflections.  A blocked panel's reflections act at once in
@@ -63,9 +63,9 @@ from .numkit import (
     Tolerances,
     UcosetError,
     _as_array,
+    _as_square_matrix,
     _check_shape,
     _frozen_array,
-    unitarity_error,
 )
 
 __all__ = [
@@ -101,23 +101,20 @@ _MIN_NORM_SQ = 2.0 * (1.0 - PIVOT_NORM_SLACK)
 
 
 class NotUnitaryError(UcosetError):
-    """Input matrix fails the unitarity tolerance."""
+    """Input matrix fails the unitarity tolerance; subclasses also reject records."""
 
 
 class PhaseError(NotUnitaryError):
     """Phase entries are off the unit circle, or residual entries differ
-    from -e^{i phi_k}, by more than PHASE_TOL.
-
-    Raised while factoring an input whose defect a loosened gate let
-    through but that is too far from unitary to end in a phase diagonal.
-    """
+    from -e^{i phi_k}, by more than PHASE_TOL; while factoring, only under
+    a tolerance loose enough to admit an input that far from unitary."""
 
 
 class NotUnitLengthError(NotUnitaryError):
     """A column handed to the pivot builder, or a pivot, is not unit length."""
 
 
-class LeadingComponentsNonzeroError(UcosetError):
+class LeadingComponentsNonzeroError(NotUnitaryError):
     """Components that must already be cleared are not negligible."""
 
 
@@ -391,104 +388,96 @@ def pivot_from_column(w, level: int, tol: Tolerances | None = None):
         If ``w`` is not one-dimensional, or ``level`` lies outside
         ``1 .. len(w) - 1``.
     NotUnitLengthError
-        If ``w`` is not unit length within ``tol.unitarity_tol``, or the
-        pivot's ``<u|u>`` falls below the bound 2.
+        If ``<w|w>`` differs from 1 by more than ``tol.unitarity_tol``, or
+        the pivot's ``<u|u>`` falls below the bound 2.
     LeadingComponentsNonzeroError
-        If the leading components exceed ``tol.unitarity_tol``.
+        If a leading component exceeds ``tol.unitarity_tol`` in modulus.
     """
     tol = tol or DEFAULT_TOLERANCES
     col = _as_array(w, "column")
     if col.ndim != 1:
         raise DimensionMismatchError("column must be one-dimensional")
+    if not np.isfinite(col).all():
+        raise DomainError(f"column at level {level} has non-finite entries")
     p = np.zeros(col.shape[0], dtype=complex)
     phi, _ = _column_pivot(col, p, level, tol.unitarity_tol)
     return Reflection._from_pivot(p, level), phi
 
 
-def _column_pivot(col, p, level: int, tol: float):
-    # Checks the column col at tolerance tol and writes its level-``level``
-    # pivot into p, which is zero before the level: exact zeros keep the
-    # leading subspace exactly invariant.  Returns the pivot phase and <u|u>.
-    # The checks run on sums of squares: a finite <w|w> means finite
-    # entries, and max |w_j| <= ||lead|| for the entries before the level, so
-    # an entrywise test runs only when a sum says an entry may fail.  The
-    # lead's sum is trusted at half the tolerance, which covers its rounding,
-    # and not at all once that bound underflows.
-    norm_sq = float(np.vdot(col, col).real)
-    if not math.isfinite(norm_sq) and not np.isfinite(col).all():
-        raise DomainError(f"column at level {level} has non-finite entries")
+def _check_column(col, level: int, bound: float) -> None:
+    # NotUnitaryError unless |<w|w> - 1| <= bound (an overflowed <w|w> fails)
+    # and no component before the level exceeds bound.  max |w_j| <= ||lead||,
+    # so the entrywise test runs only when the lead's sum of squares, trusted
+    # at half the bound for its rounding, says one may (always on underflow).
+    dev = abs(float(np.vdot(col, col).real) - 1.0)
+    if not dev <= bound:
+        raise NotUnitLengthError(f"unitarity defect at level {level}: column norm-squared "
+                                 f"deviates from 1 by {dev:.3e} (bound {bound:.1e})")
+    lead = col[:level - 1]
+    bound_sq = 0.25 * bound * bound
+    if lead.size and (np.vdot(lead, lead).real > bound_sq or bound_sq == 0.0):
+        dev = float(np.abs(lead).max())
+        if dev > bound:
+            raise LeadingComponentsNonzeroError(
+                f"unitarity defect at level {level}: a component before the level "
+                f"has modulus {dev:.3e} (bound {bound:.1e})")
+
+
+def _column_pivot(col, p, level: int, bound: float):
+    # Checks col (_check_column) and writes its level-``level`` pivot into p,
+    # zero before the level: exact zeros keep the leading subspace exactly
+    # invariant.  Returns the pivot phase and <u|u>.
     n = col.shape[0]
     if not 1 <= level <= n - 1:
         raise DimensionMismatchError(f"level {level} outside 1..{n - 1}")
-    norm = math.sqrt(norm_sq)
-    if not abs(norm - 1.0) <= tol:
-        raise NotUnitLengthError(
-            f"column norm {norm} at level {level} is not 1 within tolerance"
-        )
+    _check_column(col, level, bound)
     i = level - 1
-    if i:
-        lead = col[:i]
-        bound = 0.25 * tol * tol
-        if ((np.vdot(lead, lead).real > bound or bound == 0.0)
-                and np.abs(lead).max() > tol):
-            raise LeadingComponentsNonzeroError(
-                f"components below level {level} exceed tolerance"
-            )
     p[i:] = col[i:]
     wk = complex(col[i])
     phi = _canonical_angle(math.atan2(wk.imag, wk.real))
     p[i] = wk + complex(math.cos(phi), math.sin(phi))
     norm_sq = float(np.vdot(p[i:], p[i:]).real)
     if norm_sq < _MIN_NORM_SQ:
-        raise NotUnitLengthError(
-            f"pivot norm-squared {norm_sq} at level {level} below the bound 2"
-        )
+        raise NotUnitLengthError(f"pivot norm-squared {norm_sq} at level {level} "
+                                 "below the bound 2")
     return phi, norm_sq
 
 
-def _require_unitary(u, tol: Tolerances) -> np.ndarray:
-    # unitarity_error is the one check of the array's shape and entries.
-    a = _as_array(u, "matrix")
-    err = unitarity_error(a)
-    if err > tol.unitarity_tol:
-        raise NotUnitaryError(
-            f"unitarity_error {err:.3e} exceeds tolerance {tol.unitarity_tol:.1e}"
-        )
-    return a
-
-
 def _clear_columns(u, tol: Tolerances, ordering: str) -> HouseholderFactorization:
-    # The forward column loop, on a C-ordered work copy of U (forward) or
-    # U^dag (reversed), after the gate on U.  With eps = max |a^dag a - 1|
-    # for the matrix a the loop works on, the column of level k has a norm
-    # within about eps / 2 of 1, and its component j < k is (a^dag a)_jk
-    # plus at most eps / sqrt 2 left by the norm error of column j; so every
-    # level passes its column checks at 2 eps.  The gate bounds eps for U;
-    # max |U U^dag - 1| is at most the equal 2-norms of both defects, so at
-    # most N times it.  Each level is one step: _column_pivot, which
-    # pivot_from_column shares, checks column i of the work matrix and
-    # writes its pivot's tail straight into row i of the stack; then one
-    # rank-1 update on the 2-D work matrix, with no batch axes to broadcast,
-    # applies the reflection to rows i.. of the panel's columns i.. .  Rows
-    # i.. of the columns before i are never read again.  The columns after
-    # a panel take R(u_hi) ... R(u_lo) = (1 - V T V^dag)^dag, hence T^dag;
-    # V is the panel's rows of the stack from the panel's first column on,
-    # where the pivots' leading zeros end.
-    a = _require_unitary(u, tol)
+    # The forward column loop on a C-ordered work copy of the matrix M it
+    # factors, U (forward) or U^dag (reversed).  Its checks are the only
+    # unitarity decision: column k of R_{k-1} ... R_1 M, the last one too,
+    # needs |<w|w> - 1| and each component before k at most b = 2 tol.  With
+    # eps = max |M^dag M - 1|, <w|w> - 1 is an entry of M^dag M - 1, and
+    # component j is (M^dag M)_jk up to a phase plus, to first order, eps / 2
+    # from the norm error of column j; so M passes if eps <= tol, with tol / 2
+    # left for rounding, O(N eps) in this backward-stable loop (Higham 2002,
+    # ch. 19).  Conversely column j after its reflection is its components
+    # before j plus -c e^{i phi} e_j - (c - 1) w, |c - 1| <= |<w|w> - 1| / 2,
+    # so an M that passes has eps <= 1.5 b + N b^2 = 3 tol + O(N tol^2).
+    # Each level is one step: _column_pivot, which pivot_from_column shares,
+    # checks column i and writes its pivot's tail straight into row i of the
+    # stack; one rank-1 update on the 2-D work matrix then applies the
+    # reflection to rows i.. of the panel's columns i.. ; rows i.. of the
+    # columns before i are never read again.  The columns after a panel take
+    # R(u_hi) ... R(u_lo) = (1 - V T V^dag)^dag, hence T^dag; V is the
+    # panel's rows of the stack from the panel's first column on.
+    a = _as_square_matrix(u)
     n = a.shape[0]
-    if ordering == FORWARD:
-        a, check_tol = np.array(a, order="C"), 2.0 * tol.unitarity_tol
-    else:
-        a, check_tol = np.conj(a.T, order="C"), 2.0 * n * tol.unitarity_tol
+    a = np.array(a, order="C") if ordering == FORWARD else np.conj(a.T, order="C")
+    bound = 2.0 * tol.unitarity_tol
     pivots = np.zeros((n - 1, n), dtype=complex)
-    for lo, hi, end in _panels(n):
-        for i in range(lo, hi):
-            _, norm_sq = _column_pivot(a[:, i], pivots[i], i + 1, check_tol)
-            v, rows = pivots[i, i:], a[i:, i:end]
-            rows -= v[:, None] * ((2.0 / norm_sq) * (v.conj() @ rows))
-        if end < n:
-            v = pivots[lo:hi, lo:]
-            _apply_wy(a[lo:, end:], v, _wy_factor(v).conj().T)
+    # An input far from unitary may overflow here; its column checks reject it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, hi, end in _panels(n):
+            for i in range(lo, hi):
+                _, norm_sq = _column_pivot(a[:, i], pivots[i], i + 1, bound)
+                v, rows = pivots[i, i:], a[i:, i:end]
+                rows -= v[:, None] * ((2.0 / norm_sq) * (v.conj() @ rows))
+            if end < n:
+                v = pivots[lo:hi, lo:]
+                _apply_wy(a[lo:, end:], v, _wy_factor(v).conj().T)
+        _check_column(a[:, n - 1], n, bound)
     pivots.setflags(write=False)
     residual = np.diag(a) if ordering == FORWARD else np.diag(a).conj()
     return HouseholderFactorization(pivots, PhaseDiagonal(residual, n), ordering, n)
@@ -500,7 +489,8 @@ def decompose(u, tol: Tolerances | None = None) -> HouseholderFactorization:
     Level k clears column k of the work matrix down to ``-e^{i phi_k} e_k``;
     what remains after all levels is the residual phase diagonal ``D``.
 
-    Raises NotUnitaryError when the input fails the unitarity tolerance.
+    The checks of each column are the gate of ``Tolerances``, on
+    ``max |U^dag U - 1|``; past it NotUnitaryError names the level.
     """
     return _clear_columns(u, tol or DEFAULT_TOLERANCES, FORWARD)
 
@@ -513,7 +503,7 @@ def decompose_reversed(u, tol: Tolerances | None = None) -> HouseholderFactoriza
     ``U`` to ``-e^{i phi_k} e_k``.  The residual is conjugated, and the
     pivot phases, read off the same pivots, are negated.
 
-    Raises NotUnitaryError when ``U`` itself fails the unitarity tolerance.
+    The gate is on ``max |U U^dag - 1|``, up to N times ``unitarity_error(U)``.
     """
     return _clear_columns(u, tol or DEFAULT_TOLERANCES, REVERSED)
 

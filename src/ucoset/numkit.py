@@ -4,10 +4,10 @@ Everything in this package works on dense complex matrices stored as
 ``numpy.ndarray`` with ``dtype=complex``.  This module keeps the pieces the
 other modules share: the unitarity gate ``Tolerances``, the one tolerance
 a caller sets; the fixed bounds of the identities checked up to rounding,
-each a module constant named once; the max-norm unitarity defect used to
-gate every decomposition; and a deliberately simple series matrix
-exponential that serves as an independent cross-check for the closed-form
-coset exponential.
+each a module constant named once; the max-norm unitarity defect, which
+``verify`` reports for a matrix file; and a deliberately simple series
+matrix exponential that serves as an independent cross-check for the
+closed-form coset exponential.
 """
 
 import math
@@ -67,13 +67,18 @@ PHASE_TOL = 1e-8
 PIVOT_NORM_SLACK = 1e-8
 # expm_series stops once a series term's largest entry falls below this.
 SERIES_CUTOFF = 1e-18
+# Largest max |Q D - M| for an M the column loop accepts, in sqrt(N) tol + N eps:
+# column k of M - Q D is Q times what the loop drops, k - 1 components of at
+# most 2 tol and (c - 1) w, |c - 1| <= tol, so 3 sqrt(N) tol at most in norm;
+# the fourth unit covers the O(N eps) rounding of the loop and the product.
+ROUND_TRIP_FACTOR = 4.0
 
 
 @dataclass(frozen=True)
 class Tolerances:
-    """The unitarity gate: ``unitarity_tol`` is the largest defect
-    ``max |M^dag M - 1|`` accepted for an input that must be unitary.  It
-    must be positive and finite; anything else raises ``DomainError``."""
+    """The unitarity gate: the matrix M a column loop factors (U forward,
+    U^dag reversed) passes if ``max |M^dag M - 1| <= unitarity_tol`` and
+    fails past 3 times it.  Positive and finite, else ``DomainError``."""
 
     unitarity_tol: float = 1e-10
 

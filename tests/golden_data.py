@@ -110,3 +110,34 @@ def maxdiff(a, b) -> float:
 def random_unitary(dim: int, seed: int) -> np.ndarray:
     """Deterministic Haar-distributed test matrix (oracle construction)."""
     return haar_oracle(dim, RngStream(seed))
+
+
+def perturbed_to_defect(dim, seed, frac, rank_one, tol):
+    # U V diag(sqrt(1 + t r)) V^dag for a Haar U: (U')^dag U' - 1 is
+    # t V diag(r) V^dag, so t is chosen for a defect of frac times the gate,
+    # less a 1e-4 margin for rounding.  The rank-one case puts r = +-1 on
+    # a direction with entries of equal modulus, which maximizes the 2-norm
+    # of the defect for its largest entry.
+    rng = np.random.default_rng(seed)
+    u = random_unitary(dim, seed)
+    v = random_unitary(dim, seed + 1)
+    r = rng.uniform(-1.0, 1.0, dim)
+    if rank_one:
+        x = np.exp(1j * rng.uniform(-math.pi, math.pi, dim)) / math.sqrt(dim)
+        v, _ = np.linalg.qr(np.column_stack([x, v[:, 1:]]))
+        r = np.zeros(dim)
+        r[0] = rng.choice([-1.0, 1.0])
+    t = frac * tol * (1.0 - 1e-4) / float(np.max(np.abs((v * r) @ v.conj().T)))
+    return ((u @ v) * np.sqrt(1.0 + t * r)) @ v.conj().T
+
+
+def reversed_repro(dim: int = 300, defect: float = 9.99e-11) -> np.ndarray:
+    """W (1 + t |x><x|)^(1/2) for x of equal-modulus entries and W the
+    reflection taking x to -e_1: U^dag U - 1 = t |x><x| has the given
+    largest entry, and U U^dag - 1 = t |e_1><e_1| is dim times larger."""
+    x = np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)
+    p = x.copy()
+    p[0] += 1.0
+    w = np.eye(dim) - (2.0 / np.vdot(p, p).real) * np.outer(p, p.conj())
+    t = defect * dim
+    return w @ (np.eye(dim) + (math.sqrt(1.0 + t) - 1.0) * np.outer(x, x.conj()))

@@ -12,7 +12,8 @@ import ucoset
 from ucoset import RngStream, cli, haar_unitary, reflect_matrix
 from ucoset.haar import SampleReport
 
-from golden_data import GOLDEN_DIR, U0, maxdiff, random_unitary
+from golden_data import (GOLDEN_DIR, U0, maxdiff, perturbed_to_defect, random_unitary,
+                         reversed_repro)
 
 
 def run(*argv):
@@ -131,6 +132,39 @@ class TestDecompose:
         path = write_json(tmp_path / "bad.json", matrix_obj(np.diag([2.0, 1.0])))
         assert run("decompose", "--input", path) == 3
         assert "unitarity" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["householder", "coset", "coset-reversed"])
+    @pytest.mark.parametrize("m", [[[1.0, 0.6], [0.0, 0.8]], [[1.0 + 5e-10]]],
+                             ids=["unit-columns-not-orthogonal", "last-column-norm"])
+    def test_column_checks_exit_3(self, tmp_path, capsys, mode, m):
+        path = write_json(tmp_path / "m.json", matrix_obj(m))
+        assert run("decompose", "--input", path, "--mode", mode) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: unitarity defect at level")
+
+    @pytest.mark.parametrize("mode", ["householder", "coset", "coset-reversed"])
+    def test_input_at_the_gate_round_trips(self, tmp_path, mode):
+        # A defect of 9.999e-11 at N = 32 leaves a round trip of about sqrt(N)
+        # times it, inside ROUND_TRIP_FACTOR (sqrt(N) tol + N eps).  The
+        # reversed loop factors the adjoint of its input, so it is given u^dag.
+        u = perturbed_to_defect(32, 54, 1.0, True, 1e-10)
+        m = u.conj().T if mode == "coset-reversed" else u
+        path = write_json(tmp_path / "m.json", matrix_obj(m))
+        out = tmp_path / "f.json"
+        assert run("decompose", "--input", path, "--mode", mode, "--output", str(out)) == 0
+        assert out.exists()
+
+    def test_reversed_mode_is_gated_on_the_adjoint(self, tmp_path, capsys):
+        # verify measures U^dag U - 1 and passes both matrices; coset-reversed
+        # mode factors U^dag, whose defect is 7.9 times the gate for the first
+        # and 300 times it for the reversed repro, so it exits 3.
+        for name, u in (("m32", perturbed_to_defect(32, 54, 1.0, True, 1e-10)),
+                        ("repro", reversed_repro())):
+            path = write_json(tmp_path / f"{name}.json", matrix_obj(u))
+            assert run("verify", "--input", path) == 0
+            assert run("decompose", "--input", path, "--mode", "coset-reversed") == 3
+            err = capsys.readouterr().err.splitlines()
+            assert err[-1].startswith("error: unitarity defect at level")
 
     def test_non_square_input(self, tmp_path):
         path = write_json(tmp_path / "rect.json", matrix_obj(np.ones((2, 3))))

@@ -33,6 +33,7 @@ from ucoset import (
 import ucoset
 import ucoset.householder
 from ucoset.householder import _PANEL, _WY_WIDTH, _panels, _product
+from ucoset.numkit import ROUND_TRIP_FACTOR
 
 from golden_data import (
     PIVOT_PHASES,
@@ -48,7 +49,9 @@ from golden_data import (
     Q,
     U0,
     maxdiff,
+    perturbed_to_defect,
     random_unitary,
+    reversed_repro,
 )
 
 coords = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
@@ -514,25 +517,6 @@ class TestNearUnitary:
 GATE_ROUND_TRIP = 8.0
 
 
-def perturbed_to_defect(dim, seed, frac, rank_one, tol):
-    # U V diag(sqrt(1 + t r)) V^dag for a Haar U: (U')^dag U' - 1 is
-    # t V diag(r) V^dag, so t is chosen for a defect of frac times the gate,
-    # less a 1e-4 margin for rounding.  The rank-one case puts r = +-1 on
-    # a direction with entries of equal modulus, which maximizes the 2-norm
-    # of the defect for its largest entry.
-    rng = np.random.default_rng(seed)
-    u = random_unitary(dim, seed)
-    v = random_unitary(dim, seed + 1)
-    r = rng.uniform(-1.0, 1.0, dim)
-    if rank_one:
-        x = np.exp(1j * rng.uniform(-math.pi, math.pi, dim)) / math.sqrt(dim)
-        v, _ = np.linalg.qr(np.column_stack([x, v[:, 1:]]))
-        r = np.zeros(dim)
-        r[0] = rng.choice([-1.0, 1.0])
-    t = frac * tol * (1.0 - 1e-4) / float(np.max(np.abs((v * r) @ v.conj().T)))
-    return ((u @ v) * np.sqrt(1.0 + t * r)) @ v.conj().T
-
-
 class TestGate:
     @given(dim=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 2),
            frac=st.one_of(st.just(1.0), st.floats(0.0, 1.0)), rank_one=st.booleans())
@@ -545,11 +529,68 @@ class TestGate:
         if frac == 1.0:
             assert defect >= 0.999 * tol
         bound = GATE_ROUND_TRIP * (defect + dim * np.finfo(float).eps)
-        for dec, conv in ((decompose, cosets_from_householder),
-                          (decompose_reversed, cosets_from_householder_reversed)):
-            f = dec(u)
-            assert maxdiff(reconstruct(f), u) <= bound
-            assert maxdiff(compose_cosets(conv(f)), u) <= bound
+        # The reversed loop factors its input's adjoint, so it is gated on
+        # the defect of u when it is given u^dag.
+        for dec, conv, m in ((decompose, cosets_from_householder, u),
+                             (decompose_reversed, cosets_from_householder_reversed,
+                              u.conj().T)):
+            f = dec(m)
+            assert maxdiff(reconstruct(f), m) <= bound
+            assert maxdiff(compose_cosets(conv(f)), m) <= bound
+
+
+# Dims on both sides of the panel crossovers, up to the reversed repro's.
+LOOP_GATE_DIMS = [1, 2, 3, 12, 64, 65, 130, 300]
+# Largest defect, in units of the tolerance, of an input whose every column
+# check passes: 3 tol + O(N tol^2), up to rounding (see _clear_columns).
+GATE_REJECT = 3.0
+
+
+def round_trip_bound(dim, defect):
+    return ROUND_TRIP_FACTOR * (math.sqrt(dim) * defect + dim * np.finfo(float).eps)
+
+
+class TestLoopGate:
+    @given(dim=st.sampled_from(LOOP_GATE_DIMS), seed=st.integers(0, 2 ** 32 - 2),
+           frac=st.one_of(st.just(1.0), st.floats(0.0, 1.0), st.floats(3.01, 30.0)),
+           rank_one=st.booleans())
+    @settings(max_examples=60)
+    @example(dim=300, seed=0, frac=1.0, rank_one=True)
+    @example(dim=300, seed=1, frac=1.0, rank_one=False)
+    @example(dim=300, seed=2, frac=3.01, rank_one=True)
+    @example(dim=130, seed=3, frac=3.01, rank_one=False)
+    @example(dim=65, seed=4, frac=1.0, rank_one=True)
+    def test_gate_is_the_defect_of_the_factored_matrix(self, dim, seed, frac, rank_one):
+        # Forward on u and reversed on u^dag both factor u, so both are gated
+        # on unitarity_error(u): inside the gate they factor and round-trip
+        # within ROUND_TRIP_FACTOR (sqrt(N) defect + N eps); past GATE_REJECT
+        # times it they raise a NotUnitaryError naming the level.
+        tol = Tolerances().unitarity_tol
+        u = perturbed_to_defect(dim, seed, frac, rank_one, tol)
+        defect = unitarity_error(u)
+        for dec, conv, m in ((decompose, cosets_from_householder, u),
+                             (decompose_reversed, cosets_from_householder_reversed,
+                              u.conj().T)):
+            if frac <= 1.0:
+                assert defect <= tol
+                f = dec(m)
+                assert maxdiff(reconstruct(f), m) <= round_trip_bound(dim, defect)
+                assert maxdiff(compose_cosets(conv(f)), m) <= round_trip_bound(dim, defect)
+            else:
+                assert defect >= GATE_REJECT * tol + dim * np.finfo(float).eps
+                with pytest.raises(NotUnitaryError, match=r"^unitarity defect at level \d+:"):
+                    dec(m)
+
+    def test_reversed_repro(self):
+        # U^dag U - 1 is inside the gate and U U^dag - 1 is 300 times it:
+        # forward factors U, and reversed, which factors U^dag, refuses it at
+        # its first column, before the residual could end in a PhaseError.
+        u = reversed_repro()
+        tol = Tolerances().unitarity_tol
+        assert unitarity_error(u) <= tol and unitarity_error(u.conj().T) >= 299 * tol
+        assert maxdiff(reconstruct(decompose(u)), u) <= round_trip_bound(300, tol)
+        with pytest.raises(NotUnitLengthError, match="^unitarity defect at level 1:"):
+            decompose_reversed(u)
 
 
 def unblocked_column_loop(u):
@@ -641,7 +682,7 @@ class TestPanels:
         u = random_unitary(n, 720)
         f = dec(u)
         assert calls == {"apply_reflection": 0, "pivot_from_column": 0,
-                         "unitarity_error": 1}
+                         "unitarity_error": 0}
         assert maxdiff(reconstruct(f), u) <= 1e-12
 
 

@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import re
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,30 @@ BAD_INPUTS = {
 def test_bad_input_raises_typed_error(build):
     with pytest.raises(UcosetError):
         build()
+
+
+# Finite square inputs both orderings must refuse: each column check of the
+# loop, an overflow inside it, and the record checks a loose tol leaves.  A
+# defect of 3.2 tol on the diagonal alone passes a check of |<w|w>^(1/2) - 1|.
+NOT_UNITARY = {
+    "column-norm": (np.diag([2.0, 1.0]), 1e-10),
+    "column-norm-squared": (np.diag([1.0 + 1.6e-10, 1.0]), 1e-10),
+    "unit-columns-not-orthogonal": (np.array([[1.0, 0.6], [0.0, 0.8]]), 1e-10),
+    "last-column-norm": (np.array([[1.0 + 5e-10]]), 1e-10),
+    "overflow-in-the-loop": (np.array([[0.6, 1.7e308], [0.8, 1.7e308]]), 1e-10),
+    "pivot-norm": (np.array([[0.0, 1.0], [1.0, 0.0]]) * (1.0 - 1e-5), 1e-3),
+    "phase-diagonal": ((1.0 + 1e-5) * np.eye(3), 1e-3),
+}
+
+
+@pytest.mark.parametrize("m, tol", NOT_UNITARY.values(), ids=NOT_UNITARY.keys())
+@pytest.mark.parametrize("dec", [householder.decompose, householder.decompose_reversed])
+def test_every_rejection_of_a_finite_square_input_is_not_unitary(dec, m, tol):
+    with pytest.raises(householder.NotUnitaryError) as info:
+        dec(m, numkit.Tolerances(tol))
+    if tol == numkit.DEFAULT_TOLERANCES.unitarity_tol:
+        assert re.match(r"unitarity defect at level \d+: .* \(bound 2\.0e-10\)$",
+                        str(info.value))
 
 
 def test_factorization_records_store_no_redundant_field():

@@ -240,7 +240,7 @@ class CosetFactor:
         _, c, rho = self._corner()
         i = self.level - 1
         m = np.eye(self.dim, dtype=complex)
-        _reflect_rows(m, i, self.pivot, c)
+        _reflect_rows(m, i, self.pivot, c * self.pivot.conj())
         m[i:, i] *= -1.0
         m[i, i] = rho
         m.setflags(write=False)

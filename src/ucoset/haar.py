@@ -20,8 +20,13 @@ matrices with two generator calls per matrix, the N(N-1) normals of all its
 ball points and then its N uniforms, each straight into the block, so a
 stack equals as many successive ``haar_unitary`` calls, which is its count-1
 case.  The ball radii of every level and matrix come from one vectorized
-regularized gamma function, and the product of reflections runs over the
-whole stack at once, in the panels of ``householder``.
+regularized gamma function P(m, t): a leading term in the form of Temme
+(1979) times a sum of ratio products, the ascending series below a switch
+near the lower tail and the complement of the finite head sum from it on,
+so no term takes its own exp.  The product of reflections runs over the
+whole stack at once, in the panels of ``householder``, with the stack's
+batch axis last: (N-1, N, count) pivots and (N, count) phases, so each
+rank-1 step is elementwise along the contiguous count axis.
 ``haar_validate`` and ``ucoset sample`` draw in blocks of bounded size, on
 the same draw order.
 
@@ -37,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numkit import ComplexMatrix, DomainError, UcosetError
+from .numkit import ComplexMatrix, DomainError, UcosetError, _is_integer
 from .householder import FORWARD, _product
 
 __all__ = [
@@ -88,18 +93,15 @@ class RngStream:
     stream : int, optional
         Second key word; distinct values give independent streams for the
         same seed.
+
+    A key that is not an integer (a float or bool included) or lies outside
+    [0, 2^64) raises DomainError.
     """
 
     def __init__(self, seed: int, stream: int = 0):
-        seed = int(seed)
-        stream = int(stream)
-        if not 0 <= seed < 2 ** 64:
-            raise DomainError("seed must lie in [0, 2^64)")
-        if not 0 <= stream < 2 ** 64:
-            raise DomainError("stream must lie in [0, 2^64)")
-        self.seed = seed
-        self.stream = stream
-        key = np.array([seed, stream], dtype=np.uint64)
+        self.seed = _integer(seed, "seed", DomainError, 0, 2 ** 64)
+        self.stream = _integer(stream, "stream", DomainError, 0, 2 ** 64)
+        key = np.array([self.seed, self.stream], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
         self.draws = 0
 
@@ -116,8 +118,23 @@ class RngStream:
         return self._gen.random(count)
 
     def substream(self, index: int) -> "RngStream":
-        """Fresh independent stream; distinct indexes never collide."""
-        return RngStream(self.seed, self.stream + 1 + int(index))
+        """Fresh independent stream; distinct indexes never collide.
+
+        ``index`` is a non-negative integer, else DomainError: index -1
+        would give back this stream itself.
+        """
+        index = _integer(index, "substream index", DomainError, 0)
+        return RngStream(self.seed, self.stream + 1 + index)
+
+
+def _integer(n, what: str, error, lo: int, hi: int | None = None) -> int:
+    # n as an int if it is an integer (numkit._is_integer) in [lo, hi), else
+    # the caller's typed ``error``: a float or bool count would otherwise be
+    # truncated, and NaN or inf would raise an untyped error.
+    if not _is_integer(n) or n < lo or (hi is not None and n >= hi):
+        bounds = f"[{lo}, {hi})" if hi is not None else f"at least {lo}"
+        raise error(f"{what} must be an integer {bounds}, got {n!r}")
+    return int(n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,37 +157,74 @@ class SampleReport:
         object.__setattr__(self, "mean_moduli", moduli)
 
 
-# Each sum in P(m, t) keeps its terms down to e^-45 of its largest one.
-_TAIL_LOG = 45.0
+# Each sum in P(m, t) keeps its terms down to 2^-60 of its largest one.
+_TAIL = 2.0 ** -60
 
 # Size of a sampler block in matrix entries: a block's working set stays
 # O(_BLOCK_ENTRIES) whatever the sample count.
 _BLOCK_ENTRIES = 2 ** 13
 
-_TINY = np.finfo(float).tiny
+# Floor of |g|^2 for a ball point: it keeps t / s and s / t finite in
+# P(m, t), and a zero run of g stays 0.
+_NORM_FLOOR = np.finfo(float).tiny ** 0.5
+
+# The Stirling correction S(m) = log m! - (m + 1/2) log m + m - log(2 pi) / 2:
+# its values for m < 10, rounded from a 50-digit evaluation, and from m = 10
+# on the coefficients of its asymptotic series in 1 / m^(2k+1), whose first
+# omitted term is below 2e-18 there.
+_STIRLING_SMALL = (0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+                   0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
+                   0.01189670994589177, 0.010411265261972096, 0.009255462182712733)
+_STIRLING_SERIES = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360,
+                    1 / 156, -3617 / 122400)
+
+
+def _stirling(m: int) -> float:
+    if m <= len(_STIRLING_SMALL):
+        return _STIRLING_SMALL[m - 1]
+    return math.fsum(a / m ** (2 * k + 1) for k, a in enumerate(_STIRLING_SERIES))
+
+
+def _switch(m: int) -> float:
+    # Where P(m, t) turns from its ascending series to the complement of its
+    # head sum: t = m - 0.8 sqrt(m), where P is about 0.2 (0.18 at m = 1), so
+    # the complement 1 - Q loses at most a few bits to cancellation.
+    return m - 0.8 * math.sqrt(m)
 
 
 def _series_terms(m: int) -> int:
-    # Term k of either sum is at most prod_{i=1..k} (m + 1) / (m + i) of the
-    # first (the ascending series at t = m + 1 is the worst case; the head
-    # sum falls faster); keep terms until that bound passes e^-45.
-    k, decay = 1, 0.0
-    while decay < _TAIL_LOG:
-        k += 1
-        decay += math.log((m + k) / (m + 1.0))
-    return k
+    # Each term of either sum is largest at the switch s, every ratio
+    # t / (m + 1 + k) below it and (m - k) / t above it being largest there:
+    # keep terms until those at s fall below _TAIL of the largest.  The head
+    # sum has m terms; at large m its terms at s peak and then fall, and it
+    # stops sooner.
+    s = _switch(m)
+    asc, term = 0, 1.0
+    while term > _TAIL:
+        term *= s / (m + 1 + asc)
+        asc += 1
+    head, term, peak = 0, 1.0, 1.0
+    while head < m and term > _TAIL * peak:
+        term *= (m - head) / s
+        peak = max(peak, term)
+        head += 1
+    return max(asc, head)
 
 
 class _BallPlan(NamedTuple):
     # Constants for ball points with half-dimensions ``m`` along the last
-    # axis.  ``j`` and ``log_fact`` hold, for both branches of P(m, t)
-    # ([0] from t = m + 1 on, [1] below it) and every level, the term
-    # indexes of the sum and log j!; log j! is +inf past j = 0, so that
-    # those terms vanish.
-    lim: np.ndarray
-    j: np.ndarray
-    log_fact: np.ndarray
-    levels: np.ndarray
+    # axis.  For P(m, t): m, the switch s, the factor 1 / (sqrt(2 pi m) e^S(m))
+    # of the leading term and, along a further axis, the ratio weights of the
+    # ascending series, s / (m + 1 + k), and of the head sum, (m - k) / s down
+    # to 0, whose zeros end it after m terms; the first head weight is
+    # negated, so that the head sum comes out negated.  ``ones`` sums along
+    # that axis.  Then the runs of 2 m coordinates.
+    m: np.ndarray
+    switch: np.ndarray
+    lead: np.ndarray
+    ascending: np.ndarray
+    head: np.ndarray
+    ones: np.ndarray
     sizes: np.ndarray
     starts: np.ndarray
     inv_sizes: np.ndarray
@@ -178,13 +232,15 @@ class _BallPlan(NamedTuple):
 
 @functools.lru_cache(maxsize=64)
 def _ball_plan(ms: tuple) -> _BallPlan:
-    m = np.array(ms)
+    m = np.array(ms, dtype=float)
     k = np.arange(_series_terms(max(ms)))
-    j = np.stack([m[:, None] - 1 - k, m[:, None] + k])
-    table = np.array([math.lgamma(v + 1.0) for v in range(int(j.max()) + 1)])
-    log_fact = np.where(j >= 0, table[np.maximum(j, 0)], np.inf)
-    sizes = 2 * m
-    plan = _BallPlan(m + 1.0, j.astype(float), log_fact, np.arange(len(ms)),
+    switch = np.array([_switch(v) for v in ms])[:, None]
+    head = np.maximum(m[:, None] - k, 0.0) / switch
+    head[:, 0] *= -1.0
+    lead = [math.exp(-_stirling(v)) / math.sqrt(2.0 * math.pi * v) for v in ms]
+    sizes = 2 * np.array(ms)
+    plan = _BallPlan(m, switch[:, 0], np.array(lead),
+                     switch / (m[:, None] + 1.0 + k), head, np.ones(len(k)),
                      sizes, np.cumsum(sizes) - sizes, 1.0 / sizes)
     for a in plan:
         a.setflags(write=False)
@@ -194,32 +250,45 @@ def _ball_plan(ms: tuple) -> _BallPlan:
 def _reg_gamma(ms: tuple, t) -> np.ndarray:
     """Regularized lower incomplete gamma P(m, t) for t > 0 and integer m >= 1.
 
-    ``ms`` holds the m of each position along the last axis of ``t``.
-    Below t = m + 1 it sums the ascending series e^-t sum_{j >= m} t^j / j!,
-    which has no cancellation for small P; from t = m + 1 on, where
-    P > 1/2, it takes the complement of the head e^-t sum_{j < m} t^j / j!.
-    Every term is evaluated in log form, j log t - t - log j!, so no factor
-    e^-t underflows on its own at large t.  The terms run along a trailing
-    axis, so the whole array is done in a few array operations.
+    ``ms`` holds the m of each position along the last axis of ``t``.  Both
+    branches scale the leading term e^-t t^m / m!, taken as
+
+        exp(m (log q - (q - 1))) / (sqrt(2 pi m) e^S(m)),   q = t / m,
+
+    with S the Stirling correction (Temme 1979; DiDonato & Morris 1986).  No
+    factor e^-t or t^m over- or underflows on its own, and the exponent,
+    -m (d - log(1 + d)) for d = q - 1, has no cancellation: the rounding of
+    q enters log q and q - 1 alike, and it and the rounding of log q move
+    the exponent by about |t - m| ulps.  Below the switch s = m - 0.8 sqrt(m),
+    where P < 0.2, P is that term times the ascending series
+    1 + sum_k prod_{j<=k} t / (m + j).  From s on, P is 1 minus the term
+    times the head sum sum_{i=1..m} prod_{j<i} (m - j) / t, which is
+    e^-t sum_{j<m} t^j / j! and has at most m terms.  Each ratio is
+    min(t / s, s / t) times a weight of the plan, and each sum is one
+    cumulative product along a trailing axis: the whole array takes one log
+    and one exp per entry and a few array operations, and no term takes a
+    transcendental of its own.
     """
     plan = _ball_plan(ms)
     t = np.asarray(t, dtype=float)
-    below = t < plan.lim
-    branch = below.astype(np.intp)
-    log_terms = (plan.j[branch, plan.levels] * np.log(t)[..., None]
-                 - (t[..., None] + plan.log_fact[branch, plan.levels]))
-    total = np.exp(log_terms).sum(axis=-1)
-    return np.where(below, total, 1.0 - total)
+    q = t / plan.m
+    lead = plan.lead * np.exp(plan.m * (np.log(q) - (q - 1.0)))
+    above = t >= plan.switch
+    ratios = np.where(above[..., None], plan.head, plan.ascending)
+    ratios *= np.minimum(t / plan.switch, plan.switch / t)[..., None]
+    # The term plus the term times the ascending sum below s; 1 plus the term
+    # times the negated head sum from s on (the term is at most 1).
+    return np.maximum(lead, above) + lead * np.dot(ratios.cumprod(axis=-1), plan.ones)
 
 
 def _ball_points(g: np.ndarray, ms: tuple) -> np.ndarray:
     # Each run of 2 m entries along the last axis of g, a Gaussian vector,
     # scaled to a uniform point of the ball B^{2m}: its radius is
-    # P(m, |g|^2 / 2)^(1 / 2m).  A zero run (|g|^2 floored at _TINY) stays 0.
+    # P(m, |g|^2 / 2)^(1 / 2m).
     plan = _ball_plan(ms)
-    s = np.maximum(np.add.reduceat(g * g, plan.starts, axis=-1), _TINY)
-    scale = _reg_gamma(ms, 0.5 * s) ** plan.inv_sizes / np.sqrt(s)
-    return g * np.repeat(scale, plan.sizes, axis=-1)
+    s = np.maximum(np.add.reduceat(g * g, plan.starts, axis=-1), _NORM_FLOOR)
+    scale = _reg_gamma(ms, s * 0.5) ** plan.inv_sizes / np.sqrt(s)
+    return g * scale.repeat(plan.sizes, axis=-1)
 
 
 def sample_ball(dim: int, rng: RngStream) -> np.ndarray:
@@ -233,9 +302,8 @@ def sample_ball(dim: int, rng: RngStream) -> np.ndarray:
 
     Raises OddDimensionError unless ``dim`` is a positive even integer.
     """
-    dim = int(dim)
-    if dim <= 0 or dim % 2:
-        raise OddDimensionError(f"ball dimension must be positive and even, got {dim}")
+    if not _is_integer(dim) or dim <= 0 or dim % 2:
+        raise OddDimensionError(f"ball dimension must be a positive even integer, got {dim!r}")
     return _ball_points(rng.normals(dim), (dim // 2,))
 
 
@@ -245,35 +313,33 @@ def haar_unitary_batch(dim: int, count: int, rng: RngStream) -> np.ndarray:
     The matrices, and ``rng``'s state after the call, are those of ``count``
     successive ``haar_unitary`` calls: for each matrix, ``dim (dim - 1)``
     normals then ``dim`` uniforms, ``count * dim**2`` variates in all.  The
-    ball radii and the reflection products run over the whole stack at once.
+    ball radii and the reflection products run over the whole stack at once,
+    the pivots as a (dim - 1, dim, count) stack with the batch axis last;
+    the result is its (count, dim, dim) view.
 
-    Raises InvalidDimError for ``dim < 1`` and InvalidCountError for
-    ``count < 1``.
+    Raises InvalidDimError unless ``dim`` is an integer at least 1, and
+    InvalidCountError unless ``count`` is one.
     """
-    dim = int(dim)
-    count = int(count)
-    if dim < 1:
-        raise InvalidDimError(f"dim must be at least 1, got {dim}")
-    if count < 1:
-        raise InvalidCountError(f"count must be at least 1, got {count}")
+    dim = _integer(dim, "dim", InvalidDimError, 1)
+    count = _integer(count, "count", InvalidCountError, 1)
     g = np.empty((count, dim * (dim - 1)))
     u = np.empty((count, dim))
     for k in range(count):
         rng._gen.standard_normal(out=g[k])
         rng._gen.random(out=u[k])
     rng.draws += count * dim * dim
-    phases = np.exp(1j * (math.pi * (1.0 - 2.0 * u)))
+    phases = np.exp((1j * math.pi) * (1.0 - 2.0 * u.T))
     if dim == 1:
-        return phases[..., None]
+        return phases.T[:, :, None]
     ms = tuple(range(dim - 1, 0, -1))
     points = _ball_points(g, ms)
     rho = np.sqrt(np.maximum(
         0.0, 1.0 - np.add.reduceat(points * points, _ball_plan(ms).starts, axis=1)))
-    pivots = np.zeros((count, dim - 1, dim), dtype=complex)
-    flat = pivots.reshape(count, (dim - 1) * dim)
-    flat[:, _below_corners(dim)] = points.view(complex)
-    flat[:, ::dim + 1] = 1.0 + rho
-    return _product(pivots, phases, FORWARD)
+    pivots = np.zeros((dim - 1, dim, count), dtype=complex)
+    flat = pivots.reshape((dim - 1) * dim, count)
+    flat[_below_corners(dim)] = points.view(complex).T
+    flat[::dim + 1] = 1.0 + rho.T
+    return _product(pivots, phases, FORWARD).transpose(2, 0, 1)
 
 
 @functools.lru_cache(maxsize=64)
@@ -309,11 +375,10 @@ def haar_oracle(dim: int, rng: RngStream) -> ComplexMatrix:
 
     The R diagonal is divided out by its phases, which removes the QR sign
     ambiguity and makes the distribution exactly Haar.  Consumes
-    ``2 * dim**2`` normals (interleaved real/imaginary parts).
+    ``2 * dim**2`` normals (interleaved real/imaginary parts).  Raises
+    InvalidDimError unless ``dim`` is an integer at least 1.
     """
-    dim = int(dim)
-    if dim < 1:
-        raise InvalidDimError(f"dim must be at least 1, got {dim}")
+    dim = _integer(dim, "dim", InvalidDimError, 1)
     flat = rng.normals(2 * dim * dim)
     z = (flat[0::2] + 1j * flat[1::2]).reshape(dim, dim) / math.sqrt(2.0)
     q, r = np.linalg.qr(z)
@@ -353,17 +418,14 @@ def haar_validate(dim: int, samples: int, rng: RngStream) -> SampleReport:
 
     The |U_11|^2 values are tested against their exact CDF
     ``1 - (1 - t)^(dim - 1)`` and every ``|U_ij|^2`` is averaged (exact
-    mean 1/dim).  Requires ``dim >= 2`` and at least 1000 samples.  The
-    matrices are those of ``samples`` successive ``haar_unitary`` calls,
-    drawn in blocks of ``haar_unitary_batch``, so memory stays bounded
-    whatever the sample count.
+    mean 1/dim).  ``dim`` must be an integer at least 2 (else
+    InvalidDimError) and ``samples`` one at least 1000 (else
+    TooFewSamplesError).  The matrices are those of ``samples`` successive
+    ``haar_unitary`` calls, drawn in blocks of ``haar_unitary_batch``, so
+    memory stays bounded whatever the sample count.
     """
-    dim = int(dim)
-    samples = int(samples)
-    if dim < 2:
-        raise InvalidDimError(f"dim must be at least 2 to validate, got {dim}")
-    if samples < 1000:
-        raise TooFewSamplesError(f"need at least 1000 samples, got {samples}")
+    dim = _integer(dim, "dim", InvalidDimError, 2)
+    samples = _integer(samples, "samples", TooFewSamplesError, 1000)
     moduli_sum = np.zeros((dim, dim))
     corner = np.empty(samples)
     done = 0

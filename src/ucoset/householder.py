@@ -45,6 +45,13 @@ width: one of at least ``_WY_WIDTH`` reflections takes the blocked update
 across its own columns and those after it, and a narrower one, the last
 panel of a small product included, stays rank-1 updates, which cost less
 there than forming ``T``.  A single reflection is a rank-1 update.
+
+A product of a stack of factorizations, as the Haar sampler makes, takes
+its batch axes last: (N - 1, N, ...) pivots, (N, ...) phases and an
+(N, N, ...) result, so that each rank-1 step is one elementwise update
+along the batch axes rather than one small matrix product per matrix.  Its
+blocked panels, whose matrix products and inverses take batch axes first,
+run on one such copy of the product and pivots.
 """
 
 import math
@@ -293,18 +300,17 @@ def apply_reflection(r: Reflection, m, side: str = "left"):
     # of the transpose.
     t = np.array(a.T if right else a, order="C")
     u = r.pivot.conj() if right else r.pivot
-    _reflect_rows(t.reshape(r.dim, -1), r.level - 1, u, 2.0 / r.norm_sq)
+    _reflect_rows(t.reshape(r.dim, -1), r.level - 1, u, (2.0 / r.norm_sq) * u.conj())
     return t.T if right else t
 
 
-def _reflect_rows(t, i, u, c) -> None:
-    # t <- (1 - c |u><u|) t in place for a pivot u whose components before
-    # index i are exactly zero, so only rows i.. of t change.  Broadcasts over
-    # leading batch axes shared by t (..., N, M), u (..., N) and c (...).
-    v = u[..., i:]
-    rows = t[..., i:, :]
-    w = np.asarray(c)[..., None, None] * (v.conj()[..., None, :] @ rows)
-    rows -= v[..., :, None] * w
+def _reflect_rows(t, i, u, w) -> None:
+    # t <- (1 - |u> w) t = R(u) t in place, for the row w = (2 / <u|u>) u^dag
+    # of a pivot u whose components before index i are exactly zero, so only
+    # rows i.. of t change.  Batch axes trail, shared by t (N, M, ...), u and
+    # w (N, ...), so the step runs elementwise along them.
+    rows = t[i:]
+    rows -= u[i:, None] * (w[i:, None] * rows).sum(axis=0)
 
 
 def _panels(n: int) -> list:
@@ -319,11 +325,18 @@ def _panels(n: int) -> list:
     return panels
 
 
+def _stack(a) -> np.ndarray:
+    # a (r, c, ...) as its stack of r x c matrices, batch axes first, as
+    # matmul and inv take them: a itself without batch axes, else a C-ordered
+    # copy, whose matrices matmul hands to BLAS one by one.
+    return a if a.ndim == 2 else np.ascontiguousarray(np.moveaxis(a, (0, 1), (-2, -1)))
+
+
 def _wy_factor(v) -> np.ndarray:
     # Upper-triangular T with R(v_1) ... R(v_b) = 1 - V T V^dag, for the
     # pivots v (..., b, m) as the columns of V, in closed form:
     # T = inv(diag(h) + triu(V^dag V, 1)) with h_j = <v_j|v_j> / 2 (Puglisi
-    # 1992; Joffrain et al. 2006).  Broadcasts over batch axes.
+    # 1992; Joffrain et al. 2006).  Batch axes lead, as in a _stack.
     b = v.shape[-2]
     a = np.triu(v.conj() @ np.swapaxes(v, -1, -2))
     a[..., range(b), range(b)] = 0.5 * a[..., range(b), range(b)].real
@@ -333,32 +346,43 @@ def _wy_factor(v) -> np.ndarray:
 def _apply_wy(blk, v, t) -> None:
     # blk <- (1 - V t V^dag) blk in place, the pivots v (..., b, m) as the
     # columns of V: two matrix products through the b-row middle term.
+    # Batch axes lead, as in a _stack.
     blk -= np.swapaxes(v, -1, -2) @ (t @ (v.conj() @ blk))
 
 
 def _product(pivots, phases, ordering: str) -> ComplexMatrix:
     # R(u_1) ... R(u_{N-1}) D (forward) or D R(u_{N-1}) ... R(u_1) (reversed)
-    # for pivots (..., N - 1, N), the level-k pivot in row k - 1, and phases
-    # (..., N).  R(u)^T = R(conj u), so the reversed product is built as its
-    # transpose, the forward product of the conjugate pivots.  Panels run
-    # from the last one back, and one of at least _WY_WIDTH reflections is
-    # blocked.  R(u_{i+2}) ... D is diagonal on the leading i + 1
+    # for pivots (N - 1, N, ...), the level-k pivot in row k - 1, and phases
+    # (N, ...); batch axes trail, and a stack of products is (N, N, ...).
+    # R(u)^T = R(conj u), so the reversed product is built as its transpose,
+    # the forward product of the conjugate pivots.  Panels run from the last
+    # one back.  Only the last can be narrower than _WY_WIDTH; it is rank-1
+    # steps, elementwise along the batch axes.  The blocked panels then run
+    # on a _stack of t and one of the pivots, and the result is a view of
+    # that stack.  R(u_{i+2}) ... D is diagonal on the leading i + 1
     # coordinates, so rows i.. of t are zero before column i, and a blocked
     # panel, whose pivots are all known, takes its own columns in the same
     # blocked update as those after it.
-    n = phases.shape[-1]
+    n = phases.shape[0]
     if ordering == REVERSED:
         pivots = pivots.conj()
-    c = 2.0 / np.einsum("...j,...j->...", pivots, pivots.conj()).real
-    t = phases[..., None] * np.eye(n)
-    for lo, hi, _ in reversed(_panels(n)):
-        if hi - lo >= _WY_WIDTH:
-            v = pivots[..., lo:hi, lo:]
+    t = np.zeros((n,) + phases.shape, dtype=complex)
+    t.reshape((n * n,) + phases.shape[1:])[::n + 1] = phases
+    panels = _panels(n)
+    if panels and panels[-1][1] - panels[-1][0] < _WY_WIDTH:
+        lo, hi, _ = panels.pop()
+        u = pivots[lo:hi]
+        w = u.conj()
+        w /= ((u * w).real.sum(axis=1) * 0.5)[:, None]
+        for i in range(hi - 1, lo - 1, -1):
+            _reflect_rows(t[:, i:], i, pivots[i], w[i - lo])
+    if panels:
+        t, p = _stack(t), _stack(pivots)
+        for lo, hi, _ in reversed(panels):
+            v = p[..., lo:hi, lo:]
             _apply_wy(t[..., lo:, lo:], v, _wy_factor(v))
-        else:
-            for i in range(hi - 1, lo - 1, -1):
-                _reflect_rows(t[..., i:], i, pivots[..., i, :], c[..., i])
-    return t if ordering == FORWARD else np.swapaxes(t, -1, -2)
+        t = np.moveaxis(t, (-2, -1), (0, 1))
+    return t if ordering == FORWARD else np.swapaxes(t, 0, 1)
 
 
 def pivot_from_column(w, level: int, tol: Tolerances | None = None):

@@ -109,11 +109,17 @@ def _as_square_matrix(m) -> np.ndarray:
     return a
 
 
+def _is_integer(n) -> bool:
+    # An int or numpy integer, not a bool: 2 == 2.0 and 1 == True, so a float
+    # or bool count would otherwise pass a range check and be truncated.
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+
+
 def _check_shape(a: np.ndarray, shape: tuple, what: str) -> None:
     # DimensionMismatchError unless a has the given shape, whose entries must
-    # be integers: (2,) == (2.0,) and (1,) == (True,), so a record's float or
-    # bool dim would otherwise pass and be stored as given.
-    if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) for n in shape):
+    # be integers (_is_integer), so a record's float or bool dim is not
+    # stored as given.
+    if not all(_is_integer(n) for n in shape):
         raise DimensionMismatchError(f"{what}: dimensions {shape} must be integers")
     if a.shape != shape:
         raise DimensionMismatchError(f"{what}: shape {a.shape}, expected {shape}")

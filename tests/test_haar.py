@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ucoset import (
+    DomainError,
     InvalidCountError,
     InvalidDimError,
     OddDimensionError,
@@ -23,6 +24,84 @@ from ucoset import (
 from ucoset.haar import _BLOCK_ENTRIES, _reg_gamma
 
 from golden_data import maxdiff
+
+
+# P(m, t) to 40 significant digits, computed offline with mpmath 1.3.0
+# (gammainc(m, 0, t, regularized=True) at 50 digits), at the doubles t of
+# m / 2, m -+ sqrt(m), m + 1/2, m + 1, m + 2 sqrt(m) and 2 m + 10 (at m = 1,
+# m - sqrt(m) = 0 is left out and m + sqrt(m) is m + 1).
+REG_GAMMA_REFERENCE = {
+    1: [
+        (0.5, "3.934693402873665763962004650088195465581e-1"),
+        (2.0, "8.646647167633873081060005050275155965924e-1"),
+        (1.5, "7.768698398515701710667195292359874786578e-1"),
+        (3.0, "9.502129316321360570206575843499382233683e-1"),
+        (12.0, "9.999938557876466717902413176918211944677e-1"),
+    ],
+    2: [
+        (1.0, "2.642411176571153568089524596770782651084e-1"),
+        (0.5857864376269049, "1.172435859322178301513139990425961667548e-1"),
+        (3.414213562373095, "8.547623442005432365931030632431225135444e-1"),
+        (2.5, "7.127025048163542169066496393649406725677e-1"),
+        (3.0, "8.008517265285442280826303373997528934732e-1"),
+        (4.82842712474619, "9.533778696659326972070041789199613544163e-1"),
+        (14.0, "9.999875270692134464817390402228615210656e-1"),
+    ],
+    7: [
+        (3.5, "6.528809702895368672565968433422342707038e-2"),
+        (4.354248688935409, "1.507412858691388124016886921054969816464e-1"),
+        (9.64575131106459, "8.458929149321999315189768500805850728783e-1"),
+        (7.5, "6.21845305676530684859745878923173384232e-1"),
+        (8.0, "6.866257224636024406992281182122210073606e-1"),
+        (12.291502622129181, "9.610857279564952017842926981096023528367e-1"),
+        (24.0, "9.999868543397439476541821544363907004186e-1"),
+    ],
+    8: [
+        (4.0, "5.113361579284733900576384394278148680574e-2"),
+        (5.17157287525381, "1.518953535824623455714575700906792154398e-1"),
+        (10.82842712474619, "8.453791634978835832485826994108552161805e-1"),
+        (8.5, "6.144028981728473896508120616853218339205e-1"),
+        (9.0, "6.761030356871039500866990856774792927277e-1"),
+        (13.65685424949238, "9.618747150595864697763941977210330537415e-1"),
+        (26.0, "9.999890460656822912569268597442943216219e-1"),
+    ],
+    63: [
+        (31.5, "5.065042832975217883044322808030562513521e-7"),
+        (55.06274606680623, "1.579518438748847902664628843353253286301e-1"),
+        (70.93725393319377, "8.419324205787932123091972887903048544806e-1"),
+        (63.5, "5.417377110305951781174634765526650401976e-1"),
+        (64.0, "5.664268833250184551008217649611520357724e-1"),
+        (78.87450786638755, "9.709050672992692573521828428970732082599e-1"),
+        (136.0, "9.999999999990513521747621112460721652638e-1"),
+    ],
+    750: [
+        (375.0, "3.557522467319611313032100393966888969294e-65"),
+        (722.6138721247416, "1.586000475132766146352127169141502812734e-1"),
+        (777.3861278752584, "8.413971579261097119165312951079760678616e-1"),
+        (750.5, "5.121358228353322595514826029211637439684e-1"),
+        (751.0, "5.194085679441168672820542112277038463121e-1"),
+        (804.7722557505166, "9.753152919978908563747785785362163566709e-1"),
+        (1510.0, "1.0"),
+    ],
+    1023: [
+        (511.5, "3.837650976963932907339522432221972387755e-88"),
+        (991.015628816561, "1.586149348789757363673577098194227357596e-1"),
+        (1054.984371183439, "8.413833112209086031071786464262440625033e-1"),
+        (1023.5, "5.103919356592728745333437559071387425474e-1"),
+        (1024.0, "5.166216029920398951534411085890435733408e-1"),
+        (1086.968742366878, "9.755887885599270931190748556579468256422e-1"),
+        (2056.0, "1.0"),
+    ],
+    2047: [
+        (1023.5, "3.450973966065579868314881467679828467685e-174"),
+        (2001.7562158965454, "1.586352378667409748863708883383295083793e-1"),
+        (2092.2437841034543, "8.413641426610379667340719488361384023934e-1"),
+        (2047.5, "5.073472131463004628188736578447027950903e-1"),
+        (2048.0, "5.117535989249372717849841688314121073894e-1"),
+        (2137.487568206909, "9.760699294891921467131125058473853830098e-1"),
+        (4104.0, "1.0"),
+    ],
+}
 
 
 def block_size(dim):
@@ -54,6 +133,16 @@ class TestRngStream:
             RngStream(7).substream(0).normals(16), RngStream(7).substream(0).normals(16)
         )
 
+    @pytest.mark.parametrize("index", [-1, -5, 2.7, 1.0, True, np.float64(2)])
+    def test_substream_rejects_a_negative_or_non_integer_index(self, index):
+        # Index -1 would key the parent stream itself, and 2.7 stream 8.
+        with pytest.raises(DomainError):
+            RngStream(7, 5).substream(index)
+
+    def test_substream_takes_numpy_integers(self):
+        a = RngStream(7, 5).substream(np.int64(2)).normals(8)
+        assert np.array_equal(a, RngStream(7, 8).normals(8))
+
     def test_draw_counter(self):
         rng = RngStream(3)
         rng.normals(5)
@@ -65,6 +154,50 @@ class TestRngStream:
             RngStream(-1)
         with pytest.raises(ValueError):
             RngStream(2 ** 64)
+
+
+# Entry points that take a count or a dimension, with a value that is not an
+# integer (or is out of range), and the typed error each raises for it.
+NOT_AN_INTEGER = [
+    pytest.param(lambda v: RngStream(v), DomainError, 1.5, id="seed-float"),
+    pytest.param(lambda v: RngStream(1, v), DomainError, True, id="stream-bool"),
+    pytest.param(lambda v: sample_ball(v, RngStream(0)), OddDimensionError, 4.9, id="ball-float"),
+    pytest.param(lambda v: sample_ball(v, RngStream(0)), OddDimensionError, math.nan, id="ball-nan"),
+    pytest.param(lambda v: sample_ball(v, RngStream(0)), OddDimensionError, True, id="ball-bool"),
+    pytest.param(lambda v: haar_unitary(v, RngStream(0)), InvalidDimError, 3.7, id="haar-float"),
+    pytest.param(lambda v: haar_unitary(v, RngStream(0)), InvalidDimError, True, id="haar-bool"),
+    pytest.param(lambda v: haar_unitary(v, RngStream(0)), InvalidDimError, math.nan, id="haar-nan"),
+    pytest.param(lambda v: haar_unitary_batch(2, v, RngStream(0)), InvalidCountError, 2.9,
+                 id="batch-count-float"),
+    pytest.param(lambda v: haar_unitary_batch(2, v, RngStream(0)), InvalidCountError, math.inf,
+                 id="batch-count-inf"),
+    pytest.param(lambda v: haar_unitary_batch(v, 2, RngStream(0)), InvalidDimError, np.float64(3),
+                 id="batch-dim-np.float64"),
+    pytest.param(lambda v: haar_oracle(v, RngStream(0)), InvalidDimError, 2.5, id="oracle-float"),
+    pytest.param(lambda v: haar_validate(v, 1000, RngStream(0)), InvalidDimError, 3.0,
+                 id="validate-dim-float"),
+    pytest.param(lambda v: haar_validate(3, v, RngStream(0)), TooFewSamplesError, 1000.0,
+                 id="validate-samples-float"),
+    pytest.param(lambda v: haar_validate(3, v, RngStream(0)), TooFewSamplesError, math.inf,
+                 id="validate-samples-inf"),
+]
+
+
+@pytest.mark.parametrize("call, error, value", NOT_AN_INTEGER)
+def test_counts_and_dims_must_be_integers(call, error, value):
+    # Truncated, a float would pass (haar_unitary(3.7) a 3 x 3, RngStream(1.5)
+    # seed 1), and NaN or inf would raise an untyped error.
+    with pytest.raises(error) as info:
+        call(value)
+    assert isinstance(info.value, UcosetError)
+
+
+def test_numpy_integers_are_integers():
+    rng = RngStream(np.uint64(3), np.int32(1))
+    assert haar_unitary_batch(np.int64(3), np.int16(2), rng).shape == (2, 3, 3)
+    assert sample_ball(np.int64(4), rng).shape == (4,)
+    assert haar_oracle(np.int8(2), rng).shape == (2, 2)
+    assert haar_validate(np.int64(2), np.int64(1000), rng).dim == 2
 
 
 class TestSampleBall:
@@ -118,6 +251,13 @@ class TestRegGamma:
         t = np.array(t)
         assert np.any(t < m + 1.0) and np.any(t >= m + 1.0)
         np.testing.assert_allclose(_reg_gamma((m,), t), closed(t), rtol=1e-13, atol=1e-16)
+
+    @pytest.mark.parametrize("m", sorted(REG_GAMMA_REFERENCE))
+    def test_matches_reference_values(self, m):
+        t, expected = zip(*REG_GAMMA_REFERENCE[m])
+        got = _reg_gamma((m,), np.array(t))
+        relative = np.abs(got / np.array([float(p) for p in expected]) - 1.0)
+        assert relative.max() <= (1e-14 if m <= 63 else 1e-13)
 
     def test_large_m_past_the_exp_underflow(self):
         # e^-1030 underflows to 0; P(1023, 1030) (to 20 digits from a
@@ -190,7 +330,8 @@ class TestHaarUnitary:
 
 
 class TestHaarUnitaryBatch:
-    @pytest.mark.parametrize("dim", range(1, 9))
+    # Dims 17 and 33 take a blocked panel of at least _WY_WIDTH reflections.
+    @pytest.mark.parametrize("dim", [*range(1, 9), 17, 33])
     def test_equals_successive_single_draws(self, dim):
         for count in (1, 3, block_size(dim) + 1):
             a = RngStream(51, dim)

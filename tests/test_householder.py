@@ -655,12 +655,14 @@ class TestPanels:
     def test_stacked_product_matches_each_matrix(self, ordering):
         n = 2 * _PANEL + 3
         fs = [decompose(random_unitary(n, 710 + k)) for k in range(3)]
-        pivots = np.array([[r.pivot for r in f.reflections] for f in fs])
-        phases = np.array([f.residual.phases for f in fs])
+        # A stack's batch axis trails: pivots (n - 1, n, 3), phases (n, 3).
+        pivots = np.stack([f.pivots for f in fs], axis=-1)
+        phases = np.stack([f.residual.phases for f in fs], axis=-1)
         stacked = _product(pivots, phases, ordering)
-        assert stacked.shape == (3, n, n)
+        assert stacked.shape == (n, n, 3)
         for k in range(3):
-            assert maxdiff(stacked[k], _product(pivots[k], phases[k], ordering)) <= 1e-13
+            expected = _product(pivots[..., k], phases[..., k], ordering)
+            assert maxdiff(stacked[..., k], expected) <= 1e-13
 
     @pytest.mark.parametrize("dec", [decompose, decompose_reversed])
     def test_column_loop_makes_no_copies(self, monkeypatch, dec):
@@ -747,11 +749,11 @@ class TestProductPanels:
         pivots = np.triu(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         pivots[:, range(dim - 1), range(dim - 1)] += 2.0
         phases = np.exp(1j * rng.uniform(-math.pi, math.pi, (count, dim)))
-        stacked = _product(pivots, phases, ordering)
-        assert stacked.shape == (count, dim, dim)
+        stacked = _product(np.moveaxis(pivots, 0, -1), phases.T, ordering)
+        assert stacked.shape == (dim, dim, count)
         for k in range(count):
             expected = rank1_product(pivots[k], phases[k], ordering)
-            assert maxdiff(stacked[k], expected) <= 1e-13 * dim
+            assert maxdiff(stacked[..., k], expected) <= 1e-13 * dim
             assert maxdiff(_product(pivots[k], phases[k], ordering), expected) <= 1e-13 * dim
         u = random_unitary(dim, seed)
         for dec, conv, _ in PANEL_ORDERINGS:

@@ -22,29 +22,28 @@ the pivot phases negated.
 A factorization stores its N - 1 pivots as one read-only (N - 1) x N array,
 the level-k pivot in row k - 1, so the strict lower triangle is exactly
 zero; its constructor checks that stack once, in array form.  The column
-loop writes each pivot straight into its row, and ``reflections`` are
-``Reflection`` views on the rows.  The column loop's checks are the gate of
+loop writes each pivot straight into its row, checks it as it writes it and
+hands the stack to its record unchecked; ``reflections`` are ``Reflection``
+views on the rows.  The column loop's checks are the gate of
 the caller's ``Tolerances``; the record bounds are fixed, named in ``numkit``.
 
 Every product of reflections in the package runs in panels of ``_PANEL``
-consecutive reflections.  A blocked panel's reflections act at once in
-compact-WY form ``1 - V T V^dag``, the pivots as the columns of ``V``, by
-two matrix products (Schreiber & Van Loan 1989); ``T`` is the inverse of
-the upper triangle of ``V^dag V`` with each diagonal entry ``<v|v>``
-halved (Puglisi 1992).  Any other panel is rank-1 updates.  Which panels
-are blocked depends on what is known.  While a factorization is being
-found, each pivot depends on the reflections before it, so the column loop
-blocks a panel by the columns that follow it: with at least ``_PANEL`` of
-them, each reflection first updates the panel's own columns as a rank-1
-update of the rows from its level on, where its leading components are
-exactly zero, and only the columns after the panel take the blocked
-update; below dimension ``2 * _PANEL`` the loop is rank-1 updates alone.
-When all pivots are known (a factorization multiplied back, a coset
-composition, a stack of Haar samples), a product blocks a panel by its
-width: one of at least ``_WY_WIDTH`` reflections takes the blocked update
-across its own columns and those after it, and a narrower one, the last
-panel of a small product included, stays rank-1 updates, which cost less
-there than forming ``T``.  A single reflection is a rank-1 update.
+consecutive reflections, the last one possibly fewer.  A blocked panel's
+reflections act at once in compact-WY form ``1 - V T V^dag``, the pivots as
+the columns of ``V``, by two matrix products (Schreiber & Van Loan 1989).
+While a factorization is being found, each pivot depends on the reflections
+before it, so the column loop is left-looking: each column of a panel first
+takes the panel's earlier reflections by matrix-vector products, then gives
+its pivot, and ``V T`` grows by one column (Bischof & Van Loan 1987); after
+the panel every later column takes it in one blocked update.  When all
+pivots are known (a factorization multiplied back, a coset composition, a
+stack of Haar samples), ``T`` is in closed form, the inverse of the upper
+triangle of ``V^dag V`` with each diagonal entry ``<v|v>`` halved (Puglisi
+1992), and a product blocks a panel by its width: one of at least
+``_WY_WIDTH`` reflections takes the blocked update across its own columns
+and those after it, and a narrower one, the last panel of a small product
+included, stays rank-1 updates, which cost less there than forming ``T``.
+A single reflection is a rank-1 update.
 
 A product of a stack of factorizations, as the Haar sampler makes, takes
 its batch axes last: (N - 1, N, ...) pivots, (N, ...) phases and an
@@ -256,6 +255,18 @@ class HouseholderFactorization:
     def __post_init__(self):
         norm_sq = _check_record(self, self.residual, DomainError, LeadingComponentsNonzeroError)
         _short_pivots(norm_sq, 1)
+        self._check_residual()
+
+    @classmethod
+    def _from_loop(cls, pivots, residual: PhaseDiagonal, ordering: str):
+        # The record of the column loop's read-only stack, each pivot checked
+        # as it was written (finite, <u|u> >= 2, zero before its level).
+        f = cls.__new__(cls)
+        f.__dict__.update(pivots=pivots, residual=residual, ordering=ordering, dim=residual.dim)
+        f._check_residual()
+        return f
+
+    def _check_residual(self) -> None:
         dev = np.abs(self.residual.phases[:-1] + np.exp(1j * self.pivot_phases)).max(initial=0.0)
         if dev > PHASE_TOL:
             raise PhaseError(f"residual entries deviate from -e^{{i phi_k}} by {dev:.3e} "
@@ -314,15 +325,9 @@ def _reflect_rows(t, i, u, w) -> None:
 
 
 def _panels(n: int) -> list:
-    # (lo, hi, end) per panel of pivot rows lo .. hi - 1 of the N - 1
-    # reflections of an N-dim product.  The column loop blocks a panel when
-    # at least _PANEL columns follow it: then end = hi, and columns end..
-    # take the panel as one compact-WY update.  Otherwise end = n.
-    panels = []
-    for lo in range(0, n - 1, _PANEL):
-        hi = min(lo + _PANEL, n - 1)
-        panels.append((lo, hi, hi if n - hi >= _PANEL else n))
-    return panels
+    # (lo, hi) per panel of pivot rows lo .. hi - 1 of the N - 1 reflections
+    # of an N-dim product, _PANEL rows each but the last.
+    return [(lo, min(lo + _PANEL, n - 1)) for lo in range(0, n - 1, _PANEL)]
 
 
 def _stack(a) -> np.ndarray:
@@ -343,13 +348,6 @@ def _wy_factor(v) -> np.ndarray:
     return np.linalg.inv(a)
 
 
-def _apply_wy(blk, v, t) -> None:
-    # blk <- (1 - V t V^dag) blk in place, the pivots v (..., b, m) as the
-    # columns of V: two matrix products through the b-row middle term.
-    # Batch axes lead, as in a _stack.
-    blk -= np.swapaxes(v, -1, -2) @ (t @ (v.conj() @ blk))
-
-
 def _product(pivots, phases, ordering: str) -> ComplexMatrix:
     # R(u_1) ... R(u_{N-1}) D (forward) or D R(u_{N-1}) ... R(u_1) (reversed)
     # for pivots (N - 1, N, ...), the level-k pivot in row k - 1, and phases
@@ -362,7 +360,7 @@ def _product(pivots, phases, ordering: str) -> ComplexMatrix:
     # that stack.  R(u_{i+2}) ... D is diagonal on the leading i + 1
     # coordinates, so rows i.. of t are zero before column i, and a blocked
     # panel, whose pivots are all known, takes its own columns in the same
-    # blocked update as those after it.
+    # update 1 - V T V^dag as those after it.
     n = phases.shape[0]
     if ordering == REVERSED:
         pivots = pivots.conj()
@@ -370,7 +368,7 @@ def _product(pivots, phases, ordering: str) -> ComplexMatrix:
     t.reshape((n * n,) + phases.shape[1:])[::n + 1] = phases
     panels = _panels(n)
     if panels and panels[-1][1] - panels[-1][0] < _WY_WIDTH:
-        lo, hi, _ = panels.pop()
+        lo, hi = panels.pop()
         u = pivots[lo:hi]
         w = u.conj()
         w /= ((u * w).real.sum(axis=1) * 0.5)[:, None]
@@ -378,9 +376,9 @@ def _product(pivots, phases, ordering: str) -> ComplexMatrix:
             _reflect_rows(t[:, i:], i, pivots[i], w[i - lo])
     if panels:
         t, p = _stack(t), _stack(pivots)
-        for lo, hi, _ in reversed(panels):
-            v = p[..., lo:hi, lo:]
-            _apply_wy(t[..., lo:, lo:], v, _wy_factor(v))
+        for lo, hi in reversed(panels):
+            v, blk = p[..., lo:hi, lo:], t[..., lo:, lo:]
+            blk -= np.swapaxes(v, -1, -2) @ (_wy_factor(v) @ (v.conj() @ blk))
         t = np.moveaxis(t, (-2, -1), (0, 1))
     return t if ordering == FORWARD else np.swapaxes(t, 0, 1)
 
@@ -424,87 +422,104 @@ def pivot_from_column(w, level: int, tol: Tolerances | None = None):
     if not np.isfinite(col).all():
         raise DomainError(f"column at level {level} has non-finite entries")
     p = np.zeros(col.shape[0], dtype=complex)
-    phi, _ = _column_pivot(col, p, level, tol.unitarity_tol)
+    phi, _, _ = _column_pivot(col, p, level, tol.unitarity_tol)
     return Reflection._from_pivot(p, level), phi
 
 
-def _check_column(col, level: int, bound: float) -> None:
+def _check_column(col, level: int, bound: float) -> float:
     # NotUnitaryError unless |<w|w> - 1| <= bound (an overflowed <w|w> fails)
-    # and no component before the level exceeds bound.  max |w_j| <= ||lead||,
-    # so the entrywise test runs only when the lead's sum of squares, trusted
-    # at half the bound for its rounding, says one may (always on underflow).
-    dev = abs(float(np.vdot(col, col).real) - 1.0)
+    # and no component before the level exceeds bound; returns the sum of
+    # squares of the tail, from the level on.  max |w_j| <= ||lead||, so the
+    # entrywise test runs only when the lead's sum of squares, trusted at half
+    # the bound for its rounding, says one may (always on underflow).
+    i = level - 1
+    lead = float(np.vdot(col[:i], col[:i]).real)
+    tail = float(np.vdot(col[i:], col[i:]).real)
+    dev = abs(lead + tail - 1.0)
     if not dev <= bound:
         raise NotUnitLengthError(f"unitarity defect at level {level}: column norm-squared "
                                  f"deviates from 1 by {dev:.3e} (bound {bound:.1e})")
-    lead = col[:level - 1]
     bound_sq = 0.25 * bound * bound
-    if lead.size and (np.vdot(lead, lead).real > bound_sq or bound_sq == 0.0):
-        dev = float(np.abs(lead).max())
+    if i and (lead > bound_sq or bound_sq == 0.0):
+        dev = float(np.abs(col[:i]).max())
         if dev > bound:
             raise LeadingComponentsNonzeroError(
                 f"unitarity defect at level {level}: a component before the level "
                 f"has modulus {dev:.3e} (bound {bound:.1e})")
+    return tail
 
 
 def _column_pivot(col, p, level: int, bound: float):
     # Checks col (_check_column) and writes its level-``level`` pivot into p,
     # zero before the level: exact zeros keep the leading subspace exactly
-    # invariant.  Returns the pivot phase and <u|u>.
+    # invariant.  Returns the pivot phase, <u|u> = t + 2 rho + 1 and the
+    # corner of R(u) w, w_k - (2 / <u|u>) <u|w> u_k, from the tail's sum t and
+    # rho = |w_k|; <u|w> = t + rho is formed as conj(u_k) w_k + t - rho^2, so
+    # that the rounding of e^{i phi} cancels as in a rank-1 update.  e^{i phi}
+    # comes from atan2: w_k / rho leaves the unit circle for subnormal w_k.
     n = col.shape[0]
     if not 1 <= level <= n - 1:
         raise DimensionMismatchError(f"level {level} outside 1..{n - 1}")
-    _check_column(col, level, bound)
+    tail = _check_column(col, level, bound)
     i = level - 1
     p[i:] = col[i:]
     wk = complex(col[i])
+    rho = abs(wk)
     phi = _canonical_angle(math.atan2(wk.imag, wk.real))
-    p[i] = wk + complex(math.cos(phi), math.sin(phi))
-    norm_sq = float(np.vdot(p[i:], p[i:]).real)
+    p[i] = uk = wk + complex(math.cos(phi), math.sin(phi))
+    norm_sq = tail + 2.0 * rho + 1.0
     if norm_sq < _MIN_NORM_SQ:
         raise NotUnitLengthError(f"pivot norm-squared {norm_sq} at level {level} "
                                  "below the bound 2")
-    return phi, norm_sq
+    return phi, norm_sq, wk - (2.0 / norm_sq) * (uk.conjugate() * wk + (tail - rho * rho)) * uk
 
 
 def _clear_columns(u, tol: Tolerances, ordering: str) -> HouseholderFactorization:
-    # The forward column loop on a C-ordered work copy of the matrix M it
-    # factors, U (forward) or U^dag (reversed).  Its checks are the only
-    # unitarity decision: column k of R_{k-1} ... R_1 M, the last one too,
-    # needs |<w|w> - 1| and each component before k at most b = 2 tol.  With
-    # eps = max |M^dag M - 1|, <w|w> - 1 is an entry of M^dag M - 1, and
-    # component j is (M^dag M)_jk up to a phase plus, to first order, eps / 2
-    # from the norm error of column j; so M passes if eps <= tol, with tol / 2
-    # left for rounding, O(N eps) in this backward-stable loop (Higham 2002,
-    # ch. 19).  Conversely column j after its reflection is its components
-    # before j plus -c e^{i phi} e_j - (c - 1) w, |c - 1| <= |<w|w> - 1| / 2,
-    # so an M that passes has eps <= 1.5 b + N b^2 = 3 tol + O(N tol^2).
-    # Each level is one step: _column_pivot, which pivot_from_column shares,
-    # checks column i and writes its pivot's tail straight into row i of the
-    # stack; one rank-1 update on the 2-D work matrix then applies the
-    # reflection to rows i.. of the panel's columns i.. ; rows i.. of the
-    # columns before i are never read again.  The columns after a panel take
-    # R(u_hi) ... R(u_lo) = (1 - V T V^dag)^dag, hence T^dag; V is the
-    # panel's rows of the stack from the panel's first column on.
+    # The forward column loop on the matrix M it factors, U (forward) or U^dag
+    # (reversed).  Its checks are the only unitarity decision: column k of
+    # R_{k-1} ... R_1 M, the last one too, needs |<w|w> - 1| and each
+    # component before k at most b = 2 tol.  With eps = max |M^dag M - 1|,
+    # <w|w> - 1 is an entry of M^dag M - 1, and component j is (M^dag M)_jk up
+    # to a phase plus, to first order, eps / 2 from the norm error of column
+    # j; so M passes if eps <= tol, with tol / 2 left for rounding, O(N eps)
+    # in this backward-stable loop (Higham 2002, ch. 19).  Conversely column
+    # j after its reflection is its components before j plus -c e^{i phi} e_j
+    # - (c - 1) w, |c - 1| <= |<w|w> - 1| / 2, so an M that passes has
+    # eps <= 1.5 b + N b^2 = 3 tol + O(N tol^2).
+    # The loop is left-looking.  Row j of the C-ordered work copy w is column
+    # j of M: U^T forward, conj(U) reversed.  A panel's reflections so far,
+    # R(v_1) ... R(v_k) = 1 - Y V^dag (V: their pivots from the panel's first
+    # column on), act on column i as 1 - V Y^dag, by two matrix-vector
+    # products; _column_pivot, which pivot_from_column shares, then checks
+    # it, writes its pivot into row i of the stack and gives the corner for
+    # the diagonal of w; Y grows by c (v - Y V^dag v), kept as z = Y^dag.
+    # Y = V T for the compact-WY T grown as zlarft does, one product fewer
+    # per column.  Every later column then takes the panel in one update.
     a = _as_square_matrix(u)
     n = a.shape[0]
-    a = np.array(a, order="C") if ordering == FORWARD else np.conj(a.T, order="C")
+    w = np.array(a.T, order="C") if ordering == FORWARD else np.conj(a, order="C")
     bound = 2.0 * tol.unitarity_tol
     pivots = np.zeros((n - 1, n), dtype=complex)
     # An input far from unitary may overflow here; its column checks reject it.
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo, hi, end in _panels(n):
-            for i in range(lo, hi):
-                _, norm_sq = _column_pivot(a[:, i], pivots[i], i + 1, bound)
-                v, rows = pivots[i, i:], a[i:, i:end]
-                rows -= v[:, None] * ((2.0 / norm_sq) * (v.conj() @ rows))
-            if end < n:
-                v = pivots[lo:hi, lo:]
-                _apply_wy(a[lo:, end:], v, _wy_factor(v).conj().T)
-        _check_column(a[:, n - 1], n, bound)
+        for lo, hi in _panels(n):
+            v = pivots[lo:hi, lo:]
+            z = np.empty_like(v)
+            for k, i in enumerate(range(lo, hi)):
+                col, vs, zs = w[i, lo:], v[:k], z[:k]
+                if k:
+                    col -= (zs @ col) @ vs
+                _, norm_sq, corner = _column_pivot(w[i], pivots[i], i + 1, bound)
+                w[i, i] = corner
+                zk = np.conjugate(v[k], out=z[k])
+                if k:
+                    zk -= (vs @ zk) @ zs
+                zk *= 2.0 / norm_sq
+            w[hi:, lo:] -= (w[hi:, lo:] @ z.T) @ v
+        _check_column(w[n - 1], n, bound)
     pivots.setflags(write=False)
-    residual = np.diag(a) if ordering == FORWARD else np.diag(a).conj()
-    return HouseholderFactorization(pivots, PhaseDiagonal(residual, n), ordering, n)
+    residual = np.diagonal(w) if ordering == FORWARD else np.diagonal(w).conj()
+    return HouseholderFactorization._from_loop(pivots, PhaseDiagonal(residual, n), ordering)
 
 
 def decompose(u, tol: Tolerances | None = None) -> HouseholderFactorization:

@@ -592,6 +592,22 @@ class TestLoopGate:
         with pytest.raises(NotUnitLengthError, match="^unitarity defect at level 1:"):
             decompose_reversed(u)
 
+    @pytest.mark.parametrize("dim, j", [(48, 40), (96, 40), (130, 97), (300, 200)])
+    @pytest.mark.parametrize("dec, adjoint", [(decompose, False), (decompose_reversed, True)])
+    def test_defect_is_rejected_at_its_own_level(self, dim, j, dec, adjoint):
+        # A defect in column j alone, in a later panel, passes every level
+        # before it and is refused at level j + 1: a column scaled off unit
+        # length, and one with a component along column 5, renormalized.
+        u = random_unitary(dim, 740 + dim)
+        scaled = u.copy()
+        scaled[:, j] *= 1.0 + 1e-8
+        mixed = u.copy()
+        mixed[:, j] += 1e-8 * u[:, 5]
+        mixed[:, j] /= np.linalg.norm(mixed[:, j])
+        for m, error in ((scaled, NotUnitLengthError), (mixed, LeadingComponentsNonzeroError)):
+            with pytest.raises(error, match=rf"^unitarity defect at level {j + 1}:"):
+                dec(m.conj().T if adjoint else m)
+
 
 def unblocked_column_loop(u):
     # Reference forward factorization: one dense reflection per level, each
@@ -610,7 +626,8 @@ def unblocked_column_loop(u):
     return pivots, phases, np.diag(a)
 
 
-PANEL_DIMS = [1, 2, _PANEL - 1, _PANEL, _PANEL + 1, _PANEL + 2, 2 * _PANEL + 1, 3 * _PANEL + 2]
+PANEL_DIMS = [1, 2, _PANEL - 1, _PANEL, _PANEL + 1, _PANEL + 2, _PANEL + _PANEL // 2,
+              2 * _PANEL + 1, 3 * _PANEL, 3 * _PANEL + 2]
 PANEL_ORDERINGS = [
     (decompose, cosets_from_householder, False),
     (decompose_reversed, cosets_from_householder_reversed, True),
@@ -618,19 +635,20 @@ PANEL_ORDERINGS = [
 
 
 class TestPanels:
-    def test_crossover_depends_only_on_dim(self):
-        # A panel is blocked when at least _PANEL columns follow it.
-        def blocked(n):
-            return [end < n for _, _, end in _panels(n)]
+    def test_panels_depend_only_on_dim(self):
+        # Every panel is _PANEL levels but the last, whatever follows it.
+        def widths(n):
+            return [hi - lo for lo, hi in _panels(n)]
 
-        assert blocked(1) == []
-        assert blocked(_PANEL + 1) == [False]
-        assert blocked(2 * _PANEL - 1) == [False, False]
-        assert blocked(2 * _PANEL) == [True, False]
-        assert blocked(3 * _PANEL + 2) == [True, True, False, False]
-        assert blocked(256) == [True] * 7 + [False]
+        assert widths(1) == []
+        assert widths(2) == [1]
+        assert widths(_PANEL + 1) == [_PANEL]
+        assert widths(_PANEL + _PANEL // 2) == [_PANEL, _PANEL // 2 - 1]
+        assert widths(2 * _PANEL) == [_PANEL, _PANEL - 1]
+        assert widths(3 * _PANEL + 2) == [_PANEL] * 3 + [1]
+        assert widths(256) == [_PANEL] * 7 + [_PANEL - 1]
         for n in range(1, 3 * _PANEL + 3):
-            covered = [i for lo, hi, _ in _panels(n) for i in range(lo, hi)]
+            covered = [i for lo, hi in _panels(n) for i in range(lo, hi)]
             assert covered == list(range(n - 1))
 
     @pytest.mark.parametrize("dim", PANEL_DIMS)
@@ -711,7 +729,7 @@ PRODUCT_DIMS = [_WY_WIDTH, _WY_WIDTH + 1, _WY_WIDTH + 2, _PANEL + _WY_WIDTH,
 class TestProductPanels:
     def test_product_blocks_panels_by_width(self, monkeypatch):
         # Only panels of at least _WY_WIDTH reflections form T, whatever
-        # follows them; the column loop keeps its rule by trailing columns.
+        # follows them; the column loop grows its own WY form instead.
         calls = []
         wy_factor = ucoset.householder._wy_factor
 
@@ -725,8 +743,9 @@ class TestProductPanels:
                           (_PANEL + _WY_WIDTH + 1, [_WY_WIDTH, _PANEL]),
                           (2 * _PANEL + 1, [_PANEL, _PANEL])):
             u = random_unitary(n, 730 + n)
-            f = decompose(u)
             calls.clear()
+            f = decompose(u)
+            assert calls == []
             assert maxdiff(reconstruct(f), u) <= 1e-12
             assert calls == widths
 

@@ -22,7 +22,9 @@ factorization negate column k (forward: the stack is shared as it is) or
 row k (reversed, F_k R(u) = R(F_k u) F_k: one copy with each u_k negated)
 of each reflection; the sign flips migrate into the terminal phase
 diagonal, so composing the factors is one product of reflections, O(N^3)
-in the panels of ``householder``.
+in the panels of ``householder``.  A conversion hands the stack to the
+coset record without the record's checks, which the stack passed as the
+Householder record's; only the terminal phases are checked.
 
 The level-1 factor is also the exponential of the anti-Hermitian generator
 with column B below the corner; for ||B|| in (pi/2, pi] its corner is
@@ -42,10 +44,10 @@ from .numkit import (
     RHO_SLACK,
     ComplexMatrix,
     ComplexVector,
-    DimensionMismatchError,
     DomainError,
     UcosetError,
     _as_array,
+    _check_level,
     _frozen_array,
 )
 from .householder import (
@@ -58,6 +60,7 @@ from .householder import (
     _pivot_record,
     _product,
     _reflect_rows,
+    _trusted,
 )
 
 __all__ = [
@@ -115,8 +118,7 @@ class CosetVector:
     rho: float
 
     def __post_init__(self):
-        if not 1 <= self.level <= self.dim - 1:
-            raise DimensionMismatchError(f"level {self.level} outside 1..{self.dim - 1}")
+        _check_level(self.level, self.dim)
         x = _frozen_array(self.x, (self.dim - self.level,), complex, "x")
         r_sq = float(np.real(np.vdot(x, x)))
         if r_sq > 1.0 + BALL_SLACK:
@@ -126,14 +128,6 @@ class CosetVector:
         if abs(self.rho * self.rho + r_sq - 1.0) > RHO_SLACK:
             raise RhoRangeError("rho is inconsistent with <x|x>")
         object.__setattr__(self, "x", x)
-
-    @classmethod
-    def _from_checked(cls, x, level: int, dim: int, rho: float) -> "CosetVector":
-        # A vector whose read-only x and rho have passed the checks, in the
-        # array form of _vectors.
-        xv = cls.__new__(cls)
-        xv.__dict__.update(x=x, level=level, dim=dim, rho=rho)
-        return xv
 
     @classmethod
     def from_coords(cls, x, level: int, dim: int) -> "CosetVector":
@@ -197,8 +191,7 @@ class CosetFactor:
             raise MalformedFactorError(
                 f"factor at level {level} must be square, got {m.shape}")
         n = m.shape[0]
-        if not 1 <= level <= n - 1:
-            raise DimensionMismatchError(f"level {level} outside 1..{n - 1}")
+        _check_level(level, n)
         if not np.all(np.isfinite(m)):
             raise MalformedFactorError(f"factor at level {level} has non-finite entries")
         i = level - 1
@@ -219,7 +212,7 @@ class CosetFactor:
         if not np.any(p) or not float(np.max(np.abs(self.matrix - m))) <= FACTOR_MATCH_TOL:
             raise MalformedFactorError(
                 f"factor at level {level} is not a column-flipped reflection")
-        self.__dict__["vector"] = _vectors(p[None], [i])[0]
+        self.__dict__["vector"] = _lone_vector(p, level)
 
     @classmethod
     def _from_pivot(cls, p, level: int, vector) -> "CosetFactor":
@@ -228,7 +221,7 @@ class CosetFactor:
     @classmethod
     def _lone(cls, p, level: int) -> "CosetFactor":
         # The factor of a pivot that is no row of a stack: a stack of one row.
-        return cls._from_pivot(p, level, _vectors(p[None], [level - 1])[0])
+        return cls._from_pivot(p, level, _lone_vector(p, level))
 
     def _corner(self):
         # conj(p_k), 2 / <p|p> and the corner rho, as _chart reads them.
@@ -281,9 +274,12 @@ class CosetFactorization:
 
     @property
     def factors(self) -> tuple:
-        vectors = _vectors(self.pivots, np.arange(self.dim - 1))
-        return tuple(CosetFactor._from_pivot(p, k, xv)
-                     for k, (p, xv) in enumerate(zip(self.pivots, vectors), start=1))
+        # One loop over the rows of the stack and of their read.
+        n = self.dim
+        x, rho, rho_in, ok = _read(self.pivots, np.arange(n - 1))
+        factor = CosetFactor._from_pivot
+        return tuple([factor(p, k, _vector(x[k - 1, k:], k, n, r, r_in, good))
+                      for k, p, r, r_in, good in zip(range(1, n), self.pivots, rho, rho_in, ok)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,8 +294,7 @@ class Generator:
     level: int
 
     def __post_init__(self):
-        if not 1 <= self.level <= self.dim - 1:
-            raise DimensionMismatchError(f"level {self.level} outside 1..{self.dim - 1}")
+        _check_level(self.level, self.dim)
         b = _frozen_array(self.b, (self.dim - self.level,), complex, "b")
         if float(np.linalg.norm(b)) > math.pi + BALL_SLACK:
             raise DomainError("||B|| must not exceed pi")
@@ -328,15 +323,15 @@ def _chart(p, k):
         return pk_bar, c, 2.0 * pk_sq / norm_sq - 1.0, (c * pk_bar)[:, None] * p
 
 
-def _vectors(pivots, k) -> list:
-    # The vector of each row of pivots, row j with its corner in column k[j],
-    # from one _chart pass: None where the corner is negative.  The checks
-    # of CosetVector (finite X, <x|x> <= 1, rho in [0, 1], rho against
-    # <x|x>) run on the row sums of |X|^2 in array form, the corner left
-    # out; the entries before it are exact zeros unless the row's scale is
-    # not finite, and then X fails anyway.  A row that fails goes to
-    # CosetVector itself, which raises that check's error.  The X of every
-    # row is a view on one read-only array.
+def _read(pivots, k):
+    # X and rho of each row of pivots, row j with its corner in column k[j],
+    # from one _chart pass: the read-only array whose row j holds X after
+    # the corner, and as lists the corner rho, rho clipped to [0, 1] and
+    # whether the row passes the checks of CosetVector (finite X,
+    # <x|x> <= 1, rho in [0, 1], rho against <x|x>).  The checks run on the
+    # row sums of |X|^2 in array form, the corner left out; the entries
+    # before it are exact zeros unless the row's scale is not finite, and
+    # then X fails anyway.
     k = np.asarray(k)
     rows = np.arange(k.shape[0])
     *_, rho, x = _chart(pivots, k)
@@ -348,13 +343,27 @@ def _vectors(pivots, k) -> list:
         r_sq = sq.sum(axis=1)
     del sq
     rho_in = np.clip(rho, 0.0, 1.0)
-    ok = ((r_sq <= 1.0 + BALL_SLACK)
-          & (np.abs(rho_in * rho_in + r_sq - 1.0) <= RHO_SLACK)).tolist()
-    n, vectors = pivots.shape[1], []
-    for j, (kj, r, r_in, good) in enumerate(zip(k.tolist(), rho.tolist(), rho_in.tolist(), ok)):
-        make = CosetVector._from_checked if good else CosetVector
-        vectors.append(None if r < -BALL_SLACK else make(x[j, kj + 1:], kj + 1, n, r_in))
-    return vectors
+    ok = (r_sq <= 1.0 + BALL_SLACK) & (np.abs(rho_in * rho_in + r_sq - 1.0) <= RHO_SLACK)
+    return x, rho.tolist(), rho_in.tolist(), ok.tolist()
+
+
+def _vector(x, level: int, dim: int, rho: float, rho_in: float, ok: bool):
+    # The vector of one row of a _read, x its X: None where the corner rho
+    # is negative, a CosetVector without its checks where the row passed
+    # them, and otherwise CosetVector itself, which raises that check's error.
+    if rho < -BALL_SLACK:
+        return None
+    if not ok:
+        return CosetVector(x, level, dim, rho_in)
+    xv = CosetVector.__new__(CosetVector)
+    xv.__dict__.update(x=x, level=level, dim=dim, rho=rho_in)
+    return xv
+
+
+def _lone_vector(p, level: int):
+    # The vector of a pivot read as a stack of one row.
+    x, rho, rho_in, ok = _read(p[None], [level - 1])
+    return _vector(x[0, level:], level, p.shape[0], rho[0], rho_in[0], ok[0])
 
 
 def _negated_corners(pivots) -> np.ndarray:
@@ -371,16 +380,17 @@ def _cosets_from_pivots(f: HouseholderFactorization, ordering: str) -> CosetFact
     # Column k of R(u) negated is R(u) F_k, so a forward factor keeps u and
     # the stack is shared.  Row k negated is F_k R(u) = R(F_k u) F_k, so a
     # reversed factor keeps u with u_k negated.  No reflector is formed.
+    # The Householder record has checked the stack: finite, exactly zero
+    # before each level and <u|u> >= 2 (1 - PIVOT_NORM_SLACK).  Negated
+    # corners keep all three, and so every <p|p> is far above the least
+    # normal float, the coset record's own bound.
     if f.ordering != ordering:
         raise WrongOrderingError(f"expected a {ordering} factorization")
     terminal = np.array(f.residual.phases)
     terminal[:-1] *= -1.0
-    return CosetFactorization(
-        pivots=f.pivots if ordering == FORWARD else _negated_corners(f.pivots),
-        terminal_phases=PhaseDiagonal(terminal, f.dim),
-        ordering=ordering,
-        dim=f.dim,
-    )
+    return _trusted(CosetFactorization,
+                    pivots=f.pivots if ordering == FORWARD else _negated_corners(f.pivots),
+                    terminal_phases=PhaseDiagonal(terminal, f.dim), ordering=ordering, dim=f.dim)
 
 
 def cosets_from_householder(f: HouseholderFactorization) -> CosetFactorization:

@@ -22,10 +22,11 @@ the pivot phases negated.
 A factorization stores its N - 1 pivots as one read-only (N - 1) x N array,
 the level-k pivot in row k - 1, so the strict lower triangle is exactly
 zero; its constructor checks that stack once, in array form.  The column
-loop writes each pivot straight into its row, checks it as it writes it and
-hands the stack to its record unchecked; ``reflections`` are ``Reflection``
-views on the rows.  The column loop's checks are the gate of
-the caller's ``Tolerances``; the record bounds are fixed, named in ``numkit``.
+loop writes each pivot straight into its row, checks it as it writes it,
+checks the residual against the pivot phases it had and hands both to its
+record unchecked; ``reflections`` are ``Reflection`` views on the rows.
+The column loop's checks are the gate of the caller's ``Tolerances``; the
+record bounds are fixed, named in ``numkit``.
 
 Every product of reflections in the package runs in panels of ``_PANEL``
 consecutive reflections, the last one possibly fewer.  A blocked panel's
@@ -39,10 +40,13 @@ the panel every later column takes it in one blocked update.  When all
 pivots are known (a factorization multiplied back, a coset composition, a
 stack of Haar samples), ``T`` is in closed form, the inverse of the upper
 triangle of ``V^dag V`` with each diagonal entry ``<v|v>`` halved (Puglisi
-1992), and a product blocks a panel by its width: one of at least
-``_WY_WIDTH`` reflections takes the blocked update across its own columns
-and those after it, and a narrower one, the last panel of a small product
-included, stays rank-1 updates, which cost less there than forming ``T``.
+1992).  A product forms the ``T`` of all its blocked panels by one inverse
+of their stack, each Gram over the panel's own columns and a narrower
+panel padded with a unit diagonal.  It blocks a panel by its width: one of
+at least ``_WY_WIDTH`` reflections takes the blocked update across its own
+columns and those after it, and a narrower one, the last panel of a small
+product included, stays rank-1 updates, which cost less there than forming
+``T``.
 A single reflection is a rank-1 update.
 
 A product of a stack of factorizations, as the Haar sampler makes, takes
@@ -70,6 +74,7 @@ from .numkit import (
     UcosetError,
     _as_array,
     _as_square_matrix,
+    _check_level,
     _check_shape,
     _frozen_array,
 )
@@ -157,8 +162,7 @@ class Reflection:
     dim: int
 
     def __post_init__(self):
-        if not 1 <= self.level <= self.dim - 1:
-            raise DimensionMismatchError(f"level {self.level} outside 1..{self.dim - 1}")
+        _check_level(self.level, self.dim)
         pivot = _frozen_array(self.pivot, (self.dim,), complex, "pivot")
         _short_pivots(_pivot_norms(pivot[None], self.level, DomainError,
                                    LeadingComponentsNonzeroError), self.level)
@@ -215,6 +219,23 @@ def _short_pivots(norm_sq, level: int) -> None:
                                  f"{norm_sq[short[0]]} below the bound 2")
 
 
+def _check_residual(head, units) -> None:
+    # PhaseError unless the first N - 1 residual entries head are -units,
+    # the e^{i phi_k} of the pivot phases.
+    dev = np.abs(head + units).max(initial=0.0)
+    if dev > PHASE_TOL:
+        raise PhaseError(f"residual entries deviate from -e^{{i phi_k}} by {dev:.3e} "
+                         f"(bound {PHASE_TOL:.0e})")
+
+
+def _trusted(cls, **fields):
+    # A record of fields that its caller has already checked as the record's
+    # constructor would, built without running those checks again.
+    record = cls.__new__(cls)
+    record.__dict__.update(fields)
+    return record
+
+
 def _check_record(f, phases: PhaseDiagonal, invalid, leading) -> np.ndarray:
     # What both factorization records check: the ordering (invalid), the dim
     # of the phase diagonal, and the pivot stack, which replaces f.pivots as
@@ -255,22 +276,7 @@ class HouseholderFactorization:
     def __post_init__(self):
         norm_sq = _check_record(self, self.residual, DomainError, LeadingComponentsNonzeroError)
         _short_pivots(norm_sq, 1)
-        self._check_residual()
-
-    @classmethod
-    def _from_loop(cls, pivots, residual: PhaseDiagonal, ordering: str):
-        # The record of the column loop's read-only stack, each pivot checked
-        # as it was written (finite, <u|u> >= 2, zero before its level).
-        f = cls.__new__(cls)
-        f.__dict__.update(pivots=pivots, residual=residual, ordering=ordering, dim=residual.dim)
-        f._check_residual()
-        return f
-
-    def _check_residual(self) -> None:
-        dev = np.abs(self.residual.phases[:-1] + np.exp(1j * self.pivot_phases)).max(initial=0.0)
-        if dev > PHASE_TOL:
-            raise PhaseError(f"residual entries deviate from -e^{{i phi_k}} by {dev:.3e} "
-                             f"(bound {PHASE_TOL:.0e})")
+        _check_residual(self.residual.phases[:-1], np.exp(1j * self.pivot_phases))
 
     @property
     def pivot_phases(self) -> np.ndarray:
@@ -337,14 +343,23 @@ def _stack(a) -> np.ndarray:
     return a if a.ndim == 2 else np.ascontiguousarray(np.moveaxis(a, (0, 1), (-2, -1)))
 
 
-def _wy_factor(v) -> np.ndarray:
-    # Upper-triangular T with R(v_1) ... R(v_b) = 1 - V T V^dag, for the
-    # pivots v (..., b, m) as the columns of V, in closed form:
-    # T = inv(diag(h) + triu(V^dag V, 1)) with h_j = <v_j|v_j> / 2 (Puglisi
-    # 1992; Joffrain et al. 2006).  Batch axes lead, as in a _stack.
-    b = v.shape[-2]
-    a = np.triu(v.conj() @ np.swapaxes(v, -1, -2))
-    a[..., range(b), range(b)] = 0.5 * a[..., range(b), range(b)].real
+def _wy_factors(p, panels) -> np.ndarray:
+    # The upper-triangular T of each panel (lo, hi) of the pivots p (a
+    # _stack), R(v_lo) ... R(v_{hi-1}) = 1 - V T V^dag with the panel's pivots
+    # from column lo on as the columns of V, by one inverse of their stack
+    # (..., P, b, b), b the widest panel: T = inv(diag(h) + triu(V^dag V, 1))
+    # with h_j = <v_j|v_j> / 2 (Puglisi 1992; Joffrain et al. 2006).  Each
+    # Gram is over the panel's own columns, and a narrower panel's block is
+    # padded with a unit diagonal; its T is the leading block of the inverse.
+    b = max(hi - lo for lo, hi in panels)
+    a = np.zeros(p.shape[:-2] + (len(panels), b, b), dtype=complex)
+    a.reshape(a.shape[:-2] + (b * b,))[..., ::b + 1] = 2.0
+    for j, (lo, hi) in enumerate(panels):
+        v = p[..., lo:hi, lo:]
+        a[..., j, :hi - lo, :hi - lo] = v.conj() @ np.swapaxes(v, -1, -2)
+    a = np.triu(a)
+    h = a.reshape(a.shape[:-2] + (b * b,))[..., ::b + 1]
+    h[...] = 0.5 * h.real
     return np.linalg.inv(a)
 
 
@@ -376,9 +391,10 @@ def _product(pivots, phases, ordering: str) -> ComplexMatrix:
             _reflect_rows(t[:, i:], i, pivots[i], w[i - lo])
     if panels:
         t, p = _stack(t), _stack(pivots)
-        for lo, hi in reversed(panels):
+        wy = _wy_factors(p, panels)
+        for j, (lo, hi) in reversed(list(enumerate(panels))):
             v, blk = p[..., lo:hi, lo:], t[..., lo:, lo:]
-            blk -= np.swapaxes(v, -1, -2) @ (_wy_factor(v) @ (v.conj() @ blk))
+            blk -= np.swapaxes(v, -1, -2) @ (wy[..., j, :hi - lo, :hi - lo] @ (v.conj() @ blk))
         t = np.moveaxis(t, (-2, -1), (0, 1))
     return t if ordering == FORWARD else np.swapaxes(t, 0, 1)
 
@@ -407,7 +423,7 @@ def pivot_from_column(w, level: int, tol: Tolerances | None = None):
     DomainError
         If ``w`` has a non-finite entry.
     DimensionMismatchError
-        If ``w`` is not one-dimensional, or ``level`` lies outside
+        If ``w`` is not one-dimensional, or ``level`` is not an integer in
         ``1 .. len(w) - 1``.
     NotUnitLengthError
         If ``<w|w>`` differs from 1 by more than ``tol.unitarity_tol``, or
@@ -421,8 +437,9 @@ def pivot_from_column(w, level: int, tol: Tolerances | None = None):
         raise DimensionMismatchError("column must be one-dimensional")
     if not np.isfinite(col).all():
         raise DomainError(f"column at level {level} has non-finite entries")
+    _check_level(level, col.shape[0])
     p = np.zeros(col.shape[0], dtype=complex)
-    phi, _, _ = _column_pivot(col, p, level, tol.unitarity_tol)
+    phi, *_ = _column_pivot(col, p, level, tol.unitarity_tol)
     return Reflection._from_pivot(p, level), phi
 
 
@@ -450,28 +467,27 @@ def _check_column(col, level: int, bound: float) -> float:
 
 
 def _column_pivot(col, p, level: int, bound: float):
-    # Checks col (_check_column) and writes its level-``level`` pivot into p,
-    # zero before the level: exact zeros keep the leading subspace exactly
-    # invariant.  Returns the pivot phase, <u|u> = t + 2 rho + 1 and the
-    # corner of R(u) w, w_k - (2 / <u|u>) <u|w> u_k, from the tail's sum t and
-    # rho = |w_k|; <u|w> = t + rho is formed as conj(u_k) w_k + t - rho^2, so
-    # that the rounding of e^{i phi} cancels as in a rank-1 update.  e^{i phi}
-    # comes from atan2: w_k / rho leaves the unit circle for subnormal w_k.
-    n = col.shape[0]
-    if not 1 <= level <= n - 1:
-        raise DimensionMismatchError(f"level {level} outside 1..{n - 1}")
+    # Checks col (_check_column) and writes its pivot at ``level``, which
+    # must lie in 1 .. N - 1, into p, zero before the level: exact zeros keep
+    # the leading subspace exactly invariant.  Returns the pivot phase phi,
+    # e^{i phi}, <u|u> = t + 2 rho + 1 and the corner of R(u) w,
+    # w_k - (2 / <u|u>) <u|w> u_k, from the tail's sum t and rho = |w_k|;
+    # <u|w> = t + rho is formed as conj(u_k) w_k + t - rho^2, so that the
+    # rounding of e^{i phi} cancels as in a rank-1 update.  e^{i phi} comes
+    # from atan2: w_k / rho leaves the unit circle for subnormal w_k.
     tail = _check_column(col, level, bound)
     i = level - 1
     p[i:] = col[i:]
     wk = complex(col[i])
     rho = abs(wk)
     phi = _canonical_angle(math.atan2(wk.imag, wk.real))
-    p[i] = uk = wk + complex(math.cos(phi), math.sin(phi))
+    unit = complex(math.cos(phi), math.sin(phi))
+    p[i] = uk = wk + unit
     norm_sq = tail + 2.0 * rho + 1.0
     if norm_sq < _MIN_NORM_SQ:
         raise NotUnitLengthError(f"pivot norm-squared {norm_sq} at level {level} "
                                  "below the bound 2")
-    return phi, norm_sq, wk - (2.0 / norm_sq) * (uk.conjugate() * wk + (tail - rho * rho)) * uk
+    return phi, unit, norm_sq, wk - (2.0 / norm_sq) * (uk.conjugate() * wk + (tail - rho * rho)) * uk
 
 
 def _clear_columns(u, tol: Tolerances, ordering: str) -> HouseholderFactorization:
@@ -495,11 +511,14 @@ def _clear_columns(u, tol: Tolerances, ordering: str) -> HouseholderFactorizatio
     # the diagonal of w; Y grows by c (v - Y V^dag v), kept as z = Y^dag.
     # Y = V T for the compact-WY T grown as zlarft does, one product fewer
     # per column.  Every later column then takes the panel in one update.
+    # The corners of w are the forward residual; each must be -e^{i phi_k}
+    # for the phase the loop gave its level, one array comparison at the end.
     a = _as_square_matrix(u)
     n = a.shape[0]
     w = np.array(a.T, order="C") if ordering == FORWARD else np.conj(a, order="C")
     bound = 2.0 * tol.unitarity_tol
     pivots = np.zeros((n - 1, n), dtype=complex)
+    units = np.empty(n - 1, dtype=complex)
     # An input far from unitary may overflow here; its column checks reject it.
     with np.errstate(over="ignore", invalid="ignore"):
         for lo, hi in _panels(n):
@@ -509,7 +528,7 @@ def _clear_columns(u, tol: Tolerances, ordering: str) -> HouseholderFactorizatio
                 col, vs, zs = w[i, lo:], v[:k], z[:k]
                 if k:
                     col -= (zs @ col) @ vs
-                _, norm_sq, corner = _column_pivot(w[i], pivots[i], i + 1, bound)
+                _, units[i], norm_sq, corner = _column_pivot(w[i], pivots[i], i + 1, bound)
                 w[i, i] = corner
                 zk = np.conjugate(v[k], out=z[k])
                 if k:
@@ -518,8 +537,13 @@ def _clear_columns(u, tol: Tolerances, ordering: str) -> HouseholderFactorizatio
             w[hi:, lo:] -= (w[hi:, lo:] @ z.T) @ v
         _check_column(w[n - 1], n, bound)
     pivots.setflags(write=False)
-    residual = np.diagonal(w) if ordering == FORWARD else np.diagonal(w).conj()
-    return HouseholderFactorization._from_loop(pivots, PhaseDiagonal(residual, n), ordering)
+    corners = np.diagonal(w)
+    residual = PhaseDiagonal(corners if ordering == FORWARD else corners.conj(), n)
+    _check_residual(corners[:-1], units)
+    # Each pivot was checked as it was written: finite, <u|u> >= 2 and
+    # exactly zero before its level.
+    return _trusted(HouseholderFactorization, pivots=pivots, residual=residual,
+                    ordering=ordering, dim=n)
 
 
 def decompose(u, tol: Tolerances | None = None) -> HouseholderFactorization:

@@ -11,6 +11,7 @@ closed-form coset exponential.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,13 +79,17 @@ ROUND_TRIP_FACTOR = 4.0
 class Tolerances:
     """The unitarity gate: the matrix M a column loop factors (U forward,
     U^dag reversed) passes if ``max |M^dag M - 1| <= unitarity_tol`` and
-    fails past 3 times it.  Positive and finite, else ``DomainError``."""
+    fails past 3 times it.  A positive and finite real number, else
+    ``DomainError``."""
 
     unitarity_tol: float = 1e-10
 
     def __post_init__(self):
-        if not 0.0 < self.unitarity_tol < math.inf:
-            raise DomainError(f"unitarity_tol must be positive and finite: {self.unitarity_tol}")
+        tol = self.unitarity_tol
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
+            raise DomainError(f"unitarity_tol must be a real number: {tol!r}")
+        if not 0.0 < tol < math.inf:
+            raise DomainError(f"unitarity_tol must be positive and finite: {tol}")
 
 
 DEFAULT_TOLERANCES = Tolerances()
@@ -113,6 +118,15 @@ def _is_integer(n) -> bool:
     # An int or numpy integer, not a bool: 2 == 2.0 and 1 == True, so a float
     # or bool count would otherwise pass a range check and be truncated.
     return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+
+
+def _check_level(level, dim) -> None:
+    # DimensionMismatchError unless level is an integer (_is_integer) in
+    # 1 .. dim - 1, so that a float or bool level is not stored or sliced with.
+    if not _is_integer(level):
+        raise DimensionMismatchError(f"level {level!r} must be an integer")
+    if not 1 <= level <= dim - 1:
+        raise DimensionMismatchError(f"level {level} outside 1..{dim - 1}")
 
 
 def _check_shape(a: np.ndarray, shape: tuple, what: str) -> None:

@@ -612,6 +612,41 @@ class TestStackRead:
         assert peak - kept <= (n - 1) * n * 16 + 2 ** 14
 
 
+class TestTrustedConversion:
+    # The conversions hand the Householder record's checked stack to the
+    # coset record without running its checks again; the public constructor
+    # must accept every such stack and read the same factors from it.
+    @given(st.sampled_from([1, 2, 3, 33, 65, 130]), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=20)
+    def test_checked_record_accepts_every_converted_stack(self, dim, seed):
+        u = random_unitary(dim, seed)
+        for dec, conv, ordering in ORDERINGS:
+            cf = conv(dec(u))
+            checked = CosetFactorization(pivots=cf.pivots, terminal_phases=cf.terminal_phases,
+                                         ordering=ordering, dim=dim)
+            assert checked.pivots is cf.pivots
+            assert len(cf.factors) == dim - 1
+            for got, want in zip(checked.factors, cf.factors):
+                assert (got.level, got.dim) == (want.level, want.dim)
+                assert got.pivot.tobytes() == want.pivot.tobytes()
+                assert (got.vector is None) == (want.vector is None)
+                if want.vector is not None:
+                    assert_same_vector(got.vector, want.vector)
+
+    @pytest.mark.parametrize("ordering", [FORWARD, REVERSED])
+    def test_negative_corner_stays_outside_the_chart(self, ordering):
+        # ||B|| = sqrt(5) > pi / 2 puts the level-1 corner below zero.
+        c = exp_coset(Generator(b=np.array([2.0, 1.0j]), dim=3, level=1))
+        assert c.vector is None
+        pivots = np.array([c.pivot, [0.0, 2.0, 0.0]])
+        cf = CosetFactorization(pivots, PhaseDiagonal(np.ones(3), 3), ordering, 3)
+        first, second = cf.factors
+        assert first.vector is None and second.vector.rho == 1.0
+        assert first.pivot.tobytes() == c.pivot.tobytes()
+        with pytest.raises(MalformedFactorError):
+            extract_coset_vector(first)
+
+
 # Row scales 2^s whose <p|p>, 2^(2s + 1) to 2^(2s + 2) for a pivot with
 # <p|p> in [2, 4], is subnormal (or zero), normal, or too large for a float.
 SCALE_RANGES = {"subnormal": (-540, -513), "normal": (-511, 510), "overflow": (512, 540)}

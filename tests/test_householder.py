@@ -32,7 +32,7 @@ from ucoset import (
 )
 import ucoset
 import ucoset.householder
-from ucoset.householder import _PANEL, _WY_WIDTH, _panels, _product
+from ucoset.householder import _PANEL, _WY_WIDTH, _panels, _product, _stack, _wy_factors
 from ucoset.numkit import ROUND_TRIP_FACTOR
 
 from golden_data import (
@@ -728,26 +728,55 @@ PRODUCT_DIMS = [_WY_WIDTH, _WY_WIDTH + 1, _WY_WIDTH + 2, _PANEL + _WY_WIDTH,
 
 class TestProductPanels:
     def test_product_blocks_panels_by_width(self, monkeypatch):
-        # Only panels of at least _WY_WIDTH reflections form T, whatever
-        # follows them; the column loop grows its own WY form instead.
+        # Only panels of at least _WY_WIDTH reflections get a T, whatever
+        # follows them, all of a product's from one call; the column loop
+        # grows its own WY form instead.
         calls = []
-        wy_factor = ucoset.householder._wy_factor
+        wy_factors = ucoset.householder._wy_factors
 
-        def counting(v):
-            calls.append(v.shape[-2])
-            return wy_factor(v)
+        def counting(p, panels):
+            calls.append([hi - lo for lo, hi in panels])
+            return wy_factors(p, panels)
 
-        monkeypatch.setattr(ucoset.householder, "_wy_factor", counting)
-        for n, widths in ((_WY_WIDTH, []), (_WY_WIDTH + 1, [_WY_WIDTH]),
-                          (_PANEL + _WY_WIDTH, [_PANEL]),
-                          (_PANEL + _WY_WIDTH + 1, [_WY_WIDTH, _PANEL]),
-                          (2 * _PANEL + 1, [_PANEL, _PANEL])):
+        monkeypatch.setattr(ucoset.householder, "_wy_factors", counting)
+        for n, widths in ((_WY_WIDTH, []), (_WY_WIDTH + 1, [[_WY_WIDTH]]),
+                          (_PANEL + _WY_WIDTH, [[_PANEL]]),
+                          (_PANEL + _WY_WIDTH + 1, [[_PANEL, _WY_WIDTH]]),
+                          (2 * _PANEL + 1, [[_PANEL, _PANEL]])):
             u = random_unitary(n, 730 + n)
             calls.clear()
             f = decompose(u)
             assert calls == []
             assert maxdiff(reconstruct(f), u) <= 1e-12
             assert calls == widths
+
+    @pytest.mark.parametrize("count", [None, 3], ids=["matrix", "stack"])
+    def test_wy_factors_are_the_rank1_products(self, count):
+        # One call for panels of widths 1, _WY_WIDTH, _PANEL - 1 and _PANEL:
+        # 1 - V T V^dag over each panel's own columns is the product of its
+        # reflections, and a narrower panel's padding inverts to exactly the
+        # unit block, apart from its T.
+        widths = [1, _WY_WIDTH, _PANEL - 1, _PANEL]
+        bounds = np.cumsum([0] + widths)
+        panels = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+        n = int(bounds[-1]) + 1
+        rng = np.random.default_rng(740)
+        shape = (n - 1, n) + (() if count is None else (count,))
+        pivots = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        pivots *= np.triu(np.ones((n - 1, n))).reshape((n - 1, n) + (1,) * (len(shape) - 2))
+        pivots[range(n - 1), range(n - 1)] += 2.0
+        wy = _wy_factors(_stack(pivots), panels)
+        assert wy.shape == (() if count is None else (count,)) + (len(panels), _PANEL, _PANEL)
+        for k in range(1 if count is None else count):
+            p = pivots if count is None else pivots[..., k]
+            t = wy if count is None else wy[k]
+            for j, (lo, hi) in enumerate(panels):
+                v, b = p[lo:hi, lo:].T, hi - lo
+                m = np.eye(n - lo) - v @ t[j, :b, :b] @ v.conj().T
+                expected = rank1_product(p[lo:hi, lo:], np.ones(n - lo), FORWARD)
+                assert maxdiff(m, expected) <= 1e-13
+                assert np.array_equal(t[j, b:, b:], np.eye(_PANEL - b))
+                assert not np.any(t[j, :b, b:]) and not np.any(t[j, b:, :b])
 
     @given(dim=st.integers(2, 70), count=st.integers(1, 4),
            ordering=st.sampled_from([FORWARD, REVERSED]), seed=st.integers(0, 2 ** 32 - 1))

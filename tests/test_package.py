@@ -115,3 +115,44 @@ def small_float_literals(src_dir):
 
 def test_every_fixed_bound_is_named_once():
     assert small_float_literals(Path(numkit.__file__).parent) == []
+
+
+# Levels that are not integers, and a tolerance that is not a real number:
+# each is a typed error, not a TypeError from slicing or comparing with it,
+# and a bool level is not stored as given.
+COLUMN = np.array([1.0, 0.0, 0.0])
+NOT_INTEGER = {
+    "column-float": (lambda: householder.pivot_from_column(COLUMN, 1.5),
+                     numkit.DimensionMismatchError),
+    "column-np.float64": (lambda: householder.pivot_from_column(COLUMN, np.float64(1.0)),
+                          numkit.DimensionMismatchError),
+    "column-bool": (lambda: householder.pivot_from_column(COLUMN, True),
+                    numkit.DimensionMismatchError),
+    "reflection-float": (lambda: householder.Reflection(np.array([0.0, 2.0, 0.0]), 1.5, 3),
+                         numkit.DimensionMismatchError),
+    "reflection-bool": (lambda: householder.Reflection(np.array([2.0, 0.0]), True, 2),
+                        numkit.DimensionMismatchError),
+    "factor-float": (lambda: coset.CosetFactor(matrix=np.eye(3), level=1.5),
+                     numkit.DimensionMismatchError),
+    "factor-bool": (lambda: coset.CosetFactor(matrix=np.eye(3), level=True),
+                    numkit.DimensionMismatchError),
+    "vector-float": (lambda: coset.CosetVector(np.zeros(1), 1.5, 3, 1.0),
+                     numkit.DimensionMismatchError),
+    "vector-bool": (lambda: coset.CosetVector(np.zeros(1), True, 2, 1.0),
+                    numkit.DimensionMismatchError),
+    "generator-bool": (lambda: coset.Generator(np.zeros(1), 2, True),
+                       numkit.DimensionMismatchError),
+    "tolerance-str": (lambda: numkit.Tolerances(unitarity_tol="1e-10"), numkit.DomainError),
+    "tolerance-none": (lambda: numkit.Tolerances(unitarity_tol=None), numkit.DomainError),
+    "tolerance-complex": (lambda: numkit.Tolerances(unitarity_tol=1e-10j), numkit.DomainError),
+    "tolerance-bool": (lambda: numkit.Tolerances(unitarity_tol=True), numkit.DomainError),
+}
+
+
+@pytest.mark.parametrize("build, error", NOT_INTEGER.values(), ids=NOT_INTEGER.keys())
+def test_levels_are_integers_and_tolerances_real(build, error):
+    with pytest.raises(error):
+        build()
+    # numpy integers and floats stay accepted.
+    assert householder.pivot_from_column(COLUMN, np.int64(1))[0].level == 1
+    assert numkit.Tolerances(np.float64(1e-6)).unitarity_tol == 1e-6

@@ -761,15 +761,14 @@ class TestProductPanels:
         panels = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
         n = int(bounds[-1]) + 1
         rng = np.random.default_rng(740)
-        shape = (n - 1, n) + (() if count is None else (count,))
-        pivots = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        pivots *= np.triu(np.ones((n - 1, n))).reshape((n - 1, n) + (1,) * (len(shape) - 2))
-        pivots[range(n - 1), range(n - 1)] += 2.0
+        shape = (() if count is None else (count,)) + (n - 1, n)
+        stack = np.triu(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        stack[..., range(n - 1), range(n - 1)] += 2.0
+        # A product takes a stack's batch axis last and hands _wy_factors a _stack.
+        pivots = stack if count is None else np.moveaxis(stack, 0, -1)
         wy = _wy_factors(_stack(pivots), panels)
-        assert wy.shape == (() if count is None else (count,)) + (len(panels), _PANEL, _PANEL)
-        for k in range(1 if count is None else count):
-            p = pivots if count is None else pivots[..., k]
-            t = wy if count is None else wy[k]
+        assert wy.shape == shape[:-2] + (len(panels), _PANEL, _PANEL)
+        for p, t in zip(stack.reshape(-1, n - 1, n), wy.reshape(-1, len(panels), _PANEL, _PANEL)):
             for j, (lo, hi) in enumerate(panels):
                 v, b = p[lo:hi, lo:].T, hi - lo
                 m = np.eye(n - lo) - v @ t[j, :b, :b] @ v.conj().T

@@ -21,7 +21,8 @@ from ucoset import (
     sample_ball,
     unitarity_error,
 )
-from ucoset.haar import _BLOCK_ENTRIES, _reg_gamma
+from ucoset import haar
+from ucoset.haar import _BLOCK_ENTRIES, _ROW_SCAN, _reg_gamma, _switch
 
 from golden_data import maxdiff
 
@@ -149,6 +150,24 @@ class TestRngStream:
         rng.uniforms(2)
         assert rng.draws == 7
 
+    @pytest.mark.parametrize("method", ["normals", "uniforms"])
+    @pytest.mark.parametrize("count", [-1, 2.5, True, math.nan, math.inf])
+    def test_count_must_be_a_non_negative_integer(self, method, count):
+        # Truncated, 2.5 would deliver 2 variates and True 1; -1 would move
+        # ``draws`` back before numpy raised, and NaN raise an untyped error.
+        rng = RngStream(3)
+        rng.normals(2)
+        with pytest.raises(DomainError):
+            getattr(rng, method)(count)
+        assert rng.draws == 2
+
+    @pytest.mark.parametrize("method", ["normals", "uniforms"])
+    @pytest.mark.parametrize("count", [np.int32(3), 0])
+    def test_count_takes_numpy_integers_and_zero(self, method, count):
+        rng = RngStream(3)
+        assert getattr(rng, method)(count).shape == (count,)
+        assert rng.draws == count
+
     def test_seed_range(self):
         with pytest.raises(ValueError):
             RngStream(-1)
@@ -258,6 +277,56 @@ class TestRegGamma:
         got = _reg_gamma((m,), np.array(t))
         relative = np.abs(got / np.array([float(p) for p in expected]) - 1.0)
         assert relative.max() <= (1e-14 if m <= 63 else 1e-13)
+
+    def test_levels_run_along_the_first_axis(self):
+        # One call on a (levels, points) stack: the reference rows for
+        # m <= 63, padded to one length, then t just below and at the row's
+        # own switch.  Every entry is its level's own 1-D call to rounding
+        # (the stack sums the terms of the largest m, a few more, each below
+        # 2^-60 of the largest).
+        ms = tuple(m for m in sorted(REG_GAMMA_REFERENCE) if m <= 63)
+        rows, expected = [], []
+        for m in ms:
+            t, values = zip(*REG_GAMMA_REFERENCE[m])
+            s = _switch(m)
+            pad = [0.9 * s, 1.1 * s][:7 - len(t)]
+            rows.append([*t, *pad, np.nextafter(s, 0.0), s])
+            expected.append([float(v) for v in values] + [math.nan] * (len(pad) + 2))
+        t, expected = np.array(rows), np.array(expected)
+        got = _reg_gamma(ms, t)
+        assert got.shape == t.shape
+        known = ~np.isnan(expected)
+        assert np.abs(got[known] / expected[known] - 1.0).max() <= 1e-14
+        for m, row, values in zip(ms, t, got):
+            assert row[-2] < _switch(m) <= row[-1]
+            np.testing.assert_allclose(values, _reg_gamma((m,), row), rtol=1e-15, atol=0)
+
+    def test_batch_axes_follow_the_levels(self):
+        ms = (7, 2, 1)
+        t = np.random.default_rng(5).gamma(7.0, size=(3, 4, 5)) * [[[1.0]], [[0.3]], [[0.2]]]
+        got = _reg_gamma(ms, t)
+        assert got.shape == t.shape
+        for m, level, values in zip(ms, t, got):
+            np.testing.assert_allclose(values.ravel(), _reg_gamma((m,), level.ravel()),
+                                       rtol=1e-15, atol=0)
+        assert _reg_gamma((2,), np.array([0.5, 3.0])).shape == (2,)
+        # A 0-d t has no level axis of its own: it is broadcast over the
+        # levels, one value each.
+        assert _reg_gamma((2,), 3.0).shape == (1,)
+        np.testing.assert_allclose(_reg_gamma(ms, 3.0), [_reg_gamma((m,), 3.0)[0] for m in ms],
+                                   rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("count", [_ROW_SCAN // 3 - 1, _ROW_SCAN // 3 + 1])
+    def test_prefix_forms_agree_on_both_sides_of_the_row_scan(self, count, monkeypatch):
+        # Below _ROW_SCAN values one accumulate forms the prefix products,
+        # from it on a loop over rows; both multiply in the same order.
+        ms = (5, 3, 1)
+        t = np.random.default_rng(count).gamma(3.0, size=(3, count))
+        assert (t.size < _ROW_SCAN) == (count < _ROW_SCAN // 3)
+        natural = _reg_gamma(ms, t)
+        for forced in (0, 10 ** 9):
+            monkeypatch.setattr(haar, "_ROW_SCAN", forced)
+            assert np.array_equal(_reg_gamma(ms, t), natural)
 
     def test_large_m_past_the_exp_underflow(self):
         # e^-1030 underflows to 0; P(1023, 1030) (to 20 digits from a

@@ -22,9 +22,10 @@ factorization negate column k (forward: the stack is shared as it is) or
 row k (reversed, F_k R(u) = R(F_k u) F_k: one copy with each u_k negated)
 of each reflection; the sign flips migrate into the terminal phase
 diagonal, so composing the factors is one product of reflections, O(N^3)
-in the panels of ``householder``.  A conversion hands the stack to the
-coset record without the record's checks, which the stack passed as the
-Householder record's; only the terminal phases are checked.
+in the panels of ``householder``.  A conversion hands the stack and the
+terminal phases to the coset record by ``_trusted``, without the checks
+both passed as the Householder record's (a sign flip keeps each modulus);
+the factor views are built by it too.
 
 The level-1 factor is also the exponential of the anti-Hermitian generator
 with column B below the corner; for ||B|| in (pi/2, pi] its corner is
@@ -49,6 +50,8 @@ from .numkit import (
     _as_array,
     _check_level,
     _frozen_array,
+    _real,
+    _trusted,
 )
 from .householder import (
     FORWARD,
@@ -57,10 +60,8 @@ from .householder import (
     PhaseDiagonal,
     _canonical_angle,
     _check_record,
-    _pivot_record,
     _product,
     _reflect_rows,
-    _trusted,
 )
 
 __all__ = [
@@ -123,7 +124,7 @@ class CosetVector:
         r_sq = float(np.real(np.vdot(x, x)))
         if r_sq > 1.0 + BALL_SLACK:
             raise BallViolationError(f"<x|x> = {r_sq} exceeds 1")
-        if not -BALL_SLACK <= self.rho <= 1.0 + BALL_SLACK:
+        if not -BALL_SLACK <= _real(self.rho, "rho", RhoRangeError) <= 1.0 + BALL_SLACK:
             raise RhoRangeError(f"rho {self.rho} outside [0, 1]")
         if abs(self.rho * self.rho + r_sq - 1.0) > RHO_SLACK:
             raise RhoRangeError("rho is inconsistent with <x|x>")
@@ -154,9 +155,10 @@ class Gamma:
     phase: float
 
     def __post_init__(self):
-        if not math.sqrt(0.5) - BALL_SLACK <= self.modulus <= 1.0 + BALL_SLACK:
-            raise RhoRangeError(f"modulus {self.modulus} outside [sqrt(1/2), 1]")
-        if not -math.pi < self.phase <= math.pi:
+        modulus = _real(self.modulus, "modulus", RhoRangeError)
+        if not math.sqrt(0.5) - BALL_SLACK <= modulus <= 1.0 + BALL_SLACK:
+            raise RhoRangeError(f"modulus {modulus} outside [sqrt(1/2), 1]")
+        if not -math.pi < _real(self.phase, "phase", DomainError) <= math.pi:
             raise DomainError(f"phase {self.phase} outside (-pi, pi]")
 
     @property
@@ -206,22 +208,14 @@ class CosetFactor:
         j = i + int(np.argmax(np.abs(np.diag(a)[i:])))
         p = a[:, j].copy()
         p[:i] = 0.0
-        _pivot_record(self, p, level)
+        self.__dict__.update(level=level, dim=n, pivot=p)
         # Entries too large for <p|p> to be finite give a NaN corner, which
-        # must fail this check rather than pass it.
+        # must fail this check rather than pass it.  Only then does _lone set
+        # p read-only and read X.
         if not np.any(p) or not float(np.max(np.abs(self.matrix - m))) <= FACTOR_MATCH_TOL:
             raise MalformedFactorError(
                 f"factor at level {level} is not a column-flipped reflection")
-        self.__dict__["vector"] = _lone_vector(p, level)
-
-    @classmethod
-    def _from_pivot(cls, p, level: int, vector) -> "CosetFactor":
-        return _pivot_record(cls.__new__(cls), p, level, vector=vector)
-
-    @classmethod
-    def _lone(cls, p, level: int) -> "CosetFactor":
-        # The factor of a pivot that is no row of a stack: a stack of one row.
-        return cls._from_pivot(p, level, _lone_vector(p, level))
+        self.__dict__["vector"] = _lone(p, level).vector
 
     def _corner(self):
         # conj(p_k), 2 / <p|p> and the corner rho, as _chart reads them.
@@ -277,8 +271,8 @@ class CosetFactorization:
         # One loop over the rows of the stack and of their read.
         n = self.dim
         x, rho, rho_in, ok = _read(self.pivots, np.arange(n - 1))
-        factor = CosetFactor._from_pivot
-        return tuple([factor(p, k, _vector(x[k - 1, k:], k, n, r, r_in, good))
+        return tuple([_trusted(CosetFactor, level=k, dim=n, pivot=p,
+                               vector=_vector(x[k - 1, k:], k, n, r, r_in, good))
                       for k, p, r, r_in, good in zip(range(1, n), self.pivots, rho, rho_in, ok)])
 
 
@@ -355,15 +349,16 @@ def _vector(x, level: int, dim: int, rho: float, rho_in: float, ok: bool):
         return None
     if not ok:
         return CosetVector(x, level, dim, rho_in)
-    xv = CosetVector.__new__(CosetVector)
-    xv.__dict__.update(x=x, level=level, dim=dim, rho=rho_in)
-    return xv
+    return _trusted(CosetVector, x=x, level=level, dim=dim, rho=rho_in)
 
 
-def _lone_vector(p, level: int):
-    # The vector of a pivot read as a stack of one row.
+def _lone(p, level: int) -> CosetFactor:
+    # The factor of a new pivot p, which it sets read-only, that is no row of
+    # a stack: a stack of one row, read by the same pass as a stack.
+    p.setflags(write=False)
     x, rho, rho_in, ok = _read(p[None], [level - 1])
-    return _vector(x[0, level:], level, p.shape[0], rho[0], rho_in[0], ok[0])
+    return _trusted(CosetFactor, level=level, dim=p.shape[0], pivot=p,
+                    vector=_vector(x[0, level:], level, p.shape[0], rho[0], rho_in[0], ok[0]))
 
 
 def _negated_corners(pivots) -> np.ndarray:
@@ -388,9 +383,11 @@ def _cosets_from_pivots(f: HouseholderFactorization, ordering: str) -> CosetFact
         raise WrongOrderingError(f"expected a {ordering} factorization")
     terminal = np.array(f.residual.phases)
     terminal[:-1] *= -1.0
+    terminal.setflags(write=False)
     return _trusted(CosetFactorization,
                     pivots=f.pivots if ordering == FORWARD else _negated_corners(f.pivots),
-                    terminal_phases=PhaseDiagonal(terminal, f.dim), ordering=ordering, dim=f.dim)
+                    terminal_phases=_trusted(PhaseDiagonal, phases=terminal, dim=f.dim),
+                    ordering=ordering, dim=f.dim)
 
 
 def cosets_from_householder(f: HouseholderFactorization) -> CosetFactorization:
@@ -443,14 +440,14 @@ def coset_matrix_from_X(xv: CosetVector) -> CosetFactor:
     i = xv.level - 1
     p[i] = 1.0 + xv.rho
     p[i + 1:] = xv.x
-    return CosetFactor._lone(p, xv.level)
+    return _lone(p, xv.level)
 
 
 def gamma_from_rho(rho: float, phase: float) -> Gamma:
     """Corner overlap gamma with ``|gamma| = sqrt((1 + rho) / 2)``."""
-    if not math.isfinite(phase):
+    if not math.isfinite(_real(phase, "phase", DomainError)):
         raise DomainError(f"phase {phase} is not finite")
-    if not -BALL_SLACK <= rho <= 1.0 + BALL_SLACK:
+    if not -BALL_SLACK <= _real(rho, "rho", RhoRangeError) <= 1.0 + BALL_SLACK:
         raise RhoRangeError(f"rho {rho} outside [0, 1]")
     rho = min(max(float(rho), 0.0), 1.0)
     return Gamma(
@@ -498,7 +495,7 @@ def exp_coset(g: Generator) -> CosetFactor:
     i = g.level - 1
     p[i] = math.cos(0.5 * theta)
     p[i + 1:] = (0.5 * np.sinc(theta / (2.0 * math.pi))) * g.b  # sin(theta/2)/theta
-    return CosetFactor._lone(p, g.level)
+    return _lone(p, g.level)
 
 
 def coset_u2_explicit(x1: float, x2: float) -> ComplexMatrix:
@@ -507,7 +504,7 @@ def coset_u2_explicit(x1: float, x2: float) -> ComplexMatrix:
     The corner column is the single entry X = x1 + i x2 and both diagonal
     entries of the active block equal rho = sqrt(1 - x1^2 - x2^2).
     """
-    if not np.isfinite([x1, x2]).all():
+    if not np.isfinite([_real(x, "coordinate", DomainError) for x in (x1, x2)]).all():
         raise DomainError(f"coordinates ({x1}, {x2}) are not all finite")
     r_sq = x1 * x1 + x2 * x2
     if r_sq > 1.0 + BALL_SLACK:
@@ -535,7 +532,7 @@ def coset_u3_explicit(x3: float, x4: float, x5: float, x6: float) -> ComplexMatr
     and V32 = conj(V23); both diagonal entries are quadratic forms, which
     is forced by unitarity.  xi -> 0 gives the identity.
     """
-    if not np.isfinite([x3, x4, x5, x6]).all():
+    if not np.isfinite([_real(x, "coordinate", DomainError) for x in (x3, x4, x5, x6)]).all():
         raise DomainError(f"coordinates ({x3}, {x4}, {x5}, {x6}) are not all finite")
     a = x5 * x5 + x6 * x6
     b = x3 * x3 + x4 * x4

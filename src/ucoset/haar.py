@@ -45,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numkit import ComplexMatrix, DomainError, UcosetError, _is_integer
+from .numkit import ComplexMatrix, DomainError, UcosetError, _as_array, _integer
 from .householder import FORWARD, _product
 
 __all__ = [
@@ -132,16 +132,6 @@ class RngStream:
         """
         index = _integer(index, "substream index", DomainError, 0)
         return RngStream(self.seed, self.stream + 1 + index)
-
-
-def _integer(n, what: str, error, lo: int, hi: int | None = None) -> int:
-    # n as an int if it is an integer (numkit._is_integer) in [lo, hi), else
-    # the caller's typed ``error``: a float or bool count would otherwise be
-    # truncated, and NaN or inf would raise an untyped error.
-    if not _is_integer(n) or n < lo or (hi is not None and n >= hi):
-        bounds = f"[{lo}, {hi})" if hi is not None else f"at least {lo}"
-        raise error(f"{what} must be an integer {bounds}, got {n!r}")
-    return int(n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -335,7 +325,7 @@ def sample_ball(dim: int, rng: RngStream) -> np.ndarray:
 
     Raises OddDimensionError unless ``dim`` is a positive even integer.
     """
-    if not _is_integer(dim) or dim <= 0 or dim % 2:
+    if _integer(dim, "ball dimension", OddDimensionError, 2) % 2:
         raise OddDimensionError(f"ball dimension must be a positive even integer, got {dim!r}")
     return _ball_points(rng.normals(dim), (dim // 2,))
 
@@ -425,9 +415,19 @@ def haar_oracle(dim: int, rng: RngStream) -> ComplexMatrix:
     return q * phases
 
 
+def _sorted_samples(a, what: str) -> np.ndarray:
+    # a sorted as a float array; DomainError unless 1-D and finite: a NaN
+    # sorts last and gives a NaN statistic, and a 2-D array sorts each row.
+    x = _as_array(a, what, float)
+    if x.ndim != 1 or not np.isfinite(x).all():
+        raise DomainError(f"{what} must be a 1-D array of finite numbers")
+    return np.sort(x)
+
+
 def ks_statistic(samples, cdf) -> float:
-    """One-sample Kolmogorov-Smirnov statistic against a CDF callable."""
-    x = np.sort(np.asarray(samples, dtype=float))
+    """One-sample Kolmogorov-Smirnov statistic against a CDF callable;
+    DomainError unless ``samples`` is 1-D and finite."""
+    x = _sorted_samples(samples, "samples")
     n = x.shape[0]
     if n == 0:
         raise TooFewSamplesError("need at least one sample")
@@ -438,9 +438,8 @@ def ks_statistic(samples, cdf) -> float:
 
 
 def ks_statistic_two_sample(a, b) -> float:
-    """Two-sample Kolmogorov-Smirnov statistic."""
-    a = np.sort(np.asarray(a, dtype=float))
-    b = np.sort(np.asarray(b, dtype=float))
+    """Two-sample Kolmogorov-Smirnov statistic; DomainError as ``ks_statistic``."""
+    a, b = (_sorted_samples(s, "samples") for s in (a, b))
     if a.shape[0] == 0 or b.shape[0] == 0:
         raise TooFewSamplesError("need at least one sample on each side")
     everything = np.concatenate([a, b])

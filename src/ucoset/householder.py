@@ -23,8 +23,9 @@ A factorization stores its N - 1 pivots as one read-only (N - 1) x N array,
 the level-k pivot in row k - 1, so the strict lower triangle is exactly
 zero; its constructor checks that stack once, in array form.  The column
 loop writes each pivot straight into its row, checks it as it writes it,
-checks the residual against the pivot phases it had and hands both to its
-record unchecked; ``reflections`` are ``Reflection`` views on the rows.
+checks the residual as a ``PhaseDiagonal`` would and against the pivot
+phases it had, and hands both to its record by ``_trusted``, the one
+constructor that skips checks; ``reflections`` are views it builds.
 The column loop's checks are the gate of the caller's ``Tolerances``; the
 record bounds are fixed, named in ``numkit``.
 
@@ -63,7 +64,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numkit import (
-    DEFAULT_TOLERANCES,
     PHASE_TOL,
     PIVOT_NORM_SLACK,
     ComplexMatrix,
@@ -75,8 +75,10 @@ from .numkit import (
     _as_array,
     _as_square_matrix,
     _check_level,
-    _check_shape,
     _frozen_array,
+    _integer,
+    _tolerances,
+    _trusted,
 )
 
 __all__ = [
@@ -138,16 +140,6 @@ def _canonical_angle(phi: float) -> float:
     return phi
 
 
-def _pivot_record(obj, pivot, level: int, **fields):
-    # Sets the fields of a frozen Reflection or CosetFactor in one step: the
-    # pivot, made read-only unless it is already (a row of a frozen stack),
-    # its level, its dim and any other fields given.
-    if pivot.flags.writeable:
-        pivot.setflags(write=False)
-    obj.__dict__.update(pivot=pivot, level=level, dim=pivot.shape[0], **fields)
-    return obj
-
-
 @dataclass(frozen=True, eq=False)
 class Reflection:
     """Householder reflection pivot acting on coordinates ``level`` .. ``dim``.
@@ -166,13 +158,7 @@ class Reflection:
         pivot = _frozen_array(self.pivot, (self.dim,), complex, "pivot")
         _short_pivots(_pivot_norms(pivot[None], self.level, DomainError,
                                    LeadingComponentsNonzeroError), self.level)
-        _pivot_record(self, pivot, self.level)
-
-    @classmethod
-    def _from_pivot(cls, pivot, level: int) -> "Reflection":
-        # The reflection of a pivot that is already checked: a row of a
-        # factorization's stack, or a pivot just built from a column.
-        return _pivot_record(cls.__new__(cls), pivot, level)
+        object.__setattr__(self, "pivot", pivot)
 
     @property
     def norm_sq(self) -> float:
@@ -187,14 +173,18 @@ class PhaseDiagonal:
     dim: int
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise DimensionMismatchError("phase diagonal dim must be at least 1")
-        phases = _frozen_array(self.phases, (self.dim,), complex, "phases")
-        dev = float(np.max(np.abs(np.abs(phases) - 1.0)))
-        if dev > PHASE_TOL:
-            raise PhaseError(f"phase entries deviate from unit modulus by {dev:.3e} "
-                             f"(bound {PHASE_TOL:.0e})")
+        dim = _integer(self.dim, "phase diagonal dim", DimensionMismatchError, 1)
+        phases = _frozen_array(self.phases, (dim,), complex, "phases")
+        _check_unit_modulus(phases)
         object.__setattr__(self, "phases", phases)
+
+
+def _check_unit_modulus(phases) -> None:
+    # PhaseError unless each of the finite phases is on the unit circle.
+    dev = float(np.max(np.abs(np.abs(phases) - 1.0)))
+    if dev > PHASE_TOL:
+        raise PhaseError(f"phase entries deviate from unit modulus by {dev:.3e} "
+                         f"(bound {PHASE_TOL:.0e})")
 
 
 def _pivot_norms(p, level: int, invalid, leading) -> np.ndarray:
@@ -228,27 +218,23 @@ def _check_residual(head, units) -> None:
                          f"(bound {PHASE_TOL:.0e})")
 
 
-def _trusted(cls, **fields):
-    # A record of fields that its caller has already checked as the record's
-    # constructor would, built without running those checks again.
-    record = cls.__new__(cls)
-    record.__dict__.update(fields)
-    return record
-
-
 def _check_record(f, phases: PhaseDiagonal, invalid, leading) -> np.ndarray:
-    # What both factorization records check: the ordering (invalid), the dim
-    # of the phase diagonal, and the pivot stack, which replaces f.pivots as
-    # a read-only (dim - 1) x dim complex array; a read-only complex array is
-    # kept, so that records can share a stack, and anything else is copied.
-    # Returns the stack's <u|u>, as _pivot_norms.
+    # What both factorization records check: the ordering and the type of
+    # the phases (invalid), the dims, and the pivot stack, which replaces
+    # f.pivots as a read-only (dim - 1) x dim complex array; a read-only
+    # complex array is kept, so that records can share a stack, and anything
+    # else is copied.  Returns the stack's <u|u>, as _pivot_norms.
     if f.ordering not in (FORWARD, REVERSED):
         raise invalid(f"unknown ordering {f.ordering!r}")
-    if phases.dim != f.dim:
-        raise DimensionMismatchError(f"phase diagonal dim {phases.dim} is not dim {f.dim}")
+    if not isinstance(phases, PhaseDiagonal):
+        raise invalid(f"phases must be a PhaseDiagonal, got {type(phases).__name__}")
+    n = _integer(f.dim, "dim", DimensionMismatchError, 1)
+    if phases.dim != n:
+        raise DimensionMismatchError(f"phase diagonal dim {phases.dim} is not dim {n}")
     p = _as_array(f.pivots, "pivots")
     p = p.copy() if p.flags.writeable else p
-    _check_shape(p, (f.dim - 1, f.dim), "pivot stack")
+    if p.shape != (n - 1, n):
+        raise DimensionMismatchError(f"pivot stack: shape {p.shape}, expected {(n - 1, n)}")
     p.setflags(write=False)
     object.__setattr__(f, "pivots", p)
     return _pivot_norms(p, 1, invalid, leading)
@@ -288,7 +274,8 @@ class HouseholderFactorization:
 
     @property
     def reflections(self) -> tuple:
-        return tuple(Reflection._from_pivot(p, k) for k, p in enumerate(self.pivots, start=1))
+        return tuple(_trusted(Reflection, pivot=p, level=k, dim=self.dim)
+                     for k, p in enumerate(self.pivots, start=1))
 
 
 def reflect_matrix(r: Reflection) -> ComplexMatrix:
@@ -421,7 +408,8 @@ def pivot_from_column(w, level: int, tol: Tolerances | None = None):
     Raises
     ------
     DomainError
-        If ``w`` has a non-finite entry.
+        If ``w`` has a non-finite entry, or ``tol`` is neither None nor a
+        ``Tolerances``.
     DimensionMismatchError
         If ``w`` is not one-dimensional, or ``level`` is not an integer in
         ``1 .. len(w) - 1``.
@@ -431,7 +419,7 @@ def pivot_from_column(w, level: int, tol: Tolerances | None = None):
     LeadingComponentsNonzeroError
         If a leading component exceeds ``tol.unitarity_tol`` in modulus.
     """
-    tol = tol or DEFAULT_TOLERANCES
+    tol = _tolerances(tol)
     col = _as_array(w, "column")
     if col.ndim != 1:
         raise DimensionMismatchError("column must be one-dimensional")
@@ -440,7 +428,8 @@ def pivot_from_column(w, level: int, tol: Tolerances | None = None):
     _check_level(level, col.shape[0])
     p = np.zeros(col.shape[0], dtype=complex)
     phi, *_ = _column_pivot(col, p, level, tol.unitarity_tol)
-    return Reflection._from_pivot(p, level), phi
+    p.setflags(write=False)
+    return _trusted(Reflection, pivot=p, level=level, dim=col.shape[0]), phi
 
 
 def _check_column(col, level: int, bound: float) -> float:
@@ -511,8 +500,8 @@ def _clear_columns(u, tol: Tolerances, ordering: str) -> HouseholderFactorizatio
     # the diagonal of w; Y grows by c (v - Y V^dag v), kept as z = Y^dag.
     # Y = V T for the compact-WY T grown as zlarft does, one product fewer
     # per column.  Every later column then takes the panel in one update.
-    # The corners of w are the forward residual; each must be -e^{i phi_k}
-    # for the phase the loop gave its level, one array comparison at the end.
+    # The corners of w, finite by the column checks, are the forward residual:
+    # unit phases, each -e^{i phi_k} for the phase the loop gave its level.
     a = _as_square_matrix(u)
     n = a.shape[0]
     w = np.array(a.T, order="C") if ordering == FORWARD else np.conj(a, order="C")
@@ -538,11 +527,14 @@ def _clear_columns(u, tol: Tolerances, ordering: str) -> HouseholderFactorizatio
         _check_column(w[n - 1], n, bound)
     pivots.setflags(write=False)
     corners = np.diagonal(w)
-    residual = PhaseDiagonal(corners if ordering == FORWARD else corners.conj(), n)
+    _check_unit_modulus(corners)
     _check_residual(corners[:-1], units)
+    phases = corners.copy() if ordering == FORWARD else corners.conj()
+    phases.setflags(write=False)
     # Each pivot was checked as it was written: finite, <u|u> >= 2 and
     # exactly zero before its level.
-    return _trusted(HouseholderFactorization, pivots=pivots, residual=residual,
+    return _trusted(HouseholderFactorization, pivots=pivots,
+                    residual=_trusted(PhaseDiagonal, phases=phases, dim=n),
                     ordering=ordering, dim=n)
 
 
@@ -555,7 +547,7 @@ def decompose(u, tol: Tolerances | None = None) -> HouseholderFactorization:
     The checks of each column are the gate of ``Tolerances``, on
     ``max |U^dag U - 1|``; past it NotUnitaryError names the level.
     """
-    return _clear_columns(u, tol or DEFAULT_TOLERANCES, FORWARD)
+    return _clear_columns(u, _tolerances(tol), FORWARD)
 
 
 def decompose_reversed(u, tol: Tolerances | None = None) -> HouseholderFactorization:
@@ -568,7 +560,7 @@ def decompose_reversed(u, tol: Tolerances | None = None) -> HouseholderFactoriza
 
     The gate is on ``max |U U^dag - 1|``, up to N times ``unitarity_error(U)``.
     """
-    return _clear_columns(u, tol or DEFAULT_TOLERANCES, REVERSED)
+    return _clear_columns(u, _tolerances(tol), REVERSED)
 
 
 def reconstruct(f: HouseholderFactorization) -> ComplexMatrix:

@@ -75,6 +75,25 @@ SERIES_CUTOFF = 1e-18
 ROUND_TRIP_FACTOR = 4.0
 
 
+def _real(x, what: str, error):
+    # x as given if it is a real number (an int, float or numpy real, not a
+    # bool), else the caller's typed ``error`` rather than a TypeError later.
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise error(f"{what} must be a real number: {x!r}")
+    return x
+
+
+def _integer(n, what: str, error, lo: int, hi: float = math.inf) -> int:
+    # n as an int if it is an integer in [lo, hi), else the caller's typed
+    # ``error``.  An int or numpy integer, not a bool: 2 == 2.0 and
+    # 1 == True, so a float or bool count would otherwise pass a range check
+    # and be truncated, and NaN, inf or a string would raise an untyped error.
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or not lo <= n < hi:
+        bounds = f"at least {lo}" if hi == math.inf else f"[{lo}, {hi})"
+        raise error(f"{what} must be an integer {bounds}, got {n!r}")
+    return int(n)
+
+
 @dataclass(frozen=True)
 class Tolerances:
     """The unitarity gate: the matrix M a column loop factors (U forward,
@@ -85,14 +104,28 @@ class Tolerances:
     unitarity_tol: float = 1e-10
 
     def __post_init__(self):
-        tol = self.unitarity_tol
-        if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
-            raise DomainError(f"unitarity_tol must be a real number: {tol!r}")
+        tol = _real(self.unitarity_tol, "unitarity_tol", DomainError)
         if not 0.0 < tol < math.inf:
             raise DomainError(f"unitarity_tol must be positive and finite: {tol}")
 
 
 DEFAULT_TOLERANCES = Tolerances()
+
+
+def _tolerances(tol) -> Tolerances:
+    # A ``tol`` argument: DEFAULT_TOLERANCES for None, else a Tolerances.
+    tol = DEFAULT_TOLERANCES if tol is None else tol
+    if not isinstance(tol, Tolerances):
+        raise DomainError(f"tol must be a Tolerances, got {tol!r}")
+    return tol
+
+
+def _trusted(cls, **fields):
+    # The one way past a record's constructor: a record of fields that its
+    # caller has already checked as that constructor would.
+    record = cls.__new__(cls)
+    record.__dict__.update(fields)
+    return record
 
 
 def _as_array(a, what: str, dtype=complex, copy=False) -> np.ndarray:
@@ -114,37 +147,20 @@ def _as_square_matrix(m) -> np.ndarray:
     return a
 
 
-def _is_integer(n) -> bool:
-    # An int or numpy integer, not a bool: 2 == 2.0 and 1 == True, so a float
-    # or bool count would otherwise pass a range check and be truncated.
-    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
-
-
 def _check_level(level, dim) -> None:
-    # DimensionMismatchError unless level is an integer (_is_integer) in
-    # 1 .. dim - 1, so that a float or bool level is not stored or sliced with.
-    if not _is_integer(level):
-        raise DimensionMismatchError(f"level {level!r} must be an integer")
-    if not 1 <= level <= dim - 1:
-        raise DimensionMismatchError(f"level {level} outside 1..{dim - 1}")
-
-
-def _check_shape(a: np.ndarray, shape: tuple, what: str) -> None:
-    # DimensionMismatchError unless a has the given shape, whose entries must
-    # be integers (_is_integer), so a record's float or bool dim is not
-    # stored as given.
-    if not all(_is_integer(n) for n in shape):
-        raise DimensionMismatchError(f"{what}: dimensions {shape} must be integers")
-    if a.shape != shape:
-        raise DimensionMismatchError(f"{what}: shape {a.shape}, expected {shape}")
+    # DimensionMismatchError unless dim is an integer (_integer) at least 2
+    # and level one in 1 .. dim - 1, so a float or bool is never sliced with.
+    _integer(level, "level", DimensionMismatchError, 1,
+             _integer(dim, "dim", DimensionMismatchError, 2))
 
 
 def _frozen_array(a, shape: tuple, dtype, what: str) -> np.ndarray:
-    # A read-only copy of a as an array of the given shape and dtype.  Any
-    # other shape, ragged input included, raises DimensionMismatchError and
-    # a non-finite entry DomainError.
+    # A read-only copy of a in the given dtype and shape, whose entries the
+    # caller has checked are ints; another shape, ragged input included,
+    # raises DimensionMismatchError and a non-finite entry DomainError.
     out = _as_array(a, what, dtype, copy=True)
-    _check_shape(out, shape, what)
+    if out.shape != shape:
+        raise DimensionMismatchError(f"{what}: shape {out.shape}, expected {shape}")
     if not np.isfinite(out).all():
         raise DomainError(f"{what}: non-finite entries")
     out.setflags(write=False)

@@ -605,6 +605,15 @@ class TestHaarTest:
         assert run("haar-test", "--dim", "2", "--samples", "2000") == 5
         assert "FAIL" in capsys.readouterr().err
 
+    def test_nan_statistic_fails(self, monkeypatch, capsys):
+        def rigged(dim, samples, rng):
+            return SampleReport(dim=dim, sample_count=samples, ks_statistic=math.nan,
+                                mean_moduli=np.full((dim, dim), 1.0 / dim))
+
+        monkeypatch.setattr(cli.haar, "haar_validate", rigged)
+        assert run("haar-test", "--dim", "2", "--samples", "2000") == 5
+        assert "FAIL" in capsys.readouterr().err
+
 
 class TestUsage:
     def test_no_arguments(self):

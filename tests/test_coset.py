@@ -39,6 +39,7 @@ from ucoset import (
     unitarity_error,
 )
 import ucoset
+from ucoset.coset import _lone
 from ucoset.householder import FORWARD, REVERSED
 
 from golden_data import (
@@ -549,7 +550,7 @@ class TestStackRead:
         for dec, conv, _ in ORDERINGS:
             cf = conv(dec(u))
             for c in cf.factors:
-                lone = CosetFactor._lone(np.array(c.pivot), c.level)
+                lone = _lone(np.array(c.pivot), c.level)
                 assert_same_vector(c.vector, lone.vector)
                 assert extract_coset_vector(c) is c.vector
                 assert not np.shares_memory(c.vector.x, cf.pivots)
@@ -587,7 +588,7 @@ class TestStackRead:
                 edited()
             pivots[kinds == 3] = cf.pivots[kinds == 3]
         for c, kind in zip(edited().factors, kinds):
-            lone = CosetFactor._lone(np.array(c.pivot), c.level)
+            lone = _lone(np.array(c.pivot), c.level)
             if c.vector is None:
                 assert kind == 1 and lone.vector is None
                 with pytest.raises(MalformedFactorError):
@@ -825,18 +826,24 @@ class TestPivotStack:
         calls = {"Reflection": 0, "CosetFactor": 0}
 
         def count(cls, attr):
-            raw = cls.__dict__[attr]
-            fn = raw.__func__ if isinstance(raw, classmethod) else raw
+            fn = cls.__dict__[attr]
 
             def wrapped(*args, **kwargs):
                 calls[cls.__name__] += 1
                 return fn(*args, **kwargs)
-            monkeypatch.setattr(cls, attr,
-                                classmethod(wrapped) if isinstance(raw, classmethod) else wrapped)
+            monkeypatch.setattr(cls, attr, wrapped)
 
-        for cls, attr in ((Reflection, "__post_init__"), (Reflection, "_from_pivot"),
-                          (CosetFactor, "__init__"), (CosetFactor, "_from_pivot")):
+        for cls, attr in ((Reflection, "__post_init__"), (CosetFactor, "__init__")):
             count(cls, attr)
+        # Every other build of a factor object goes through _trusted.
+        build = ucoset.numkit._trusted
+
+        def trusted(cls, **fields):
+            if cls.__name__ in calls:
+                calls[cls.__name__] += 1
+            return build(cls, **fields)
+        for module in (ucoset.householder, ucoset.coset):
+            monkeypatch.setattr(module, "_trusted", trusted)
         n = 65
         u = random_unitary(n, 140)
         f, rev = decompose(u), decompose_reversed(u)

@@ -77,10 +77,11 @@ def test_factorization_records_store_no_redundant_field():
     assert isinstance(householder.HouseholderFactorization.pivot_phases, property)
 
 
-@pytest.mark.parametrize("dim", [2.0, True, np.float64(3)], ids=["float", "bool", "np.float64"])
+@pytest.mark.parametrize("dim", [2.0, True, np.float64(3), "2", None],
+                         ids=["float", "bool", "np.float64", "str", "none"])
 def test_records_reject_a_dim_that_is_not_an_integer(dim):
     # (2,) == (2.0,), so a shape check alone would store such a dim as given.
-    n = int(dim)
+    n = 2 if dim is None else int(dim)
     f = householder.decompose(np.eye(n))
     cf = coset.cosets_from_householder(f)
     builds = [
@@ -88,6 +89,8 @@ def test_records_reject_a_dim_that_is_not_an_integer(dim):
         lambda: householder.HouseholderFactorization(f.pivots, f.residual, f.ordering, dim),
         lambda: coset.CosetFactorization(cf.pivots, cf.terminal_phases, cf.ordering, dim),
         lambda: coset.CosetVector(np.zeros(n - 1), 1, dim, 1.0),
+        lambda: householder.Reflection(np.ones(n), 1, dim),
+        lambda: coset.Generator(np.zeros(n - 1), dim, 1),
     ]
     for build in builds:
         with pytest.raises(numkit.DimensionMismatchError):
@@ -117,10 +120,15 @@ def test_every_fixed_bound_is_named_once():
     assert small_float_literals(Path(numkit.__file__).parent) == []
 
 
-# Levels that are not integers, and a tolerance that is not a real number:
-# each is a typed error, not a TypeError from slicing or comparing with it,
-# and a bool level is not stored as given.
+# Levels that are not integers, a tolerance or scalar that is not a real
+# number, a tol or phase argument of the wrong type, and KS samples that are
+# not 1-D and finite: each is a typed error, not a TypeError or
+# AttributeError from using it or a quiet default, and a bool level is not
+# stored as given.
 COLUMN = np.array([1.0, 0.0, 0.0])
+U3 = np.eye(3)
+F3 = householder.decompose(U3)
+CF3 = coset.cosets_from_householder(F3)
 NOT_INTEGER = {
     "column-float": (lambda: householder.pivot_from_column(COLUMN, 1.5),
                      numkit.DimensionMismatchError),
@@ -146,6 +154,30 @@ NOT_INTEGER = {
     "tolerance-none": (lambda: numkit.Tolerances(unitarity_tol=None), numkit.DomainError),
     "tolerance-complex": (lambda: numkit.Tolerances(unitarity_tol=1e-10j), numkit.DomainError),
     "tolerance-bool": (lambda: numkit.Tolerances(unitarity_tol=True), numkit.DomainError),
+    "decompose-tol-float": (lambda: householder.decompose(U3, 1e-8), numkit.DomainError),
+    "decompose-tol-zero": (lambda: householder.decompose(U3, 0), numkit.DomainError),
+    "decompose-reversed-tol-float": (lambda: householder.decompose_reversed(U3, 1e-8),
+                                     numkit.DomainError),
+    "column-tol-float": (lambda: householder.pivot_from_column(COLUMN, 1, 1e-8),
+                         numkit.DomainError),
+    "householder-phases-array": (
+        lambda: householder.HouseholderFactorization(F3.pivots, np.ones(3), "forward", 3),
+        numkit.DomainError),
+    "coset-phases-none": (lambda: coset.CosetFactorization(CF3.pivots, None, "forward", 3),
+                          coset.MalformedFactorError),
+    "vector-rho-str": (lambda: coset.CosetVector(np.zeros(1), 1, 2, "a"), coset.RhoRangeError),
+    "vector-rho-none": (lambda: coset.CosetVector(np.zeros(1), 1, 2, None), coset.RhoRangeError),
+    "vector-rho-complex": (lambda: coset.CosetVector(np.zeros(1), 1, 2, 1 + 0j),
+                           coset.RhoRangeError),
+    "gamma-modulus-str": (lambda: coset.Gamma("x", 0.0), coset.RhoRangeError),
+    "gamma-from-rho-str": (lambda: coset.gamma_from_rho("x", 0.0), coset.RhoRangeError),
+    "gamma-from-rho-phase-str": (lambda: coset.gamma_from_rho(0.5, "x"), numkit.DomainError),
+    "u2-str": (lambda: coset.coset_u2_explicit("a", 0.1), numkit.DomainError),
+    "u3-none": (lambda: coset.coset_u3_explicit(None, 0, 0, 0), numkit.DomainError),
+    "ks-nan": (lambda: haar.ks_statistic([np.nan, 0.2], lambda x: x), numkit.DomainError),
+    "ks-2d": (lambda: haar.ks_statistic([[0.1, 0.9]], lambda x: x), numkit.DomainError),
+    "ks-two-sample-nan": (lambda: haar.ks_statistic_two_sample([0.5], [np.nan]),
+                          numkit.DomainError),
 }
 
 

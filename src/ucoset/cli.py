@@ -37,7 +37,7 @@ import sys
 
 import numpy as np
 
-from . import coset, haar, householder
+from . import householder
 from .numkit import (DEFAULT_TOLERANCES, ROUND_TRIP_FACTOR, DomainError, Tolerances,
                      UcosetError, _integer, unitarity_error)
 
@@ -49,6 +49,15 @@ EXIT_VERIFY = 4
 EXIT_STATS = 5
 
 KINDS = ("householder", "coset", "coset-reversed")
+
+
+def __getattr__(name):
+    # coset and haar are imported by the commands that use them: only
+    # coset-kind and dense files need coset, and only sample and haar-test
+    # need haar.  As attributes they are the package's modules.
+    if name in ("coset", "haar"):
+        return getattr(sys.modules[__package__], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class _InputError(Exception):
@@ -177,17 +186,19 @@ def _factorization_fields(obj):
 
 
 def _pivots_from_factors(kind, factors, pivot_phases) -> np.ndarray:
-    # CosetFactor reads each pivot off its dense factor and raises
-    # UcosetError if it is not one.  A householder factor R(u) with column k
-    # negated is R(u) F_k, the coset factor of u, and its pivot p times
-    # 2 conj(p_k) / <p|p> is column k of 1 - R(u): e^{-i phi_k} u for a
-    # column-clearing step, so the file's e^{i phi_k} restores u.
+    # Each pivot is read off its dense factor as CosetFactor reads it, which
+    # raises UcosetError if it is not one, without its X read.  A householder
+    # factor R(u) with column k negated is R(u) F_k, the coset factor of u,
+    # and its pivot p times 2 conj(p_k) / <p|p> is column k of 1 - R(u):
+    # e^{-i phi_k} u for a column-clearing step, so the file's e^{i phi_k}
+    # restores u.
+    from . import coset
     dim = len(factors) + 1
     pivots = np.zeros((dim - 1, dim), dtype=complex)
     for k, m in enumerate(factors, start=1):
         if kind == "householder":
             m = np.where(np.arange(dim) == k - 1, -m, m)
-        pivots[k - 1] = coset.CosetFactor(matrix=m, level=k).pivot
+        pivots[k - 1] = coset._factor_pivot(m, k)
     if kind == "householder":
         norm_sq = np.einsum("ij,ij->i", pivots, pivots.conj()).real
         pivots *= (2.0 * np.diagonal(pivots).conj() / norm_sq * np.exp(1j * pivot_phases))[:, None]
@@ -210,6 +221,7 @@ def _factorization_from_fields(kind, phases, pivots, factors, pivot_phases):
             if dev > householder.PHASE_TOL:
                 raise householder.PhaseError(f"pivot_phases deviate from the pivots' by {dev:.3e}")
         return f
+    from . import coset
     ordering = householder.FORWARD if kind == "coset" else householder.REVERSED
     return coset.CosetFactorization(pivots, diag, ordering, dim)
 
@@ -226,6 +238,7 @@ def _factorization_from_obj(obj):
 def _product(f) -> np.ndarray:
     if isinstance(f, householder.HouseholderFactorization):
         return householder.reconstruct(f)
+    from . import coset
     return coset.compose_cosets(f)
 
 
@@ -249,10 +262,12 @@ def cmd_decompose(args) -> int:
     except householder.NotUnitaryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_UNITARY
-    if args.mode == "coset":
-        f = coset.cosets_from_householder(f)
-    elif args.mode == "coset-reversed":
-        f = coset.cosets_from_householder_reversed(f)
+    if args.mode != "householder":
+        from . import coset
+        if args.mode == "coset":
+            f = coset.cosets_from_householder(f)
+        else:
+            f = coset.cosets_from_householder_reversed(f)
     n = u.shape[0]
     bound = ROUND_TRIP_FACTOR * (math.sqrt(n) * tol.unitarity_tol + n * np.finfo(float).eps)
     err = float(np.max(np.abs(_product(f) - u)))
@@ -279,6 +294,7 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    from . import haar
     rng = haar.RngStream(args.seed)
     matrices = [m for block in haar._haar_blocks(args.dim, args.count, rng) for m in block]
     obj = {
@@ -361,6 +377,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_haar_test(args) -> int:
+    from . import haar
     try:
         report = haar.haar_validate(args.dim, args.samples, haar.RngStream(args.seed))
     except (haar.InvalidDimError, haar.TooFewSamplesError) as exc:

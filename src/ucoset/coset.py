@@ -188,34 +188,7 @@ class CosetFactor:
     vector: CosetVector | None
 
     def __init__(self, matrix, level: int):
-        m = _as_array(matrix, f"factor at level {level}")
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise MalformedFactorError(
-                f"factor at level {level} must be square, got {m.shape}")
-        n = m.shape[0]
-        _check_level(level, n)
-        if not np.all(np.isfinite(m)):
-            raise MalformedFactorError(f"factor at level {level} has non-finite entries")
-        i = level - 1
-        if i and float(np.max(np.abs(m[:i, :] - np.eye(n)[:i, :]))) > FACTOR_IDENTITY_TOL:
-            raise MalformedFactorError(
-                f"factor at level {level} must act as the identity below its level"
-            )
-        # For M = R(p) F_k, 1 - M F_k = (2 / <p|p>) |p><p|: its column at the
-        # largest diagonal entry is p up to a nonzero factor.
-        a = np.eye(n) - m
-        a[:, i] += 2.0 * m[:, i]
-        j = i + int(np.argmax(np.abs(np.diag(a)[i:])))
-        p = a[:, j].copy()
-        p[:i] = 0.0
-        self.__dict__.update(level=level, dim=n, pivot=p)
-        # Entries too large for <p|p> to be finite give a NaN corner, which
-        # must fail this check rather than pass it.  Only then does _lone set
-        # p read-only and read X.
-        if not np.any(p) or not float(np.max(np.abs(self.matrix - m))) <= FACTOR_MATCH_TOL:
-            raise MalformedFactorError(
-                f"factor at level {level} is not a column-flipped reflection")
-        self.__dict__["vector"] = _lone(p, level).vector
+        self.__dict__.update(vars(_lone(_factor_pivot(matrix, level), level)))
 
     def _corner(self):
         # conj(p_k), 2 / <p|p> and the corner rho, as _chart reads them.
@@ -350,6 +323,38 @@ def _vector(x, level: int, dim: int, rho: float, rho_in: float, ok: bool):
     if not ok:
         return CosetVector(x, level, dim, rho_in)
     return _trusted(CosetVector, x=x, level=level, dim=dim, rho=rho_in)
+
+
+def _factor_pivot(matrix, level: int) -> np.ndarray:
+    # The pivot of a hand-made level-k factor, checked in O(N^2) to be that
+    # factor's; MalformedFactorError otherwise.
+    m = _as_array(matrix, f"factor at level {level}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise MalformedFactorError(
+            f"factor at level {level} must be square, got {m.shape}")
+    n = m.shape[0]
+    _check_level(level, n)
+    if not np.all(np.isfinite(m)):
+        raise MalformedFactorError(f"factor at level {level} has non-finite entries")
+    i = level - 1
+    if i and float(np.max(np.abs(m[:i, :] - np.eye(n)[:i, :]))) > FACTOR_IDENTITY_TOL:
+        raise MalformedFactorError(
+            f"factor at level {level} must act as the identity below its level"
+        )
+    # For M = R(p) F_k, 1 - M F_k = (2 / <p|p>) |p><p|: its column at the
+    # largest diagonal entry is p up to a nonzero factor.
+    a = np.eye(n) - m
+    a[:, i] += 2.0 * m[:, i]
+    j = i + int(np.argmax(np.abs(np.diag(a)[i:])))
+    p = a[:, j].copy()
+    p[:i] = 0.0
+    # The factor of p, its X unread.  Entries too large for <p|p> to be
+    # finite give a NaN corner, which must fail this check rather than pass it.
+    bare = _trusted(CosetFactor, level=level, dim=n, pivot=p, vector=None)
+    if not np.any(p) or not float(np.max(np.abs(bare.matrix - m))) <= FACTOR_MATCH_TOL:
+        raise MalformedFactorError(
+            f"factor at level {level} is not a column-flipped reflection")
+    return p
 
 
 def _lone(p, level: int) -> CosetFactor:

@@ -348,11 +348,17 @@ def haar_unitary_batch(dim: int, count: int, rng: RngStream) -> np.ndarray:
     count = _integer(count, "count", InvalidCountError, 1)
     g = np.empty((count, dim * (dim - 1)))
     u = np.empty((count, dim))
-    for k in range(count):
-        rng._gen.standard_normal(out=g[k])
-        rng._gen.random(out=u[k])
+    normals, uniforms = rng._gen.standard_normal, rng._gen.random
+    for g_k, u_k in zip(g, u):
+        normals(out=g_k)
+        uniforms(out=u_k)
     rng.draws += count * dim * dim
-    phases = np.exp((1j * math.pi) * (1.0 - 2.0 * u.T))
+    # e^{i phi} as cos and sin of the real angle: the values of a complex exp
+    # of i phi, without one.
+    angle = math.pi * (1.0 - 2.0 * u.T)
+    phases = np.empty_like(angle, dtype=complex)
+    np.cos(angle, out=phases.real)
+    np.sin(angle, out=phases.imag)
     if dim == 1:
         return phases.T[:, :, None]
     ms = tuple(range(dim - 1, 0, -1))

@@ -418,6 +418,21 @@ class TestHaarUnitaryBatch:
         assert isinstance(info.value, UcosetError)
 
 
+class TestTraceMoments:
+    # For Haar U in U(N), E|tr U^j|^2 = j for j <= N, and for N >= 2j its
+    # variance is j^2, as for j Exp(1) (Diaconis & Shahshahani 1994), so a
+    # mean over `count` matrices has standard error j / sqrt(count).  Each
+    # mean must lie within 4 standard errors of j.  Dims 17 and 33 take one
+    # and two blocked panels of _WY_WIDTH reflections.
+    @pytest.mark.parametrize("dim, count", [(17, 4000), (33, 2000)])
+    def test_trace_moments_match_haar(self, dim, count):
+        u = haar_unitary_batch(dim, count, RngStream(61, dim))
+        traces = {1: np.trace(u, axis1=1, axis2=2), 2: np.einsum("nik,nki->n", u, u)}
+        for j, t in traces.items():
+            mean = float(np.mean(np.abs(t) ** 2))
+            assert abs(mean - j) <= 4.0 * j / math.sqrt(count), (j, mean)
+
+
 class TestHaarOracle:
     def test_output_is_unitary(self):
         rng = RngStream(31)

@@ -25,7 +25,11 @@ diagonal, so composing the factors is one product of reflections, O(N^3)
 in the panels of ``householder``.  A conversion hands the stack and the
 terminal phases to the coset record by ``_trusted``, without the checks
 both passed as the Householder record's (a sign flip keeps each modulus);
-the factor views are built by it too.
+the factor views are built by it too.  It also hands on the WY factors the
+Householder record keeps from the column loop: composing negates a reversed
+stack's corners back to the Householder pivots, so either ordering's
+product uses them and forms no compact-WY ``T``; a coset record built by
+its constructor forms them from its pivots.
 
 The level-1 factor is also the exponential of the anti-Hermitian generator
 with column B below the corner; for ||B|| in (pi/2, pi] its corner is
@@ -227,6 +231,10 @@ class CosetFactorization:
     ordering: str
     dim: int
 
+    # The Householder record's Y^dag of each panel, handed on by a
+    # conversion; no field, so only _trusted sets it, and None otherwise.
+    _wy = None
+
     def __post_init__(self):
         norm_sq = _check_record(self, self.terminal_phases, MalformedFactorError,
                                 MalformedFactorError)
@@ -392,7 +400,7 @@ def _cosets_from_pivots(f: HouseholderFactorization, ordering: str) -> CosetFact
     return _trusted(CosetFactorization,
                     pivots=f.pivots if ordering == FORWARD else _negated_corners(f.pivots),
                     terminal_phases=_trusted(PhaseDiagonal, phases=terminal, dim=f.dim),
-                    ordering=ordering, dim=f.dim)
+                    ordering=ordering, dim=f.dim, _wy=f._wy)
 
 
 def cosets_from_householder(f: HouseholderFactorization) -> CosetFactorization:
@@ -425,7 +433,7 @@ def compose_cosets(cf: CosetFactorization) -> ComplexMatrix:
     pivots = cf.pivots if cf.ordering == FORWARD else _negated_corners(cf.pivots)
     phases = np.array(cf.terminal_phases.phases)
     phases[:-1] *= -1.0
-    return _product(pivots, phases, cf.ordering)
+    return _product(pivots, phases, cf.ordering, cf._wy)
 
 
 def extract_coset_vector(c: CosetFactor) -> CosetVector:

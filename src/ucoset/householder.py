@@ -24,30 +24,35 @@ the level-k pivot in row k - 1, so the strict lower triangle is exactly
 zero; its constructor checks that stack once, in array form.  The column
 loop writes each pivot straight into its row, checks it as it writes it,
 checks the residual as a ``PhaseDiagonal`` would and against the pivot
-phases it had, and hands both to its record by ``_trusted``, the one
-constructor that skips checks; ``reflections`` are views it builds.
+phases it had, and hands both, with its read-only WY factors, to its record
+by ``_trusted``, the one constructor that skips checks; ``reflections`` are
+views it builds.
 The column loop's checks are the gate of the caller's ``Tolerances``; the
 record bounds are fixed, named in ``numkit``.
 
 Every product of reflections in the package runs in panels of ``_PANEL``
 consecutive reflections, the last one possibly fewer.  A blocked panel's
-reflections act at once in compact-WY form ``1 - V T V^dag``, the pivots as
-the columns of ``V``, by two matrix products (Schreiber & Van Loan 1989).
-While a factorization is being found, each pivot depends on the reflections
-before it, so the column loop is left-looking: each column of a panel first
-takes the panel's earlier reflections by matrix-vector products, then gives
-its pivot, and ``V T`` grows by one column (Bischof & Van Loan 1987); after
-the panel every later column takes it in one blocked update.  When all
-pivots are known (a factorization multiplied back, a coset composition, a
-stack of Haar samples), ``T`` is in closed form, the inverse of the upper
-triangle of ``V^dag V`` with each diagonal entry ``<v|v>`` halved (Puglisi
-1992).  A product forms the ``T`` of all its blocked panels by one inverse
-of their stack, each Gram over the panel's own columns and a narrower
-panel padded with a unit diagonal.  It blocks a panel by its width: one of
-at least ``_WY_WIDTH`` reflections takes the blocked update across its own
-columns and those after it, and a narrower one, the last panel of a small
-product included, stays rank-1 updates, which cost less there than forming
-``T``.
+reflections act at once in compact-WY form ``1 - Y V^dag``, the pivots as
+the columns of ``V`` and ``Y = V T``, by two matrix products (Schreiber &
+Van Loan 1989).  While a factorization is being found, each pivot depends
+on the reflections before it, so the column loop is left-looking: each
+column of a panel first takes the panel's earlier reflections by
+matrix-vector products, then gives its pivot, and ``Y`` grows by one
+column (Bischof & Van Loan 1987); after the panel every later column takes
+it in one blocked update.  The record the loop returns keeps each panel's
+``Y^dag`` beside the pivots, as LAPACK's xGEQRT keeps ``T``, so that
+multiplying it back (``reconstruct``, or ``compose_cosets`` after a
+conversion, which hands it on) forms no ``T``.  Any other product (a record
+built by its constructor or read from a file, a stack of Haar samples)
+forms ``Y^dag = T^dag V^dag`` from the pivots: ``T`` is in closed form,
+the inverse of the upper triangle of ``V^dag V`` with each diagonal entry
+``<v|v>`` halved (Puglisi 1992), and the ``T`` of all its blocked panels
+come from one inverse of their stack, each Gram over the panel's own
+columns and a narrower panel padded with a unit diagonal.  A product
+blocks a panel by its width: one of at least ``_WY_WIDTH`` reflections
+takes the blocked update ``B - Y (V^dag B)`` across its own columns and
+those after it, and a narrower one, the last panel of a small product
+included, stays rank-1 updates, which cost less there than forming ``T``.
 A single reflection is a rank-1 update.
 
 A product of a stack of factorizations, as the Haar sampler makes, takes
@@ -259,6 +264,10 @@ class HouseholderFactorization:
     ordering: str
     dim: int
 
+    # Read-only Y^dag of each panel of the pivots, kept by the column loop;
+    # no field, so only _trusted sets it, and None where it is not kept.
+    _wy = None
+
     def __post_init__(self):
         norm_sq = _check_record(self, self.residual, DomainError, LeadingComponentsNonzeroError)
         _short_pivots(norm_sq, 1)
@@ -323,21 +332,27 @@ def _panels(n: int) -> list:
     return [(lo, min(lo + _PANEL, n - 1)) for lo in range(0, n - 1, _PANEL)]
 
 
-def _stack(a) -> np.ndarray:
-    # a (r, c, ...) as its stack of r x c matrices, batch axes first, as
-    # matmul and inv take them: a itself without batch axes, else a C-ordered
-    # copy, whose matrices matmul hands to BLAS one by one.
-    return a if a.ndim == 2 else np.ascontiguousarray(np.moveaxis(a, (0, 1), (-2, -1)))
+def _stack(a, conj: bool = False) -> np.ndarray:
+    # a (r, c, ...), or its conjugate if conj, as its stack of r x c
+    # matrices, batch axes first, as matmul and inv take them: a itself (or
+    # its conjugate) without batch axes, else a C-ordered copy, whose
+    # matrices matmul hands to BLAS one by one.
+    if a.ndim == 2:
+        return a.conj() if conj else a
+    a = np.moveaxis(a, (0, 1), (-2, -1))
+    return np.conjugate(a, order="C") if conj else np.ascontiguousarray(a)
 
 
-def _wy_factors(p, panels) -> np.ndarray:
-    # The upper-triangular T of each panel (lo, hi) of the pivots p (a
-    # _stack), R(v_lo) ... R(v_{hi-1}) = 1 - V T V^dag with the panel's pivots
-    # from column lo on as the columns of V, by one inverse of their stack
+def _wy_factors(p, panels) -> list:
+    # Y^dag = T^dag V^dag of each panel (lo, hi) of the pivots p (a _stack),
+    # (..., hi - lo, N - lo): R(v_lo) ... R(v_{hi-1}) = 1 - Y V^dag with the
+    # panel's pivots from column lo on as the columns of V and Y = V T.  The
+    # upper-triangular T of all panels comes from one inverse of their stack
     # (..., P, b, b), b the widest panel: T = inv(diag(h) + triu(V^dag V, 1))
     # with h_j = <v_j|v_j> / 2 (Puglisi 1992; Joffrain et al. 2006).  Each
     # Gram is over the panel's own columns, and a narrower panel's block is
     # padded with a unit diagonal; its T is the leading block of the inverse.
+    # Y^dag is formed as conj(T^T V^T), conjugated in place.
     b = max(hi - lo for lo, hi in panels)
     a = np.zeros(p.shape[:-2] + (len(panels), b, b), dtype=complex)
     a.reshape(a.shape[:-2] + (b * b,))[..., ::b + 1] = 2.0
@@ -347,25 +362,32 @@ def _wy_factors(p, panels) -> np.ndarray:
     a = np.triu(a)
     h = a.reshape(a.shape[:-2] + (b * b,))[..., ::b + 1]
     h[...] = 0.5 * h.real
-    return np.linalg.inv(a)
+    t = np.swapaxes(np.linalg.inv(a), -1, -2)
+    wy = [t[..., j, :hi - lo, :hi - lo] @ p[..., lo:hi, lo:] for j, (lo, hi) in enumerate(panels)]
+    for y in wy:
+        np.conjugate(y, out=y)
+    return wy
 
 
-def _product(pivots, phases, ordering: str) -> ComplexMatrix:
+def _product(pivots, phases, ordering: str, wy=None) -> ComplexMatrix:
     # R(u_1) ... R(u_{N-1}) D (forward) or D R(u_{N-1}) ... R(u_1) (reversed)
     # for pivots (N - 1, N, ...), the level-k pivot in row k - 1, and phases
     # (N, ...); batch axes trail, and a stack of products is (N, N, ...).
-    # R(u)^T = R(conj u), so the reversed product is built as its transpose,
-    # the forward product of the conjugate pivots.  Panels run from the last
-    # one back.  Only the last can be narrower than _WY_WIDTH; it is rank-1
+    # wy is the Y^dag of each panel of the pivots, as the column loop keeps
+    # it; None forms it.  R(u)^T = R(conj u), so the reversed product is
+    # built as its transpose, the forward product of the conjugate pivots.
+    # A blocked panel is the update B - Y (V^dag B): the rows of V^dag are
+    # the stored pivots (reversed) or their conjugates (forward), and Y^T
+    # is the Y^dag of those rows (_wy_factors), so the reversed product
+    # takes the kept Y^dag as it is.  Panels run from the last one
+    # back.  Only the last can be narrower than _WY_WIDTH; it is rank-1
     # steps, elementwise along the batch axes.  The blocked panels then run
-    # on a _stack of t and one of the pivots, and the result is a view of
-    # that stack.  R(u_{i+2}) ... D is diagonal on the leading i + 1
+    # on a _stack of t and one of the rows of V^dag, and the result is a
+    # view of that stack.  R(u_{i+2}) ... D is diagonal on the leading i + 1
     # coordinates, so rows i.. of t are zero before column i, and a blocked
     # panel, whose pivots are all known, takes its own columns in the same
-    # update 1 - V T V^dag as those after it.
+    # update as those after it.
     n = phases.shape[0]
-    if ordering == REVERSED:
-        pivots = pivots.conj()
     t = np.zeros((n,) + phases.shape, dtype=complex)
     t.reshape((n * n,) + phases.shape[1:])[::n + 1] = phases
     panels = _panels(n)
@@ -373,15 +395,19 @@ def _product(pivots, phases, ordering: str) -> ComplexMatrix:
         lo, hi = panels.pop()
         u = pivots[lo:hi]
         w = u.conj()
+        if ordering == REVERSED:
+            u, w = w, u.copy()
         w /= ((u * w).real.sum(axis=1) * 0.5)[:, None]
         for i in range(hi - 1, lo - 1, -1):
-            _reflect_rows(t[:, i:], i, pivots[i], w[i - lo])
+            _reflect_rows(t[:, i:], i, u[i - lo], w[i - lo])
     if panels:
-        t, p = _stack(t), _stack(pivots)
-        wy = _wy_factors(p, panels)
-        for j, (lo, hi) in reversed(list(enumerate(panels))):
-            v, blk = p[..., lo:hi, lo:], t[..., lo:, lo:]
-            blk -= np.swapaxes(v, -1, -2) @ (wy[..., j, :hi - lo, :hi - lo] @ (v.conj() @ blk))
+        t, vh = _stack(t), _stack(pivots, conj=ordering == FORWARD)
+        conj = wy is not None and ordering == FORWARD
+        if wy is None:
+            wy = _wy_factors(vh, panels)
+        for (lo, hi), y in reversed(list(zip(panels, wy))):
+            blk = t[..., lo:, lo:]
+            blk -= np.swapaxes(y.conj() if conj else y, -1, -2) @ (vh[..., lo:hi, lo:] @ blk)
         t = np.moveaxis(t, (-2, -1), (0, 1))
     return t if ordering == FORWARD else np.swapaxes(t, 0, 1)
 
@@ -499,7 +525,8 @@ def _clear_columns(u, tol: Tolerances, ordering: str) -> HouseholderFactorizatio
     # it, writes its pivot into row i of the stack and gives the corner for
     # the diagonal of w; Y grows by c (v - Y V^dag v), kept as z = Y^dag.
     # Y = V T for the compact-WY T grown as zlarft does, one product fewer
-    # per column.  Every later column then takes the panel in one update.
+    # per column.  Every later column then takes the panel in one update,
+    # and the record keeps z for the products of the factorization.
     # The corners of w, finite by the column checks, are the forward residual:
     # unit phases, each -e^{i phi_k} for the phase the loop gave its level.
     a = _as_square_matrix(u)
@@ -508,11 +535,13 @@ def _clear_columns(u, tol: Tolerances, ordering: str) -> HouseholderFactorizatio
     bound = 2.0 * tol.unitarity_tol
     pivots = np.zeros((n - 1, n), dtype=complex)
     units = np.empty(n - 1, dtype=complex)
+    wy = []
     # An input far from unitary may overflow here; its column checks reject it.
     with np.errstate(over="ignore", invalid="ignore"):
         for lo, hi in _panels(n):
             v = pivots[lo:hi, lo:]
             z = np.empty_like(v)
+            wy.append(z)
             for k, i in enumerate(range(lo, hi)):
                 col, vs, zs = w[i, lo:], v[:k], z[:k]
                 if k:
@@ -525,7 +554,8 @@ def _clear_columns(u, tol: Tolerances, ordering: str) -> HouseholderFactorizatio
                 zk *= 2.0 / norm_sq
             w[hi:, lo:] -= (w[hi:, lo:] @ z.T) @ v
         _check_column(w[n - 1], n, bound)
-    pivots.setflags(write=False)
+    for x in (pivots, *wy):
+        x.setflags(write=False)
     corners = np.diagonal(w)
     _check_unit_modulus(corners)
     _check_residual(corners[:-1], units)
@@ -535,7 +565,7 @@ def _clear_columns(u, tol: Tolerances, ordering: str) -> HouseholderFactorizatio
     # exactly zero before its level.
     return _trusted(HouseholderFactorization, pivots=pivots,
                     residual=_trusted(PhaseDiagonal, phases=phases, dim=n),
-                    ordering=ordering, dim=n)
+                    ordering=ordering, dim=n, _wy=tuple(wy))
 
 
 def decompose(u, tol: Tolerances | None = None) -> HouseholderFactorization:
@@ -565,4 +595,4 @@ def decompose_reversed(u, tol: Tolerances | None = None) -> HouseholderFactoriza
 
 def reconstruct(f: HouseholderFactorization) -> ComplexMatrix:
     """Multiply a factorization back into a dense matrix."""
-    return _product(f.pivots, f.residual.phases, f.ordering)
+    return _product(f.pivots, f.residual.phases, f.ordering, f._wy)

@@ -288,6 +288,29 @@ class TestReconstruct:
             got = matrix_from_obj(json.loads(back.read_text()))
             assert maxdiff(got, u) <= 1e-10
 
+    @pytest.mark.parametrize("mode", ["householder", "coset", "coset-reversed"])
+    def test_decompose_checks_what_reconstruct_of_its_file_gives(self, tmp_path, monkeypatch,
+                                                                 mode):
+        # decompose checks the product of the record it found, which carries
+        # the column loop's WY factors; reconstruct multiplies the pivots read
+        # from the file, which carry none.  Dim 65 runs two blocked panels.
+        checked = []
+        product = cli._product
+
+        def keeping(f):
+            checked.append((f._wy is not None, product(f)))
+            return checked[-1][1]
+
+        monkeypatch.setattr(cli, "_product", keeping)
+        src = write_json(tmp_path / "u.json", matrix_obj(random_unitary(65, 540)))
+        fact, back = tmp_path / "f.json", tmp_path / "b.json"
+        assert run("decompose", "--input", src, "--mode", mode, "--output", str(fact)) == 0
+        assert run("reconstruct", "--input", str(fact), "--output", str(back)) == 0
+        [(carried, in_process), (carried_back, _)] = checked
+        assert carried and not carried_back
+        got = matrix_from_obj(json.loads(back.read_text()))
+        assert maxdiff(got, in_process) <= 1e-14
+
     @pytest.mark.parametrize("dim", [33, 65])
     def test_dense_files_read_as_the_pivot_files(self, tmp_path, capsys, dim):
         # decompose writes the pivot stack, O(N^2), bitwise; the dense file

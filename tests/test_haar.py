@@ -411,6 +411,12 @@ class TestHaarUnitaryBatch:
             assert maxdiff(batch, singles) <= 1e-13
             assert a.draws == b.draws == count * dim * dim
 
+    # Blocked panels: one of 16 reflections, one of 32, two, and eight.
+    @pytest.mark.parametrize("dim", [17, 33, 64, 256])
+    def test_samples_at_scale_are_unitary(self, dim):
+        for u in haar_unitary_batch(dim, 3, RngStream(53, dim)):
+            assert unitarity_error(u) <= 1e-12
+
     @pytest.mark.parametrize("count", [0, -3])
     def test_count_below_one_is_a_typed_error(self, count):
         with pytest.raises(InvalidCountError) as info:
@@ -423,13 +429,20 @@ class TestTraceMoments:
     # variance is j^2, as for j Exp(1) (Diaconis & Shahshahani 1994), so a
     # mean over `count` matrices has standard error j / sqrt(count).  Each
     # mean must lie within 4 standard errors of j.  Dims 17 and 33 take one
-    # and two blocked panels of _WY_WIDTH reflections.
-    @pytest.mark.parametrize("dim, count", [(17, 4000), (33, 2000)])
+    # and two blocked panels of _WY_WIDTH reflections, 50 and 64 two blocked
+    # panels, the second of 17 and of 31.  The draws run in blocks of at
+    # most 500 matrices, successive draws of the one stream, to bound memory.
+    @pytest.mark.parametrize("dim, count", [(17, 4000), (33, 2000), (50, 1000), (64, 1000)])
     def test_trace_moments_match_haar(self, dim, count):
-        u = haar_unitary_batch(dim, count, RngStream(61, dim))
-        traces = {1: np.trace(u, axis1=1, axis2=2), 2: np.einsum("nik,nki->n", u, u)}
-        for j, t in traces.items():
-            mean = float(np.mean(np.abs(t) ** 2))
+        rng = RngStream(61, dim)
+        sums = {1: 0.0, 2: 0.0}
+        for block in range(0, count, 500):
+            u = haar_unitary_batch(dim, min(500, count - block), rng)
+            traces = {1: np.trace(u, axis1=1, axis2=2), 2: np.einsum("nik,nki->n", u, u)}
+            for j, t in traces.items():
+                sums[j] += float(np.sum(np.abs(t) ** 2))
+        for j, total in sums.items():
+            mean = total / count
             assert abs(mean - j) <= 4.0 * j / math.sqrt(count), (j, mean)
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -728,9 +730,10 @@ PRODUCT_DIMS = [_WY_WIDTH, _WY_WIDTH + 1, _WY_WIDTH + 2, _PANEL + _WY_WIDTH,
 
 class TestProductPanels:
     def test_product_blocks_panels_by_width(self, monkeypatch):
-        # Only panels of at least _WY_WIDTH reflections get a T, whatever
-        # follows them, all of a product's from one call; the column loop
-        # grows its own WY form instead.
+        # Only panels of at least _WY_WIDTH reflections get a Y^dag, whatever
+        # follows them, all of a product's from one call.  A decomposed
+        # record carries the column loop's own WY form and forms none; the
+        # same pivots through the constructor form exactly those widths.
         calls = []
         wy_factors = ucoset.householder._wy_factors
 
@@ -746,16 +749,18 @@ class TestProductPanels:
             u = random_unitary(n, 730 + n)
             calls.clear()
             f = decompose(u)
-            assert calls == []
             assert maxdiff(reconstruct(f), u) <= 1e-12
+            assert calls == []
+            g = HouseholderFactorization(f.pivots, f.residual, f.ordering, f.dim)
+            assert maxdiff(reconstruct(g), u) <= 1e-12
             assert calls == widths
 
     @pytest.mark.parametrize("count", [None, 3], ids=["matrix", "stack"])
     def test_wy_factors_are_the_rank1_products(self, count):
-        # One call for panels of widths 1, _WY_WIDTH, _PANEL - 1 and _PANEL:
-        # 1 - V T V^dag over each panel's own columns is the product of its
-        # reflections, and a narrower panel's padding inverts to exactly the
-        # unit block, apart from its T.
+        # One call for panels of widths 1, _WY_WIDTH, _PANEL - 1 and _PANEL,
+        # so three are padded to the widest: with Y the adjoint of each
+        # panel's factor, 1 - Y V^dag over the panel's own columns is the
+        # product of its reflections.
         widths = [1, _WY_WIDTH, _PANEL - 1, _PANEL]
         bounds = np.cumsum([0] + widths)
         panels = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
@@ -767,15 +772,13 @@ class TestProductPanels:
         # A product takes a stack's batch axis last and hands _wy_factors a _stack.
         pivots = stack if count is None else np.moveaxis(stack, 0, -1)
         wy = _wy_factors(_stack(pivots), panels)
-        assert wy.shape == shape[:-2] + (len(panels), _PANEL, _PANEL)
-        for p, t in zip(stack.reshape(-1, n - 1, n), wy.reshape(-1, len(panels), _PANEL, _PANEL)):
-            for j, (lo, hi) in enumerate(panels):
-                v, b = p[lo:hi, lo:].T, hi - lo
-                m = np.eye(n - lo) - v @ t[j, :b, :b] @ v.conj().T
+        assert [y.shape for y in wy] == [shape[:-2] + (hi - lo, n - lo) for lo, hi in panels]
+        for k, p in enumerate(stack.reshape(-1, n - 1, n)):
+            for (lo, hi), y in zip(panels, wy):
+                v, yh = p[lo:hi, lo:].T, y.reshape(-1, hi - lo, n - lo)[k]
+                m = np.eye(n - lo) - yh.conj().T @ v.conj().T
                 expected = rank1_product(p[lo:hi, lo:], np.ones(n - lo), FORWARD)
                 assert maxdiff(m, expected) <= 1e-13
-                assert np.array_equal(t[j, b:, b:], np.eye(_PANEL - b))
-                assert not np.any(t[j, :b, b:]) and not np.any(t[j, b:, :b])
 
     @given(dim=st.integers(2, 70), count=st.integers(1, 4),
            ordering=st.sampled_from([FORWARD, REVERSED]), seed=st.integers(0, 2 ** 32 - 1))
@@ -807,6 +810,54 @@ class TestProductPanels:
             f = dec(u)
             assert maxdiff(reconstruct(f), u) <= 1e-12
             assert maxdiff(compose_cosets(conv(f)), u) <= 1e-12
+
+
+class TestCarriedFactor:
+    # The column loop keeps each panel's Y^dag in the record it returns, and
+    # both conversions hand it on, so products of a decomposed matrix form
+    # none; the same pivots in a constructed record form it (_wy_factors).
+    @pytest.mark.parametrize("n", [2 * _PANEL + 1, 256])
+    @pytest.mark.parametrize("dec, conv, _", PANEL_ORDERINGS)
+    def test_products_of_a_decomposed_record_form_no_factor(self, monkeypatch, n, dec, conv, _):
+        calls = []
+        wy_factors = ucoset.householder._wy_factors
+
+        def counting(p, panels):
+            calls.append(len(panels))
+            return wy_factors(p, panels)
+
+        monkeypatch.setattr(ucoset.householder, "_wy_factors", counting)
+        u = random_unitary(n, 750 + n)
+        f = dec(u)
+        cf = conv(f)
+        carried = [reconstruct(f), compose_cosets(cf)]
+        assert calls == []
+        bare = [reconstruct(HouseholderFactorization(f.pivots, f.residual, f.ordering, n)),
+                compose_cosets(type(cf)(cf.pivots, cf.terminal_phases, cf.ordering, n))]
+        assert calls == [len(_panels(n))] * 2
+        expected = rank1_product(f.pivots, f.residual.phases, f.ordering)
+        for got, without in zip(carried, bare):
+            assert maxdiff(got, without) <= 1e-14
+            assert maxdiff(got, expected) <= 1e-13 * n
+            assert maxdiff(got, u) <= 1e-12
+
+    @pytest.mark.parametrize("dec, conv, _", PANEL_ORDERINGS)
+    def test_factor_is_private_and_read_only(self, dec, conv, _):
+        n = 2 * _PANEL + 1
+        f = dec(random_unitary(n, 760))
+        cf = conv(f)
+        assert [y.shape for y in f._wy] == [(hi - lo, n - lo) for lo, hi in _panels(n)]
+        assert not any(y.flags.writeable for y in f._wy)
+        assert cf._wy is f._wy
+        for record in (f, cf):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                record._wy = None
+            assert "_wy" not in repr(record)
+            assert "_wy" not in inspect.signature(type(record)).parameters
+        with pytest.raises(TypeError):
+            HouseholderFactorization(f.pivots, f.residual, f.ordering, n, _wy=f._wy)
+        assert HouseholderFactorization(f.pivots, f.residual, f.ordering, n)._wy is None
+        assert type(cf)(cf.pivots, cf.terminal_phases, cf.ordering, n)._wy is None
 
 
 def factorization_with(**changes):

@@ -26,7 +26,9 @@ keys or neither is unusable.  Either way the file is read into a
 HouseholderFactorization or a CosetFactorization, whose constructors check
 its structure; every product runs in the library.  Non-finite numbers,
 including literals that overflow a float, are rejected on input.  JSON
-payloads go to --output or stdout; status messages go to stderr.
+payloads go to --output or stdout; status messages go to stderr.  A command
+reaches ``coset`` and ``haar`` as ``ucoset.coset`` and ``ucoset.haar``,
+which the package imports on first use, so it loads only what it runs.
 """
 
 import argparse
@@ -37,6 +39,7 @@ import sys
 
 import numpy as np
 
+import ucoset
 from . import householder
 from .numkit import (DEFAULT_TOLERANCES, ROUND_TRIP_FACTOR, DomainError, Tolerances,
                      UcosetError, _integer, unitarity_error)
@@ -49,15 +52,6 @@ EXIT_VERIFY = 4
 EXIT_STATS = 5
 
 KINDS = ("householder", "coset", "coset-reversed")
-
-
-def __getattr__(name):
-    # coset and haar are imported by the commands that use them: only
-    # coset-kind and dense files need coset, and only sample and haar-test
-    # need haar.  As attributes they are the package's modules.
-    if name in ("coset", "haar"):
-        return getattr(sys.modules[__package__], name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class _InputError(Exception):
@@ -74,8 +68,12 @@ def _load_json(path):
             return json.load(fh, parse_constant=_reject_constant)
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # Bad syntax, text that is not UTF-8, or an integer literal longer
+        # than the interpreter converts.
         raise _InputError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise _InputError(f"{path} nests too deeply to read") from exc
 
 
 def _dump_json(obj, path):
@@ -192,13 +190,12 @@ def _pivots_from_factors(kind, factors, pivot_phases) -> np.ndarray:
     # and its pivot p times 2 conj(p_k) / <p|p> is column k of 1 - R(u):
     # e^{-i phi_k} u for a column-clearing step, so the file's e^{i phi_k}
     # restores u.
-    from . import coset
     dim = len(factors) + 1
     pivots = np.zeros((dim - 1, dim), dtype=complex)
     for k, m in enumerate(factors, start=1):
         if kind == "householder":
             m = np.where(np.arange(dim) == k - 1, -m, m)
-        pivots[k - 1] = coset._factor_pivot(m, k)
+        pivots[k - 1] = ucoset.coset._factor_pivot(m, k)
     if kind == "householder":
         norm_sq = np.einsum("ij,ij->i", pivots, pivots.conj()).real
         pivots *= (2.0 * np.diagonal(pivots).conj() / norm_sq * np.exp(1j * pivot_phases))[:, None]
@@ -221,9 +218,8 @@ def _factorization_from_fields(kind, phases, pivots, factors, pivot_phases):
             if dev > householder.PHASE_TOL:
                 raise householder.PhaseError(f"pivot_phases deviate from the pivots' by {dev:.3e}")
         return f
-    from . import coset
     ordering = householder.FORWARD if kind == "coset" else householder.REVERSED
-    return coset.CosetFactorization(pivots, diag, ordering, dim)
+    return ucoset.coset.CosetFactorization(pivots, diag, ordering, dim)
 
 
 def _factorization_from_obj(obj):
@@ -238,8 +234,7 @@ def _factorization_from_obj(obj):
 def _product(f) -> np.ndarray:
     if isinstance(f, householder.HouseholderFactorization):
         return householder.reconstruct(f)
-    from . import coset
-    return coset.compose_cosets(f)
+    return ucoset.coset.compose_cosets(f)
 
 
 def _tolerances(args) -> Tolerances:
@@ -262,12 +257,10 @@ def cmd_decompose(args) -> int:
     except householder.NotUnitaryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_UNITARY
-    if args.mode != "householder":
-        from . import coset
-        if args.mode == "coset":
-            f = coset.cosets_from_householder(f)
-        else:
-            f = coset.cosets_from_householder_reversed(f)
+    if args.mode == "coset":
+        f = ucoset.coset.cosets_from_householder(f)
+    elif args.mode == "coset-reversed":
+        f = ucoset.coset.cosets_from_householder_reversed(f)
     n = u.shape[0]
     bound = ROUND_TRIP_FACTOR * (math.sqrt(n) * tol.unitarity_tol + n * np.finfo(float).eps)
     err = float(np.max(np.abs(_product(f) - u)))
@@ -294,9 +287,8 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    from . import haar
-    rng = haar.RngStream(args.seed)
-    matrices = [m for block in haar._haar_blocks(args.dim, args.count, rng) for m in block]
+    rng = ucoset.haar.RngStream(args.seed)
+    matrices = [m for block in ucoset.haar._haar_blocks(args.dim, args.count, rng) for m in block]
     obj = {
         "dim": args.dim,
         "count": args.count,
@@ -377,10 +369,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_haar_test(args) -> int:
-    from . import haar
     try:
-        report = haar.haar_validate(args.dim, args.samples, haar.RngStream(args.seed))
-    except (haar.InvalidDimError, haar.TooFewSamplesError) as exc:
+        report = ucoset.haar.haar_validate(args.dim, args.samples, ucoset.haar.RngStream(args.seed))
+    except (ucoset.haar.InvalidDimError, ucoset.haar.TooFewSamplesError) as exc:
         raise _InputError(f"haar-test: {exc}") from exc
     threshold = 2.0 * 1.63 / math.sqrt(args.samples)
     mean_dev = float(np.max(np.abs(report.mean_moduli - 1.0 / args.dim)))

@@ -15,21 +15,22 @@ and rho = 2 |p_k|^2 / <p|p> - 1 are read off it in O(N).  One factor per
 level times a diagonal of phases reproduces any unitary matrix.  Like a
 Householder factorization, a coset factorization stores its pivots as one
 read-only (N - 1) x N stack, and its ``factors`` are ``CosetFactor`` views
-on the rows, each carrying the X that one array pass over the whole stack
-read for it.  A lone factor is a stack of one row, read by the same pass,
-so both reads agree bit for bit.  The conversions from a Householder
-factorization negate column k (forward: the stack is shared as it is) or
-row k (reversed, F_k R(u) = R(F_k u) F_k: one copy with each u_k negated)
-of each reflection; the sign flips migrate into the terminal phase
-diagonal, so composing the factors is one product of reflections, O(N^3)
-in the panels of ``householder``.  A conversion hands the stack and the
-terminal phases to the coset record by ``_trusted``, without the checks
-both passed as the Householder record's (a sign flip keeps each modulus);
-the factor views are built by it too.  It also hands on the WY factors the
-Householder record keeps from the column loop: composing negates a reversed
-stack's corners back to the Householder pivots, so either ordering's
-product uses them and forms no compact-WY ``T``; a coset record built by
-its constructor forms them from its pivots.
+on the rows.  One function builds them, each with the X that one array
+pass over the whole stack read for it; a lone factor is a stack of one
+row, built by the same function, so both reads agree bit for bit.  The
+conversions from a Householder factorization negate column k (forward: the
+stack is shared as it is) or row k (reversed, F_k R(u) = R(F_k u) F_k: one
+copy with each u_k negated) of each reflection; the sign flips migrate
+into the terminal phase diagonal, so composing the factors is one product
+of reflections, O(N^3) in the panels of ``householder``.  A conversion
+hands the stack and the terminal phases to the coset record by
+``_trusted``, without the checks both passed as the Householder record's
+(a sign flip keeps each modulus); the factor views are built by it too.
+It also hands on the WY factors the Householder record keeps from the
+column loop: composing negates a reversed stack's corners back to the
+Householder pivots, so either ordering's product uses them and forms no
+compact-WY ``T``; a coset record built by its constructor forms them from
+its pivots.
 
 The level-1 factor is also the exponential of the anti-Hermitian generator
 with column B below the corner; for ||B|| in (pi/2, pi] its corner is
@@ -54,6 +55,7 @@ from .numkit import (
     _as_array,
     _check_level,
     _frozen_array,
+    _instance,
     _real,
     _trusted,
 )
@@ -194,19 +196,14 @@ class CosetFactor:
     def __init__(self, matrix, level: int):
         self.__dict__.update(vars(_lone(_factor_pivot(matrix, level), level)))
 
-    def _corner(self):
-        # conj(p_k), 2 / <p|p> and the corner rho, as _chart reads them.
-        pk_bar, c, rho, _ = _chart(self.pivot[None], self.level - 1)
-        return complex(pk_bar[0]), float(c[0]), float(rho[0])
-
     @property
     def matrix(self) -> ComplexMatrix:
-        _, c, rho = self._corner()
         i = self.level - 1
+        _, c, rho, _ = _chart(self.pivot[None], i)
         m = np.eye(self.dim, dtype=complex)
-        _reflect_rows(m, i, self.pivot, c * self.pivot.conj())
+        _reflect_rows(m, i, self.pivot, c[0] * self.pivot.conj())
         m[i:, i] *= -1.0
-        m[i, i] = rho
+        m[i, i] = rho[0]
         m.setflags(write=False)
         return m
 
@@ -249,12 +246,7 @@ class CosetFactorization:
 
     @property
     def factors(self) -> tuple:
-        # One loop over the rows of the stack and of their read.
-        n = self.dim
-        x, rho, rho_in, ok = _read(self.pivots, np.arange(n - 1))
-        return tuple([_trusted(CosetFactor, level=k, dim=n, pivot=p,
-                               vector=_vector(x[k - 1, k:], k, n, r, r_in, good))
-                      for k, p, r, r_in, good in zip(range(1, n), self.pivots, rho, rho_in, ok)])
+        return tuple(_factors(self.pivots, 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,61 +268,62 @@ class Generator:
         object.__setattr__(self, "b", b)
 
 
+def _row_sq(a, rows, k):
+    # The sum of |a_i|^2 over each row of a but its corner, column k[j] of
+    # row j (or k, for one int): elementwise steps and row sums, so that a
+    # row's sum is the same, bit for bit, alone or in a stack.
+    sq = np.square(a.real)
+    sq += np.square(a.imag)
+    sq[rows, k] = 0.0
+    return sq.sum(axis=1)
+
+
 def _chart(p, k):
     # conj(p_k), 2 / <p|p>, the corner rho = 2 |p_k|^2 / <p|p> - 1 and the
     # row times 2 conj(p_k) / <p|p>, whose entries after the corner are X,
     # of each row of the pivots p, as arrays; row j has its corner in
     # column k[j] (or k, for one int).  <p|p> is summed as |p_k|^2 plus the
     # row's other |p_i|^2, so that a pure-phase pivot gives exactly 1.
-    # Elementwise steps and row sums make a row's result the same, bit for
-    # bit, whether it is read alone or in a stack.  Entries whose squares
-    # overflow give a NaN corner, without a warning, as Python floats would.
+    # Entries whose squares overflow give a NaN corner, without a warning,
+    # as Python floats would.
     rows = np.arange(p.shape[0])
     pk_bar = p[rows, k].conj()
     with np.errstate(all="ignore"):
         pk_sq = pk_bar.real * pk_bar.real + pk_bar.imag * pk_bar.imag
-        sq = np.square(p.real)
-        sq += np.square(p.imag)
-        sq[rows, k] = 0.0
-        norm_sq = pk_sq + sq.sum(axis=1)
-        del sq
+        norm_sq = pk_sq + _row_sq(p, rows, k)
         c = 2.0 / norm_sq
         return pk_bar, c, 2.0 * pk_sq / norm_sq - 1.0, (c * pk_bar)[:, None] * p
 
 
-def _read(pivots, k):
-    # X and rho of each row of pivots, row j with its corner in column k[j],
-    # from one _chart pass: the read-only array whose row j holds X after
-    # the corner, and as lists the corner rho, rho clipped to [0, 1] and
-    # whether the row passes the checks of CosetVector (finite X,
-    # <x|x> <= 1, rho in [0, 1], rho against <x|x>).  The checks run on the
-    # row sums of |X|^2 in array form, the corner left out; the entries
-    # before it are exact zeros unless the row's scale is not finite, and
-    # then X fails anyway.
-    k = np.asarray(k)
-    rows = np.arange(k.shape[0])
+def _factors(pivots, level: int) -> list:
+    # The CosetFactor of each row of pivots, row j at level level + j, with
+    # X and rho from one _chart pass: no vector for a negative corner, else
+    # X, a read-only row of one array, and rho clipped to [0, 1].  The
+    # checks of CosetVector (finite X, <x|x> <= 1, rho in [0, 1], rho
+    # against <x|x>) run in array form, on the row sums of |X|^2; a row that
+    # fails one gets CosetVector itself, which raises that check's error.
+    # Before the corner X is exactly zero unless the row's scale is not
+    # finite, and then X fails anyway.
+    rows = np.arange(pivots.shape[0])
+    k = np.arange(level - 1, level - 1 + pivots.shape[0])
     *_, rho, x = _chart(pivots, k)
     x.setflags(write=False)
     with np.errstate(all="ignore"):
-        sq = np.square(x.real)
-        sq += np.square(x.imag)
-        sq[rows, k] = 0.0
-        r_sq = sq.sum(axis=1)
-    del sq
-    rho_in = np.clip(rho, 0.0, 1.0)
+        r_sq = _row_sq(x, rows, k)
+    rho_in = rho.clip(0.0, 1.0)
     ok = (r_sq <= 1.0 + BALL_SLACK) & (np.abs(rho_in * rho_in + r_sq - 1.0) <= RHO_SLACK)
-    return x, rho.tolist(), rho_in.tolist(), ok.tolist()
-
-
-def _vector(x, level: int, dim: int, rho: float, rho_in: float, ok: bool):
-    # The vector of one row of a _read, x its X: None where the corner rho
-    # is negative, a CosetVector without its checks where the row passed
-    # them, and otherwise CosetVector itself, which raises that check's error.
-    if rho < -BALL_SLACK:
-        return None
-    if not ok:
-        return CosetVector(x, level, dim, rho_in)
-    return _trusted(CosetVector, x=x, level=level, dim=dim, rho=rho_in)
+    n = pivots.shape[1]
+    factors = []
+    for lv, (p, r, r_in, good) in enumerate(zip(pivots, rho.tolist(), rho_in.tolist(),
+                                                ok.tolist()), level):
+        if r < -BALL_SLACK:
+            v = None
+        elif good:
+            v = _trusted(CosetVector, x=x[lv - level, lv:], level=lv, dim=n, rho=r_in)
+        else:
+            v = CosetVector(x[lv - level, lv:], lv, n, r_in)
+        factors.append(_trusted(CosetFactor, level=lv, dim=n, pivot=p, vector=v))
+    return factors
 
 
 def _factor_pivot(matrix, level: int) -> np.ndarray:
@@ -369,36 +362,39 @@ def _lone(p, level: int) -> CosetFactor:
     # The factor of a new pivot p, which it sets read-only, that is no row of
     # a stack: a stack of one row, read by the same pass as a stack.
     p.setflags(write=False)
-    x, rho, rho_in, ok = _read(p[None], [level - 1])
-    return _trusted(CosetFactor, level=level, dim=p.shape[0], pivot=p,
-                    vector=_vector(x[0, level:], level, p.shape[0], rho[0], rho_in[0], ok[0]))
+    return _factors(p[None], level)[0]
 
 
-def _negated_corners(pivots) -> np.ndarray:
-    # Read-only copy of a pivot stack with each level-k pivot's component k
-    # negated: F_k u for every row u.
-    p = pivots.copy()
-    k = np.arange(p.shape[0])
-    p[k, k] *= -1.0
-    p.setflags(write=False)
-    return p
+def _other_form(pivots, phases, ordering: str):
+    # Read-only coset pivots and terminal phases of a Householder stack and
+    # its residual phases, or back (F_k, the sign flip of coordinate k,
+    # squares to 1).  Column k of R(u) negated is R(u) F_k, so a forward
+    # factor keeps u and the stack is shared.  Row k negated is
+    # F_k R(u) = R(F_k u) F_k, so a reversed factor keeps u with u_k
+    # negated.  Each F_k migrates into the diagonal and negates phase k.
+    if ordering == REVERSED:
+        pivots = pivots.copy()
+        k = np.arange(pivots.shape[0])
+        pivots[k, k] *= -1.0
+        pivots.setflags(write=False)
+    phases = np.array(phases)
+    phases[:-1] *= -1.0
+    phases.setflags(write=False)
+    return pivots, phases
 
 
 def _cosets_from_pivots(f: HouseholderFactorization, ordering: str) -> CosetFactorization:
-    # Column k of R(u) negated is R(u) F_k, so a forward factor keeps u and
-    # the stack is shared.  Row k negated is F_k R(u) = R(F_k u) F_k, so a
-    # reversed factor keeps u with u_k negated.  No reflector is formed.
-    # The Householder record has checked the stack: finite, exactly zero
-    # before each level and <u|u> >= 2 (1 - PIVOT_NORM_SLACK).  Negated
-    # corners keep all three, and so every <p|p> is far above the least
-    # normal float, the coset record's own bound.
-    if f.ordering != ordering:
+    # No reflector is formed.  The Householder record has checked the
+    # stack: finite, exactly zero before each level and
+    # <u|u> >= 2 (1 - PIVOT_NORM_SLACK).  Negated corners keep all three,
+    # and so every <p|p> is far above the least normal float, the coset
+    # record's own bound.  A record of either kind with the other ordering
+    # is refused as that.
+    if getattr(f, "ordering", ordering) != ordering:
         raise WrongOrderingError(f"expected a {ordering} factorization")
-    terminal = np.array(f.residual.phases)
-    terminal[:-1] *= -1.0
-    terminal.setflags(write=False)
-    return _trusted(CosetFactorization,
-                    pivots=f.pivots if ordering == FORWARD else _negated_corners(f.pivots),
+    _instance(f, HouseholderFactorization, "factorization")
+    pivots, terminal = _other_form(f.pivots, f.residual.phases, ordering)
+    return _trusted(CosetFactorization, pivots=pivots,
                     terminal_phases=_trusted(PhaseDiagonal, phases=terminal, dim=f.dim),
                     ordering=ordering, dim=f.dim, _wy=f._wy)
 
@@ -430,9 +426,8 @@ def compose_cosets(cf: CosetFactorization) -> ComplexMatrix:
     and ``T`` with its first N - 1 phases negated, O(N^3) in the panels of
     the Householder product.
     """
-    pivots = cf.pivots if cf.ordering == FORWARD else _negated_corners(cf.pivots)
-    phases = np.array(cf.terminal_phases.phases)
-    phases[:-1] *= -1.0
+    _instance(cf, CosetFactorization, "coset factorization")
+    pivots, phases = _other_form(cf.pivots, cf.terminal_phases.phases, cf.ordering)
     return _product(pivots, phases, cf.ordering, cf._wy)
 
 
@@ -441,7 +436,7 @@ def extract_coset_vector(c: CosetFactor) -> CosetVector:
 
     Raises MalformedFactorError when the corner is negative, outside the X chart.
     """
-    xv = c.vector
+    xv = _instance(c, CosetFactor, "coset factor").vector
     if xv is None:
         raise MalformedFactorError("corner entry is negative, outside the X chart")
     return xv

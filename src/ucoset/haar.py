@@ -45,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numkit import ComplexMatrix, DomainError, UcosetError, _as_array, _integer
+from .numkit import ComplexMatrix, DomainError, UcosetError, _as_array, _instance, _integer
 from .householder import FORWARD, _product
 
 __all__ = [
@@ -327,7 +327,7 @@ def sample_ball(dim: int, rng: RngStream) -> np.ndarray:
     """
     if _integer(dim, "ball dimension", OddDimensionError, 2) % 2:
         raise OddDimensionError(f"ball dimension must be a positive even integer, got {dim!r}")
-    return _ball_points(rng.normals(dim), (dim // 2,))
+    return _ball_points(_instance(rng, RngStream, "rng").normals(dim), (dim // 2,))
 
 
 def haar_unitary_batch(dim: int, count: int, rng: RngStream) -> np.ndarray:
@@ -348,7 +348,8 @@ def haar_unitary_batch(dim: int, count: int, rng: RngStream) -> np.ndarray:
     count = _integer(count, "count", InvalidCountError, 1)
     g = np.empty((count, dim * (dim - 1)))
     u = np.empty((count, dim))
-    normals, uniforms = rng._gen.standard_normal, rng._gen.random
+    gen = _instance(rng, RngStream, "rng")._gen
+    normals, uniforms = gen.standard_normal, gen.random
     for g_k, u_k in zip(g, u):
         normals(out=g_k)
         uniforms(out=u_k)
@@ -411,7 +412,7 @@ def haar_oracle(dim: int, rng: RngStream) -> ComplexMatrix:
     InvalidDimError unless ``dim`` is an integer at least 1.
     """
     dim = _integer(dim, "dim", InvalidDimError, 1)
-    flat = rng.normals(2 * dim * dim)
+    flat = _instance(rng, RngStream, "rng").normals(2 * dim * dim)
     z = (flat[0::2] + 1j * flat[1::2]).reshape(dim, dim) / math.sqrt(2.0)
     q, r = np.linalg.qr(z)
     diag = np.diag(r)

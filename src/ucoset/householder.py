@@ -81,6 +81,7 @@ from .numkit import (
     _as_square_matrix,
     _check_level,
     _frozen_array,
+    _instance,
     _integer,
     _tolerances,
     _trusted,
@@ -595,4 +596,5 @@ def decompose_reversed(u, tol: Tolerances | None = None) -> HouseholderFactoriza
 
 def reconstruct(f: HouseholderFactorization) -> ComplexMatrix:
     """Multiply a factorization back into a dense matrix."""
+    _instance(f, HouseholderFactorization, "factorization")
     return _product(f.pivots, f.residual.phases, f.ordering, f._wy)

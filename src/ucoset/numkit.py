@@ -120,6 +120,14 @@ def _tolerances(tol) -> Tolerances:
     return tol
 
 
+def _instance(x, cls, what: str):
+    # x as given if it is a cls, else DomainError naming cls: a wrongly
+    # typed argument, not an AttributeError from using it.
+    if not isinstance(x, cls):
+        raise DomainError(f"{what} must be a {cls.__name__}, got {type(x).__name__}")
+    return x
+
+
 def _trusted(cls, **fields):
     # The one way past a record's constructor: a record of fields that its
     # caller has already checked as that constructor would.

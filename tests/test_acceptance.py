@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 
+import ucoset
 from ucoset import (
     RngStream,
     cli,
@@ -353,7 +354,7 @@ def test_criterion_8_cli_end_to_end(tmp_path, monkeypatch):
         return SampleReport(dim=dim, sample_count=samples, ks_statistic=0.9,
                             mean_moduli=np.full((dim, dim), 1.0 / dim))
 
-    monkeypatch.setattr(cli.haar, "haar_validate", rigged)
+    monkeypatch.setattr(ucoset.haar, "haar_validate", rigged)
     codes[5] = cli.main(["haar-test", "--dim", "2", "--samples", "2000"])
     monkeypatch.undo()
 

@@ -474,15 +474,26 @@ UNUSABLE_FILES = {
                            ["reconstruct", "verify"]),
     "pivots-nor-factors": ({k: v for k, v in PIVOT_FILES["coset"].items() if k != "pivots"},
                            ["reconstruct", "verify"]),
+    # Raw bytes: a file that is not UTF-8, one nested deeper than the JSON
+    # decoder's recursion limit, and an integer literal of 5000 digits.
+    "not-utf8": ('{"kind": "caf\xe9"}'.encode("latin-1"),
+                 ["decompose", "reconstruct", "verify"]),
+    "nested-too-deep": (b"[" * 200000 + b"]" * 200000, ["decompose", "reconstruct", "verify"]),
+    "integer-too-long": (b'{"rows": 1, "cols": 1, "data": [[[1' + b"0" * 5000 + b', 0.0]]]}',
+                         ["decompose", "reconstruct", "verify"]),
 }
 
 
 @pytest.mark.parametrize("case", UNUSABLE_FILES.values(), ids=UNUSABLE_FILES.keys())
 def test_unusable_file(tmp_path, capsys, case):
     obj, commands = case
-    path = write_json(tmp_path / "bad.json", obj)
+    path = tmp_path / "bad.json"
+    if isinstance(obj, bytes):
+        path.write_bytes(obj)
+    else:
+        write_json(path, obj)
     for command in commands:
-        assert run(command, "--input", path) == 2
+        assert run(command, "--input", str(path)) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
 
@@ -544,6 +555,9 @@ class TestSample:
         assert run("sample", "--dim", "0") == 2
         assert run("sample", "--dim", "3", "--count", "-5") == 2
         assert run("sample", "--dim", "3", "--seed", "-1") == 2
+        assert run("sample", "--dim", "abc") == 2
+        assert run("sample", "--dim", "3", "--count", "2.5") == 2
+        assert run("haar-test", "--dim", "2", "--seed", "x") == 2
 
 
 class TestVerify:
@@ -624,7 +638,7 @@ class TestHaarTest:
                 mean_moduli=np.full((dim, dim), 1.0 / dim),
             )
 
-        monkeypatch.setattr(cli.haar, "haar_validate", rigged)
+        monkeypatch.setattr(ucoset.haar, "haar_validate", rigged)
         assert run("haar-test", "--dim", "2", "--samples", "2000") == 5
         assert "FAIL" in capsys.readouterr().err
 
@@ -633,7 +647,7 @@ class TestHaarTest:
             return SampleReport(dim=dim, sample_count=samples, ks_statistic=math.nan,
                                 mean_moduli=np.full((dim, dim), 1.0 / dim))
 
-        monkeypatch.setattr(cli.haar, "haar_validate", rigged)
+        monkeypatch.setattr(ucoset.haar, "haar_validate", rigged)
         assert run("haar-test", "--dim", "2", "--samples", "2000") == 5
         assert "FAIL" in capsys.readouterr().err
 

@@ -39,7 +39,7 @@ from ucoset import (
     unitarity_error,
 )
 import ucoset
-from ucoset.coset import _lone
+from ucoset.coset import _chart, _factors, _lone
 from ucoset.householder import FORWARD, REVERSED
 
 from golden_data import (
@@ -495,7 +495,8 @@ class TestVectorRead:
                 xv = c.vector
                 # The public constructor on the value the read takes:
                 # X = (2 conj(p_k) / <p|p>) p_below, rho clipped to [0, 1].
-                pk_bar, scale, rho = c._corner()
+                pk_bar, scale, rho, _ = _chart(c.pivot[None], c.level - 1)
+                pk_bar, scale, rho = complex(pk_bar[0]), float(scale[0]), float(rho[0])
                 public = CosetVector(x=(scale * pk_bar) * c.pivot[c.level:], level=c.level,
                                      dim=c.dim, rho=min(max(rho, 0.0), 1.0))
                 assert xv.x.dtype == public.x.dtype and xv.x.shape == public.x.shape
@@ -597,6 +598,16 @@ class TestStackRead:
                 assert_same_vector(c.vector, lone.vector)
                 if kind == 2:
                     assert c.vector.rho == 1.0 and not np.any(c.vector.x)
+
+    def test_read_runs_the_vector_checks_on_a_refused_row(self):
+        # Entries of 1e200 overflow <p|p>, so the corner rho is NaN: the
+        # record refuses such a row, and the read, given it, raises the
+        # check of CosetVector that it fails.
+        pivots = np.full((1, 2), 1e200, dtype=complex)
+        with pytest.raises(UcosetError):
+            CosetFactorization(pivots, PhaseDiagonal(np.ones(2), 2), FORWARD, 2)
+        with pytest.raises(RhoRangeError, match="rho nan"):
+            _factors(pivots, 1)
 
     def test_stack_read_keeps_one_temporary(self):
         # Beyond what the factors keep (X and the view objects), the read

@@ -91,7 +91,6 @@ def test_the_namespace_is_the_modules_own():
             assert star[name] is getattr(ucoset, name) is getattr(module, name), name
     submodules = {module.__name__.rpartition(".")[2] for module in MODULES}
     assert set(names) | submodules <= set(dir(ucoset))
-    assert cli.coset is coset and cli.haar is haar
     for owner in (ucoset, cli):
         with pytest.raises(AttributeError, match="no_such_name"):
             owner.no_such_name

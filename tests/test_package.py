@@ -121,10 +121,11 @@ def test_every_fixed_bound_is_named_once():
 
 
 # Levels that are not integers, a tolerance or scalar that is not a real
-# number, a tol or phase argument of the wrong type, and KS samples that are
-# not 1-D and finite: each is a typed error, not a TypeError or
-# AttributeError from using it or a quiet default, and a bool level is not
-# stored as given.
+# number, a tol, phase, record, factor or rng argument of the wrong type,
+# and KS samples that are not 1-D and finite: each is a typed error, not a
+# TypeError or AttributeError from using it or a quiet default, and a bool
+# level is not stored as given.  A reversed record of either kind is the
+# wrong ordering before it is the wrong type.
 COLUMN = np.array([1.0, 0.0, 0.0])
 U3 = np.eye(3)
 F3 = householder.decompose(U3)
@@ -178,6 +179,19 @@ NOT_INTEGER = {
     "ks-2d": (lambda: haar.ks_statistic([[0.1, 0.9]], lambda x: x), numkit.DomainError),
     "ks-two-sample-nan": (lambda: haar.ks_statistic_two_sample([0.5], [np.nan]),
                           numkit.DomainError),
+    "reconstruct-matrix": (lambda: householder.reconstruct(U3), numkit.DomainError),
+    "reconstruct-coset": (lambda: householder.reconstruct(CF3), numkit.DomainError),
+    "compose-householder": (lambda: coset.compose_cosets(F3), numkit.DomainError),
+    "cosets-from-matrix": (lambda: coset.cosets_from_householder(U3), numkit.DomainError),
+    "cosets-from-coset": (lambda: coset.cosets_from_householder(CF3), numkit.DomainError),
+    "cosets-reversed-from-coset": (lambda: coset.cosets_from_householder_reversed(CF3),
+                                   coset.WrongOrderingError),
+    "extract-householder": (lambda: coset.extract_coset_vector(F3), numkit.DomainError),
+    "haar-unitary-rng": (lambda: haar.haar_unitary(3, np.random.default_rng(0)),
+                         numkit.DomainError),
+    "haar-validate-rng": (lambda: haar.haar_validate(2, 1000, 0), numkit.DomainError),
+    "sample-ball-rng": (lambda: haar.sample_ball(4, None), numkit.DomainError),
+    "haar-oracle-rng": (lambda: haar.haar_oracle(2, "rng"), numkit.DomainError),
 }
 
 

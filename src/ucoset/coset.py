@@ -43,6 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _NAMES
 from .numkit import (
     BALL_SLACK,
     FACTOR_IDENTITY_TOL,
@@ -70,29 +71,7 @@ from .householder import (
     _reflect_rows,
 )
 
-__all__ = [
-    "CosetVector",
-    "Gamma",
-    "CosetFactor",
-    "CosetFactorization",
-    "Generator",
-    "WrongOrderingError",
-    "MalformedFactorError",
-    "BallViolationError",
-    "RhoRangeError",
-    "DomainError",
-    "cosets_from_householder",
-    "cosets_from_householder_reversed",
-    "compose_cosets",
-    "extract_coset_vector",
-    "coset_matrix_from_X",
-    "gamma_from_rho",
-    "normal_from_coset_vector",
-    "generator_matrix",
-    "exp_coset",
-    "coset_u2_explicit",
-    "coset_u3_explicit",
-]
+__all__ = _NAMES["coset"].split()
 
 
 class WrongOrderingError(UcosetError):
@@ -444,6 +423,7 @@ def extract_coset_vector(c: CosetFactor) -> CosetVector:
 
 def coset_matrix_from_X(xv: CosetVector) -> CosetFactor:
     """The coset factor of ball coordinates X, stored as ``(1 + rho) e_k + X``."""
+    _instance(xv, CosetVector, "coset vector")
     p = np.zeros(xv.dim, dtype=complex)
     i = xv.level - 1
     p[i] = 1.0 + xv.rho
@@ -471,7 +451,7 @@ def normal_from_coset_vector(xv: CosetVector, phase: float) -> ComplexVector:
     Changing the phase multiplies ``n`` by a global phase, so the reflection
     ``1 - 2 |n><n|`` it generates does not depend on it.
     """
-    g = gamma_from_rho(xv.rho, phase).as_complex
+    g = gamma_from_rho(_instance(xv, CosetVector, "coset vector").rho, phase).as_complex
     n = np.zeros(xv.dim, dtype=complex)
     i = xv.level - 1
     n[i] = g
@@ -481,6 +461,7 @@ def normal_from_coset_vector(xv: CosetVector, phase: float) -> ComplexVector:
 
 def generator_matrix(g: Generator) -> ComplexMatrix:
     """Dense anti-Hermitian matrix whose exponential is ``exp_coset(g)``."""
+    _instance(g, Generator, "generator")
     a = np.zeros((g.dim, g.dim), dtype=complex)
     i = g.level - 1
     a[i + 1:, i] = g.b
@@ -498,7 +479,7 @@ def exp_coset(g: Generator) -> CosetFactor:
     theta = 0 needs no special casing, and all of [0, pi] is covered.
     Agrees with the factor of X = sinc(theta) B exactly when theta <= pi/2.
     """
-    theta = float(np.linalg.norm(g.b))
+    theta = float(np.linalg.norm(_instance(g, Generator, "generator").b))
     p = np.zeros(g.dim, dtype=complex)
     i = g.level - 1
     p[i] = math.cos(0.5 * theta)

@@ -45,24 +45,11 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _NAMES
 from .numkit import ComplexMatrix, DomainError, UcosetError, _as_array, _instance, _integer
 from .householder import FORWARD, _product
 
-__all__ = [
-    "RngStream",
-    "SampleReport",
-    "OddDimensionError",
-    "InvalidDimError",
-    "TooFewSamplesError",
-    "InvalidCountError",
-    "sample_ball",
-    "haar_unitary_batch",
-    "haar_unitary",
-    "haar_oracle",
-    "haar_validate",
-    "ks_statistic",
-    "ks_statistic_two_sample",
-]
+__all__ = _NAMES["haar"].split()
 
 
 class OddDimensionError(UcosetError):
@@ -433,12 +420,18 @@ def _sorted_samples(a, what: str) -> np.ndarray:
 
 def ks_statistic(samples, cdf) -> float:
     """One-sample Kolmogorov-Smirnov statistic against a CDF callable;
-    DomainError unless ``samples`` is 1-D and finite."""
+    DomainError unless ``samples`` is 1-D and finite and ``cdf`` is callable
+    and returns one value per sample."""
     x = _sorted_samples(samples, "samples")
     n = x.shape[0]
     if n == 0:
         raise TooFewSamplesError("need at least one sample")
+    if not callable(cdf):
+        raise DomainError(f"cdf must be callable, got {type(cdf).__name__}")
     f = np.asarray(cdf(x), dtype=float)
+    if f.shape != x.shape:
+        # A scalar or a length-1 output would broadcast to a wrong statistic.
+        raise DomainError(f"cdf returned shape {f.shape} for {n} samples")
     upper = np.arange(1, n + 1) / n - f
     lower = f - np.arange(0, n) / n
     return float(max(np.max(upper), np.max(lower)))

@@ -68,6 +68,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _NAMES
 from .numkit import (
     PHASE_TOL,
     PIVOT_NORM_SLACK,
@@ -87,25 +88,7 @@ from .numkit import (
     _trusted,
 )
 
-__all__ = [
-    "FORWARD",
-    "REVERSED",
-    "Reflection",
-    "PhaseDiagonal",
-    "HouseholderFactorization",
-    "NotUnitaryError",
-    "PhaseError",
-    "NotUnitLengthError",
-    "LeadingComponentsNonzeroError",
-    "DimensionMismatchError",
-    "DomainError",
-    "reflect_matrix",
-    "pivot_from_column",
-    "apply_reflection",
-    "decompose",
-    "decompose_reversed",
-    "reconstruct",
-]
+__all__ = _NAMES["householder"].split()
 
 FORWARD = "forward"
 REVERSED = "reversed"
@@ -290,7 +273,7 @@ class HouseholderFactorization:
 
 def reflect_matrix(r: Reflection) -> ComplexMatrix:
     """Dense matrix ``1 - (2 / <u|u>) |u><u|`` of the reflection."""
-    return apply_reflection(r, np.eye(r.dim, dtype=complex), "left")
+    return apply_reflection(r, np.eye(_instance(r, Reflection, "reflection").dim, dtype=complex))
 
 
 def apply_reflection(r: Reflection, m, side: str = "left"):
@@ -307,6 +290,7 @@ def apply_reflection(r: Reflection, m, side: str = "left"):
     a = _as_array(m, "operand")
     if a.ndim not in (1, 2):
         raise DimensionMismatchError("operand must be a vector or a matrix")
+    _instance(r, Reflection, "reflection")
     length = a.shape[-1] if right else a.shape[0]
     if length != r.dim:
         raise DimensionMismatchError(f"operand length {length} does not match dim {r.dim}")

@@ -16,18 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "ComplexMatrix",
-    "ComplexVector",
-    "Tolerances",
-    "DEFAULT_TOLERANCES",
-    "UcosetError",
-    "NonSquareError",
-    "DimensionMismatchError",
-    "DomainError",
-    "unitarity_error",
-    "expm_series",
-]
+from . import _NAMES
+
+__all__ = _NAMES["numkit"].split()
 
 # Annotation aliases; both are numpy arrays with complex dtype.
 ComplexMatrix = np.ndarray
@@ -163,9 +154,9 @@ def _check_level(level, dim) -> None:
 
 
 def _frozen_array(a, shape: tuple, dtype, what: str) -> np.ndarray:
-    # A read-only copy of a in the given dtype and shape, whose entries the
-    # caller has checked are ints; another shape, ragged input included,
-    # raises DimensionMismatchError and a non-finite entry DomainError.
+    # A read-only copy of a in the given dtype and shape, a tuple of ints the
+    # caller has checked; another shape, ragged input included, raises
+    # DimensionMismatchError and a non-finite entry DomainError.
     out = _as_array(a, what, dtype, copy=True)
     if out.shape != shape:
         raise DimensionMismatchError(f"{what}: shape {out.shape}, expected {shape}")

@@ -121,13 +121,16 @@ def test_every_fixed_bound_is_named_once():
 
 
 # Levels that are not integers, a tolerance or scalar that is not a real
-# number, a tol, phase, record, factor or rng argument of the wrong type,
-# and KS samples that are not 1-D and finite: each is a typed error, not a
-# TypeError or AttributeError from using it or a quiet default, and a bool
-# level is not stored as given.  A reversed record of either kind is the
-# wrong ordering before it is the wrong type.
+# number, a tol, phase, record, factor, X, generator, reflection or rng
+# argument of the wrong type, KS samples that are not 1-D and finite, and a
+# cdf that is not callable or gives other than one value per sample: each is
+# a typed error, not a TypeError or AttributeError from using it, a quiet
+# default or a broadcast statistic, and a bool level is not stored as given.
+# A reversed record of either kind is the wrong ordering before it is the
+# wrong type.
 COLUMN = np.array([1.0, 0.0, 0.0])
 U3 = np.eye(3)
+KS_SAMPLES = (np.arange(10) + 0.5) / 10
 F3 = householder.decompose(U3)
 CF3 = coset.cosets_from_householder(F3)
 NOT_INTEGER = {
@@ -192,6 +195,18 @@ NOT_INTEGER = {
     "haar-validate-rng": (lambda: haar.haar_validate(2, 1000, 0), numkit.DomainError),
     "sample-ball-rng": (lambda: haar.sample_ball(4, None), numkit.DomainError),
     "haar-oracle-rng": (lambda: haar.haar_oracle(2, "rng"), numkit.DomainError),
+    "factor-from-str": (lambda: coset.coset_matrix_from_X("X"), numkit.DomainError),
+    "normal-from-str": (lambda: coset.normal_from_coset_vector("X", 0.0), numkit.DomainError),
+    "generator-matrix-str": (lambda: coset.generator_matrix("B"), numkit.DomainError),
+    "exp-coset-str": (lambda: coset.exp_coset("B"), numkit.DomainError),
+    "reflect-matrix-str": (lambda: householder.reflect_matrix("R"), numkit.DomainError),
+    "apply-reflection-str": (lambda: householder.apply_reflection("R", np.eye(3)),
+                             numkit.DomainError),
+    "ks-cdf-one-value": (lambda: haar.ks_statistic(KS_SAMPLES, lambda t: 0.5),
+                         numkit.DomainError),
+    "ks-cdf-wrong-length": (lambda: haar.ks_statistic(KS_SAMPLES, lambda t: t[:1]),
+                            numkit.DomainError),
+    "ks-cdf-not-callable": (lambda: haar.ks_statistic(KS_SAMPLES, 0.5), numkit.DomainError),
 }
 
 

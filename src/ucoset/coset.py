@@ -337,6 +337,15 @@ def _factor_pivot(matrix, level: int) -> np.ndarray:
     return p
 
 
+def _pivot(dim: int, level: int, corner, tail) -> np.ndarray:
+    # The complex vector of length dim that is exactly zero before the level,
+    # corner at it and tail after it: a hand-made factor's pivot.
+    p = np.zeros(dim, dtype=complex)
+    p[level - 1] = corner
+    p[level:] = tail
+    return p
+
+
 def _lone(p, level: int) -> CosetFactor:
     # The factor of a new pivot p, which it sets read-only, that is no row of
     # a stack: a stack of one row, read by the same pass as a stack.
@@ -424,11 +433,7 @@ def extract_coset_vector(c: CosetFactor) -> CosetVector:
 def coset_matrix_from_X(xv: CosetVector) -> CosetFactor:
     """The coset factor of ball coordinates X, stored as ``(1 + rho) e_k + X``."""
     _instance(xv, CosetVector, "coset vector")
-    p = np.zeros(xv.dim, dtype=complex)
-    i = xv.level - 1
-    p[i] = 1.0 + xv.rho
-    p[i + 1:] = xv.x
-    return _lone(p, xv.level)
+    return _lone(_pivot(xv.dim, xv.level, 1.0 + xv.rho, xv.x), xv.level)
 
 
 def gamma_from_rho(rho: float, phase: float) -> Gamma:
@@ -452,11 +457,7 @@ def normal_from_coset_vector(xv: CosetVector, phase: float) -> ComplexVector:
     ``1 - 2 |n><n|`` it generates does not depend on it.
     """
     g = gamma_from_rho(_instance(xv, CosetVector, "coset vector").rho, phase).as_complex
-    n = np.zeros(xv.dim, dtype=complex)
-    i = xv.level - 1
-    n[i] = g
-    n[i + 1:] = xv.x / (2.0 * g.conjugate())
-    return n
+    return _pivot(xv.dim, xv.level, g, xv.x / (2.0 * g.conjugate()))
 
 
 def generator_matrix(g: Generator) -> ComplexMatrix:
@@ -480,11 +481,8 @@ def exp_coset(g: Generator) -> CosetFactor:
     Agrees with the factor of X = sinc(theta) B exactly when theta <= pi/2.
     """
     theta = float(np.linalg.norm(_instance(g, Generator, "generator").b))
-    p = np.zeros(g.dim, dtype=complex)
-    i = g.level - 1
-    p[i] = math.cos(0.5 * theta)
-    p[i + 1:] = (0.5 * np.sinc(theta / (2.0 * math.pi))) * g.b  # sin(theta/2)/theta
-    return _lone(p, g.level)
+    sinc = 0.5 * np.sinc(theta / (2.0 * math.pi))  # sin(theta/2)/theta
+    return _lone(_pivot(g.dim, g.level, math.cos(0.5 * theta), sinc * g.b), g.level)
 
 
 def coset_u2_explicit(x1: float, x2: float) -> ComplexMatrix:

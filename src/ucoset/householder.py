@@ -318,13 +318,13 @@ def _panels(n: int) -> list:
 
 
 def _stack(a, conj: bool = False) -> np.ndarray:
-    # a (r, c, ...), or its conjugate if conj, as its stack of r x c
-    # matrices, batch axes first, as matmul and inv take them: a itself (or
-    # its conjugate) without batch axes, else a C-ordered copy, whose
-    # matrices matmul hands to BLAS one by one.
-    if a.ndim == 2:
-        return a.conj() if conj else a
-    a = np.moveaxis(a, (0, 1), (-2, -1))
+    # a (r, c, ...), or its conjugate if conj, as its C-ordered stack of
+    # r x c matrices, batch axes first, as matmul and inv take them, whose
+    # matrices matmul hands to BLAS one by one.  A C-ordered a without batch
+    # axes comes back as a view of its memory (or a conjugate copy); anything
+    # else is copied, a read-only matrix in another memory order that a
+    # record's constructor kept included.
+    a = a.transpose(*range(2, a.ndim), 0, 1)
     return np.conjugate(a, order="C") if conj else np.ascontiguousarray(a)
 
 
@@ -382,7 +382,13 @@ def _product(pivots, phases, ordering: str, wy=None) -> ComplexMatrix:
         w = u.conj()
         if ordering == REVERSED:
             u, w = w, u.copy()
-        w /= ((u * w).real.sum(axis=1) * 0.5)[:, None]
+        # <u|u> adds in index order, so that a product's bits do not depend
+        # on how many products share its stack: a sum along the pivots does
+        # while more than one product runs inside it, and for one numpy sums
+        # pairwise, so a cumulative sum, as cheap there, takes its place.
+        sq = (u * w).real
+        sq = sq.sum(axis=1) if phases[0].size > 1 else sq.cumsum(axis=1)[:, -1]
+        w /= (sq * 0.5)[:, None]
         for i in range(hi - 1, lo - 1, -1):
             _reflect_rows(t[:, i:], i, u[i - lo], w[i - lo])
     if panels:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -411,6 +412,26 @@ class TestHaarUnitaryBatch:
             assert maxdiff(batch, singles) <= 1e-13
             assert a.draws == b.draws == count * dim * dim
 
+    def test_single_draws_are_the_stack_bit_for_bit(self):
+        # Each sum over a matrix's own axis adds in index order whatever the
+        # layout, so a draw has the same bits alone as in a stack.  At dim 2,
+        # 50 matrices take the radius power's 1/2 as numpy's square root.
+        for dim in range(2, 41):
+            count = 50 if dim == 2 else 2 + dim % 2
+            rng = RngStream(63, dim)
+            singles = [haar_unitary(dim, rng) for _ in range(count)]
+            stack = haar_unitary_batch(dim, count, RngStream(63, dim))
+            for single, drawn in zip(singles, stack):
+                assert single.tobytes() == drawn.tobytes(), dim
+
+    @pytest.mark.parametrize("dim", [8, 9, 16, 40])
+    def test_blocks_ending_in_one_matrix_are_the_stack(self, dim):
+        count = block_size(dim) + 1
+        blocks = list(haar._haar_blocks(dim, count, RngStream(64, dim)))
+        assert len(blocks[-1]) == 1
+        stack = haar_unitary_batch(dim, count, RngStream(64, dim))
+        assert np.concatenate(blocks).tobytes() == stack.tobytes()
+
     # Blocked panels: one of 16 reflections, one of 32, two, and eight.
     @pytest.mark.parametrize("dim", [17, 33, 64, 256])
     def test_samples_at_scale_are_unitary(self, dim):
@@ -432,18 +453,34 @@ class TestTraceMoments:
     # and two blocked panels of _WY_WIDTH reflections, 50 and 64 two blocked
     # panels, the second of 17 and of 31.  The draws run in blocks of at
     # most 500 matrices, successive draws of the one stream, to bound memory.
+    # The same draws give the entry moments: E U_ij = 0 with E |U_ij|^2 =
+    # 1/N, so sqrt(N count) times a mean U_ij is near a standard complex
+    # normal z, P(|z| > r) = e^{-r^2}; and |U_ij|^2 is Beta(1, N - 1), of
+    # mean 1/N and variance (N - 1) / (N^2 (N + 1)).  Each maximum over the
+    # N^2 entries is bounded at a false-alarm rate of 1e-6, split evenly
+    # over the entries (Bonferroni).
     @pytest.mark.parametrize("dim, count", [(17, 4000), (33, 2000), (50, 1000), (64, 1000)])
     def test_trace_moments_match_haar(self, dim, count):
         rng = RngStream(61, dim)
         sums = {1: 0.0, 2: 0.0}
+        entries = np.zeros((dim, dim), dtype=complex)
+        moduli = np.zeros((dim, dim))
         for block in range(0, count, 500):
             u = haar_unitary_batch(dim, min(500, count - block), rng)
             traces = {1: np.trace(u, axis1=1, axis2=2), 2: np.einsum("nik,nki->n", u, u)}
             for j, t in traces.items():
                 sums[j] += float(np.sum(np.abs(t) ** 2))
+            entries += u.sum(axis=0)
+            moduli += (np.abs(u) ** 2).sum(axis=0)
         for j, total in sums.items():
             mean = total / count
             assert abs(mean - j) <= 4.0 * j / math.sqrt(count), (j, mean)
+        alarm = 1e-6 / (dim * dim)
+        z = np.abs(entries / count).max() * math.sqrt(dim * count)
+        assert z <= math.sqrt(-math.log(alarm)), z
+        error = math.sqrt((dim - 1) / (dim * dim * (dim + 1) * count))
+        z = np.abs(moduli / count - 1.0 / dim).max() / error
+        assert z <= NormalDist().inv_cdf(1.0 - 0.5 * alarm), z
 
     def test_trace_moment_at_the_dim(self):
         # For j >= N the eigenvalues of U^j are N independent uniform phases

@@ -123,9 +123,10 @@ def test_every_fixed_bound_is_named_once():
 # Levels that are not integers, a tolerance or scalar that is not a real
 # number, a tol, phase, record, factor, X, generator, reflection or rng
 # argument of the wrong type, KS samples that are not 1-D and finite, and a
-# cdf that is not callable or gives other than one value per sample: each is
-# a typed error, not a TypeError or AttributeError from using it, a quiet
-# default or a broadcast statistic, and a bool level is not stored as given.
+# cdf that is not callable or gives other than one finite value per sample:
+# each is a typed error, not a TypeError or AttributeError from using it, a
+# quiet default, a broadcast or NaN statistic, and a bool level is not stored
+# as given.
 # A reversed record of either kind is the wrong ordering before it is the
 # wrong type.
 COLUMN = np.array([1.0, 0.0, 0.0])
@@ -207,6 +208,8 @@ NOT_INTEGER = {
     "ks-cdf-wrong-length": (lambda: haar.ks_statistic(KS_SAMPLES, lambda t: t[:1]),
                             numkit.DomainError),
     "ks-cdf-not-callable": (lambda: haar.ks_statistic(KS_SAMPLES, 0.5), numkit.DomainError),
+    "ks-cdf-nan": (lambda: haar.ks_statistic(KS_SAMPLES, lambda t: t * np.nan),
+                   numkit.DomainError),
 }
 
 

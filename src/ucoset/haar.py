@@ -18,10 +18,12 @@ angles are derived from uniforms ``u`` as ``phi = pi (1 - 2 u)``.
 ``haar_unitary_batch`` is the one sampler body.  It draws a stack of
 matrices with two generator calls per matrix, the N(N-1) normals of all its
 ball points and then its N uniforms, each straight into the block, so a
-stack is bitwise equal to as many successive ``haar_unitary`` calls, which
-is its count-1 case: every sum over a matrix's own axis adds in index
-order, whatever the layout, and a lone level's radius power takes a 0-d
-exponent.  The ball radii of every level and matrix come from one vectorized
+stack equals as many successive ``haar_unitary`` calls, which is its count-1
+case, bit for bit at N >= 3: every sum over a matrix's own axis adds in
+index order, whatever the layout.  At N = 2 a lone matrix sums its one
+ball's series pairwise and takes its radius by ``pow`` where a stack adds
+in order and takes square roots, so a few draws differ in their last bit.
+The ball radii of every level and matrix come from one vectorized
 regularized gamma function P(m, t): a leading term in the form of Temme
 (1979) times a sum of ratio products, the ascending series below a switch
 near the lower tail and the complement of the finite head sum from it on,
@@ -33,7 +35,7 @@ norms, radii and rho of the ball points are (N-1, count) arrays, the terms
 of P are (K, N-1, count), and the pivots and phases are (N-1, N, count) and
 (N, count), so every step is elementwise along the count axis.
 ``haar_validate`` and ``ucoset sample`` draw in blocks of bounded size, on
-the same draw order, and so the same matrices bit for bit.
+the same draw order, and so the same matrices, bit for bit at N >= 3.
 
 ``haar_oracle`` draws from the same distribution through an unrelated
 construction (QR of a complex Gaussian matrix with the phase-of-diagonal
@@ -211,9 +213,7 @@ class _BallPlan(NamedTuple):
     # whose zeros end it after m terms; the first head weight is negated, so
     # that the head sum comes out negated.  ``column`` holds each level's
     # first column.  Then the runs of 2 m coordinates and the radius powers
-    # 1 / 2 m, 0-d for a lone level: numpy takes a power 1/2 of many values
-    # by one exponent as a square root, and of one value by pow, so a lone
-    # level's (1, 1) exponent would give one matrix other bits than a stack.
+    # 1 / 2 m.
     m: np.ndarray
     switch: np.ndarray
     lead: np.ndarray
@@ -240,8 +240,7 @@ def _ball_plan(ms: tuple, batch: int) -> _BallPlan:
     plan = _BallPlan(levels(m), levels(switch), levels(lead),
                      np.stack([switch / (m + 1.0 + k), head], axis=-1).reshape(len(k), -1),
                      levels(np.arange(0, 2 * len(ms), 2)),
-                     sizes, np.cumsum(sizes) - sizes,
-                     levels(1.0 / sizes) if len(ms) > 1 else np.array(1.0 / sizes[0]))
+                     sizes, np.cumsum(sizes) - sizes, levels(1.0 / sizes))
     for a in plan:
         a.setflags(write=False)
     return plan
@@ -290,20 +289,14 @@ def _reg_gamma(ms: tuple, t) -> np.ndarray:
     # run its inner loops along those axes alone, short for a few matrices.
     terms = plan.weights.take(plan.column + above, axis=1)
     terms *= np.minimum(t / plan.switch, plan.switch / t)
-    # Each sum adds its terms in index order, so that a value has the same
-    # bits alone as in a stack: an accumulate does whatever the layout, and
-    # a sum along the leading axis does once the others hold more than one
-    # value.  numpy sums a lone value's terms pairwise.
     if terms[0].size < _ROW_SCAN:
         np.multiply.accumulate(terms, out=terms)
-        sums = np.add.accumulate(terms, out=terms)[-1]
     else:
         for prev, row in zip(terms, terms[1:]):
             row *= prev
-        sums = terms.sum(axis=0)
     # The term plus the term times the ascending sum below s; 1 plus the term
     # times the negated head sum from s on (the term is at most 1).
-    return np.maximum(lead, above) + lead * sums
+    return np.maximum(lead, above) + lead * terms.sum(axis=0)
 
 
 def _ball_points(g: np.ndarray, ms: tuple) -> np.ndarray:
@@ -335,13 +328,13 @@ def sample_ball(dim: int, rng: RngStream) -> np.ndarray:
 def haar_unitary_batch(dim: int, count: int, rng: RngStream) -> np.ndarray:
     """Draw ``count`` Haar-distributed ``dim x dim`` unitaries, stacked.
 
-    The matrices, bit for bit, and ``rng``'s state after the call, are those
-    of ``count`` successive ``haar_unitary`` calls: for each matrix,
-    ``dim (dim - 1)`` normals then ``dim`` uniforms, ``count * dim**2``
-    variates in all.  The ball radii and the reflection products run over
-    the whole stack at once, with the batch axis last from the normals, read
-    as (dim (dim - 1), count), to the (dim - 1, dim, count) pivots; the
-    result is a (count, dim, dim) view.
+    The matrices, bit for bit at ``dim >= 3``, and ``rng``'s state after
+    the call, are those of ``count`` successive ``haar_unitary`` calls: for
+    each matrix, ``dim (dim - 1)`` normals then ``dim`` uniforms,
+    ``count * dim**2`` variates in all.  The ball radii and the reflection
+    products run over the whole stack at once, with the batch axis last from
+    the normals, read as (dim (dim - 1), count), to the (dim - 1, dim, count)
+    pivots; the result is a (count, dim, dim) view.
 
     Raises InvalidDimError unless ``dim`` is an integer at least 1, and
     InvalidCountError unless ``count`` is one.

@@ -382,13 +382,11 @@ def _product(pivots, phases, ordering: str, wy=None) -> ComplexMatrix:
         w = u.conj()
         if ordering == REVERSED:
             u, w = w, u.copy()
-        # <u|u> adds in index order, so that a product's bits do not depend
-        # on how many products share its stack: a sum along the pivots does
-        # while more than one product runs inside it, and for one numpy sums
-        # pairwise, so a cumulative sum, as cheap there, takes its place.
-        sq = (u * w).real
-        sq = sq.sum(axis=1) if phases[0].size > 1 else sq.cumsum(axis=1)[:, -1]
-        w /= (sq * 0.5)[:, None]
+        # <u|u> as a cumulative sum, which adds in index order whatever the
+        # layout, so that a product's bits do not depend on how many
+        # products share its stack; a sum would add a lone product's
+        # entries pairwise.
+        w /= ((u * w).real.cumsum(axis=1)[:, -1] * 0.5)[:, None]
         for i in range(hi - 1, lo - 1, -1):
             _reflect_rows(t[:, i:], i, u[i - lo], w[i - lo])
     if panels:

@@ -53,6 +53,9 @@ EXIT_STATS = 5
 
 KINDS = ("householder", "coset", "coset-reversed")
 
+# Twice 1.63, about the asymptotic 99th-percentile Kolmogorov critical value, 1.628.
+HAAR_TEST_KS_FACTOR = 2.0 * 1.63
+
 
 class _InputError(Exception):
     """Unusable input file or argument; maps to exit code 2."""
@@ -373,7 +376,7 @@ def cmd_haar_test(args) -> int:
         report = ucoset.haar.haar_validate(args.dim, args.samples, ucoset.haar.RngStream(args.seed))
     except (ucoset.haar.InvalidDimError, ucoset.haar.TooFewSamplesError) as exc:
         raise _InputError(f"haar-test: {exc}") from exc
-    threshold = 2.0 * 1.63 / math.sqrt(args.samples)
+    threshold = HAAR_TEST_KS_FACTOR / math.sqrt(args.samples)
     mean_dev = float(np.max(np.abs(report.mean_moduli - 1.0 / args.dim)))
     print(
         f"haar-test: dim {report.dim}, samples {report.sample_count}, "

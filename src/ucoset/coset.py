@@ -207,7 +207,7 @@ class CosetFactorization:
     ordering: str
     dim: int
 
-    # The Householder record's Y^dag of each panel, handed on by a
+    # The Householder record's WY factor of each panel, handed on by a
     # conversion; no field, so only _trusted sets it, and None otherwise.
     _wy = None
 

@@ -39,12 +39,12 @@ on the reflections before it, so the column loop is left-looking: each
 column of a panel first takes the panel's earlier reflections by
 matrix-vector products, then gives its pivot, and ``Y`` grows by one
 column (Bischof & Van Loan 1987); after the panel every later column takes
-it in one blocked update.  The record the loop returns keeps each panel's
-``Y^dag`` beside the pivots, as LAPACK's xGEQRT keeps ``T``, so that
-multiplying it back (``reconstruct``, or ``compose_cosets`` after a
-conversion, which hands it on) forms no ``T``.  Any other product (a record
-built by its constructor or read from a file, a stack of Haar samples)
-forms ``Y^dag = T^dag V^dag`` from the pivots: ``T`` is in closed form,
+it in one blocked update.  The record the loop returns keeps the conjugate
+of each panel's ``Y^dag`` beside the pivots, as LAPACK's xGEQRT keeps
+``T``, so that multiplying it back (``reconstruct``, or ``compose_cosets``
+after a conversion, which hands it on) forms no ``T``.  Any other product
+(a record built by its constructor or read from a file, a stack of Haar
+samples) forms that factor from the pivots: ``T`` is in closed form,
 the inverse of the upper triangle of ``V^dag V`` with each diagonal entry
 ``<v|v>`` halved (Puglisi 1992), and the ``T`` of all its blocked panels
 come from one inverse of their stack, each Gram over the panel's own
@@ -53,7 +53,8 @@ blocks a panel by its width: one of at least ``_WY_WIDTH`` reflections
 takes the blocked update ``B - Y (V^dag B)`` across its own columns and
 those after it, and a narrower one, the last panel of a small product
 included, stays rank-1 updates, which cost less there than forming ``T``.
-A single reflection is a rank-1 update.
+A single reflection is a rank-1 update.  A reversed product is computed as
+the adjoint of the forward one, of the same pivots and conjugate phases.
 
 A product of a stack of factorizations, as the Haar sampler makes, takes
 its batch axes last: (N - 1, N, ...) pivots, (N, ...) phases and an
@@ -248,7 +249,7 @@ class HouseholderFactorization:
     ordering: str
     dim: int
 
-    # Read-only Y^dag of each panel of the pivots, kept by the column loop;
+    # Read-only conjugate of each panel's Y^dag, kept by the column loop;
     # no field, so only _trusted sets it, and None where it is not kept.
     _wy = None
 
@@ -337,7 +338,8 @@ def _wy_factors(p, panels) -> list:
     # with h_j = <v_j|v_j> / 2 (Puglisi 1992; Joffrain et al. 2006).  Each
     # Gram is over the panel's own columns, and a narrower panel's block is
     # padded with a unit diagonal; its T is the leading block of the inverse.
-    # Y^dag is formed as conj(T^T V^T), conjugated in place.
+    # Y^dag is formed as conj(T^T V^T), conjugated in place; of the
+    # conjugate pivots _product passes, it is the form a record keeps.
     b = max(hi - lo for lo, hi in panels)
     a = np.zeros(p.shape[:-2] + (len(panels), b, b), dtype=complex)
     a.reshape(a.shape[:-2] + (b * b,))[..., ::b + 1] = 2.0
@@ -349,39 +351,36 @@ def _wy_factors(p, panels) -> list:
     h[...] = 0.5 * h.real
     t = np.swapaxes(np.linalg.inv(a), -1, -2)
     wy = [t[..., j, :hi - lo, :hi - lo] @ p[..., lo:hi, lo:] for j, (lo, hi) in enumerate(panels)]
-    for y in wy:
-        np.conjugate(y, out=y)
-    return wy
+    return [np.conjugate(y, out=y) for y in wy]
 
 
 def _product(pivots, phases, ordering: str, wy=None) -> ComplexMatrix:
     # R(u_1) ... R(u_{N-1}) D (forward) or D R(u_{N-1}) ... R(u_1) (reversed)
     # for pivots (N - 1, N, ...), the level-k pivot in row k - 1, and phases
     # (N, ...); batch axes trail, and a stack of products is (N, N, ...).
-    # wy is the Y^dag of each panel of the pivots, as the column loop keeps
-    # it; None forms it.  R(u)^T = R(conj u), so the reversed product is
-    # built as its transpose, the forward product of the conjugate pivots.
-    # A blocked panel is the update B - Y (V^dag B): the rows of V^dag are
-    # the stored pivots (reversed) or their conjugates (forward), and Y^T
-    # is the Y^dag of those rows (_wy_factors), so the reversed product
-    # takes the kept Y^dag as it is.  Panels run from the last one
-    # back.  Only the last can be narrower than _WY_WIDTH; it is rank-1
-    # steps, elementwise along the batch axes.  The blocked panels then run
-    # on a _stack of t and one of the rows of V^dag, and the result is a
-    # view of that stack.  R(u_{i+2}) ... D is diagonal on the leading i + 1
-    # coordinates, so rows i.. of t are zero before column i, and a blocked
-    # panel, whose pivots are all known, takes its own columns in the same
-    # update as those after it.
+    # Reflections are Hermitian, so D R(u_{N-1}) ... R(u_1) is the adjoint of
+    # R(u_1) ... R(u_{N-1}) D^dag: a reversed product is the forward one of
+    # the same pivots and conjugate phases, conjugated in place and
+    # transposed.  wy is the conjugate of each panel's Y^dag, as the column
+    # loop keeps it and _wy_factors forms it from the rows of V^dag, the
+    # conjugate pivots; None forms it.  A blocked panel is the update
+    # B - Y (V^dag B).  Panels run from the last one back.  Only the last can
+    # be narrower than _WY_WIDTH; it is rank-1 steps, elementwise along the
+    # batch axes.  The blocked panels then run on a _stack of t and one of the
+    # rows of V^dag, and the result is a transposed view of that stack.
+    # R(u_{i+2}) ... D is diagonal on the leading i + 1 coordinates, so rows
+    # i.. of t are zero before column i, and a blocked panel, whose pivots are
+    # all known, takes its own columns in the same update as those after it.
+    if ordering == REVERSED:
+        t = _product(pivots, phases.conj(), FORWARD, wy)
+        return np.conjugate(t, out=t).swapaxes(0, 1)
     n = phases.shape[0]
     t = np.zeros((n,) + phases.shape, dtype=complex)
     t.reshape((n * n,) + phases.shape[1:])[::n + 1] = phases
     panels = _panels(n)
     if panels and panels[-1][1] - panels[-1][0] < _WY_WIDTH:
         lo, hi = panels.pop()
-        u = pivots[lo:hi]
-        w = u.conj()
-        if ordering == REVERSED:
-            u, w = w, u.copy()
+        u, w = pivots[lo:hi], pivots[lo:hi].conj()
         # <u|u> as a cumulative sum, which adds in index order whatever the
         # layout, so that a product's bits do not depend on how many
         # products share its stack; a sum would add a lone product's
@@ -390,15 +389,13 @@ def _product(pivots, phases, ordering: str, wy=None) -> ComplexMatrix:
         for i in range(hi - 1, lo - 1, -1):
             _reflect_rows(t[:, i:], i, u[i - lo], w[i - lo])
     if panels:
-        t, vh = _stack(t), _stack(pivots, conj=ordering == FORWARD)
-        conj = wy is not None and ordering == FORWARD
-        if wy is None:
-            wy = _wy_factors(vh, panels)
+        t, vh = _stack(t), _stack(pivots, conj=True)
+        wy = _wy_factors(vh, panels) if wy is None else wy
         for (lo, hi), y in reversed(list(zip(panels, wy))):
             blk = t[..., lo:, lo:]
-            blk -= np.swapaxes(y.conj() if conj else y, -1, -2) @ (vh[..., lo:hi, lo:] @ blk)
-        t = np.moveaxis(t, (-2, -1), (0, 1))
-    return t if ordering == FORWARD else np.swapaxes(t, 0, 1)
+            blk -= np.swapaxes(y, -1, -2) @ (vh[..., lo:hi, lo:] @ blk)
+        t = t.transpose(t.ndim - 2, t.ndim - 1, *range(t.ndim - 2))
+    return t
 
 
 def pivot_from_column(w, level: int, tol: Tolerances | None = None):
@@ -515,7 +512,7 @@ def _clear_columns(u, tol: Tolerances, ordering: str) -> HouseholderFactorizatio
     # the diagonal of w; Y grows by c (v - Y V^dag v), kept as z = Y^dag.
     # Y = V T for the compact-WY T grown as zlarft does, one product fewer
     # per column.  Every later column then takes the panel in one update,
-    # and the record keeps z for the products of the factorization.
+    # and the record keeps conj(z), the form _product applies.
     # The corners of w, finite by the column checks, are the forward residual:
     # unit phases, each -e^{i phi_k} for the phase the loop gave its level.
     a = _as_square_matrix(u)
@@ -530,7 +527,6 @@ def _clear_columns(u, tol: Tolerances, ordering: str) -> HouseholderFactorizatio
         for lo, hi in _panels(n):
             v = pivots[lo:hi, lo:]
             z = np.empty_like(v)
-            wy.append(z)
             for k, i in enumerate(range(lo, hi)):
                 col, vs, zs = w[i, lo:], v[:k], z[:k]
                 if k:
@@ -542,6 +538,7 @@ def _clear_columns(u, tol: Tolerances, ordering: str) -> HouseholderFactorizatio
                     zk -= (vs @ zk) @ zs
                 zk *= 2.0 / norm_sq
             w[hi:, lo:] -= (w[hi:, lo:] @ z.T) @ v
+            wy.append(np.conjugate(z, out=z))
         _check_column(w[n - 1], n, bound)
     for x in (pivots, *wy):
         x.setflags(write=False)

@@ -13,6 +13,8 @@ from ucoset import (
     RngStream,
     TooFewSamplesError,
     UcosetError,
+    cosets_from_householder,
+    decompose,
     haar_oracle,
     haar_unitary,
     haar_unitary_batch,
@@ -490,6 +492,63 @@ class TestTraceMoments:
             total += float(np.sum(np.abs(np.sum(lam ** dim, axis=1)) ** 2))
         mean = total / count
         assert abs(mean - dim) <= 4.0 * math.sqrt((dim * dim - dim) / count), mean
+
+
+@pytest.fixture(scope="module")
+def ball_coordinates():
+    # |X_k|^(2(N - k)) of every level, (N - 1, count), and the terminal
+    # phases' angles, (N, count), of each sampler's draws at N = 17, each
+    # draw decomposed, converted to coset factors and read.
+    dim, count = TestBallCoordinates.DIM, TestBallCoordinates.COUNT
+    rng = RngStream(72, dim)
+    draws = {"haar_unitary": haar_unitary_batch(dim, count, RngStream(71, dim)),
+             "haar_oracle": [haar_oracle(dim, rng) for _ in range(count)]}
+    coordinates = {}
+    for name, us in draws.items():
+        radii, angles = [], []
+        for u in us:
+            cf = cosets_from_householder(decompose(u))
+            radii.append([np.vdot(f.vector.x, f.vector.x).real ** (dim - f.level)
+                          for f in cf.factors])
+            angles.append(np.angle(cf.terminal_phases.phases))
+        coordinates[name] = np.array(radii).T, np.array(angles).T
+    return coordinates
+
+
+class TestBallCoordinates:
+    # The paper's correspondence: U is Haar exactly when its coset
+    # coordinates X_k are independent and uniform in their balls
+    # B^{2(N - k)} and its terminal phases independent and uniform on the
+    # circle, so each |X_k|^(2(N - k)) is U(0, 1).  Each sampler's draws go
+    # through decompose, the conversion and the X read; haar_oracle shares
+    # no code with the product or the gamma, so its half tests those three.
+    # The bounds are fixed from theory: the DKW inequality with Massart's
+    # constant, P(D_n > e) <= 2 exp(-2 n e^2), and its two-sample form for
+    # n = m >= 458, P(D_nn > e) <= 2 exp(-n e^2) (Wei & Dudley 2012), at a
+    # false-alarm rate of 1e-3 split evenly (Bonferroni) over the
+    # 2 (2N - 1) one-sample and N - 1 two-sample tests: 0.0775 and 0.110
+    # at N = 17 with 1000 draws per sampler.  N = 17 takes one blocked panel.
+    DIM, COUNT = 17, 1000
+    ALARM = 1e-3 / (2 * (2 * DIM - 1) + DIM - 1)
+    ONE_SAMPLE = math.sqrt(math.log(2.0 / ALARM) / (2 * COUNT))
+    TWO_SAMPLE = math.sqrt(math.log(2.0 / ALARM) / COUNT)
+
+    @pytest.mark.parametrize("sampler", ["haar_unitary", "haar_oracle"])
+    def test_radii_are_uniform(self, ball_coordinates, sampler):
+        radii, _ = ball_coordinates[sampler]
+        ks = [ks_statistic(r, lambda t: t) for r in radii]
+        assert max(ks) <= self.ONE_SAMPLE, ks
+
+    @pytest.mark.parametrize("sampler", ["haar_unitary", "haar_oracle"])
+    def test_terminal_phases_are_uniform(self, ball_coordinates, sampler):
+        _, angles = ball_coordinates[sampler]
+        ks = [ks_statistic(a, lambda t: (t + math.pi) / (2.0 * math.pi)) for a in angles]
+        assert max(ks) <= self.ONE_SAMPLE, ks
+
+    def test_samplers_agree_level_by_level(self, ball_coordinates):
+        (mine, _), (oracle, _) = ball_coordinates["haar_unitary"], ball_coordinates["haar_oracle"]
+        ks = [ks_statistic_two_sample(a, b) for a, b in zip(mine, oracle)]
+        assert max(ks) <= self.TWO_SAMPLE, ks
 
 
 class TestHaarOracle:

@@ -671,9 +671,12 @@ class TestPanels:
         assert maxdiff(reconstruct(f), u) <= 1e-12
         assert maxdiff(compose_cosets(conv(f)), u) <= 1e-12
 
+    # Bit for bit, in both orderings: rank-1 steps only (3), a rank-1 panel
+    # one short of _WY_WIDTH (16), one blocked panel (17), a blocked panel
+    # and a rank-1 tail (40), two blocked panels and a tail (67).
+    @pytest.mark.parametrize("n", [3, 16, 17, 40, 67])
     @pytest.mark.parametrize("ordering", [FORWARD, REVERSED])
-    def test_stacked_product_matches_each_matrix(self, ordering):
-        n = 2 * _PANEL + 3
+    def test_stacked_product_matches_each_matrix(self, ordering, n):
         fs = [decompose(random_unitary(n, 710 + k)) for k in range(3)]
         # A stack's batch axis trails: pivots (n - 1, n, 3), phases (n, 3).
         pivots = np.stack([f.pivots for f in fs], axis=-1)
@@ -682,7 +685,7 @@ class TestPanels:
         assert stacked.shape == (n, n, 3)
         for k in range(3):
             expected = _product(pivots[..., k], phases[..., k], ordering)
-            assert maxdiff(stacked[..., k], expected) <= 1e-13
+            assert stacked[..., k].tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("dec", [decompose, decompose_reversed])
     def test_column_loop_makes_no_copies(self, monkeypatch, dec):

@@ -19,23 +19,22 @@ angles are derived from uniforms ``u`` as ``phi = pi (1 - 2 u)``.
 matrices with two generator calls per matrix, the N(N-1) normals of all its
 ball points and then its N uniforms, each straight into the block, so a
 stack equals as many successive ``haar_unitary`` calls, which is its count-1
-case, bit for bit at N >= 3: every sum over a matrix's own axis adds in
-index order, whatever the layout.  At N = 2 a lone matrix sums its one
-ball's series pairwise and takes its radius by ``pow`` where a stack adds
-in order and takes square roots, so a few draws differ in their last bit.
-The ball radii of every level and matrix come from one vectorized
+case, bit for bit: every sum over a matrix's own axis adds in index order,
+whatever the layout, and a lone matrix takes its radius powers as a stack
+does.  The ball radii of every level and matrix come from one vectorized
 regularized gamma function P(m, t): a leading term in the form of Temme
 (1979) times a sum of ratio products, the ascending series below a switch
 near the lower tail and the complement of the finite head sum from it on,
 so no term takes its own exp.  The product of reflections runs over the
-whole stack at once, in the panels of ``householder``.  From the draws to
-the product the stack keeps one layout, with its batch axis last: the
-block of normals is read as its transpose, (N(N-1), count), the squared
-norms, radii and rho of the ball points are (N-1, count) arrays, the terms
-of P are (K, N-1, count), and the pivots and phases are (N-1, N, count) and
+whole stack at once, by the one rule of ``householder``: rank-1 steps up
+to N = 16, blocked panels from N = 17 on.  From the draws to the product
+the stack keeps one layout, with its batch axis last: the block of normals
+is read as its transpose, (N(N-1), count), the squared norms, radii and
+rho of the ball points are (N-1, count) arrays, the terms of P are
+(K, N-1, count), and the pivots and phases are (N-1, N, count) and
 (N, count), so every step is elementwise along the count axis.
 ``haar_validate`` and ``ucoset sample`` draw in blocks of bounded size, on
-the same draw order, and so the same matrices, bit for bit at N >= 3.
+the same draw order, and so the same matrices, bit for bit.
 
 ``haar_oracle`` draws from the same distribution through an unrelated
 construction (QR of a complex Gaussian matrix with the phase-of-diagonal
@@ -213,7 +212,7 @@ class _BallPlan(NamedTuple):
     # whose zeros end it after m terms; the first head weight is negated, so
     # that the head sum comes out negated.  ``column`` holds each level's
     # first column.  Then the runs of 2 m coordinates and the radius powers
-    # 1 / 2 m.
+    # 1 / 2 m, 0-d for one level.
     m: np.ndarray
     switch: np.ndarray
     lead: np.ndarray
@@ -237,10 +236,12 @@ def _ball_plan(ms: tuple, batch: int) -> _BallPlan:
     def levels(a):
         return a.reshape(a.shape + (1,) * batch)
 
+    # The radius power of one level is 0-d, which numpy takes the same way (a
+    # square root at m = 1) for one value as for a stack.
     plan = _BallPlan(levels(m), levels(switch), levels(lead),
                      np.stack([switch / (m + 1.0 + k), head], axis=-1).reshape(len(k), -1),
-                     levels(np.arange(0, 2 * len(ms), 2)),
-                     sizes, np.cumsum(sizes) - sizes, levels(1.0 / sizes))
+                     levels(np.arange(0, 2 * len(ms), 2)), sizes, np.cumsum(sizes) - sizes,
+                     levels(1.0 / sizes) if len(ms) > 1 else np.array(1.0 / sizes[0]))
     for a in plan:
         a.setflags(write=False)
     return plan
@@ -290,7 +291,10 @@ def _reg_gamma(ms: tuple, t) -> np.ndarray:
     terms = plan.weights.take(plan.column + above, axis=1)
     terms *= np.minimum(t / plan.switch, plan.switch / t)
     if terms[0].size < _ROW_SCAN:
-        np.multiply.accumulate(terms, out=terms)
+        # The prefix products, then their sum as its last prefix sum, which
+        # adds in index order for a lone value as a sum over the leading
+        # axis does for two or more; a lone value's sum would add pairwise.
+        terms = np.add.accumulate(np.multiply.accumulate(terms, out=terms), out=terms)[-1:]
     else:
         for prev, row in zip(terms, terms[1:]):
             row *= prev
@@ -328,13 +332,13 @@ def sample_ball(dim: int, rng: RngStream) -> np.ndarray:
 def haar_unitary_batch(dim: int, count: int, rng: RngStream) -> np.ndarray:
     """Draw ``count`` Haar-distributed ``dim x dim`` unitaries, stacked.
 
-    The matrices, bit for bit at ``dim >= 3``, and ``rng``'s state after
-    the call, are those of ``count`` successive ``haar_unitary`` calls: for
-    each matrix, ``dim (dim - 1)`` normals then ``dim`` uniforms,
-    ``count * dim**2`` variates in all.  The ball radii and the reflection
-    products run over the whole stack at once, with the batch axis last from
-    the normals, read as (dim (dim - 1), count), to the (dim - 1, dim, count)
-    pivots; the result is a (count, dim, dim) view.
+    The matrices, bit for bit, and ``rng``'s state after the call, are
+    those of ``count`` successive ``haar_unitary`` calls: for each matrix,
+    ``dim (dim - 1)`` normals then ``dim`` uniforms, ``count * dim**2``
+    variates in all.  The ball radii and the reflection products run over
+    the whole stack at once, with the batch axis last from the normals, read
+    as (dim (dim - 1), count), to the (dim - 1, dim, count) pivots; the
+    result is a (count, dim, dim) view.
 
     Raises InvalidDimError unless ``dim`` is an integer at least 1, and
     InvalidCountError unless ``count`` is one.

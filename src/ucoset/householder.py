@@ -30,31 +30,30 @@ views it builds.
 The column loop's checks are the gate of the caller's ``Tolerances``; the
 record bounds are fixed, named in ``numkit``.
 
-Every product of reflections in the package runs in panels of ``_PANEL``
-consecutive reflections, the last one possibly fewer.  A blocked panel's
-reflections act at once in compact-WY form ``1 - Y V^dag``, the pivots as
-the columns of ``V`` and ``Y = V T``, by two matrix products (Schreiber &
-Van Loan 1989).  While a factorization is being found, each pivot depends
-on the reflections before it, so the column loop is left-looking: each
-column of a panel first takes the panel's earlier reflections by
-matrix-vector products, then gives its pivot, and ``Y`` grows by one
-column (Bischof & Van Loan 1987); after the panel every later column takes
-it in one blocked update.  The record the loop returns keeps the conjugate
-of each panel's ``Y^dag`` beside the pivots, as LAPACK's xGEQRT keeps
-``T``, so that multiplying it back (``reconstruct``, or ``compose_cosets``
-after a conversion, which hands it on) forms no ``T``.  Any other product
-(a record built by its constructor or read from a file, a stack of Haar
-samples) forms that factor from the pivots: ``T`` is in closed form,
-the inverse of the upper triangle of ``V^dag V`` with each diagonal entry
-``<v|v>`` halved (Puglisi 1992), and the ``T`` of all its blocked panels
-come from one inverse of their stack, each Gram over the panel's own
-columns and a narrower panel padded with a unit diagonal.  A product
-blocks a panel by its width: one of at least ``_WY_WIDTH`` reflections
-takes the blocked update ``B - Y (V^dag B)`` across its own columns and
-those after it, and a narrower one, the last panel of a small product
-included, stays rank-1 updates, which cost less there than forming ``T``.
-A single reflection is a rank-1 update.  A reversed product is computed as
-the adjoint of the forward one, of the same pivots and conjugate phases.
+Every product of reflections in the package follows one rule.  A product
+of fewer than ``_WY_WIDTH`` reflections is rank-1 updates, one per
+reflection, which cost less there than forming a compact-WY factor; a single
+reflection is a rank-1 update.  Any other product runs all its reflections
+in panels of ``_PANEL`` consecutive reflections, the last one possibly
+fewer, and every panel, a narrow last one included, acts at once in
+compact-WY form ``1 - Y V^dag``, the pivots as the columns of ``V`` and
+``Y = V T``, by two matrix products (Schreiber & Van Loan 1989): the
+blocked update ``B - Y (V^dag B)`` across its own columns and those after
+it.  While a factorization is being found, each pivot depends on the
+reflections before it, so the column loop is left-looking: each column of
+a panel first takes the panel's earlier reflections by matrix-vector
+products, then gives its pivot, and ``Y`` grows by one column (Bischof &
+Van Loan 1987); after the panel every later column takes it in one blocked
+update.  The record the loop returns keeps the conjugate of each panel's
+``Y^dag`` beside the pivots, as LAPACK's xGEQRT keeps ``T``, so that
+multiplying it back (``reconstruct``, or ``compose_cosets`` after a
+conversion, which hands it on) forms no ``T``.  A blocked product without
+that factor (a record built by its constructor or read from a file, a stack
+of Haar samples) forms it from the pivots, one ``T`` per panel in closed
+form: the inverse of the upper triangle of the panel's own ``V^dag V``
+with each diagonal entry ``<v|v>`` halved (Puglisi 1992).  A reversed
+product is computed as the adjoint of the forward one, of the same pivots
+and conjugate phases.
 
 A product of a stack of factorizations, as the Haar sampler makes, takes
 its batch axes last: (N - 1, N, ...) pivots, (N, ...) phases and an
@@ -96,7 +95,8 @@ REVERSED = "reversed"
 
 # Reflections per compact-WY panel (see the module docstring).
 _PANEL = 32
-# Fewest reflections in a panel that a product runs as one compact-WY update.
+# Fewest reflections in a product that runs as blocked compact-WY panels;
+# a product of fewer is rank-1 updates (see the module docstring).
 _WY_WIDTH = 16
 
 # Smallest <u|u> of a pivot; one built from a unit column has 2 (1 + rho) >= 2.
@@ -299,7 +299,14 @@ def apply_reflection(r: Reflection, m, side: str = "left"):
     # of the transpose.
     t = np.array(a.T if right else a, order="C")
     u = r.pivot.conj() if right else r.pivot
-    _reflect_rows(t.reshape(r.dim, -1), r.level - 1, u, (2.0 / r.norm_sq) * u.conj())
+    i, w = r.level - 1, (2.0 / r.norm_sq) * u.conj()
+    if t.ndim == 2:
+        _reflect_rows(t, i, u, w)
+    else:
+        # A vector's <u|w> as a cumulative sum, which adds in index order as
+        # a matrix's columns are added, so that a vector reflects to the bits
+        # of its column in a matrix; a sum would add it pairwise.
+        t[i:] -= u[i:] * (w[i:] * t[i:]).cumsum()[-1]
     return t.T if right else t
 
 
@@ -332,26 +339,21 @@ def _stack(a, conj: bool = False) -> np.ndarray:
 def _wy_factors(p, panels) -> list:
     # Y^dag = T^dag V^dag of each panel (lo, hi) of the pivots p (a _stack),
     # (..., hi - lo, N - lo): R(v_lo) ... R(v_{hi-1}) = 1 - Y V^dag with the
-    # panel's pivots from column lo on as the columns of V and Y = V T.  The
-    # upper-triangular T of all panels comes from one inverse of their stack
-    # (..., P, b, b), b the widest panel: T = inv(diag(h) + triu(V^dag V, 1))
-    # with h_j = <v_j|v_j> / 2 (Puglisi 1992; Joffrain et al. 2006).  Each
-    # Gram is over the panel's own columns, and a narrower panel's block is
-    # padded with a unit diagonal; its T is the leading block of the inverse.
-    # Y^dag is formed as conj(T^T V^T), conjugated in place; of the
-    # conjugate pivots _product passes, it is the form a record keeps.
-    b = max(hi - lo for lo, hi in panels)
-    a = np.zeros(p.shape[:-2] + (len(panels), b, b), dtype=complex)
-    a.reshape(a.shape[:-2] + (b * b,))[..., ::b + 1] = 2.0
-    for j, (lo, hi) in enumerate(panels):
+    # panel's pivots from column lo on as the columns of V and Y = V T.  Each
+    # panel's upper-triangular T is one batched inverse of its own Gram,
+    # T = inv(diag(h) + triu(V^dag V, 1)) with h_j = <v_j|v_j> / 2 (Puglisi
+    # 1992; Joffrain et al. 2006).  Y^dag is formed as conj(T^T V^T),
+    # conjugated in place; of the conjugate pivots _product passes, it is the
+    # form a record keeps.
+    wy = []
+    for lo, hi in panels:
         v = p[..., lo:hi, lo:]
-        a[..., j, :hi - lo, :hi - lo] = v.conj() @ np.swapaxes(v, -1, -2)
-    a = np.triu(a)
-    h = a.reshape(a.shape[:-2] + (b * b,))[..., ::b + 1]
-    h[...] = 0.5 * h.real
-    t = np.swapaxes(np.linalg.inv(a), -1, -2)
-    wy = [t[..., j, :hi - lo, :hi - lo] @ p[..., lo:hi, lo:] for j, (lo, hi) in enumerate(panels)]
-    return [np.conjugate(y, out=y) for y in wy]
+        a = np.triu(v.conj() @ np.swapaxes(v, -1, -2))
+        h = np.einsum("...jj->...j", a)
+        h[...] = 0.5 * h.real
+        y = np.swapaxes(np.linalg.inv(a), -1, -2) @ v
+        wy.append(np.conjugate(y, out=y))
+    return wy
 
 
 def _product(pivots, phases, ordering: str, wy=None) -> ComplexMatrix:
@@ -361,13 +363,13 @@ def _product(pivots, phases, ordering: str, wy=None) -> ComplexMatrix:
     # Reflections are Hermitian, so D R(u_{N-1}) ... R(u_1) is the adjoint of
     # R(u_1) ... R(u_{N-1}) D^dag: a reversed product is the forward one of
     # the same pivots and conjugate phases, conjugated in place and
-    # transposed.  wy is the conjugate of each panel's Y^dag, as the column
-    # loop keeps it and _wy_factors forms it from the rows of V^dag, the
-    # conjugate pivots; None forms it.  A blocked panel is the update
-    # B - Y (V^dag B).  Panels run from the last one back.  Only the last can
-    # be narrower than _WY_WIDTH; it is rank-1 steps, elementwise along the
-    # batch axes.  The blocked panels then run on a _stack of t and one of the
-    # rows of V^dag, and the result is a transposed view of that stack.
+    # transposed.  A product of fewer than _WY_WIDTH reflections is rank-1
+    # steps, elementwise along the batch axes, from the last reflection back.
+    # Any other runs every panel as the blocked update B - Y (V^dag B), from
+    # the last panel back, on a _stack of t and one of the rows of V^dag, and
+    # its result is a transposed view of that stack.  wy is the conjugate of
+    # each panel's Y^dag, as the column loop keeps it and _wy_factors forms it
+    # from the rows of V^dag, the conjugate pivots; None forms it.
     # R(u_{i+2}) ... D is diagonal on the leading i + 1 coordinates, so rows
     # i.. of t are zero before column i, and a blocked panel, whose pivots are
     # all known, takes its own columns in the same update as those after it.
@@ -377,25 +379,23 @@ def _product(pivots, phases, ordering: str, wy=None) -> ComplexMatrix:
     n = phases.shape[0]
     t = np.zeros((n,) + phases.shape, dtype=complex)
     t.reshape((n * n,) + phases.shape[1:])[::n + 1] = phases
-    panels = _panels(n)
-    if panels and panels[-1][1] - panels[-1][0] < _WY_WIDTH:
-        lo, hi = panels.pop()
-        u, w = pivots[lo:hi], pivots[lo:hi].conj()
+    if n - 1 < _WY_WIDTH:
+        w = pivots.conj()
         # <u|u> as a cumulative sum, which adds in index order whatever the
         # layout, so that a product's bits do not depend on how many
         # products share its stack; a sum would add a lone product's
         # entries pairwise.
-        w /= ((u * w).real.cumsum(axis=1)[:, -1] * 0.5)[:, None]
-        for i in range(hi - 1, lo - 1, -1):
-            _reflect_rows(t[:, i:], i, u[i - lo], w[i - lo])
-    if panels:
-        t, vh = _stack(t), _stack(pivots, conj=True)
-        wy = _wy_factors(vh, panels) if wy is None else wy
-        for (lo, hi), y in reversed(list(zip(panels, wy))):
-            blk = t[..., lo:, lo:]
-            blk -= np.swapaxes(y, -1, -2) @ (vh[..., lo:hi, lo:] @ blk)
-        t = t.transpose(t.ndim - 2, t.ndim - 1, *range(t.ndim - 2))
-    return t
+        w /= ((pivots * w).real.cumsum(axis=1)[:, -1] * 0.5)[:, None]
+        for i in reversed(range(n - 1)):
+            _reflect_rows(t[:, i:], i, pivots[i], w[i])
+        return t
+    panels = _panels(n)
+    t, vh = _stack(t), _stack(pivots, conj=True)
+    wy = _wy_factors(vh, panels) if wy is None else wy
+    for (lo, hi), y in reversed(list(zip(panels, wy))):
+        blk = t[..., lo:, lo:]
+        blk -= np.swapaxes(y, -1, -2) @ (vh[..., lo:hi, lo:] @ blk)
+    return t.transpose(t.ndim - 2, t.ndim - 1, *range(t.ndim - 2))
 
 
 def pivot_from_column(w, level: int, tol: Tolerances | None = None):

@@ -402,11 +402,10 @@ class TestHaarUnitary:
 
 
 class TestHaarUnitaryBatch:
-    # Dims 17 and 33 take a blocked panel of at least _WY_WIDTH reflections.
-    # Each sum over a matrix's own axis adds in index order whatever the
-    # layout, so from dim 3 on a draw has the same bits alone as in a stack;
-    # at dim 2 a lone draw sums its ball's series pairwise and takes its
-    # radius by pow, and a stack does neither.
+    # From dim 17 on a product runs blocked panels, from dim 34 on a narrow
+    # last one too.  Each sum over a matrix's own axis adds in index order
+    # whatever the layout, and a lone ball's radius power is taken as a
+    # stack's, so a draw has the same bits alone as in a stack.
     @pytest.mark.parametrize("dim", range(1, 41))
     def test_equals_successive_single_draws(self, dim):
         for count in (1, 2, 3, block_size(dim) + 1):
@@ -415,10 +414,7 @@ class TestHaarUnitaryBatch:
             batch = haar_unitary_batch(dim, count, a)
             singles = np.array([haar_unitary(dim, b) for _ in range(count)])
             assert batch.shape == (count, dim, dim)
-            if dim == 2:
-                assert maxdiff(batch, singles) <= 1e-13
-            else:
-                assert batch.tobytes() == singles.tobytes(), count
+            assert batch.tobytes() == singles.tobytes(), count
             assert a.draws == b.draws == count * dim * dim
 
     @pytest.mark.parametrize("dim", [8, 9, 16, 40])
@@ -447,7 +443,7 @@ class TestTraceMoments:
     # variance is j^2, as for j Exp(1) (Diaconis & Shahshahani 1994), so a
     # mean over `count` matrices has standard error j / sqrt(count).  Each
     # mean must lie within 4 standard errors of j.  Dims 17 and 33 take one
-    # and two blocked panels of _WY_WIDTH reflections, 50 and 64 two blocked
+    # blocked panel, of 16 and of 32 reflections, 50 and 64 two blocked
     # panels, the second of 17 and of 31.  The draws run in blocks of at
     # most 500 matrices, successive draws of the one stream, to bound memory.
     # The same draws give the entry moments: E U_ij = 0 with E |U_ij|^2 =

@@ -237,6 +237,25 @@ class TestApplyReflection:
         expected = dense @ v if side == "left" else v @ dense
         assert maxdiff(apply_reflection(r, v, side), expected) <= 1e-13
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("dim", [8, 12, 20, 40])
+    def test_vector_is_its_column_of_the_matrix_bit_for_bit(self, side, dim):
+        # A column (left) or row (right) of m reflects alone to the bits it
+        # has in the reflected m, at every level.
+        rng = np.random.default_rng(dim)
+        for level in range(1, dim, max(1, dim // 10)):
+            w = np.zeros(dim, dtype=complex)
+            w[level - 1:] = [1.0, 1j] @ rng.standard_normal((2, dim - level + 1))
+            r, _ = pivot_from_column(w / np.linalg.norm(w), level)
+            m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            whole = apply_reflection(r, m, side)
+            for j in (0, dim // 2, dim - 1):
+                if side == "left":
+                    alone, within = apply_reflection(r, m[:, j], side), whole[:, j]
+                else:
+                    alone, within = apply_reflection(r, m[j], side), whole[j]
+                assert alone.tobytes() == within.tobytes(), (level, j)
+
     def test_dimension_mismatch(self):
         r = Reflection(pivot=np.array([2.0, 0.0]), level=1, dim=2)
         with pytest.raises(DimensionMismatchError):
@@ -671,9 +690,9 @@ class TestPanels:
         assert maxdiff(reconstruct(f), u) <= 1e-12
         assert maxdiff(compose_cosets(conv(f)), u) <= 1e-12
 
-    # Bit for bit, in both orderings: rank-1 steps only (3), a rank-1 panel
-    # one short of _WY_WIDTH (16), one blocked panel (17), a blocked panel
-    # and a rank-1 tail (40), two blocked panels and a tail (67).
+    # Bit for bit, in both orderings: rank-1 steps only (3, and 16, one
+    # reflection short of _WY_WIDTH), one blocked panel (17), a full panel
+    # and a narrow one (40), two full panels and a narrow one (67).
     @pytest.mark.parametrize("n", [3, 16, 17, 40, 67])
     @pytest.mark.parametrize("ordering", [FORWARD, REVERSED])
     def test_stacked_product_matches_each_matrix(self, ordering, n):
@@ -725,18 +744,21 @@ def rank1_product(pivots, phases, ordering):
     return t
 
 
-# Products whose last panel is one narrower than _WY_WIDTH, exactly it and
-# one wider, alone and after a full panel, and 2 _PANEL +- 1.
+# Products of _WY_WIDTH - 1 reflections (rank-1 steps), of _WY_WIDTH and one
+# more (one blocked panel), of a full panel and then a last one of
+# _WY_WIDTH - 1, _WY_WIDTH and _WY_WIDTH + 1 (each panel blocked with its
+# own T), and 2 _PANEL +- 1.
 PRODUCT_DIMS = [_WY_WIDTH, _WY_WIDTH + 1, _WY_WIDTH + 2, _PANEL + _WY_WIDTH,
                 _PANEL + _WY_WIDTH + 1, _PANEL + _WY_WIDTH + 2, 2 * _PANEL - 1, 2 * _PANEL + 1]
 
 
 class TestProductPanels:
     def test_product_blocks_panels_by_width(self, monkeypatch):
-        # Only panels of at least _WY_WIDTH reflections get a Y^dag, whatever
-        # follows them, all of a product's from one call.  A decomposed
-        # record carries the column loop's own WY form and forms none; the
-        # same pivots through the constructor form exactly those widths.
+        # A product of fewer than _WY_WIDTH reflections forms no Y^dag; any
+        # other forms one per panel, a narrow last panel included, all from
+        # one call.  A decomposed record carries the column loop's own WY
+        # form and forms none; the same pivots through the constructor form
+        # exactly those widths.
         calls = []
         wy_factors = ucoset.householder._wy_factors
 
@@ -746,7 +768,8 @@ class TestProductPanels:
 
         monkeypatch.setattr(ucoset.householder, "_wy_factors", counting)
         for n, widths in ((_WY_WIDTH, []), (_WY_WIDTH + 1, [[_WY_WIDTH]]),
-                          (_PANEL + _WY_WIDTH, [[_PANEL]]),
+                          (_PANEL + 2, [[_PANEL, 1]]),
+                          (_PANEL + _WY_WIDTH, [[_PANEL, _WY_WIDTH - 1]]),
                           (_PANEL + _WY_WIDTH + 1, [[_PANEL, _WY_WIDTH]]),
                           (2 * _PANEL + 1, [[_PANEL, _PANEL]])):
             u = random_unitary(n, 730 + n)
@@ -761,9 +784,9 @@ class TestProductPanels:
     @pytest.mark.parametrize("count", [None, 3], ids=["matrix", "stack"])
     def test_wy_factors_are_the_rank1_products(self, count):
         # One call for panels of widths 1, _WY_WIDTH, _PANEL - 1 and _PANEL,
-        # so three are padded to the widest: with Y the adjoint of each
-        # panel's factor, 1 - Y V^dag over the panel's own columns is the
-        # product of its reflections.
+        # each with its own T: with Y the adjoint of each panel's factor,
+        # 1 - Y V^dag over the panel's own columns is the product of its
+        # reflections.
         widths = [1, _WY_WIDTH, _PANEL - 1, _PANEL]
         bounds = np.cumsum([0] + widths)
         panels = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
@@ -819,7 +842,8 @@ class TestCarriedFactor:
     # The column loop keeps each panel's Y^dag in the record it returns, and
     # both conversions hand it on, so products of a decomposed matrix form
     # none; the same pivots in a constructed record form it (_wy_factors).
-    @pytest.mark.parametrize("n", [2 * _PANEL + 1, 256])
+    # Last panels of 1, _WY_WIDTH - 1, 32 and 31 reflections.
+    @pytest.mark.parametrize("n", [_PANEL + 2, _PANEL + _WY_WIDTH, 2 * _PANEL + 1, 256])
     @pytest.mark.parametrize("dec, conv, _", PANEL_ORDERINGS)
     def test_products_of_a_decomposed_record_form_no_factor(self, monkeypatch, n, dec, conv, _):
         calls = []
@@ -861,6 +885,34 @@ class TestCarriedFactor:
             HouseholderFactorization(f.pivots, f.residual, f.ordering, n, _wy=f._wy)
         assert HouseholderFactorization(f.pivots, f.residual, f.ordering, n)._wy is None
         assert type(cf)(cf.pivots, cf.terminal_phases, cf.ordering, n)._wy is None
+
+
+class TestAccuracy:
+    # Higham (2002) §19.3 bounds the backward error of r reflections of
+    # length m applied to a unit column by r gamma~_m = c r m u in 2-norm,
+    # u = eps / 2 the unit roundoff and c a small integer, taken here as 16.
+    # Rounding errors that add as independent ones grow as the square root
+    # of such a constant (his rule of thumb, §2.8), so one product of
+    # N - 1 reflections of length at most N is within sqrt(16 N^2) u = 2 N eps
+    # of its exact value.  A round trip, the column loop and then a product,
+    # is two such passes, sqrt(2) times one; a product's unitarity defect
+    # is twice its distance from a unitary matrix.  Fixed before measuring.
+    PASS = 2.0 * np.finfo(float).eps
+
+    # Rank-1 products (2, 3, 16), one blocked panel (17, 33), a narrow last
+    # panel (34, 40, 48, 72) and full panels only (64, 65, 128, 256).
+    @pytest.mark.parametrize("n", [2, 3, 16, 17, 33, 34, 40, 48, 64, 65, 72, 128, 256])
+    @pytest.mark.parametrize("dec, conv, _", PANEL_ORDERINGS)
+    def test_round_trip_within_a_multiple_of_n_eps(self, n, dec, conv, _):
+        u = random_unitary(n, 770 + n)
+        f = dec(u)
+        cf = conv(f)
+        products = [reconstruct(f), compose_cosets(cf),
+                    reconstruct(HouseholderFactorization(f.pivots, f.residual, f.ordering, n)),
+                    compose_cosets(type(cf)(cf.pivots, cf.terminal_phases, cf.ordering, n))]
+        for k, p in enumerate(products):
+            assert maxdiff(p, u) <= math.sqrt(2.0) * self.PASS * n, k
+            assert unitarity_error(p) <= 2.0 * self.PASS * n, k
 
 
 def factorization_with(**changes):

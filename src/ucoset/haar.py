@@ -236,8 +236,11 @@ def _ball_plan(ms: tuple, batch: int) -> _BallPlan:
     def levels(a):
         return a.reshape(a.shape + (1,) * batch)
 
-    # The radius power of one level is 0-d, which numpy takes the same way (a
-    # square root at m = 1) for one value as for a stack.
+    # The radius power of one level is 0-d.  ndarray.__pow__ has a fast path
+    # for a 0-d exponent that takes 0.5 (m = 1) as a square root for one
+    # value as for a stack, where an exponent array goes through pow.  That
+    # path is a numpy internal, not a documented rule, and a lone N = 2 draw
+    # keeps the bits of its stack only through it (checked on numpy 2.4.6).
     plan = _BallPlan(levels(m), levels(switch), levels(lead),
                      np.stack([switch / (m + 1.0 + k), head], axis=-1).reshape(len(k), -1),
                      levels(np.arange(0, 2 * len(ms), 2)), sizes, np.cumsum(sizes) - sizes,

@@ -300,13 +300,12 @@ def apply_reflection(r: Reflection, m, side: str = "left"):
     t = np.array(a.T if right else a, order="C")
     u = r.pivot.conj() if right else r.pivot
     i, w = r.level - 1, (2.0 / r.norm_sq) * u.conj()
-    if t.ndim == 2:
-        _reflect_rows(t, i, u, w)
-    else:
-        # A vector's <u|w> as a cumulative sum, which adds in index order as
-        # a matrix's columns are added, so that a vector reflects to the bits
-        # of its column in a matrix; a sum would add it pairwise.
-        t[i:] -= u[i:] * (w[i:] * t[i:]).cumsum()[-1]
+    # <u|w> per column as the last cumulative sum down the rows, which adds
+    # in index order for any column count, so that a vector or one column
+    # reflects to the bits it has in a wider matrix; a sum over rows would
+    # add a single column pairwise.
+    rows = t.reshape(r.dim, -1)[i:]
+    rows -= u[i:, None] * (w[i:, None] * rows).cumsum(axis=0)[-1]
     return t.T if right else t
 
 

@@ -252,9 +252,12 @@ class TestApplyReflection:
             for j in (0, dim // 2, dim - 1):
                 if side == "left":
                     alone, within = apply_reflection(r, m[:, j], side), whole[:, j]
+                    single = apply_reflection(r, m[:, j:j + 1], side)[:, 0]
                 else:
                     alone, within = apply_reflection(r, m[j], side), whole[j]
+                    single = apply_reflection(r, m[j:j + 1], side)[0]
                 assert alone.tobytes() == within.tobytes(), (level, j)
+                assert single.tobytes() == within.tobytes(), (level, j)
 
     def test_dimension_mismatch(self):
         r = Reflection(pivot=np.array([2.0, 0.0]), level=1, dim=2)

@@ -22,11 +22,13 @@ the pivot phases negated.
 A factorization stores its N - 1 pivots as one read-only (N - 1) x N array,
 the level-k pivot in row k - 1, so the strict lower triangle is exactly
 zero; its constructor checks that stack once, in array form.  The column
-loop writes each pivot straight into its row, checks it as it writes it,
-checks the residual as a ``PhaseDiagonal`` would and against the pivot
-phases it had, and hands both, with its read-only WY factors, to its record
-by ``_trusted``, the one constructor that skips checks; ``reflections`` are
-views it builds.
+loop writes each pivot, checked as it is written, over the row of its work
+array that held the column it clears, as LAPACK's xGEQRF keeps each
+reflector in place, so the work array's leading N - 1 rows are the stack
+the record keeps, as a read-only view.  It checks the residual as a
+``PhaseDiagonal`` would and against the pivot phases it had, and hands
+both, with its read-only WY factors, to its record by ``_trusted``, the one
+constructor that skips checks; ``reflections`` are views it builds.
 The column loop's checks are the gate of the caller's ``Tolerances``; the
 record bounds are fixed, named in ``numkit``.
 
@@ -51,16 +53,20 @@ conversion, which hands it on) forms no ``T``.  A blocked product without
 that factor (a record built by its constructor or read from a file, a stack
 of Haar samples) forms it from the pivots, one ``T`` per panel in closed
 form: the inverse of the upper triangle of the panel's own ``V^dag V``
-with each diagonal entry ``<v|v>`` halved (Puglisi 1992).  A reversed
-product is computed as the adjoint of the forward one, of the same pivots
-and conjugate phases.
+with each diagonal entry ``<v|v>`` halved (Puglisi 1992).  Each panel
+takes the rows of ``V^dag``, its own conjugate pivots, as a copy of that
+panel alone, where LAPACK's xLARFB reads ``V^dag`` through a transpose
+flag: no conjugate copy of the whole stack is made.  A reversed product is
+computed as the adjoint of the forward one, of the same pivots and
+conjugate phases.
 
 A product of a stack of factorizations, as the Haar sampler makes, takes
 its batch axes last: (N - 1, N, ...) pivots, (N, ...) phases and an
 (N, N, ...) result, so that each rank-1 step is one elementwise update
 along the batch axes rather than one small matrix product per matrix.  Its
 blocked panels, whose matrix products and inverses take batch axes first,
-run on one such copy of the product and pivots.
+run on one such copy of the product, each panel's conjugate pivots copied
+batch-first by the panel.
 """
 
 import math
@@ -335,18 +341,19 @@ def _stack(a, conj: bool = False) -> np.ndarray:
     return np.conjugate(a, order="C") if conj else np.ascontiguousarray(a)
 
 
-def _wy_factors(p, panels) -> list:
-    # Y^dag = T^dag V^dag of each panel (lo, hi) of the pivots p (a _stack),
-    # (..., hi - lo, N - lo): R(v_lo) ... R(v_{hi-1}) = 1 - Y V^dag with the
-    # panel's pivots from column lo on as the columns of V and Y = V T.  Each
+def _wy_factors(pivots, panels) -> list:
+    # Y^dag = T^dag V^dag of each panel (lo, hi) of the pivots (N - 1, N, ...),
+    # batch axes last, as (..., hi - lo, N - lo): R(v_lo) ... R(v_{hi-1}) =
+    # 1 - Y V^dag with the panel's pivots from column lo on as the columns of
+    # V and Y = V T.  Each panel takes only its own rows of V^dag, a _stack of
+    # its conjugate pivots, so no copy of the whole stack is made.  Each
     # panel's upper-triangular T is one batched inverse of its own Gram,
     # T = inv(diag(h) + triu(V^dag V, 1)) with h_j = <v_j|v_j> / 2 (Puglisi
     # 1992; Joffrain et al. 2006).  Y^dag is formed as conj(T^T V^T),
-    # conjugated in place; of the conjugate pivots _product passes, it is the
-    # form a record keeps.
+    # conjugated in place; it is the form a record keeps and _product applies.
     wy = []
     for lo, hi in panels:
-        v = p[..., lo:hi, lo:]
+        v = _stack(pivots[lo:hi, lo:], conj=True)
         a = np.triu(v.conj() @ np.swapaxes(v, -1, -2))
         h = np.einsum("...jj->...j", a)
         h[...] = 0.5 * h.real
@@ -365,10 +372,12 @@ def _product(pivots, phases, ordering: str, wy=None) -> ComplexMatrix:
     # transposed.  A product of fewer than _WY_WIDTH reflections is rank-1
     # steps, elementwise along the batch axes, from the last reflection back.
     # Any other runs every panel as the blocked update B - Y (V^dag B), from
-    # the last panel back, on a _stack of t and one of the rows of V^dag, and
-    # its result is a transposed view of that stack.  wy is the conjugate of
-    # each panel's Y^dag, as the column loop keeps it and _wy_factors forms it
-    # from the rows of V^dag, the conjugate pivots; None forms it.
+    # the last panel back, on a _stack of t, and its result is a transposed
+    # view of that stack.  Each panel takes its rows of V^dag, its own
+    # conjugate pivots, as a _stack of that panel alone, freed once V^dag B
+    # is formed, so no conjugate copy of the whole stack is made.  wy is the
+    # conjugate of each panel's Y^dag, as the column loop keeps it and
+    # _wy_factors forms it; None forms it.
     # R(u_{i+2}) ... D is diagonal on the leading i + 1 coordinates, so rows
     # i.. of t are zero before column i, and a blocked panel, whose pivots are
     # all known, takes its own columns in the same update as those after it.
@@ -389,11 +398,11 @@ def _product(pivots, phases, ordering: str, wy=None) -> ComplexMatrix:
             _reflect_rows(t[:, i:], i, pivots[i], w[i])
         return t
     panels = _panels(n)
-    t, vh = _stack(t), _stack(pivots, conj=True)
-    wy = _wy_factors(vh, panels) if wy is None else wy
+    t = _stack(t)
+    wy = _wy_factors(pivots, panels) if wy is None else wy
     for (lo, hi), y in reversed(list(zip(panels, wy))):
         blk = t[..., lo:, lo:]
-        blk -= np.swapaxes(y, -1, -2) @ (vh[..., lo:hi, lo:] @ blk)
+        blk -= np.swapaxes(y, -1, -2) @ (_stack(pivots[lo:hi, lo:], conj=True) @ blk)
     return t.transpose(t.ndim - 2, t.ndim - 1, *range(t.ndim - 2))
 
 
@@ -431,16 +440,15 @@ def pivot_from_column(w, level: int, tol: Tolerances | None = None):
         If a leading component exceeds ``tol.unitarity_tol`` in modulus.
     """
     tol = _tolerances(tol)
-    col = _as_array(w, "column")
-    if col.ndim != 1:
+    p = _as_array(w, "column", copy=True)
+    if p.ndim != 1:
         raise DimensionMismatchError("column must be one-dimensional")
-    if not np.isfinite(col).all():
+    if not np.isfinite(p).all():
         raise DomainError(f"column at level {level} has non-finite entries")
-    _check_level(level, col.shape[0])
-    p = np.zeros(col.shape[0], dtype=complex)
-    phi, *_ = _column_pivot(col, p, level, tol.unitarity_tol)
+    _check_level(level, p.shape[0])
+    phi, *_ = _column_pivot(p, level, tol.unitarity_tol)
     p.setflags(write=False)
-    return _trusted(Reflection, pivot=p, level=level, dim=col.shape[0]), phi
+    return _trusted(Reflection, pivot=p, level=level, dim=p.shape[0]), phi
 
 
 def _check_column(col, level: int, bound: float) -> float:
@@ -466,23 +474,24 @@ def _check_column(col, level: int, bound: float) -> float:
     return tail
 
 
-def _column_pivot(col, p, level: int, bound: float):
-    # Checks col (_check_column) and writes its pivot at ``level``, which
-    # must lie in 1 .. N - 1, into p, zero before the level: exact zeros keep
-    # the leading subspace exactly invariant.  Returns the pivot phase phi,
-    # e^{i phi}, <u|u> = t + 2 rho + 1 and the corner of R(u) w,
+def _column_pivot(w, level: int, bound: float):
+    # Checks the column w (_check_column) and writes its pivot at ``level``,
+    # which must lie in 1 .. N - 1, over it: exactly zero before the level,
+    # where exact zeros keep the leading subspace exactly invariant, and
+    # w_k + e^{i phi} at it.  Returns the pivot phase phi, e^{i phi},
+    # <u|u> = t + 2 rho + 1 and the corner of R(u) w,
     # w_k - (2 / <u|u>) <u|w> u_k, from the tail's sum t and rho = |w_k|;
     # <u|w> = t + rho is formed as conj(u_k) w_k + t - rho^2, so that the
     # rounding of e^{i phi} cancels as in a rank-1 update.  e^{i phi} comes
     # from atan2: w_k / rho leaves the unit circle for subnormal w_k.
-    tail = _check_column(col, level, bound)
+    tail = _check_column(w, level, bound)
     i = level - 1
-    p[i:] = col[i:]
-    wk = complex(col[i])
+    wk = complex(w[i])
     rho = abs(wk)
     phi = _canonical_angle(math.atan2(wk.imag, wk.real))
     unit = complex(math.cos(phi), math.sin(phi))
-    p[i] = uk = wk + unit
+    w[:i] = 0.0
+    w[i] = uk = wk + unit
     norm_sq = tail + 2.0 * rho + 1.0
     if norm_sq < _MIN_NORM_SQ:
         raise NotUnitLengthError(f"pivot norm-squared {norm_sq} at level {level} "
@@ -507,31 +516,31 @@ def _clear_columns(u, tol: Tolerances, ordering: str) -> HouseholderFactorizatio
     # R(v_1) ... R(v_k) = 1 - Y V^dag (V: their pivots from the panel's first
     # column on), act on column i as 1 - V Y^dag, by two matrix-vector
     # products; _column_pivot, which pivot_from_column shares, then checks
-    # it, writes its pivot into row i of the stack and gives the corner for
-    # the diagonal of w; Y grows by c (v - Y V^dag v), kept as z = Y^dag.
-    # Y = V T for the compact-WY T grown as zlarft does, one product fewer
-    # per column.  Every later column then takes the panel in one update,
-    # and the record keeps conj(z), the form _product applies.
-    # The corners of w, finite by the column checks, are the forward residual:
+    # it, writes its pivot over row i and gives the corner, kept apart in
+    # corners; Y grows by c (v - Y V^dag v), kept as z = Y^dag.  Y = V T for
+    # the compact-WY T grown as zlarft does, one product fewer per column.
+    # Every later column then takes the panel in one update, and the record
+    # keeps conj(z), the form _product applies, and w[:-1], with w made
+    # read-only, as its stack, so the loop allocates no second stack.
+    # The corners, finite by the column checks, are the forward residual:
     # unit phases, each -e^{i phi_k} for the phase the loop gave its level.
     a = _as_square_matrix(u)
     n = a.shape[0]
     w = np.array(a.T, order="C") if ordering == FORWARD else np.conj(a, order="C")
     bound = 2.0 * tol.unitarity_tol
-    pivots = np.zeros((n - 1, n), dtype=complex)
+    corners = np.empty(n, dtype=complex)
     units = np.empty(n - 1, dtype=complex)
     wy = []
     # An input far from unitary may overflow here; its column checks reject it.
     with np.errstate(over="ignore", invalid="ignore"):
         for lo, hi in _panels(n):
-            v = pivots[lo:hi, lo:]
+            v = w[lo:hi, lo:]
             z = np.empty_like(v)
             for k, i in enumerate(range(lo, hi)):
                 col, vs, zs = w[i, lo:], v[:k], z[:k]
                 if k:
                     col -= (zs @ col) @ vs
-                _, units[i], norm_sq, corner = _column_pivot(w[i], pivots[i], i + 1, bound)
-                w[i, i] = corner
+                _, units[i], norm_sq, corners[i] = _column_pivot(w[i], i + 1, bound)
                 zk = np.conjugate(v[k], out=z[k])
                 if k:
                     zk -= (vs @ zk) @ zs
@@ -539,16 +548,16 @@ def _clear_columns(u, tol: Tolerances, ordering: str) -> HouseholderFactorizatio
             w[hi:, lo:] -= (w[hi:, lo:] @ z.T) @ v
             wy.append(np.conjugate(z, out=z))
         _check_column(w[n - 1], n, bound)
-    for x in (pivots, *wy):
+    corners[n - 1] = w[n - 1, n - 1]
+    for x in (w, *wy):
         x.setflags(write=False)
-    corners = np.diagonal(w)
     _check_unit_modulus(corners)
     _check_residual(corners[:-1], units)
-    phases = corners.copy() if ordering == FORWARD else corners.conj()
+    phases = corners if ordering == FORWARD else np.conjugate(corners, out=corners)
     phases.setflags(write=False)
     # Each pivot was checked as it was written: finite, <u|u> >= 2 and
     # exactly zero before its level.
-    return _trusted(HouseholderFactorization, pivots=pivots,
+    return _trusted(HouseholderFactorization, pivots=w[:-1],
                     residual=_trusted(PhaseDiagonal, phases=phases, dim=n),
                     ordering=ordering, dim=n, _wy=tuple(wy))
 

@@ -874,6 +874,22 @@ class TestPivotStack:
         assert len(f.reflections) == len(cf.factors) == n - 1
         assert calls == {"Reflection": n - 1, "CosetFactor": n - 1}
 
+    @pytest.mark.parametrize("dec, conv, ordering", ORDERINGS)
+    def test_stack_is_read_only_through_every_base(self, dec, conv, ordering):
+        # A decomposed record's stack may be a view of the column loop's
+        # work array; no array in its chain of bases can be written, and a
+        # forward conversion hands on that same chain.
+        f = dec(random_unitary(33, 142))
+        cf = conv(f)
+        assert (cf.pivots is f.pivots) == (ordering == FORWARD)
+        for pivots in (f.pivots, cf.pivots):
+            a = pivots
+            while a is not None:
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[0, 0] = 1.0
+                a = a.base
+
     def test_views_are_rows_of_the_stack(self):
         f = decompose(random_unitary(5, 141))
         cf = cosets_from_householder(f)

@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from ucoset import (
 )
 import ucoset
 import ucoset.householder
-from ucoset.householder import _PANEL, _WY_WIDTH, _panels, _product, _stack, _wy_factors
+from ucoset.householder import _PANEL, _WY_WIDTH, _panels, _product, _wy_factors
 from ucoset.numkit import ROUND_TRIP_FACTOR
 
 from golden_data import (
@@ -170,9 +171,9 @@ class TestPivotFromColumn:
         calls = []
         helper = ucoset.householder._column_pivot
 
-        def counting(col, p, level, tol):
+        def counting(w, level, tol):
             calls.append(level)
-            return helper(col, p, level, tol)
+            return helper(w, level, tol)
 
         monkeypatch.setattr(ucoset.householder, "_column_pivot", counting)
         n = 2 * _PANEL + 1
@@ -798,9 +799,11 @@ class TestProductPanels:
         shape = (() if count is None else (count,)) + (n - 1, n)
         stack = np.triu(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         stack[..., range(n - 1), range(n - 1)] += 2.0
-        # A product takes a stack's batch axis last and hands _wy_factors a _stack.
+        # _wy_factors takes the pivots batch-last, as a product hands them,
+        # and returns conj(Y^dag) of each panel: handed the conjugate of
+        # stack, it returns Y^dag of each panel of stack's own pivots.
         pivots = stack if count is None else np.moveaxis(stack, 0, -1)
-        wy = _wy_factors(_stack(pivots), panels)
+        wy = _wy_factors(pivots.conj(), panels)
         assert [y.shape for y in wy] == [shape[:-2] + (hi - lo, n - lo) for lo, hi in panels]
         for k, p in enumerate(stack.reshape(-1, n - 1, n)):
             for (lo, hi), y in zip(panels, wy):
@@ -888,6 +891,45 @@ class TestCarriedFactor:
             HouseholderFactorization(f.pivots, f.residual, f.ordering, n, _wy=f._wy)
         assert HouseholderFactorization(f.pivots, f.residual, f.ordering, n)._wy is None
         assert type(cf)(cf.pivots, cf.terminal_phases, cf.ordering, n)._wy is None
+
+
+def traced_peak(fn, arg):
+    # fn(arg) and the peak of the memory traced while it ran.
+    tracemalloc.start()
+    try:
+        return fn(arg), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestTracedPeak:
+    # Bounds fixed from the arrays each call must hold at once, in units of
+    # one N x N complex array: the work array or the product (1); one
+    # blocked update's temporary, at most N x N (1); and either the WY
+    # factors the column loop keeps, sum b (N - lo) over its panels, or a
+    # product's panel of V^dag and V^dag B, b (N - lo) entries each with
+    # b <= _PANEL, under 1 at N >= 64 either way.  A record without the
+    # carried factor forms those factors (under 1 more), and a reversed
+    # coset record's product takes a copy of the stack with its corners
+    # negated (1 more).  A second copy of the whole stack, in the column
+    # loop or in a product, breaks each bound.
+    @pytest.mark.parametrize("n", [64, 128])
+    @pytest.mark.parametrize("dec, conv, adjoint", PANEL_ORDERINGS)
+    def test_peak_stays_below_the_arrays_the_design_keeps(self, n, dec, conv, adjoint):
+        unit = n * n * 16
+        u = random_unitary(n, 770 + n)
+        f, peak = traced_peak(dec, u)
+        assert peak <= 3 * unit
+        cf = conv(f)
+        g = HouseholderFactorization(f.pivots, f.residual, f.ordering, n)
+        cg = type(cf)(cf.pivots, cf.terminal_phases, cf.ordering, n)
+        copy = int(adjoint)
+        for fn, record, bound in ((reconstruct, f, 3), (reconstruct, g, 4),
+                                  (compose_cosets, cf, 3 + copy),
+                                  (compose_cosets, cg, 4 + copy)):
+            m, peak = traced_peak(fn, record)
+            assert maxdiff(m, u) <= 1e-12
+            assert peak <= bound * unit
 
 
 class TestAccuracy:

@@ -28,8 +28,9 @@ hands the stack and the terminal phases to the coset record by
 (a sign flip keeps each modulus); the factor views are built by it too.
 It also hands on the WY factors the Householder record keeps from the
 column loop: composing negates a reversed stack's corners back to the
-Householder pivots, so either ordering's product uses them and forms no
-compact-WY ``T``; a coset record built by its constructor forms them from
+Householder pivots, in the copy of each panel's pivots the product makes,
+so either ordering's product uses them, forms no compact-WY ``T`` and
+copies no stack; a coset record built by its constructor forms them from
 its pivots.
 
 The level-1 factor is also the exponential of the anti-Hermitian generator
@@ -67,6 +68,7 @@ from .householder import (
     PhaseDiagonal,
     _canonical_angle,
     _check_record,
+    _negated_corners,
     _product,
     _reflect_rows,
 )
@@ -353,22 +355,14 @@ def _lone(p, level: int) -> CosetFactor:
     return _factors(p[None], level)[0]
 
 
-def _other_form(pivots, phases, ordering: str):
-    # Read-only coset pivots and terminal phases of a Householder stack and
-    # its residual phases, or back (F_k, the sign flip of coordinate k,
-    # squares to 1).  Column k of R(u) negated is R(u) F_k, so a forward
-    # factor keeps u and the stack is shared.  Row k negated is
-    # F_k R(u) = R(F_k u) F_k, so a reversed factor keeps u with u_k
-    # negated.  Each F_k migrates into the diagonal and negates phase k.
-    if ordering == REVERSED:
-        pivots = pivots.copy()
-        k = np.arange(pivots.shape[0])
-        pivots[k, k] *= -1.0
-        pivots.setflags(write=False)
+def _other_phases(phases) -> np.ndarray:
+    # Read-only terminal phases of residual phases, or back: each F_k, the
+    # sign flip of coordinate k, migrates into the diagonal and negates
+    # phase k (F_k squares to 1).
     phases = np.array(phases)
     phases[:-1] *= -1.0
     phases.setflags(write=False)
-    return pivots, phases
+    return phases
 
 
 def _cosets_from_pivots(f: HouseholderFactorization, ordering: str) -> CosetFactorization:
@@ -377,13 +371,17 @@ def _cosets_from_pivots(f: HouseholderFactorization, ordering: str) -> CosetFact
     # <u|u> >= 2 (1 - PIVOT_NORM_SLACK).  Negated corners keep all three,
     # and so every <p|p> is far above the least normal float, the coset
     # record's own bound.  A record of either kind with the other ordering
-    # is refused as that.
+    # is refused as that.  Column k of R(u) negated is R(u) F_k, so a
+    # forward factor keeps u and the stack is shared.  Row k negated is
+    # F_k R(u) = R(F_k u) F_k, so a reversed factor keeps u with u_k
+    # negated, in a copy.
     if getattr(f, "ordering", ordering) != ordering:
         raise WrongOrderingError(f"expected a {ordering} factorization")
     _instance(f, HouseholderFactorization, "factorization")
-    pivots, terminal = _other_form(f.pivots, f.residual.phases, ordering)
+    pivots = _negated_corners(f.pivots) if ordering == REVERSED else f.pivots
     return _trusted(CosetFactorization, pivots=pivots,
-                    terminal_phases=_trusted(PhaseDiagonal, phases=terminal, dim=f.dim),
+                    terminal_phases=_trusted(PhaseDiagonal, phases=_other_phases(f.residual.phases),
+                                             dim=f.dim),
                     ordering=ordering, dim=f.dim, _wy=f._wy)
 
 
@@ -415,8 +413,8 @@ def compose_cosets(cf: CosetFactorization) -> ComplexMatrix:
     the Householder product.
     """
     _instance(cf, CosetFactorization, "coset factorization")
-    pivots, phases = _other_form(cf.pivots, cf.terminal_phases.phases, cf.ordering)
-    return _product(pivots, phases, cf.ordering, cf._wy)
+    return _product(cf.pivots, _other_phases(cf.terminal_phases.phases), cf.ordering, cf._wy,
+                    cf.ordering == REVERSED)
 
 
 def extract_coset_vector(c: CosetFactor) -> CosetVector:

@@ -46,7 +46,13 @@ reflections before it, so the column loop is left-looking: each column of
 a panel first takes the panel's earlier reflections by matrix-vector
 products, then gives its pivot, and ``Y`` grows by one column (Bischof &
 Van Loan 1987); after the panel every later column takes it in one blocked
-update.  The record the loop returns keeps the conjugate of each panel's
+update.  Those matrix-vector products, four per level, are much of a
+level's fixed cost at small N, so each goes through the cheaper of numpy's
+two BLAS entry points for its matrix: ``ndarray.dot`` for the panel's
+C-ordered ``Y^dag``, which skips the ``matmul`` ufunc's dispatch, and ``@``
+for the pivot rows, strided in the work array, which ``dot`` would first
+copy whole, as it copies any matrix that is not one contiguous block.
+The record the loop returns keeps the conjugate of each panel's
 ``Y^dag`` beside the pivots, as LAPACK's xGEQRT keeps ``T``, so that
 multiplying it back (``reconstruct``, or ``compose_cosets`` after a
 conversion, which hands it on) forms no ``T``.  A blocked product without
@@ -56,9 +62,10 @@ form: the inverse of the upper triangle of the panel's own ``V^dag V``
 with each diagonal entry ``<v|v>`` halved (Puglisi 1992).  Each panel
 takes the rows of ``V^dag``, its own conjugate pivots, as a copy of that
 panel alone, where LAPACK's xLARFB reads ``V^dag`` through a transpose
-flag: no conjugate copy of the whole stack is made.  A reversed product is
-computed as the adjoint of the forward one, of the same pivots and
-conjugate phases.
+flag: no conjugate copy of the whole stack is made.  A reversed coset stack,
+whose corners are the Householder pivots' negated, is negated back in those
+copies.  A reversed product is computed as the adjoint of the forward one,
+of the same pivots and conjugate phases.
 
 A product of a stack of factorizations, as the Haar sampler makes, takes
 its batch axes last: (N - 1, N, ...) pivots, (N, ...) phases and an
@@ -217,9 +224,12 @@ def _check_residual(head, units) -> None:
 def _check_record(f, phases: PhaseDiagonal, invalid, leading) -> np.ndarray:
     # What both factorization records check: the ordering and the type of
     # the phases (invalid), the dims, and the pivot stack, which replaces
-    # f.pivots as a read-only (dim - 1) x dim complex array; a read-only
-    # complex array is kept, so that records can share a stack, and anything
-    # else is copied.  Returns the stack's <u|u>, as _pivot_norms.
+    # f.pivots as a read-only (dim - 1) x dim complex array.  A complex array
+    # is kept, so that records can share a stack, when no array in its .base
+    # chain, itself included, is writable, as for a decomposed record's
+    # w[:-1]; anything else, a read-only view of a writable array included,
+    # is copied, so that no caller can change the stack after its checks.
+    # Returns the stack's <u|u>, as _pivot_norms.
     if f.ordering not in (FORWARD, REVERSED):
         raise invalid(f"unknown ordering {f.ordering!r}")
     if not isinstance(phases, PhaseDiagonal):
@@ -228,7 +238,10 @@ def _check_record(f, phases: PhaseDiagonal, invalid, leading) -> np.ndarray:
     if phases.dim != n:
         raise DimensionMismatchError(f"phase diagonal dim {phases.dim} is not dim {n}")
     p = _as_array(f.pivots, "pivots")
-    p = p.copy() if p.flags.writeable else p
+    base = p
+    while isinstance(base, np.ndarray) and not base.flags.writeable:
+        base = base.base
+    p = p if base is None else p.copy()
     if p.shape != (n - 1, n):
         raise DimensionMismatchError(f"pivot stack: shape {p.shape}, expected {(n - 1, n)}")
     p.setflags(write=False)
@@ -341,19 +354,43 @@ def _stack(a, conj: bool = False) -> np.ndarray:
     return np.conjugate(a, order="C") if conj else np.ascontiguousarray(a)
 
 
+def _negated_corners(pivots) -> np.ndarray:
+    # A read-only copy of the pivots (N - 1, N, ...) with the corner of each,
+    # entry k of the level-k pivot, negated: F_k u for the sign flip F_k of
+    # coordinate k.
+    pivots = pivots.copy()
+    k = np.arange(pivots.shape[0])
+    pivots[k, k] *= -1.0
+    pivots.setflags(write=False)
+    return pivots
+
+
+def _conj_panel(pivots, lo: int, hi: int, flip: bool = False) -> np.ndarray:
+    # V^dag of the panel of pivot rows lo .. hi - 1 of the pivots (N - 1, N,
+    # ...), from column lo on: a _stack of the conjugates of those rows
+    # alone, so no copy of the whole stack is made.  flip negates each row's
+    # corner in that copy, as _negated_corners does to the stack; a sign
+    # flip is exact, so the copy's bits are those of the flipped stack's.
+    v = _stack(pivots[lo:hi, lo:], conj=True)
+    if flip:
+        k = np.arange(hi - lo)
+        v[..., k, k] *= -1.0
+    return v
+
+
 def _wy_factors(pivots, panels) -> list:
     # Y^dag = T^dag V^dag of each panel (lo, hi) of the pivots (N - 1, N, ...),
     # batch axes last, as (..., hi - lo, N - lo): R(v_lo) ... R(v_{hi-1}) =
     # 1 - Y V^dag with the panel's pivots from column lo on as the columns of
-    # V and Y = V T.  Each panel takes only its own rows of V^dag, a _stack of
-    # its conjugate pivots, so no copy of the whole stack is made.  Each
-    # panel's upper-triangular T is one batched inverse of its own Gram,
-    # T = inv(diag(h) + triu(V^dag V, 1)) with h_j = <v_j|v_j> / 2 (Puglisi
-    # 1992; Joffrain et al. 2006).  Y^dag is formed as conj(T^T V^T),
-    # conjugated in place; it is the form a record keeps and _product applies.
+    # V and Y = V T.  Each panel takes only its own rows of V^dag, by
+    # _conj_panel.  Each panel's upper-triangular T is one batched inverse
+    # of its own Gram, T = inv(diag(h) + triu(V^dag V, 1)) with
+    # h_j = <v_j|v_j> / 2 (Puglisi 1992; Joffrain et al. 2006).  Y^dag is
+    # formed as conj(T^T V^T), conjugated in place; it is the form a record
+    # keeps and _product applies.
     wy = []
     for lo, hi in panels:
-        v = _stack(pivots[lo:hi, lo:], conj=True)
+        v = _conj_panel(pivots, lo, hi)
         a = np.triu(v.conj() @ np.swapaxes(v, -1, -2))
         h = np.einsum("...jj->...j", a)
         h[...] = 0.5 * h.real
@@ -362,7 +399,7 @@ def _wy_factors(pivots, panels) -> list:
     return wy
 
 
-def _product(pivots, phases, ordering: str, wy=None) -> ComplexMatrix:
+def _product(pivots, phases, ordering: str, wy=None, flip: bool = False) -> ComplexMatrix:
     # R(u_1) ... R(u_{N-1}) D (forward) or D R(u_{N-1}) ... R(u_1) (reversed)
     # for pivots (N - 1, N, ...), the level-k pivot in row k - 1, and phases
     # (N, ...); batch axes trail, and a stack of products is (N, N, ...).
@@ -373,21 +410,24 @@ def _product(pivots, phases, ordering: str, wy=None) -> ComplexMatrix:
     # steps, elementwise along the batch axes, from the last reflection back.
     # Any other runs every panel as the blocked update B - Y (V^dag B), from
     # the last panel back, on a _stack of t, and its result is a transposed
-    # view of that stack.  Each panel takes its rows of V^dag, its own
-    # conjugate pivots, as a _stack of that panel alone, freed once V^dag B
-    # is formed, so no conjugate copy of the whole stack is made.  wy is the
-    # conjugate of each panel's Y^dag, as the column loop keeps it and
-    # _wy_factors forms it; None forms it.
+    # view of that stack.  Each panel takes its rows of V^dag by _conj_panel,
+    # freed once V^dag B is formed.  wy is the conjugate of each panel's
+    # Y^dag, as the column loop keeps it and _wy_factors forms it; None
+    # forms it.  flip takes each pivot with its corner negated, as a
+    # reversed coset stack composes: in each panel's V^dag copy, so that a
+    # blocked product with a carried wy copies no stack; rank-1 steps, and
+    # _wy_factors when wy is None, take the _negated_corners copy.
     # R(u_{i+2}) ... D is diagonal on the leading i + 1 coordinates, so rows
     # i.. of t are zero before column i, and a blocked panel, whose pivots are
     # all known, takes its own columns in the same update as those after it.
     if ordering == REVERSED:
-        t = _product(pivots, phases.conj(), FORWARD, wy)
+        t = _product(pivots, phases.conj(), FORWARD, wy, flip)
         return np.conjugate(t, out=t).swapaxes(0, 1)
     n = phases.shape[0]
     t = np.zeros((n,) + phases.shape, dtype=complex)
     t.reshape((n * n,) + phases.shape[1:])[::n + 1] = phases
     if n - 1 < _WY_WIDTH:
+        pivots = _negated_corners(pivots) if flip else pivots
         w = pivots.conj()
         # <u|u> as a cumulative sum, which adds in index order whatever the
         # layout, so that a product's bits do not depend on how many
@@ -399,10 +439,11 @@ def _product(pivots, phases, ordering: str, wy=None) -> ComplexMatrix:
         return t
     panels = _panels(n)
     t = _stack(t)
-    wy = _wy_factors(pivots, panels) if wy is None else wy
+    if wy is None:
+        wy = _wy_factors(_negated_corners(pivots) if flip else pivots, panels)
     for (lo, hi), y in reversed(list(zip(panels, wy))):
         blk = t[..., lo:, lo:]
-        blk -= np.swapaxes(y, -1, -2) @ (_stack(pivots[lo:hi, lo:], conj=True) @ blk)
+        blk -= np.swapaxes(y, -1, -2) @ (_conj_panel(pivots, lo, hi, flip) @ blk)
     return t.transpose(t.ndim - 2, t.ndim - 1, *range(t.ndim - 2))
 
 
@@ -458,15 +499,16 @@ def _check_column(col, level: int, bound: float) -> float:
     # entrywise test runs only when the lead's sum of squares, trusted at half
     # the bound for its rounding, says one may (always on underflow).
     i = level - 1
-    lead = float(np.vdot(col[:i], col[:i]).real)
-    tail = float(np.vdot(col[i:], col[i:]).real)
+    head, rest = col[:i], col[i:]
+    lead = float(np.vdot(head, head).real)
+    tail = float(np.vdot(rest, rest).real)
     dev = abs(lead + tail - 1.0)
     if not dev <= bound:
         raise NotUnitLengthError(f"unitarity defect at level {level}: column norm-squared "
                                  f"deviates from 1 by {dev:.3e} (bound {bound:.1e})")
     bound_sq = 0.25 * bound * bound
     if i and (lead > bound_sq or bound_sq == 0.0):
-        dev = float(np.abs(col[:i]).max())
+        dev = float(np.abs(head).max())
         if dev > bound:
             raise LeadingComponentsNonzeroError(
                 f"unitarity defect at level {level}: a component before the level "
@@ -486,7 +528,7 @@ def _column_pivot(w, level: int, bound: float):
     # from atan2: w_k / rho leaves the unit circle for subnormal w_k.
     tail = _check_column(w, level, bound)
     i = level - 1
-    wk = complex(w[i])
+    wk = w.item(i)
     rho = abs(wk)
     phi = _canonical_angle(math.atan2(wk.imag, wk.real))
     unit = complex(math.cos(phi), math.sin(phi))
@@ -515,7 +557,9 @@ def _clear_columns(u, tol: Tolerances, ordering: str) -> HouseholderFactorizatio
     # j of M: U^T forward, conj(U) reversed.  A panel's reflections so far,
     # R(v_1) ... R(v_k) = 1 - Y V^dag (V: their pivots from the panel's first
     # column on), act on column i as 1 - V Y^dag, by two matrix-vector
-    # products; _column_pivot, which pivot_from_column shares, then checks
+    # products, dot on the C-ordered z and @ on the strided rows of v, which
+    # dot would copy (module docstring): do not make them all one form.
+    # _column_pivot, which pivot_from_column shares, then checks
     # it, writes its pivot over row i and gives the corner, kept apart in
     # corners; Y grows by c (v - Y V^dag v), kept as z = Y^dag.  Y = V T for
     # the compact-WY T grown as zlarft does, one product fewer per column.
@@ -539,11 +583,11 @@ def _clear_columns(u, tol: Tolerances, ordering: str) -> HouseholderFactorizatio
             for k, i in enumerate(range(lo, hi)):
                 col, vs, zs = w[i, lo:], v[:k], z[:k]
                 if k:
-                    col -= (zs @ col) @ vs
+                    col -= zs.dot(col) @ vs
                 _, units[i], norm_sq, corners[i] = _column_pivot(w[i], i + 1, bound)
-                zk = np.conjugate(v[k], out=z[k])
+                zk = np.conjugate(col, out=z[k])
                 if k:
-                    zk -= (vs @ zk) @ zs
+                    zk -= (vs @ zk).dot(zs)
                 zk *= 2.0 / norm_sq
             w[hi:, lo:] -= (w[hi:, lo:] @ z.T) @ v
             wy.append(np.conjugate(z, out=z))

@@ -13,6 +13,7 @@ from ucoset import (
     CosetFactorization,
     CosetVector,
     Gamma,
+    HouseholderFactorization,
     Generator,
     MalformedFactorError,
     PhaseDiagonal,
@@ -889,6 +890,39 @@ class TestPivotStack:
                 with pytest.raises(ValueError):
                     a[0, 0] = 1.0
                 a = a.base
+
+    @pytest.mark.parametrize("dec, conv, ordering", ORDERINGS)
+    def test_read_only_view_of_a_writable_array_is_copied(self, dec, conv, ordering):
+        # As for a Householder record: a read-only view whose base can still
+        # be written is copied, and a converted stack, whose every base is
+        # read-only, is shared as it is.
+        u = random_unitary(5, 143)
+        cf = conv(dec(u))
+        a = np.array(cf.pivots)
+        v = a[:]
+        v.setflags(write=False)
+        g = CosetFactorization(v, cf.terminal_phases, ordering, 5)
+        a[0, 0] = 0.0
+        assert not np.shares_memory(g.pivots, a) and not g.pivots.flags.writeable
+        assert maxdiff(compose_cosets(g), u) <= 1e-13
+        h = CosetFactorization(cf.pivots, cf.terminal_phases, ordering, 5)
+        assert h.pivots is cf.pivots and np.shares_memory(h.pivots, cf.pivots)
+
+    # Rank-1 steps (3, 16), one blocked panel (17), a narrow last panel (40)
+    # and two full panels (65).
+    @pytest.mark.parametrize("n", [3, 16, 17, 40, 65])
+    @pytest.mark.parametrize("dec, conv, ordering", ORDERINGS)
+    def test_compose_is_the_householder_product(self, n, dec, conv, ordering):
+        # A converted stack composes with its corners negated back, in the
+        # copies the product makes, to the bits of the Householder product,
+        # with the carried factor and without it.
+        f = dec(random_unitary(n, 144 + n))
+        cf = conv(f)
+        g = HouseholderFactorization(f.pivots, f.residual, ordering, n)
+        cg = CosetFactorization(cf.pivots, cf.terminal_phases, ordering, n)
+        assert compose_cosets(cf).tobytes() == reconstruct(f).tobytes()
+        assert compose_cosets(cg).tobytes() == reconstruct(g).tobytes()
+        assert np.array_equal(cf.pivots, f.pivots) == (ordering == FORWARD)
 
     def test_views_are_rows_of_the_stack(self):
         f = decompose(random_unitary(5, 141))

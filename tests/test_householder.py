@@ -480,6 +480,22 @@ class TestValidation:
         assert np.array_equal(g.pivots, f.pivots) and not g.pivots.flags.writeable
         assert factorization_with(pivots=f.pivots).pivots is f.pivots
 
+    def test_read_only_view_of_a_writable_array_is_copied(self):
+        # A read-only view whose base can still be written would let the
+        # caller change the stack after its checks; a decomposed record's
+        # stack, whose every base is read-only, is shared as it is.
+        u = random_unitary(5, 480)
+        f = decompose(u)
+        a = np.array(f.pivots)
+        v = a[:]
+        v.setflags(write=False)
+        g = HouseholderFactorization(v, f.residual, f.ordering, 5)
+        a[0, 0] = 0.0
+        assert not np.shares_memory(g.pivots, a) and not g.pivots.flags.writeable
+        assert maxdiff(reconstruct(g), u) <= 1e-13
+        h = HouseholderFactorization(f.pivots, f.residual, f.ordering, 5)
+        assert h.pivots is f.pivots and np.shares_memory(h.pivots, f.pivots)
+
     def test_factorization_levels_must_be_ordered(self):
         f = decompose(U0)
         with pytest.raises(ValueError):
@@ -909,13 +925,14 @@ class TestTracedPeak:
     # factors the column loop keeps, sum b (N - lo) over its panels, or a
     # product's panel of V^dag and V^dag B, b (N - lo) entries each with
     # b <= _PANEL, under 1 at N >= 64 either way.  A record without the
-    # carried factor forms those factors (under 1 more), and a reversed
-    # coset record's product takes a copy of the stack with its corners
-    # negated (1 more).  A second copy of the whole stack, in the column
-    # loop or in a product, breaks each bound.
+    # carried factor forms those factors (under 1 more), from a copy of a
+    # reversed coset stack with its corners negated.  A reversed coset
+    # record's product negates them in each panel's copy of V^dag, so a
+    # second copy of the whole stack, in the column loop or in a product
+    # with the carried factor, breaks each bound.
     @pytest.mark.parametrize("n", [64, 128])
-    @pytest.mark.parametrize("dec, conv, adjoint", PANEL_ORDERINGS)
-    def test_peak_stays_below_the_arrays_the_design_keeps(self, n, dec, conv, adjoint):
+    @pytest.mark.parametrize("dec, conv, _", PANEL_ORDERINGS)
+    def test_peak_stays_below_the_arrays_the_design_keeps(self, n, dec, conv, _):
         unit = n * n * 16
         u = random_unitary(n, 770 + n)
         f, peak = traced_peak(dec, u)
@@ -923,10 +940,8 @@ class TestTracedPeak:
         cf = conv(f)
         g = HouseholderFactorization(f.pivots, f.residual, f.ordering, n)
         cg = type(cf)(cf.pivots, cf.terminal_phases, cf.ordering, n)
-        copy = int(adjoint)
         for fn, record, bound in ((reconstruct, f, 3), (reconstruct, g, 4),
-                                  (compose_cosets, cf, 3 + copy),
-                                  (compose_cosets, cg, 4 + copy)):
+                                  (compose_cosets, cf, 3), (compose_cosets, cg, 4)):
             m, peak = traced_peak(fn, record)
             assert maxdiff(m, u) <= 1e-12
             assert peak <= bound * unit
@@ -958,6 +973,20 @@ class TestAccuracy:
         for k, p in enumerate(products):
             assert maxdiff(p, u) <= math.sqrt(2.0) * self.PASS * n, k
             assert unitarity_error(p) <= 2.0 * self.PASS * n, k
+
+    def test_round_trip_at_1024(self):
+        # The largest size, one matrix in both orderings.  A decomposed
+        # record's coset conversion composes to the bits of its reconstruct
+        # (its stack and phases come back exactly), so one product per
+        # ordering holds the bounds for both.
+        n = 1024
+        u = random_unitary(n, 770 + n)
+        for dec, conv, _ in PANEL_ORDERINGS:
+            f = dec(u)
+            p = reconstruct(f)
+            assert compose_cosets(conv(f)).tobytes() == p.tobytes()
+            assert maxdiff(p, u) <= math.sqrt(2.0) * self.PASS * n
+            assert unitarity_error(p) <= 2.0 * self.PASS * n
 
 
 def factorization_with(**changes):

@@ -31,7 +31,7 @@ column loop: composing negates a reversed stack's corners back to the
 Householder pivots, in the copy of each panel's pivots the product makes,
 so either ordering's product uses them, forms no compact-WY ``T`` and
 copies no stack; a coset record built by its constructor forms them from
-its pivots.
+the same panel copies.
 
 The level-1 factor is also the exponential of the anti-Hermitian generator
 with column B below the corner; for ||B|| in (pi/2, pi] its corner is

@@ -228,8 +228,10 @@ def _check_record(f, phases: PhaseDiagonal, invalid, leading) -> np.ndarray:
     # is kept, so that records can share a stack, when no array in its .base
     # chain, itself included, is writable, as for a decomposed record's
     # w[:-1]; anything else, a read-only view of a writable array included,
-    # is copied, so that no caller can change the stack after its checks.
-    # Returns the stack's <u|u>, as _pivot_norms.
+    # is copied.  The read-only flag is all that guards a kept stack, as it
+    # is numpy's: whoever holds the array that owns its memory, reachable
+    # through .base, can set that array writable again and change the stack
+    # after its checks.  Returns the stack's <u|u>, as _pivot_norms.
     if f.ordering not in (FORWARD, REVERSED):
         raise invalid(f"unknown ordering {f.ordering!r}")
     if not isinstance(phases, PhaseDiagonal):
@@ -378,19 +380,19 @@ def _conj_panel(pivots, lo: int, hi: int, flip: bool = False) -> np.ndarray:
     return v
 
 
-def _wy_factors(pivots, panels) -> list:
+def _wy_factors(pivots, panels, flip: bool = False) -> list:
     # Y^dag = T^dag V^dag of each panel (lo, hi) of the pivots (N - 1, N, ...),
     # batch axes last, as (..., hi - lo, N - lo): R(v_lo) ... R(v_{hi-1}) =
     # 1 - Y V^dag with the panel's pivots from column lo on as the columns of
     # V and Y = V T.  Each panel takes only its own rows of V^dag, by
-    # _conj_panel.  Each panel's upper-triangular T is one batched inverse
-    # of its own Gram, T = inv(diag(h) + triu(V^dag V, 1)) with
-    # h_j = <v_j|v_j> / 2 (Puglisi 1992; Joffrain et al. 2006).  Y^dag is
-    # formed as conj(T^T V^T), conjugated in place; it is the form a record
-    # keeps and _product applies.
+    # _conj_panel, with flip as there.  Each panel's upper-triangular T is
+    # one batched inverse of its own Gram, T = inv(diag(h) + triu(V^dag V, 1))
+    # with h_j = <v_j|v_j> / 2 (Puglisi 1992; Joffrain et al. 2006).  Y^dag
+    # is formed as conj(T^T V^T), conjugated in place; it is the form a
+    # record keeps and _product applies.
     wy = []
     for lo, hi in panels:
-        v = _conj_panel(pivots, lo, hi)
+        v = _conj_panel(pivots, lo, hi, flip)
         a = np.triu(v.conj() @ np.swapaxes(v, -1, -2))
         h = np.einsum("...jj->...j", a)
         h[...] = 0.5 * h.real
@@ -413,10 +415,8 @@ def _product(pivots, phases, ordering: str, wy=None, flip: bool = False) -> Comp
     # view of that stack.  Each panel takes its rows of V^dag by _conj_panel,
     # freed once V^dag B is formed.  wy is the conjugate of each panel's
     # Y^dag, as the column loop keeps it and _wy_factors forms it; None
-    # forms it.  flip takes each pivot with its corner negated, as a
-    # reversed coset stack composes: in each panel's V^dag copy, so that a
-    # blocked product with a carried wy copies no stack; rank-1 steps, and
-    # _wy_factors when wy is None, take the _negated_corners copy.
+    # forms it.  flip negates each pivot's corner, as a reversed coset stack
+    # composes, in the panel copies.
     # R(u_{i+2}) ... D is diagonal on the leading i + 1 coordinates, so rows
     # i.. of t are zero before column i, and a blocked panel, whose pivots are
     # all known, takes its own columns in the same update as those after it.
@@ -440,7 +440,7 @@ def _product(pivots, phases, ordering: str, wy=None, flip: bool = False) -> Comp
     panels = _panels(n)
     t = _stack(t)
     if wy is None:
-        wy = _wy_factors(_negated_corners(pivots) if flip else pivots, panels)
+        wy = _wy_factors(pivots, panels, flip)
     for (lo, hi), y in reversed(list(zip(panels, wy))):
         blk = t[..., lo:, lo:]
         blk -= np.swapaxes(y, -1, -2) @ (_conj_panel(pivots, lo, hi, flip) @ blk)

@@ -11,27 +11,25 @@ vector X with r^2 = <X|X> <= 1:
 
 That is the Householder reflection R(p) of the pivot p = (1 + rho) e_k + X
 with column k negated, R(p) F_k, so a factor is stored as its pivot, and X
-and rho = 2 |p_k|^2 / <p|p> - 1 are read off it in O(N).  One factor per
-level times a diagonal of phases reproduces any unitary matrix.  Like a
-Householder factorization, a coset factorization stores its pivots as one
-read-only (N - 1) x N stack, and its ``factors`` are ``CosetFactor`` views
-on the rows.  One function builds them, each with the X that one array
-pass over the whole stack read for it; a lone factor is a stack of one
-row, built by the same function, so both reads agree bit for bit.  The
-conversions from a Householder factorization negate column k (forward: the
-stack is shared as it is) or row k (reversed, F_k R(u) = R(F_k u) F_k: one
-copy with each u_k negated) of each reflection; the sign flips migrate
-into the terminal phase diagonal, so composing the factors is one product
-of reflections, O(N^3) in the panels of ``householder``.  A conversion
-hands the stack and the terminal phases to the coset record by
-``_trusted``, without the checks both passed as the Householder record's
-(a sign flip keeps each modulus); the factor views are built by it too.
-It also hands on the WY factors the Householder record keeps from the
-column loop: composing negates a reversed stack's corners back to the
-Householder pivots, in the copy of each panel's pivots the product makes,
-so either ordering's product uses them, forms no compact-WY ``T`` and
-copies no stack; a coset record built by its constructor forms them from
-the same panel copies.
+and rho = 2 |p_k|^2 / <p|p> - 1 are read off it in O(N).  Every pivot made
+here comes from the one pivot builder of ``householder``, which the Haar
+sampler feeds its drawn 1 + rho_k and X_k; ``decompose`` and the forward
+conversion read such a draw back, X_k and the phases (the first N - 1
+negated) to rounding, within the bound ``tests/test_haar.py`` derives.
+One factor per level times a diagonal of phases reproduces any unitary
+matrix.  Like a Householder factorization, a coset factorization stores
+its pivots as one read-only (N - 1) x N stack, and its ``factors`` are
+``CosetFactor`` views on the rows, each with the X that one array pass over
+the whole stack read for it; a lone factor is a stack of one row, read by
+the same pass, so both reads agree bit for bit.  The conversions from a
+Householder factorization negate column k (forward: the stack is shared as
+it is) or row k (reversed, F_k R(u) = R(F_k u) F_k: one copy with each u_k
+negated) of each reflection; the sign flips migrate into the terminal
+phase diagonal, so composing the factors is one product of reflections,
+O(N^3) in the panels of ``householder``.  A conversion hands the stack,
+the terminal phases and the Householder record's WY factors to the coset
+record by ``_trusted``, without the checks both passed (a sign flip keeps
+each modulus), so composing forms no compact-WY ``T`` in either ordering.
 
 The level-1 factor is also the exponential of the anti-Hermitian generator
 with column B below the corner; for ||B|| in (pi/2, pi] its corner is
@@ -69,6 +67,7 @@ from .householder import (
     _canonical_angle,
     _check_record,
     _negated_corners,
+    _pivots,
     _product,
     _reflect_rows,
 )
@@ -328,23 +327,13 @@ def _factor_pivot(matrix, level: int) -> np.ndarray:
     a = np.eye(n) - m
     a[:, i] += 2.0 * m[:, i]
     j = i + int(np.argmax(np.abs(np.diag(a)[i:])))
-    p = a[:, j].copy()
-    p[:i] = 0.0
+    p = _pivots(n, level, [a[i, j]], a[level:, j])[0]
     # The factor of p, its X unread.  Entries too large for <p|p> to be
     # finite give a NaN corner, which must fail this check rather than pass it.
     bare = _trusted(CosetFactor, level=level, dim=n, pivot=p, vector=None)
     if not np.any(p) or not float(np.max(np.abs(bare.matrix - m))) <= FACTOR_MATCH_TOL:
         raise MalformedFactorError(
             f"factor at level {level} is not a column-flipped reflection")
-    return p
-
-
-def _pivot(dim: int, level: int, corner, tail) -> np.ndarray:
-    # The complex vector of length dim that is exactly zero before the level,
-    # corner at it and tail after it: a hand-made factor's pivot.
-    p = np.zeros(dim, dtype=complex)
-    p[level - 1] = corner
-    p[level:] = tail
     return p
 
 
@@ -431,7 +420,7 @@ def extract_coset_vector(c: CosetFactor) -> CosetVector:
 def coset_matrix_from_X(xv: CosetVector) -> CosetFactor:
     """The coset factor of ball coordinates X, stored as ``(1 + rho) e_k + X``."""
     _instance(xv, CosetVector, "coset vector")
-    return _lone(_pivot(xv.dim, xv.level, 1.0 + xv.rho, xv.x), xv.level)
+    return _lone(_pivots(xv.dim, xv.level, [1.0 + xv.rho], xv.x)[0], xv.level)
 
 
 def gamma_from_rho(rho: float, phase: float) -> Gamma:
@@ -455,7 +444,7 @@ def normal_from_coset_vector(xv: CosetVector, phase: float) -> ComplexVector:
     ``1 - 2 |n><n|`` it generates does not depend on it.
     """
     g = gamma_from_rho(_instance(xv, CosetVector, "coset vector").rho, phase).as_complex
-    return _pivot(xv.dim, xv.level, g, xv.x / (2.0 * g.conjugate()))
+    return _pivots(xv.dim, xv.level, [g], xv.x / (2.0 * g.conjugate()))[0]
 
 
 def generator_matrix(g: Generator) -> ComplexMatrix:
@@ -480,7 +469,7 @@ def exp_coset(g: Generator) -> CosetFactor:
     """
     theta = float(np.linalg.norm(_instance(g, Generator, "generator").b))
     sinc = 0.5 * np.sinc(theta / (2.0 * math.pi))  # sin(theta/2)/theta
-    return _lone(_pivot(g.dim, g.level, math.cos(0.5 * theta), sinc * g.b), g.level)
+    return _lone(_pivots(g.dim, g.level, [math.cos(0.5 * theta)], sinc * g.b)[0], g.level)
 
 
 def coset_u2_explicit(x1: float, x2: float) -> ComplexMatrix:

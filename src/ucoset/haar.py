@@ -15,26 +15,22 @@ ball point delivers coordinates (t_1, t_2, ..., t_{2(N-k)}) which pack into
 the complex vector X = (t_1 + i t_2, t_3 + i t_4, ...); then the N phase
 angles are derived from uniforms ``u`` as ``phi = pi (1 - 2 u)``.
 
-``haar_unitary_batch`` is the one sampler body.  It draws a stack of
-matrices with two generator calls per matrix, the N(N-1) normals of all its
-ball points and then its N uniforms, each straight into the block, so a
-stack equals as many successive ``haar_unitary`` calls, which is its count-1
-case, bit for bit: every sum over a matrix's own axis adds in index order,
-whatever the layout, and a lone matrix takes its radius powers as a stack
-does.  The ball radii of every level and matrix come from one vectorized
-regularized gamma function P(m, t): a leading term in the form of Temme
-(1979) times a sum of ratio products, the ascending series below a switch
-near the lower tail and the complement of the finite head sum from it on,
-so no term takes its own exp.  The product of reflections runs over the
-whole stack at once, by the one rule of ``householder``: rank-1 steps up
-to N = 16, blocked panels from N = 17 on.  From the draws to the product
-the stack keeps one layout, with its batch axis last: the block of normals
-is read as its transpose, (N(N-1), count), the squared norms, radii and
-rho of the ball points are (N-1, count) arrays, the terms of P are
-(K, N-1, count), and the pivots and phases are (N-1, N, count) and
-(N, count), so every step is elementwise along the count axis.
-``haar_validate`` and ``ucoset sample`` draw in blocks of bounded size, on
-the same draw order, and so the same matrices, bit for bit.
+``haar_unitary_batch`` is the one sampler body: a coordinate draw fed
+through the one pivot builder of ``householder``, then a product of
+reflections.  The draw takes two generator calls per matrix, the N(N-1)
+normals of its ball points and then its N uniforms, and gives the X_k,
+rho_k and phases of the whole stack, batch axis last, the ball radii of
+every level and matrix from one vectorized regularized gamma function
+(``_reg_gamma``).  The builder, which makes every coset pivot, turns
+1 + rho_k and X_k into the (N-1, N, count) pivots, and the product runs
+over the whole stack by the one rule of ``householder``.  Each step is
+elementwise along the count axis and every sum over a matrix's own axis
+adds in index order, so a stack equals as many successive ``haar_unitary``
+calls, its count-1 case, bit for bit, as do the bounded blocks that
+``haar_validate`` and ``ucoset sample`` draw in.  ``decompose`` then
+``cosets_from_householder`` read a draw back: its X_k, and its phases with
+the first N - 1 negated as the terminal phases, within 6 N eps /
+min_{j<=k} rho_j, a bound ``tests/test_haar.py`` derives.
 
 ``haar_oracle`` draws from the same distribution through an unrelated
 construction (QR of a complex Gaussian matrix with the phase-of-diagonal
@@ -50,7 +46,7 @@ import numpy as np
 
 from . import _NAMES
 from .numkit import ComplexMatrix, DomainError, UcosetError, _as_array, _instance, _integer
-from .householder import FORWARD, _product
+from .householder import FORWARD, _pivots, _product
 
 __all__ = _NAMES["haar"].split()
 
@@ -332,20 +328,10 @@ def sample_ball(dim: int, rng: RngStream) -> np.ndarray:
     return _ball_points(_instance(rng, RngStream, "rng").normals(dim), (dim // 2,))
 
 
-def haar_unitary_batch(dim: int, count: int, rng: RngStream) -> np.ndarray:
-    """Draw ``count`` Haar-distributed ``dim x dim`` unitaries, stacked.
-
-    The matrices, bit for bit, and ``rng``'s state after the call, are
-    those of ``count`` successive ``haar_unitary`` calls: for each matrix,
-    ``dim (dim - 1)`` normals then ``dim`` uniforms, ``count * dim**2``
-    variates in all.  The ball radii and the reflection products run over
-    the whole stack at once, with the batch axis last from the normals, read
-    as (dim (dim - 1), count), to the (dim - 1, dim, count) pivots; the
-    result is a (count, dim, dim) view.
-
-    Raises InvalidDimError unless ``dim`` is an integer at least 1, and
-    InvalidCountError unless ``count`` is one.
-    """
+def _haar_coordinates(dim: int, count: int, rng: RngStream):
+    # The X_k of levels 1 .. dim - 1 concatenated in draw order, their rho_k
+    # and the phases e^{i phi} of ``count`` draws, batch axis last, with the
+    # checks, variates and ``draws`` of ``haar_unitary_batch``.
     dim = _integer(dim, "dim", InvalidDimError, 1)
     count = _integer(count, "count", InvalidCountError, 1)
     g = np.empty((count, dim * (dim - 1)))
@@ -363,28 +349,30 @@ def haar_unitary_batch(dim: int, count: int, rng: RngStream) -> np.ndarray:
     np.cos(angle, out=phases.real)
     np.sin(angle, out=phases.imag)
     if dim == 1:
-        return phases.T[:, :, None]
+        return np.empty((0, count), dtype=complex), np.empty((0, count)), phases
     ms = tuple(range(dim - 1, 0, -1))
     points = _ball_points(g.T, ms)
+    x = np.empty((len(points) // 2, count), dtype=complex)
+    x.real, x.imag = points[0::2], points[1::2]
     rho = np.sqrt(np.maximum(
         0.0, 1.0 - np.add.reduceat(points * points, _ball_plan(ms, 1).starts)))
-    pivots = np.zeros((dim - 1, dim, count), dtype=complex)
-    flat = pivots.reshape((dim - 1) * dim, count)
-    below = _below_corners(dim)
-    flat.real[below] = points[0::2]
-    flat.imag[below] = points[1::2]
-    flat.real[::dim + 1] = 1.0 + rho
-    return _product(pivots, phases, FORWARD).transpose(2, 0, 1)
+    return x, rho, phases
 
 
-@functools.lru_cache(maxsize=64)
-def _below_corners(dim: int) -> np.ndarray:
-    # Flat indexes of the X_k, in draw order, in a (dim - 1, dim) stack of
-    # pivots (1 + rho_k) e_k + X_k, the level-k one in row k - 1; the corners
-    # sit every dim + 1 entries.
-    below = np.flatnonzero(np.triu(np.ones((dim - 1, dim), dtype=bool), 1))
-    below.setflags(write=False)
-    return below
+def haar_unitary_batch(dim: int, count: int, rng: RngStream) -> np.ndarray:
+    """Draw ``count`` Haar-distributed ``dim x dim`` unitaries, stacked.
+
+    The matrices, bit for bit, and ``rng``'s state after the call, are
+    those of ``count`` successive ``haar_unitary`` calls: for each matrix,
+    ``dim (dim - 1)`` normals then ``dim`` uniforms, ``count * dim**2``
+    variates in all, drawn and multiplied out as one stack; the result is a
+    (count, dim, dim) view.
+
+    Raises InvalidDimError unless ``dim`` is an integer at least 1, and
+    InvalidCountError unless ``count`` is an integer at least 1.
+    """
+    x, rho, phases = _haar_coordinates(dim, count, rng)
+    return _product(_pivots(len(phases), 1, 1.0 + rho, x), phases, FORWARD).transpose(2, 0, 1)
 
 
 def _haar_blocks(dim: int, count: int, rng: RngStream):

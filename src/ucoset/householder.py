@@ -46,13 +46,7 @@ reflections before it, so the column loop is left-looking: each column of
 a panel first takes the panel's earlier reflections by matrix-vector
 products, then gives its pivot, and ``Y`` grows by one column (Bischof &
 Van Loan 1987); after the panel every later column takes it in one blocked
-update.  Those matrix-vector products, four per level, are much of a
-level's fixed cost at small N, so each goes through the cheaper of numpy's
-two BLAS entry points for its matrix: ``ndarray.dot`` for the panel's
-C-ordered ``Y^dag``, which skips the ``matmul`` ufunc's dispatch, and ``@``
-for the pivot rows, strided in the work array, which ``dot`` would first
-copy whole, as it copies any matrix that is not one contiguous block.
-The record the loop returns keeps the conjugate of each panel's
+update.  The record the loop returns keeps the conjugate of each panel's
 ``Y^dag`` beside the pivots, as LAPACK's xGEQRT keeps ``T``, so that
 multiplying it back (``reconstruct``, or ``compose_cosets`` after a
 conversion, which hands it on) forms no ``T``.  A blocked product without
@@ -76,6 +70,7 @@ run on one such copy of the product, each panel's conjugate pivots copied
 batch-first by the panel.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -356,6 +351,29 @@ def _stack(a, conj: bool = False) -> np.ndarray:
     return np.conjugate(a, order="C") if conj else np.ascontiguousarray(a)
 
 
+@functools.lru_cache(maxsize=64)
+def _pivot_index(dim: int, level: int, rows: int) -> tuple:
+    # Flat indexes of the corners, and in level order of the entries after
+    # them, in a (rows, dim) stack whose row j is at level level + j.
+    index = (np.flatnonzero(np.eye(rows, dim, level - 1)),
+             np.flatnonzero(np.triu(np.ones((rows, dim)), level)))
+    for a in index:
+        a.setflags(write=False)
+    return index
+
+
+def _pivots(dim: int, level: int, corners, tails) -> np.ndarray:
+    # Every coset pivot: the stack (rows, dim, ...) of levels level ..
+    # level + rows - 1, batch axes trailing, each row exactly zero before its
+    # level, its corner (corners is (rows, ...)) at it and its tail after it,
+    # the tails concatenated in level order.
+    corners = np.asarray(corners)
+    at, after = _pivot_index(dim, level, len(corners))
+    flat = np.zeros((len(corners) * dim,) + corners.shape[1:], dtype=complex)
+    flat[at], flat[after] = corners, tails
+    return flat.reshape((len(corners), dim) + corners.shape[1:])
+
+
 def _negated_corners(pivots) -> np.ndarray:
     # A read-only copy of the pivots (N - 1, N, ...) with the corner of each,
     # entry k of the level-k pivot, negated: F_k u for the sign flip F_k of
@@ -557,8 +575,9 @@ def _clear_columns(u, tol: Tolerances, ordering: str) -> HouseholderFactorizatio
     # j of M: U^T forward, conj(U) reversed.  A panel's reflections so far,
     # R(v_1) ... R(v_k) = 1 - Y V^dag (V: their pivots from the panel's first
     # column on), act on column i as 1 - V Y^dag, by two matrix-vector
-    # products, dot on the C-ordered z and @ on the strided rows of v, which
-    # dot would copy (module docstring): do not make them all one form.
+    # products, much of a level's fixed cost at small N: dot on the C-ordered
+    # z, which skips the matmul ufunc's dispatch, and @ on the strided rows of
+    # v, which dot would copy whole.  Do not make them one form.
     # _column_pivot, which pivot_from_column shares, then checks
     # it, writes its pivot over row i and gives the corner, kept apart in
     # corners; Y grows by c (v - Y V^dag v), kept as z = Y^dag.  Y = V T for

@@ -364,13 +364,15 @@ class TestHaarUnitary:
             haar_unitary(4, RngStream(24)), haar_unitary(4, RngStream(24))
         )
 
-    @pytest.mark.parametrize("dim", range(1, 9))
+    @pytest.mark.parametrize("dim", [*range(1, 9), 16, 17, 40])
     def test_values_replay_the_documented_draw_order(self, dim):
         # Replays the contract with plain numpy from the same Philox key:
         # per level a uniform ball point X, the pivot direction
         # n = gamma e_k + X / (2 gamma), gamma = sqrt((1 + rho) / 2), then
         # U = R(n_1) ... R(n_{N-1}) diag(e^{i phi}).  A negated terminal
         # phase is still uniform, so only the values can show a sign slip.
+        # It shares no code with the sampler; dim 16 is the last product of
+        # rank-1 steps, 17 one blocked panel and 40 a narrow last panel.
         seed = 31
         gen = np.random.Generator(
             np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
@@ -545,6 +547,56 @@ class TestBallCoordinates:
         (mine, _), (oracle, _) = ball_coordinates["haar_unitary"], ball_coordinates["haar_oracle"]
         ks = [ks_statistic_two_sample(a, b) for a, b in zip(mine, oracle)]
         assert max(ks) <= self.TWO_SAMPLE, ks
+
+
+class TestDecomposeInvertsTheSampler:
+    # The sampler's draw is U = R(n_1) ... R(n_{N-1}) D with n_k = (1 + rho_k)
+    # e_k + X_k.  Column k of R(n_{k-1}) ... R(n_1) U is -D_kk (0, .., 0,
+    # rho_k, X_k), so the forward column loop's level-k pivot is -D_kk n_k:
+    # decompose, the conversion and the X read give back the drawn X_k, and
+    # the drawn phases D_kk with the first N - 1 negated as the terminal
+    # phases T_k.  That is an identity up to rounding, bounded as follows
+    # (u = eps / 2).
+    #
+    # Backward error.  r reflections applied to a unit column move it,
+    # backward, by at most r gamma~_m with gamma~_m = c m u / (1 - c m u)
+    # (Higham 2002, Lemma 19.3; Theorem 19.4 for the column loop of QR), here
+    # r = N - 1 and m <= N: c N^2 u in the worst case.  Rounding errors that
+    # do not all line up leave about the square root of a bound's constant
+    # (Higham 2002, section 2.8), N u, for the product that makes the draw
+    # and as much again for the loop that takes it apart, so the recovered
+    # coordinates are those of an exact U whose columns moved by e = N eps.
+    # The X read, 2 conj(u_k) u / <u|u> with <u|u> >= 2, and the sign flips
+    # of the conversion add a few u more, which that allowance covers.
+    #
+    # Phase conditioning.  Level k reads the phase of a corner of modulus
+    # rho_k: a move e of the column turns it by at most 2 e / rho_k, so
+    # |dX_k| <= |X_k| 2 e / rho_k + e <= 3 e / rho_k, and |dT_k| as much.
+    # That phase is a gauge: a slip t at level j turns the later columns by
+    # 1 - (1 - e^{-i t}) b b^dag, b the level-j tail (|b| <= 1), by at most t,
+    # and a later corner by t |b_k| |<b|w_k>|, a product of entries of unit
+    # vectors, about 1 / (N - j) for a Haar draw, which offsets that later
+    # division by rho_k, about 1 / sqrt(N - k).  So a level is no worse off
+    # than the worst level at or before it, 3 e / min_{j <= k} rho_j, and as
+    # much again covers the slips of several earlier levels adding up: each
+    # X_k and T_k within 6 N eps / min_{j <= k} rho_j (T_N: over all levels).
+    DIMS = list(range(1, 41)) + [64, 128, 256]
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_coordinates_read_back_within_the_bound(self, dim):
+        count = 4 if dim <= 40 else 2
+        x, rho, phases = haar._haar_coordinates(dim, count, RngStream(81, dim))
+        us = haar_unitary_batch(dim, count, RngStream(81, dim))
+        tails = np.cumsum(range(dim - 1, 0, -1))[:-1]
+        for u, x_i, rho_i, phases_i in zip(us, x.T, rho.T, phases.T):
+            cf = cosets_from_householder(decompose(u))
+            worst = np.minimum.accumulate(np.append(rho_i, 1.0))
+            bound = 6.0 * dim * np.finfo(float).eps / worst
+            dx = [np.linalg.norm(f.vector.x - drawn)
+                  for f, drawn in zip(cf.factors, np.split(x_i, tails))]
+            assert np.all(np.array(dx) <= bound[:-1]), (dx, bound)
+            drawn = phases_i * np.append(-np.ones(dim - 1), 1.0)
+            assert np.all(np.abs(cf.terminal_phases.phases - drawn) <= bound)
 
 
 class TestHaarOracle:

@@ -55,6 +55,8 @@ KINDS = ("householder", "coset", "coset-reversed")
 
 # Twice 1.63, about the asymptotic 99th-percentile Kolmogorov critical value, 1.628.
 HAAR_TEST_KS_FACTOR = 2.0 * 1.63
+# False-alarm rate of the mean-moduli gate, split evenly over the dim^2 entries.
+HAAR_TEST_MEAN_ALARM = 1e-6
 
 
 class _InputError(Exception):
@@ -377,7 +379,15 @@ def cmd_haar_test(args) -> int:
     except (ucoset.haar.InvalidDimError, ucoset.haar.TooFewSamplesError) as exc:
         raise _InputError(f"haar-test: {exc}") from exc
     threshold = HAAR_TEST_KS_FACTOR / math.sqrt(args.samples)
-    mean_dev = float(np.max(np.abs(report.mean_moduli - 1.0 / args.dim)))
+    # |U_ij|^2 is Beta(1, N - 1) for Haar U, of mean 1/N and variance
+    # (N - 1) / (N^2 (N + 1)), so each entry's mean over S samples is near
+    # normal.  The largest deviation over the N^2 entries is gated at z
+    # standard errors, z = sqrt(2 ln(2 / a)), as P(|Z| > z) <= 2 e^{-z^2 / 2}
+    # = a, the false-alarm rate split over the entries (Bonferroni).
+    n, s = report.dim, report.sample_count
+    z = math.sqrt(2.0 * math.log(2.0 * n * n / HAAR_TEST_MEAN_ALARM))
+    mean_threshold = z * math.sqrt((n - 1) / (n * n * (n + 1) * s))
+    mean_dev = float(np.max(np.abs(report.mean_moduli - 1.0 / n)))
     print(
         f"haar-test: dim {report.dim}, samples {report.sample_count}, "
         f"seed {args.seed}",
@@ -389,14 +399,21 @@ def cmd_haar_test(args) -> int:
         file=sys.stderr,
     )
     print(
-        f"haar-test: max |mean |U_ij|^2 - 1/dim| = {mean_dev:.5f}",
+        f"haar-test: max |mean |U_ij|^2 - 1/dim| = {mean_dev:.3e} "
+        f"(threshold {mean_threshold:.3e})",
         file=sys.stderr,
     )
     for row in report.mean_moduli:
         print("haar-test:   " + "  ".join(f"{v:.4f}" for v in row), file=sys.stderr)
     # A NaN statistic fails too.
+    failed = False
     if not report.ks_statistic < threshold:
-        print("haar-test: FAIL", file=sys.stderr)
+        print("haar-test: FAIL KS statistic of |U_11|^2 past its threshold", file=sys.stderr)
+        failed = True
+    if not mean_dev <= mean_threshold:
+        print("haar-test: FAIL max |mean |U_ij|^2 - 1/dim| past its threshold", file=sys.stderr)
+        failed = True
+    if failed:
         return EXIT_STATS
     print("haar-test: PASS", file=sys.stderr)
     return EXIT_OK

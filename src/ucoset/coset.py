@@ -193,7 +193,9 @@ class CosetFactorization:
     """Pivot stack of the coset factors plus terminal phases.
 
     ``pivots`` is the read-only (dim - 1) x dim array of the factor pivots,
-    the level-k pivot in row k - 1; each must have a normal ``<p|p>``.
+    the level-k pivot in row k - 1; each must have a normal ``<p|p>``.  As
+    for a ``HouseholderFactorization``, the constructor keeps a read-only
+    copy of the stack it is given; only a conversion shares one.
     ``factors`` are ``CosetFactor`` views on its rows, built on each access
     together with one array pass that reads X and rho for every level; each
     factor carries its ``vector`` from that pass (None for a negative

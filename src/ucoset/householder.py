@@ -219,14 +219,9 @@ def _check_residual(head, units) -> None:
 def _check_record(f, phases: PhaseDiagonal, invalid, leading) -> np.ndarray:
     # What both factorization records check: the ordering and the type of
     # the phases (invalid), the dims, and the pivot stack, which replaces
-    # f.pivots as a read-only (dim - 1) x dim complex array.  A complex array
-    # is kept, so that records can share a stack, when no array in its .base
-    # chain, itself included, is writable, as for a decomposed record's
-    # w[:-1]; anything else, a read-only view of a writable array included,
-    # is copied.  The read-only flag is all that guards a kept stack, as it
-    # is numpy's: whoever holds the array that owns its memory, reachable
-    # through .base, can set that array writable again and change the stack
-    # after its checks.  Returns the stack's <u|u>, as _pivot_norms.
+    # f.pivots as a read-only C-ordered (dim - 1) x dim complex copy, so no
+    # caller's array is the stack that passed the checks.  Returns the
+    # stack's <u|u>, as _pivot_norms.
     if f.ordering not in (FORWARD, REVERSED):
         raise invalid(f"unknown ordering {f.ordering!r}")
     if not isinstance(phases, PhaseDiagonal):
@@ -234,11 +229,7 @@ def _check_record(f, phases: PhaseDiagonal, invalid, leading) -> np.ndarray:
     n = _integer(f.dim, "dim", DimensionMismatchError, 1)
     if phases.dim != n:
         raise DimensionMismatchError(f"phase diagonal dim {phases.dim} is not dim {n}")
-    p = _as_array(f.pivots, "pivots")
-    base = p
-    while isinstance(base, np.ndarray) and not base.flags.writeable:
-        base = base.base
-    p = p if base is None else p.copy()
+    p = np.array(_as_array(f.pivots, "pivots"), order="C")
     if p.shape != (n - 1, n):
         raise DimensionMismatchError(f"pivot stack: shape {p.shape}, expected {(n - 1, n)}")
     p.setflags(write=False)
@@ -252,7 +243,10 @@ class HouseholderFactorization:
 
     ``pivots`` is the read-only (dim - 1) x dim array of the reflection
     pivots, the level-k pivot in row k - 1; ``reflections`` are ``Reflection``
-    views on its rows.  Forward ordering reconstructs as
+    views on its rows.  The constructor checks and keeps its own read-only
+    copy of the stack it is given, so the caller's array can never change
+    it; only ``decompose`` and ``decompose_reversed`` hand a record the
+    column loop's stack uncopied.  Forward ordering reconstructs as
     ``R_1 R_2 ... R_{dim-1} D``; reversed ordering as ``D R_{dim-1} ... R_1``
     with ``D`` the residual diagonal.  For every level ``k < dim`` the
     residual entry equals ``-e^{i phi_k}``, with the pivot phase ``phi_k``
@@ -345,8 +339,7 @@ def _stack(a, conj: bool = False) -> np.ndarray:
     # r x c matrices, batch axes first, as matmul and inv take them, whose
     # matrices matmul hands to BLAS one by one.  A C-ordered a without batch
     # axes comes back as a view of its memory (or a conjugate copy); anything
-    # else is copied, a read-only matrix in another memory order that a
-    # record's constructor kept included.
+    # else is copied.
     a = a.transpose(*range(2, a.ndim), 0, 1)
     return np.conjugate(a, order="C") if conj else np.ascontiguousarray(a)
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -621,6 +622,8 @@ class TestHaarTest:
                    "--seed", "5") == 0
         err = capsys.readouterr().err
         assert "KS statistic" in err
+        assert any(line.startswith("haar-test: max |mean |U_ij|^2 - 1/dim| = ")
+                   and "(threshold " in line for line in err.splitlines())
         assert "PASS" in err
 
     def test_sample_floor(self):
@@ -640,7 +643,42 @@ class TestHaarTest:
 
         monkeypatch.setattr(ucoset.haar, "haar_validate", rigged)
         assert run("haar-test", "--dim", "2", "--samples", "2000") == 5
-        assert "FAIL" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert "haar-test: FAIL KS statistic of |U_11|^2 past its threshold" in err
+        assert not any(x.startswith("haar-test: FAIL max") for x in err)
+
+    @pytest.mark.parametrize("dim, samples", [(2, 2000), (3, 2000), (17, 1000), (17, 50000)])
+    def test_mean_moduli_gate(self, monkeypatch, capsys, dim, samples):
+        # The gate is a Bonferroni bound on the N^2 entry means at a 1e-6
+        # false-alarm rate: at least the two-sided Gaussian quantile of that
+        # rate times the Beta(1, N - 1) standard error, and within 15 % of
+        # it.  One entry just inside passes and one just past fails, or is
+        # NaN, with the KS gate passing.
+        alarm = 1e-6 / (dim * dim)
+        error = math.sqrt((dim - 1) / (dim * dim * (dim + 1) * samples))
+        exact = NormalDist().inv_cdf(1.0 - 0.5 * alarm) * error
+        dev = {"value": 0.0}
+
+        def rigged(dim, samples, rng):
+            moduli = np.full((dim, dim), 1.0 / dim)
+            moduli[-1, 0] += dev["value"]
+            return SampleReport(dim=dim, sample_count=samples, ks_statistic=0.0,
+                                mean_moduli=moduli)
+
+        monkeypatch.setattr(ucoset.haar, "haar_validate", rigged)
+        args = ("haar-test", "--dim", str(dim), "--samples", str(samples))
+        assert run(*args) == 0
+        line, = [x for x in capsys.readouterr().err.splitlines()
+                 if x.startswith("haar-test: max |mean")]
+        threshold = float(line.rsplit("(threshold ", 1)[1].rstrip(")"))
+        assert exact <= threshold <= 1.15 * exact
+        for value, code in [(-0.99 * threshold, 0), (1.01 * threshold, 5), (math.nan, 5)]:
+            dev["value"] = value
+            assert run(*args) == code
+            err = capsys.readouterr().err.splitlines()
+            assert ("haar-test: FAIL max |mean |U_ij|^2 - 1/dim| past its threshold"
+                    in err) == (code == 5)
+            assert not any(x.startswith("haar-test: FAIL KS") for x in err)
 
     def test_nan_statistic_fails(self, monkeypatch, capsys):
         def rigged(dim, samples, rng):

@@ -637,7 +637,8 @@ class TestTrustedConversion:
             cf = conv(dec(u))
             checked = CosetFactorization(pivots=cf.pivots, terminal_phases=cf.terminal_phases,
                                          ordering=ordering, dim=dim)
-            assert checked.pivots is cf.pivots
+            assert not np.shares_memory(checked.pivots, cf.pivots)
+            assert checked.pivots.tobytes() == cf.pivots.tobytes()
             assert len(cf.factors) == dim - 1
             for got, want in zip(checked.factors, cf.factors):
                 assert (got.level, got.dim) == (want.level, want.dim)
@@ -894,8 +895,8 @@ class TestPivotStack:
     @pytest.mark.parametrize("dec, conv, ordering", ORDERINGS)
     def test_read_only_view_of_a_writable_array_is_copied(self, dec, conv, ordering):
         # As for a Householder record: a read-only view whose base can still
-        # be written is copied, and a converted stack, whose every base is
-        # read-only, is shared as it is.
+        # be written is copied, and so is a converted stack, whose every base
+        # is read-only.
         u = random_unitary(5, 143)
         cf = conv(dec(u))
         a = np.array(cf.pivots)
@@ -906,7 +907,23 @@ class TestPivotStack:
         assert not np.shares_memory(g.pivots, a) and not g.pivots.flags.writeable
         assert maxdiff(compose_cosets(g), u) <= 1e-13
         h = CosetFactorization(cf.pivots, cf.terminal_phases, ordering, 5)
-        assert h.pivots is cf.pivots and np.shares_memory(h.pivots, cf.pivots)
+        assert not np.shares_memory(h.pivots, cf.pivots)
+        assert h.pivots.tobytes() == cf.pivots.tobytes()
+
+    @pytest.mark.parametrize("dec, conv, ordering", ORDERINGS)
+    def test_read_only_array_that_owns_its_memory_is_copied(self, dec, conv, ordering):
+        # Its owner can set a read-only array writable again; the record
+        # keeps its own copy, which the owner cannot reach.
+        u = random_unitary(5, 144)
+        cf = conv(dec(u))
+        a = np.array(cf.pivots, order="F")
+        a.setflags(write=False)
+        g = CosetFactorization(a, cf.terminal_phases, ordering, 5)
+        assert not np.shares_memory(g.pivots, a) and g.pivots.flags.c_contiguous
+        a.setflags(write=True)
+        a[...] = 0.0
+        assert not g.pivots.flags.writeable
+        assert maxdiff(compose_cosets(g), u) <= 1e-13
 
     # Rank-1 steps (3, 16), one blocked panel (17), a narrow last panel (40)
     # and two full panels (65).

@@ -478,12 +478,13 @@ class TestValidation:
         g = factorization_with(pivots=pivots)
         pivots[0, 0] = 5.0
         assert np.array_equal(g.pivots, f.pivots) and not g.pivots.flags.writeable
-        assert factorization_with(pivots=f.pivots).pivots is f.pivots
+        h = factorization_with(pivots=f.pivots)
+        assert not np.shares_memory(h.pivots, f.pivots) and np.array_equal(h.pivots, f.pivots)
 
     def test_read_only_view_of_a_writable_array_is_copied(self):
-        # A read-only view whose base can still be written would let the
-        # caller change the stack after its checks; a decomposed record's
-        # stack, whose every base is read-only, is shared as it is.
+        # A read-only view whose base can still be written is copied, as the
+        # caller could change the stack after its checks; so is another
+        # record's stack, whose every base is read-only.
         u = random_unitary(5, 480)
         f = decompose(u)
         a = np.array(f.pivots)
@@ -494,21 +495,31 @@ class TestValidation:
         assert not np.shares_memory(g.pivots, a) and not g.pivots.flags.writeable
         assert maxdiff(reconstruct(g), u) <= 1e-13
         h = HouseholderFactorization(f.pivots, f.residual, f.ordering, 5)
-        assert h.pivots is f.pivots and np.shares_memory(h.pivots, f.pivots)
+        assert not np.shares_memory(h.pivots, f.pivots)
+        assert h.pivots.tobytes() == f.pivots.tobytes()
 
-    def test_read_only_array_that_owns_its_memory_is_shared(self):
-        # The read-only flag is the whole guard, as it is numpy's: an array
-        # that owns its memory is kept, and its owner can set it writable
-        # again, which changes the record's stack after its checks.
+    @pytest.mark.parametrize("dec", [decompose, decompose_reversed])
+    def test_read_only_array_that_owns_its_memory_is_copied(self, dec):
+        # The read-only flag is no guard, as its owner can set it writable
+        # again: the record keeps its own copy, which the owner cannot reach.
         u = random_unitary(5, 481)
-        f = decompose(u)
-        a = np.array(f.pivots)
+        f = dec(u)
+        a = np.array(f.pivots, order="F")
         a.setflags(write=False)
         g = HouseholderFactorization(a, f.residual, f.ordering, 5)
-        assert g.pivots is a and a.base is None
+        assert not np.shares_memory(g.pivots, a) and g.pivots.flags.c_contiguous
         a.setflags(write=True)
-        a[0, 0] = 0.0
-        assert maxdiff(reconstruct(g), u) > 0.1
+        a[...] = 0.0
+        assert not g.pivots.flags.writeable
+        assert maxdiff(reconstruct(g), u) <= 1e-13
+
+    def test_decomposed_stack_is_the_work_array(self):
+        # decompose hands its record the column loop's work array, read-only
+        # and uncopied: the stack is a view of its leading N - 1 rows.
+        f = decompose(random_unitary(5, 482))
+        w = f.pivots.base
+        assert w is not None and w.shape == (5, 5) and not w.flags.writeable
+        assert np.shares_memory(f.pivots, w) and f.pivots.tobytes() == w[:-1].tobytes()
 
     def test_factorization_levels_must_be_ordered(self):
         f = decompose(U0)
@@ -991,6 +1002,32 @@ class TestAccuracy:
         for k, p in enumerate(products):
             assert maxdiff(p, u) <= math.sqrt(2.0) * self.PASS * n, k
             assert unitarity_error(p) <= 2.0 * self.PASS * n, k
+
+    # A monomial matrix, a permutation times unit phases, draws only the
+    # degenerate pivots: each column is cleared either where it stands
+    # (|w_k| = 1, so rho 1 and X zero) or from a later row (w_k = 0, so
+    # rho 0 and X one entry of modulus 1), the two edges of the ball.
+    @pytest.mark.parametrize("n", [*range(1, 41), 64, 65])
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=3)
+    def test_monomial_matrices_take_degenerate_pivots(self, n, seed):
+        rng = np.random.default_rng(seed)
+        u = np.zeros((n, n), dtype=complex)
+        u[rng.permutation(n), np.arange(n)] = np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+        few = 4.0 * np.finfo(float).eps
+        for dec, conv, _ in PANEL_ORDERINGS:
+            f = dec(u)
+            cf = conv(f)
+            for p in (reconstruct(f), compose_cosets(cf)):
+                assert maxdiff(p, u) <= math.sqrt(2.0) * self.PASS * n
+            for c in cf.factors:
+                v = c.vector
+                moduli = np.sort(np.abs(v.x))[::-1]
+                if v.rho > 0.5:
+                    assert abs(v.rho - 1.0) <= few and moduli.max() <= few, c.level
+                else:
+                    assert v.rho <= few and abs(moduli[0] - 1.0) <= few, c.level
+                    assert moduli[1:].max(initial=0.0) <= few, c.level
 
     def test_round_trip_at_1024(self):
         # The largest size, one matrix in both orderings.  A decomposed

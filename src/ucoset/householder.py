@@ -49,17 +49,18 @@ Van Loan 1987); after the panel every later column takes it in one blocked
 update.  The record the loop returns keeps the conjugate of each panel's
 ``Y^dag`` beside the pivots, as LAPACK's xGEQRT keeps ``T``, so that
 multiplying it back (``reconstruct``, or ``compose_cosets`` after a
-conversion, which hands it on) forms no ``T``.  A blocked product without
-that factor (a record built by its constructor or read from a file, a stack
-of Haar samples) forms it from the pivots, one ``T`` per panel in closed
-form: the inverse of the upper triangle of the panel's own ``V^dag V``
-with each diagonal entry ``<v|v>`` halved (Puglisi 1992).  Each panel
-takes the rows of ``V^dag``, its own conjugate pivots, as a copy of that
-panel alone, where LAPACK's xLARFB reads ``V^dag`` through a transpose
-flag: no conjugate copy of the whole stack is made.  A reversed coset stack,
-whose corners are the Householder pivots' negated, is negated back in those
-copies.  A reversed product is computed as the adjoint of the forward one,
-of the same pivots and conjugate phases.
+conversion, which hands it on) forms no ``T``.  A blocked product walks its
+panels once, the last first, each taking the rows of ``V^dag``, its own
+conjugate pivots, as a copy of that panel alone, where LAPACK's xLARFB
+reads ``V^dag`` through a transpose flag: no conjugate copy of the whole
+stack is made.  Without that factor (a record built by its constructor or
+read from a file, a stack of Haar samples) it forms each panel's ``T`` from
+that copy in the pass that applies it, in closed form: the inverse of the
+upper triangle of ``V^dag V`` with each diagonal entry ``<v|v>`` halved
+(Puglisi 1992).  A reversed coset stack, whose corners are the Householder
+pivots' negated, is negated back in those copies.  A reversed product is
+computed as the adjoint of the forward one, of the same pivots and
+conjugate phases.
 
 A product of a stack of factorizations, as the Haar sampler makes, takes
 its batch axes last: (N - 1, N, ...) pivots, (N, ...) phases and an
@@ -391,25 +392,19 @@ def _conj_panel(pivots, lo: int, hi: int, flip: bool = False) -> np.ndarray:
     return v
 
 
-def _wy_factors(pivots, panels, flip: bool = False) -> list:
-    # Y^dag = T^dag V^dag of each panel (lo, hi) of the pivots (N - 1, N, ...),
-    # batch axes last, as (..., hi - lo, N - lo): R(v_lo) ... R(v_{hi-1}) =
-    # 1 - Y V^dag with the panel's pivots from column lo on as the columns of
-    # V and Y = V T.  Each panel takes only its own rows of V^dag, by
-    # _conj_panel, with flip as there.  Each panel's upper-triangular T is
-    # one batched inverse of its own Gram, T = inv(diag(h) + triu(V^dag V, 1))
-    # with h_j = <v_j|v_j> / 2 (Puglisi 1992; Joffrain et al. 2006).  Y^dag
-    # is formed as conj(T^T V^T), conjugated in place; it is the form a
-    # record keeps and _product applies.
-    wy = []
-    for lo, hi in panels:
-        v = _conj_panel(pivots, lo, hi, flip)
-        a = np.triu(v.conj() @ np.swapaxes(v, -1, -2))
-        h = np.einsum("...jj->...j", a)
-        h[...] = 0.5 * h.real
-        y = np.swapaxes(np.linalg.inv(a), -1, -2) @ v
-        wy.append(np.conjugate(y, out=y))
-    return wy
+def _wy_panel(v) -> np.ndarray:
+    # conj(Y^dag), (..., b, N - lo), of the panel whose V^dag is v, from
+    # _conj_panel: R(v_lo) ... R(v_{hi-1}) = 1 - Y V^dag with the panel's
+    # pivots from column lo on as the columns of V and Y = V T.  T, upper
+    # triangular, is one batched inverse of the panel's own Gram,
+    # T = inv(diag(h) + triu(V^dag V, 1)) with h_j = <v_j|v_j> / 2 (Puglisi
+    # 1992; Joffrain et al. 2006).  Y^dag = T^dag V^dag is formed as
+    # conj(T^T V^T), conjugated in place, the form a record keeps.
+    a = np.triu(v.conj() @ np.swapaxes(v, -1, -2))
+    h = np.einsum("...jj->...j", a)
+    h[...] = 0.5 * h.real
+    y = np.swapaxes(np.linalg.inv(a), -1, -2) @ v
+    return np.conjugate(y, out=y)
 
 
 def _product(pivots, phases, ordering: str, wy=None, flip: bool = False) -> ComplexMatrix:
@@ -421,13 +416,13 @@ def _product(pivots, phases, ordering: str, wy=None, flip: bool = False) -> Comp
     # the same pivots and conjugate phases, conjugated in place and
     # transposed.  A product of fewer than _WY_WIDTH reflections is rank-1
     # steps, elementwise along the batch axes, from the last reflection back.
-    # Any other runs every panel as the blocked update B - Y (V^dag B), from
-    # the last panel back, on a _stack of t, and its result is a transposed
-    # view of that stack.  Each panel takes its rows of V^dag by _conj_panel,
-    # freed once V^dag B is formed.  wy is the conjugate of each panel's
-    # Y^dag, as the column loop keeps it and _wy_factors forms it; None
-    # forms it.  flip negates each pivot's corner, as a reversed coset stack
-    # composes, in the panel copies.
+    # Any other runs every panel as the blocked update B - Y (V^dag B), in
+    # one pass from the last panel back, on a _stack of t, and its result is
+    # a transposed view of that stack.  Each panel's copy of V^dag, by
+    # _conj_panel, is freed once V^dag B is formed, and V^dag B after the
+    # update.  wy is the conjugate of each panel's Y^dag, as the column loop
+    # keeps it; None forms each by _wy_panel from that copy.  flip negates
+    # each pivot's corner, as a reversed coset stack composes, in the copies.
     # R(u_{i+2}) ... D is diagonal on the leading i + 1 coordinates, so rows
     # i.. of t are zero before column i, and a blocked panel, whose pivots are
     # all known, takes its own columns in the same update as those after it.
@@ -448,13 +443,15 @@ def _product(pivots, phases, ordering: str, wy=None, flip: bool = False) -> Comp
         for i in reversed(range(n - 1)):
             _reflect_rows(t[:, i:], i, pivots[i], w[i])
         return t
-    panels = _panels(n)
     t = _stack(t)
-    if wy is None:
-        wy = _wy_factors(pivots, panels, flip)
-    for (lo, hi), y in reversed(list(zip(panels, wy))):
+    for k, (lo, hi) in reversed(list(enumerate(_panels(n)))):
+        v = _conj_panel(pivots, lo, hi, flip)
+        y = _wy_panel(v) if wy is None else wy[k]
         blk = t[..., lo:, lo:]
-        blk -= np.swapaxes(y, -1, -2) @ (_conj_panel(pivots, lo, hi, flip) @ blk)
+        vb = v @ blk
+        del v
+        blk -= np.swapaxes(y, -1, -2) @ vb
+        del vb
     return t.transpose(t.ndim - 2, t.ndim - 1, *range(t.ndim - 2))
 
 

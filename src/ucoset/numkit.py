@@ -190,21 +190,23 @@ def unitarity_error(m) -> float:
 def expm_series(a) -> ComplexMatrix:
     """Matrix exponential by scaled Taylor series with repeated squaring.
 
-    The input is scaled by ``2**-s`` with
-    ``s = max(0, ceil(log2(max |a_ij|)) + 2)`` so the series converges
-    quickly, terms are accumulated until their max-magnitude drops below
-    ``SERIES_CUTOFF``, and the result is squared ``s`` times.  Accurate to
-    roughly machine precision for the moderate norms used here; kept
-    intentionally free of clever rational approximations so it can act as
-    an independent oracle.
+    The input is scaled by ``2**-s``, the least ``s >= 0`` that takes its
+    infinity norm (largest absolute row sum) to at most 1/4, read off
+    ``log2`` so that nothing overflows.  Every series term is then at most
+    ``4**-k / k!`` in that norm; terms are accumulated until their
+    max-magnitude drops below ``SERIES_CUTOFF``, within 14, and the result
+    is squared ``s`` times.  Accurate to roughly machine precision for the
+    moderate norms used here; kept intentionally free of clever rational
+    approximations so it can act as an independent oracle.
     """
     mat = _as_square_matrix(a)
     n = mat.shape[0]
     largest = float(np.max(np.abs(mat)))
     squarings = 0
     if largest > 0.0:
-        squarings = max(0, int(math.ceil(math.log2(largest))) + 2)
-    scaled = mat / (2.0 ** squarings)
+        rows = float(np.max(np.sum(np.abs(mat) / largest, axis=1)))
+        squarings = max(0, math.ceil(math.log2(largest) + math.log2(rows)) + 2)
+    scaled = mat * 2.0 ** -squarings
 
     result = np.eye(n, dtype=complex)
     term = np.eye(n, dtype=complex)
@@ -215,8 +217,6 @@ def expm_series(a) -> ComplexMatrix:
             break
         result = result + term
         k += 1
-        if k > 300:  # unreachable for scaled inputs; guards nonsense data
-            break
     for _ in range(squarings):
         result = result @ result
     return result

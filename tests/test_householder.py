@@ -35,7 +35,7 @@ from ucoset import (
 )
 import ucoset
 import ucoset.householder
-from ucoset.householder import _PANEL, _WY_WIDTH, _panels, _product, _wy_factors
+from ucoset.householder import _PANEL, _WY_WIDTH, _conj_panel, _panels, _product, _wy_panel
 from ucoset.numkit import ROUND_TRIP_FACTOR
 
 from golden_data import (
@@ -800,23 +800,23 @@ PRODUCT_DIMS = [_WY_WIDTH, _WY_WIDTH + 1, _WY_WIDTH + 2, _PANEL + _WY_WIDTH,
 class TestProductPanels:
     def test_product_blocks_panels_by_width(self, monkeypatch):
         # A product of fewer than _WY_WIDTH reflections forms no Y^dag; any
-        # other forms one per panel, a narrow last panel included, all from
-        # one call.  A decomposed record carries the column loop's own WY
+        # other forms one per panel, a narrow last panel included, the last
+        # panel first.  A decomposed record carries the column loop's own WY
         # form and forms none; the same pivots through the constructor form
         # exactly those widths.
         calls = []
-        wy_factors = ucoset.householder._wy_factors
+        wy_panel = ucoset.householder._wy_panel
 
-        def counting(p, panels, flip):
-            calls.append([hi - lo for lo, hi in panels])
-            return wy_factors(p, panels, flip)
+        def counting(v):
+            calls.append(v.shape[-2])
+            return wy_panel(v)
 
-        monkeypatch.setattr(ucoset.householder, "_wy_factors", counting)
-        for n, widths in ((_WY_WIDTH, []), (_WY_WIDTH + 1, [[_WY_WIDTH]]),
-                          (_PANEL + 2, [[_PANEL, 1]]),
-                          (_PANEL + _WY_WIDTH, [[_PANEL, _WY_WIDTH - 1]]),
-                          (_PANEL + _WY_WIDTH + 1, [[_PANEL, _WY_WIDTH]]),
-                          (2 * _PANEL + 1, [[_PANEL, _PANEL]])):
+        monkeypatch.setattr(ucoset.householder, "_wy_panel", counting)
+        for n, widths in ((_WY_WIDTH, []), (_WY_WIDTH + 1, [_WY_WIDTH]),
+                          (_PANEL + 2, [1, _PANEL]),
+                          (_PANEL + _WY_WIDTH, [_WY_WIDTH - 1, _PANEL]),
+                          (_PANEL + _WY_WIDTH + 1, [_WY_WIDTH, _PANEL]),
+                          (2 * _PANEL + 1, [_PANEL, _PANEL])):
             u = random_unitary(n, 730 + n)
             calls.clear()
             f = decompose(u)
@@ -828,10 +828,9 @@ class TestProductPanels:
 
     @pytest.mark.parametrize("count", [None, 3], ids=["matrix", "stack"])
     def test_wy_factors_are_the_rank1_products(self, count):
-        # One call for panels of widths 1, _WY_WIDTH, _PANEL - 1 and _PANEL,
-        # each with its own T: with Y the adjoint of each panel's factor,
-        # 1 - Y V^dag over the panel's own columns is the product of its
-        # reflections.
+        # Panels of widths 1, _WY_WIDTH, _PANEL - 1 and _PANEL, each with
+        # its own T: with Y the adjoint of each panel's factor, 1 - Y V^dag
+        # over the panel's own columns is the product of its reflections.
         widths = [1, _WY_WIDTH, _PANEL - 1, _PANEL]
         bounds = np.cumsum([0] + widths)
         panels = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
@@ -840,11 +839,12 @@ class TestProductPanels:
         shape = (() if count is None else (count,)) + (n - 1, n)
         stack = np.triu(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         stack[..., range(n - 1), range(n - 1)] += 2.0
-        # _wy_factors takes the pivots batch-last, as a product hands them,
-        # and returns conj(Y^dag) of each panel: handed the conjugate of
-        # stack, it returns Y^dag of each panel of stack's own pivots.
-        pivots = stack if count is None else np.moveaxis(stack, 0, -1)
-        wy = _wy_factors(pivots.conj(), panels)
+        # _conj_panel takes the pivots batch-last, as a product hands them,
+        # and _wy_panel returns conj(Y^dag) of the panel it is handed:
+        # handed the conjugate of stack, it returns Y^dag of each panel of
+        # stack's own pivots.
+        pivots = (stack if count is None else np.moveaxis(stack, 0, -1)).conj()
+        wy = [_wy_panel(_conj_panel(pivots, lo, hi)) for lo, hi in panels]
         assert [y.shape for y in wy] == [shape[:-2] + (hi - lo, n - lo) for lo, hi in panels]
         for k, p in enumerate(stack.reshape(-1, n - 1, n)):
             for (lo, hi), y in zip(panels, wy):
@@ -888,19 +888,20 @@ class TestProductPanels:
 class TestCarriedFactor:
     # The column loop keeps each panel's Y^dag in the record it returns, and
     # both conversions hand it on, so products of a decomposed matrix form
-    # none; the same pivots in a constructed record form it (_wy_factors).
+    # none; the same pivots in a constructed record form it, one panel at a
+    # time (_wy_panel).
     # Last panels of 1, _WY_WIDTH - 1, 32 and 31 reflections.
     @pytest.mark.parametrize("n", [_PANEL + 2, _PANEL + _WY_WIDTH, 2 * _PANEL + 1, 256])
     @pytest.mark.parametrize("dec, conv, _", PANEL_ORDERINGS)
     def test_products_of_a_decomposed_record_form_no_factor(self, monkeypatch, n, dec, conv, _):
         calls = []
-        wy_factors = ucoset.householder._wy_factors
+        wy_panel = ucoset.householder._wy_panel
 
-        def counting(p, panels, flip):
-            calls.append(len(panels))
-            return wy_factors(p, panels, flip)
+        def counting(v):
+            calls.append(v.shape[-2])
+            return wy_panel(v)
 
-        monkeypatch.setattr(ucoset.householder, "_wy_factors", counting)
+        monkeypatch.setattr(ucoset.householder, "_wy_panel", counting)
         u = random_unitary(n, 750 + n)
         f = dec(u)
         cf = conv(f)
@@ -908,12 +909,39 @@ class TestCarriedFactor:
         assert calls == []
         bare = [reconstruct(HouseholderFactorization(f.pivots, f.residual, f.ordering, n)),
                 compose_cosets(type(cf)(cf.pivots, cf.terminal_phases, cf.ordering, n))]
-        assert calls == [len(_panels(n))] * 2
+        assert calls == [hi - lo for lo, hi in reversed(_panels(n))] * 2
         expected = rank1_product(f.pivots, f.residual.phases, f.ordering)
         for got, without in zip(carried, bare):
             assert maxdiff(got, without) <= 1e-14
             assert maxdiff(got, expected) <= 1e-13 * n
             assert maxdiff(got, u) <= 1e-12
+
+    # One panel (33), a narrow last panel (65) and full panels only (256).
+    @pytest.mark.parametrize("n", [_PANEL + 1, 2 * _PANEL + 1, 256])
+    @pytest.mark.parametrize("dec, conv, _", PANEL_ORDERINGS)
+    def test_products_copy_each_panel_once(self, monkeypatch, n, dec, conv, _):
+        # A blocked product walks its panels once, the last first, and takes
+        # each panel's V^dag in one copy, whether it carries the factor or
+        # forms it from that copy.
+        calls = []
+        conj_panel = ucoset.householder._conj_panel
+
+        def counting(p, lo, hi, flip=False):
+            calls.append((lo, hi))
+            return conj_panel(p, lo, hi, flip)
+
+        monkeypatch.setattr(ucoset.householder, "_conj_panel", counting)
+        u = random_unitary(n, 755 + n)
+        f = dec(u)
+        cf = conv(f)
+        for fn, record in ((reconstruct, f), (compose_cosets, cf),
+                           (reconstruct, HouseholderFactorization(f.pivots, f.residual,
+                                                                  f.ordering, n)),
+                           (compose_cosets, type(cf)(cf.pivots, cf.terminal_phases,
+                                                     cf.ordering, n))):
+            calls.clear()
+            assert maxdiff(fn(record), u) <= 1e-12
+            assert calls == _panels(n)[::-1]
 
     @pytest.mark.parametrize("dec, conv, _", PANEL_ORDERINGS)
     def test_factor_is_private_and_read_only(self, dec, conv, _):
@@ -950,7 +978,9 @@ class TestTracedPeak:
     # factors the column loop keeps, sum b (N - lo) over its panels, or a
     # product's panel of V^dag and V^dag B, b (N - lo) entries each with
     # b <= _PANEL, under 1 at N >= 64 either way.  A record without the
-    # carried factor forms those factors (under 1 more).  A coset record's
+    # carried factor forms each panel's in the pass that applies it, one
+    # panel's Y, b (N - lo) entries, and its Gram and inverse, b^2 each, at
+    # a time (under 1 more).  A coset record's
     # product is its Householder record's, a reversed one negating each
     # corner in the panel copies of V^dag both make, so it holds no more
     # than that product and the terminal phases (1/16 of a unit covers
@@ -974,6 +1004,24 @@ class TestTracedPeak:
             assert peak <= bound * unit
             peaks.append(peak)
         assert peaks[2] <= peaks[0] + unit / 16 and peaks[3] <= peaks[1] + unit / 16
+
+    # In complex entries, b = _PANEL: both products peak in the first
+    # panel's update, applied last, holding the product, V^dag B and the
+    # update's N x N temporary, 2 N^2 + b N; a constructed record's also
+    # holds that panel's Y there, b N more.  While it forms a panel's Y it
+    # holds the product, the panel's V^dag, a conjugate of it, the Gram or
+    # its inverse beside it and the later panel's Y, under
+    # N^2 + 4 b N + 2 b^2, below 2 N^2 at N >= 256.  So the excess is under
+    # one panel's Y, Gram and inverse, b N + 2 b^2.
+    @pytest.mark.parametrize("n", [256, 1024])
+    def test_formed_factor_adds_one_panel(self, n):
+        u = random_unitary(n, 780 + n)
+        f = decompose(u)
+        g = HouseholderFactorization(f.pivots, f.residual, f.ordering, n)
+        carried, carried_peak = traced_peak(reconstruct, f)
+        formed, formed_peak = traced_peak(reconstruct, g)
+        assert maxdiff(carried, u) <= 1e-12 and maxdiff(formed, u) <= 1e-12
+        assert formed_peak - carried_peak < (_PANEL * n + 2 * _PANEL ** 2) * 16
 
 
 class TestAccuracy:

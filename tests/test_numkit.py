@@ -69,6 +69,23 @@ class TestExpmSeries:
             a = random_antihermitian(dim, 30 + dim)
             assert maxdiff(expm_series(a).conj().T, expm_series(-a)) <= 1e-12
 
+    @pytest.mark.parametrize("dim", [64, 200])
+    def test_norm_far_above_the_largest_entry(self, dim):
+        # A = c J, c = i / 4 and J all ones: J^2 = N J, so exp(A) is
+        # I + (e^{iN/4} - 1) / N J exactly, while max |a_ij| = 1/4 and the
+        # infinity norm is N / 4.  Scaled to norm 1/4, s = ceil(log2 N)
+        # squarings, 2^s < 2 N.  Every iterate is I + alpha J up to
+        # rounding, |alpha| <= 2 / N: a squaring doubles the error carried
+        # (alpha -> 2 alpha + N alpha^2 has derivative 2 (1 + N alpha), of
+        # modulus 2, and a diagonal error is carried at 1 + alpha by each
+        # factor), and adds its own, a sum of N products of total modulus
+        # at most |1 + alpha|^2 + N |alpha|^2 < 1 + 9 / N on the diagonal,
+        # so under (N + 9) u at worst; the series adds about u.  So each
+        # entry is within 2^s (N + 10) u < N (N + 10) eps.
+        a = 0.25j * np.ones((dim, dim))
+        expected = np.eye(dim) + (np.exp(0.25j * dim) - 1.0) / dim * np.ones((dim, dim))
+        assert maxdiff(expm_series(a), expected) <= dim * (dim + 10) * np.finfo(float).eps
+
     def test_non_square_raises(self):
         with pytest.raises(NonSquareError):
             expm_series(np.zeros((2, 3)))

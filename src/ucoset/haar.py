@@ -15,15 +15,18 @@ ball point delivers coordinates (t_1, t_2, ..., t_{2(N-k)}) which pack into
 the complex vector X = (t_1 + i t_2, t_3 + i t_4, ...); then the N phase
 angles are derived from uniforms ``u`` as ``phi = pi (1 - 2 u)``.
 
-``haar_unitary_batch`` is the one sampler body: a coordinate draw fed
-through the one pivot builder of ``householder``, then a product of
-reflections.  The draw takes two generator calls per matrix, the N(N-1)
-normals of its ball points and then its N uniforms, and gives the X_k,
-rho_k and phases of the whole stack, batch axis last, the ball radii of
-every level and matrix from one vectorized regularized gamma function
-(``_reg_gamma``).  The builder, which makes every coset pivot, turns
-1 + rho_k and X_k into the (N-1, N, count) pivots, and the product runs
-over the whole stack by the one rule of ``householder``.  Each step is
+``haar_unitary_batch`` is the one sampler body: a coordinate draw, then a
+product of reflections.  The draw takes two generator calls per matrix, the
+N(N-1) normals of its ball points and then its N uniforms, and gives the
+X_k, rho_k and phases of the whole stack, batch axis last, the ball radii
+of every level and matrix from one vectorized regularized gamma function
+(``_reg_gamma``).  A draw of fewer than ``_WY_WIDTH`` (16) reflections is
+multiplied out from its X_k and rho_k themselves, one rank-1 step per level
+(as in Stewart's 1980 sampler): 2 / <n_k|n_k> = 1 / (1 + rho_k) is
+known, so no pivot is built and no <n_k|n_k> summed, and the steps cost less
+there than forming a compact-WY ``T``.  A wider draw goes through the one
+pivot builder of ``householder``, which turns 1 + rho_k and X_k into the
+(N-1, N, count) pivots, and its compact-WY panels.  Each step is
 elementwise along the count axis and every sum over a matrix's own axis
 adds in index order, so a stack equals as many successive ``haar_unitary``
 calls, its count-1 case, bit for bit, as do the bounded blocks that
@@ -150,6 +153,11 @@ _TAIL = 2.0 ** -60
 # Size of a sampler block in matrix entries: a block's working set stays
 # O(_BLOCK_ENTRIES) whatever the sample count.
 _BLOCK_ENTRIES = 2 ** 13
+
+# Fewest reflections in a draw that ``householder._product`` multiplies out
+# as compact-WY panels; a draw of fewer takes rank-1 steps on its ball
+# coordinates (_rank1_product), cheaper there than forming a panel's T.
+_WY_WIDTH = 16
 
 # Floor of |g|^2 for a ball point: it keeps t / s and s / t finite in
 # P(m, t), and a zero run of g stays 0.
@@ -359,6 +367,45 @@ def _haar_coordinates(dim: int, count: int, rng: RngStream):
     return x, rho, phases
 
 
+def _rank1_product(x, rho, phases) -> np.ndarray:
+    # R(n_1) ... R(n_{N-1}) D, (N, N, count), for the coordinates of
+    # _haar_coordinates: one rank-1 step per level from the last back,
+    # elementwise along the batch axis, then the phases.  The level-k pivot
+    # is n = (1 + rho) e_k + X, so 2 / <n|n> = 1 / (1 + rho), and before its
+    # step row and column k of the product are e_k: the step takes
+    # [[1, 0], [0, B]] to [[-rho, -s], [-X, B - X s / (1 + rho)]] with
+    # s = X^dag B, which is [[-rho, -X^dag], [-X, rho]] at the last level.
+    # The diagonal is set first; each step sums -s over B's rows into row k,
+    # in index order whatever the count, its products in one step buffer.
+    # Every complex product spans at least two entries of a lone draw's rows,
+    # as it spans a stack's batch axis (the last level takes none, and at
+    # N = 1 the phases multiply an exact 1): numpy may round a product of
+    # single entries apart from one of a row.
+    n, count = phases.shape
+    t = np.zeros((n, n, count), dtype=complex)
+    diag = t.reshape(n * n, count)[::n + 1]
+    diag[:-1] = -rho
+    diag[-1] = 1.0
+    xn = np.conjugate(x)
+    np.negative(xn, out=xn)
+    if n > 1:
+        t[-1, -2], t[-2, -1], diag[-1] = -x[-1], xn[-1], rho[-1]
+    scaled = x / (1.0 + rho).repeat(range(n - 1, 0, -1), axis=0)
+    buf = np.empty((n - 1, n - 1, count), dtype=complex)
+    end = len(x) - 1
+    for i in reversed(range(n - 2)):
+        lvl = slice(end - (n - 1 - i), end)
+        b, row, rest = buf[i:, i:], t[i, i + 1:], t[i + 1:, i + 1:]
+        np.negative(x[lvl], out=t[i + 1:, i])
+        np.multiply(xn[lvl, None], rest, out=b)
+        b.sum(axis=0, out=row)
+        np.multiply(scaled[lvl, None], row, out=b)
+        rest += b
+        end = lvl.start
+    t *= phases
+    return t
+
+
 def haar_unitary_batch(dim: int, count: int, rng: RngStream) -> np.ndarray:
     """Draw ``count`` Haar-distributed ``dim x dim`` unitaries, stacked.
 
@@ -372,7 +419,11 @@ def haar_unitary_batch(dim: int, count: int, rng: RngStream) -> np.ndarray:
     InvalidCountError unless ``count`` is an integer at least 1.
     """
     x, rho, phases = _haar_coordinates(dim, count, rng)
-    return _product(_pivots(len(phases), 1, 1.0 + rho, x), phases, FORWARD).transpose(2, 0, 1)
+    if len(rho) < _WY_WIDTH:
+        t = _rank1_product(x, rho, phases)
+    else:
+        t = _product(_pivots(len(phases), 1, 1.0 + rho, x), phases, FORWARD)
+    return t.transpose(2, 0, 1)
 
 
 def _haar_blocks(dim: int, count: int, rng: RngStream):

@@ -32,43 +32,43 @@ constructor that skips checks; ``reflections`` are views it builds.
 The column loop's checks are the gate of the caller's ``Tolerances``; the
 record bounds are fixed, named in ``numkit``.
 
-Every product of reflections in the package follows one rule.  A product
-of fewer than ``_WY_WIDTH`` reflections is rank-1 updates, one per
-reflection, which cost less there than forming a compact-WY factor; a single
-reflection is a rank-1 update.  Any other product runs all its reflections
-in panels of ``_PANEL`` consecutive reflections, the last one possibly
-fewer, and every panel, a narrow last one included, acts at once in
-compact-WY form ``1 - Y V^dag``, the pivots as the columns of ``V`` and
-``Y = V T``, by two matrix products (Schreiber & Van Loan 1989): the
-blocked update ``B - Y (V^dag B)`` across its own columns and those after
-it.  While a factorization is being found, each pivot depends on the
-reflections before it, so the column loop is left-looking: each column of
-a panel first takes the panel's earlier reflections by matrix-vector
-products, then gives its pivot, and ``Y`` grows by one column (Bischof &
-Van Loan 1987); after the panel every later column takes it in one blocked
-update.  The record the loop returns keeps the conjugate of each panel's
-``Y^dag`` beside the pivots, as LAPACK's xGEQRT keeps ``T``, so that
-multiplying it back (``reconstruct``, or ``compose_cosets`` after a
-conversion, which hands it on) forms no ``T``.  A blocked product walks its
-panels once, the last first, each taking the rows of ``V^dag``, its own
-conjugate pivots, as a copy of that panel alone, where LAPACK's xLARFB
-reads ``V^dag`` through a transpose flag: no conjugate copy of the whole
-stack is made.  Without that factor (a record built by its constructor or
-read from a file, a stack of Haar samples) it forms each panel's ``T`` from
-that copy in the pass that applies it, in closed form: the inverse of the
-upper triangle of ``V^dag V`` with each diagonal entry ``<v|v>`` halved
-(Puglisi 1992).  A reversed coset stack, whose corners are the Householder
-pivots' negated, is negated back in those copies.  A reversed product is
-computed as the adjoint of the forward one, of the same pivots and
-conjugate phases.
+Every product of reflections in a record follows one rule: it runs all
+its reflections in panels of ``_PANEL`` consecutive reflections, the last
+one possibly fewer, and every panel, a narrow last one and a lone
+reflection included, acts at once in compact-WY form ``1 - Y V^dag``, the
+pivots as the columns of ``V`` and ``Y = V T``, by two matrix products
+(Schreiber & Van Loan 1989): the blocked update ``B - Y (V^dag B)`` across
+its own columns and those after it.  While a factorization is being found,
+each pivot depends on the reflections before it, so the column loop is
+left-looking: each column of a panel first takes the panel's earlier
+reflections by matrix-vector products, then gives its pivot, and ``Y``
+grows by one column (Bischof & Van Loan 1987); after the panel every later
+column takes it in one blocked update.  The record the loop returns keeps
+the conjugate of each panel's ``Y^dag`` beside the pivots, as LAPACK's
+xGEQRT keeps ``T``, so that multiplying it back (``reconstruct``, or
+``compose_cosets`` after a conversion, which hands it on) forms no ``T``.
+A product walks its panels once, the last first, each taking the rows of
+``V^dag``, its own conjugate pivots, as a copy of that panel alone, where
+LAPACK's xLARFB reads ``V^dag`` through a transpose flag: no conjugate copy
+of the whole stack is made.  Without that factor (a record built by its
+constructor or read from a file, a stack of Haar samples of 16 reflections
+or more) it forms each panel's ``T`` from that copy in the pass that
+applies it, in closed form: the inverse of the upper triangle of
+``V^dag V`` with each diagonal entry ``<v|v>`` halved (Puglisi 1992).  A
+reversed coset stack, whose corners are the Householder pivots' negated,
+is negated back in those copies.  A reversed product is computed as the
+adjoint of the forward one, of the same pivots and conjugate phases.
+Rank-1 updates remain where one reflection acts alone, in
+``apply_reflection`` and a coset factor's matrix, and in the Haar sampler,
+whose draws of fewer than 16 reflections take them on their ball
+coordinates, where ``2 / <n|n>`` is known without a sum.
 
 A product of a stack of factorizations, as the Haar sampler makes, takes
 its batch axes last: (N - 1, N, ...) pivots, (N, ...) phases and an
-(N, N, ...) result, so that each rank-1 step is one elementwise update
-along the batch axes rather than one small matrix product per matrix.  Its
-blocked panels, whose matrix products and inverses take batch axes first,
-run on one such copy of the product, each panel's conjugate pivots copied
-batch-first by the panel.
+(N, N, ...) result, the layout of the sampler's draws.  Its panels, whose
+matrix products and inverses take batch axes first, run on one such copy
+of the product, each panel's conjugate pivots copied batch-first by the
+panel.
 """
 
 import functools
@@ -104,9 +104,6 @@ REVERSED = "reversed"
 
 # Reflections per compact-WY panel (see the module docstring).
 _PANEL = 32
-# Fewest reflections in a product that runs as blocked compact-WY panels;
-# a product of fewer is rank-1 updates (see the module docstring).
-_WY_WIDTH = 16
 
 # Smallest <u|u> of a pivot; one built from a unit column has 2 (1 + rho) >= 2.
 _MIN_NORM_SQ = 2.0 * (1.0 - PIVOT_NORM_SLACK)
@@ -223,7 +220,7 @@ def _check_record(f, phases: PhaseDiagonal, invalid, leading) -> np.ndarray:
     # f.pivots as a read-only C-ordered (dim - 1) x dim complex copy, so no
     # caller's array is the stack that passed the checks.  Returns the
     # stack's <u|u>, as _pivot_norms.
-    if f.ordering not in (FORWARD, REVERSED):
+    if not isinstance(f.ordering, str) or f.ordering not in (FORWARD, REVERSED):
         raise invalid(f"unknown ordering {f.ordering!r}")
     if not isinstance(phases, PhaseDiagonal):
         raise invalid(f"phases must be a PhaseDiagonal, got {type(phases).__name__}")
@@ -296,7 +293,7 @@ def apply_reflection(r: Reflection, m, side: str = "left"):
     formed, and only the rows (left) or columns (right) from the level on
     change; cost is O((dim - level) * cols).
     """
-    if side not in ("left", "right"):
+    if not isinstance(side, str) or side not in ("left", "right"):
         raise DomainError(f"side must be 'left' or 'right', got {side!r}")
     right = side == "right"
     a = _as_array(m, "operand")
@@ -323,8 +320,7 @@ def apply_reflection(r: Reflection, m, side: str = "left"):
 def _reflect_rows(t, i, u, w) -> None:
     # t <- (1 - |u> w) t = R(u) t in place, for the row w = (2 / <u|u>) u^dag
     # of a pivot u whose components before index i are exactly zero, so only
-    # rows i.. of t change.  Batch axes trail, shared by t (N, M, ...), u and
-    # w (N, ...), so the step runs elementwise along them.
+    # rows i.. of t change.
     rows = t[i:]
     rows -= u[i:, None] * (w[i:, None] * rows).sum(axis=0)
 
@@ -414,35 +410,23 @@ def _product(pivots, phases, ordering: str, wy=None, flip: bool = False) -> Comp
     # Reflections are Hermitian, so D R(u_{N-1}) ... R(u_1) is the adjoint of
     # R(u_1) ... R(u_{N-1}) D^dag: a reversed product is the forward one of
     # the same pivots and conjugate phases, conjugated in place and
-    # transposed.  A product of fewer than _WY_WIDTH reflections is rank-1
-    # steps, elementwise along the batch axes, from the last reflection back.
-    # Any other runs every panel as the blocked update B - Y (V^dag B), in
-    # one pass from the last panel back, on a _stack of t, and its result is
-    # a transposed view of that stack.  Each panel's copy of V^dag, by
-    # _conj_panel, is freed once V^dag B is formed, and V^dag B after the
-    # update.  wy is the conjugate of each panel's Y^dag, as the column loop
-    # keeps it; None forms each by _wy_panel from that copy.  flip negates
-    # each pivot's corner, as a reversed coset stack composes, in the copies.
+    # transposed.  Every panel, a lone reflection included, runs as the
+    # blocked update B - Y (V^dag B), in one pass from the last panel back,
+    # on a _stack of t, and the result is a transposed view of that stack.
+    # Each panel's copy of V^dag, by _conj_panel, is freed once V^dag B is
+    # formed, and V^dag B after the update.  wy is the conjugate of each
+    # panel's Y^dag, as the column loop keeps it; None forms each by
+    # _wy_panel from that copy.  flip negates each pivot's corner, as a
+    # reversed coset stack composes, in the copies.
     # R(u_{i+2}) ... D is diagonal on the leading i + 1 coordinates, so rows
-    # i.. of t are zero before column i, and a blocked panel, whose pivots are
-    # all known, takes its own columns in the same update as those after it.
+    # i.. of t are zero before column i, and a panel, whose pivots are all
+    # known, takes its own columns in the same update as those after it.
     if ordering == REVERSED:
         t = _product(pivots, phases.conj(), FORWARD, wy, flip)
         return np.conjugate(t, out=t).swapaxes(0, 1)
     n = phases.shape[0]
     t = np.zeros((n,) + phases.shape, dtype=complex)
     t.reshape((n * n,) + phases.shape[1:])[::n + 1] = phases
-    if n - 1 < _WY_WIDTH:
-        pivots = _negated_corners(pivots) if flip else pivots
-        w = pivots.conj()
-        # <u|u> as a cumulative sum, which adds in index order whatever the
-        # layout, so that a product's bits do not depend on how many
-        # products share its stack; a sum would add a lone product's
-        # entries pairwise.
-        w /= ((pivots * w).real.cumsum(axis=1)[:, -1] * 0.5)[:, None]
-        for i in reversed(range(n - 1)):
-            _reflect_rows(t[:, i:], i, pivots[i], w[i])
-        return t
     t = _stack(t)
     for k, (lo, hi) in reversed(list(enumerate(_panels(n)))):
         v = _conj_panel(pivots, lo, hi, flip)

@@ -67,11 +67,15 @@ ROUND_TRIP_FACTOR = 4.0
 
 
 def _real(x, what: str, error):
-    # x as given if it is a real number (an int, float or numpy real, not a
-    # bool), else the caller's typed ``error`` rather than a TypeError later.
+    # x as a float if it is a real number (an int, float or numpy real, not a
+    # bool) that a float holds, else the caller's typed ``error`` rather than
+    # a TypeError or an OverflowError later.
     if isinstance(x, bool) or not isinstance(x, numbers.Real):
         raise error(f"{what} must be a real number: {x!r}")
-    return x
+    try:
+        return float(x)
+    except OverflowError:
+        raise error(f"{what} is not finite: {x!r}") from None
 
 
 def _integer(n, what: str, error, lo: int, hi: float = math.inf) -> int:
@@ -128,9 +132,13 @@ def _trusted(cls, **fields):
 
 
 def _as_array(a, what: str, dtype=complex, copy=False) -> np.ndarray:
-    # np.asarray(a, dtype), or a new np.array if copy; ragged -> DimensionMismatchError.
+    # np.asarray(a, dtype), or a new np.array if copy; ragged ->
+    # DimensionMismatchError, and an integer past the float range
+    # DomainError, as any other non-finite entry.
     try:
         return np.array(a, dtype=dtype) if copy else np.asarray(a, dtype=dtype)
+    except OverflowError as exc:
+        raise DomainError(f"{what}: non-finite entries: {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise DimensionMismatchError(f"{what}: not an array: {exc}") from exc
 

@@ -1069,6 +1069,17 @@ BAD_INPUTS = {
         CosetVector.from_coords([0.1], level=1, dim=2), math.inf),
     "u2-nonfinite": lambda: coset_u2_explicit(math.nan, 0.0),
     "u3-nonfinite": lambda: coset_u3_explicit(math.nan, 0.0, 0.1, 0.1),
+    # An integer past the float range is not finite, as an entry or a scalar;
+    # an array is no ordering, though `in` would compare it entrywise.
+    "vector-int-overflow": lambda: CosetVector(x=[10 ** 400], level=1, dim=2, rho=1.0),
+    "vector-coords-int-overflow": lambda: CosetVector.from_coords([10 ** 400], level=1, dim=2),
+    "stack-int-overflow": lambda: stack_factorization([[10 ** 400, 0.0, 0.0], [0.0, 2.0, 0.0]]),
+    "generator-int-overflow": lambda: Generator(b=[10 ** 400], dim=2, level=1),
+    "gamma-phase-int-overflow": lambda: gamma_from_rho(0.5, 10 ** 400),
+    "u2-int-overflow": lambda: coset_u2_explicit(10 ** 400, 0.0),
+    "u3-int-overflow": lambda: coset_u3_explicit(0.0, 10 ** 400, 0.0, 0.0),
+    "factorization-ordering-array": lambda: CosetFactorization(
+        eye_pivots(2, [1]), PhaseDiagonal(np.ones(2), 2), np.zeros((2, 2)), 2),
 }
 
 

@@ -25,7 +25,8 @@ from ucoset import (
     unitarity_error,
 )
 from ucoset import haar
-from ucoset.haar import _BLOCK_ENTRIES, _ROW_SCAN, _reg_gamma, _switch
+from ucoset.haar import _BLOCK_ENTRIES, _ROW_SCAN, _WY_WIDTH, _reg_gamma, _switch
+from ucoset.householder import FORWARD, _pivots, _product
 
 from golden_data import maxdiff
 
@@ -438,6 +439,52 @@ class TestHaarUnitaryBatch:
         with pytest.raises(InvalidCountError) as info:
             haar_unitary_batch(3, count, RngStream(52))
         assert isinstance(info.value, UcosetError)
+
+
+class TestRank1Draws:
+    # A draw of fewer than _WY_WIDTH reflections takes rank-1 steps on its
+    # ball coordinates; a wider one builds its pivots for the compact-WY
+    # panels of householder._product.  Both multiply out the same
+    # reflections.  The bound was fixed before the test was first run: a
+    # product of r reflections applied in floating point to a column of
+    # length N is the exact product of reflections each perturbed by at most
+    # c N u in norm (Higham 2002, Lemma 19.3), so each column of either
+    # product is within r c N u of the exact one and the two within
+    # 2 r c N u = r c N eps of each other; c = 2 for the two roundings of
+    # each complex multiply-add, and one eps more for the phases the steps
+    # multiply in last, gives (2 r N + 1) eps, r = N - 1.
+    @pytest.mark.parametrize("dim", range(1, _WY_WIDTH + 1))
+    def test_steps_are_the_panel_product(self, dim):
+        count = block_size(dim)
+        x, rho, phases = haar._haar_coordinates(dim, count, RngStream(81, dim))
+        steps = haar._rank1_product(x, rho, phases)
+        panels = _product(_pivots(dim, 1, 1.0 + rho, x), phases, FORWARD)
+        bound = (2 * (dim - 1) * dim + 1) * np.finfo(float).eps
+        assert maxdiff(steps, panels) <= bound
+        stack = haar_unitary_batch(dim, count, RngStream(81, dim))
+        assert stack.tobytes() == np.ascontiguousarray(steps.transpose(2, 0, 1)).tobytes()
+        # A lone draw, the count-1 case, against the panels and, bit for bit,
+        # against the first draws of the stack, from the same stream.
+        rng = RngStream(81, dim)
+        for k in range(5):
+            lone = haar_unitary(dim, rng)
+            assert maxdiff(lone, panels[..., k]) <= bound
+            assert lone.tobytes() == stack[k].tobytes()
+
+    @pytest.mark.parametrize("dim, path", [(1, "_rank1_product"), (2, "_rank1_product"),
+                                           (_WY_WIDTH, "_rank1_product"),
+                                           (_WY_WIDTH + 1, "_product"), (40, "_product")])
+    def test_only_draws_of_fewer_than_wy_width_reflections_take_steps(self, monkeypatch,
+                                                                      dim, path):
+        calls = []
+        for name in ("_rank1_product", "_product"):
+            def counting(*args, _name=name, _fn=getattr(haar, name)):
+                calls.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(haar, name, counting)
+        for count in (1, 3):
+            haar_unitary_batch(dim, count, RngStream(82, dim))
+        assert calls == [path, path]
 
 
 class TestTraceMoments:

@@ -35,7 +35,8 @@ from ucoset import (
 )
 import ucoset
 import ucoset.householder
-from ucoset.householder import _PANEL, _WY_WIDTH, _conj_panel, _panels, _product, _wy_panel
+from ucoset.haar import _WY_WIDTH
+from ucoset.householder import _PANEL, _conj_panel, _panels, _product, _wy_panel
 from ucoset.numkit import ROUND_TRIP_FACTOR
 
 from golden_data import (
@@ -735,9 +736,8 @@ class TestPanels:
         assert maxdiff(reconstruct(f), u) <= 1e-12
         assert maxdiff(compose_cosets(conv(f)), u) <= 1e-12
 
-    # Bit for bit, in both orderings: rank-1 steps only (3, and 16, one
-    # reflection short of _WY_WIDTH), one blocked panel (17), a full panel
-    # and a narrow one (40), two full panels and a narrow one (67).
+    # Bit for bit, in both orderings: one narrow panel (3, 16 and 17), a
+    # full panel and a narrow one (40), two full panels and a narrow one (67).
     @pytest.mark.parametrize("n", [3, 16, 17, 40, 67])
     @pytest.mark.parametrize("ordering", [FORWARD, REVERSED])
     def test_stacked_product_matches_each_matrix(self, ordering, n):
@@ -789,21 +789,22 @@ def rank1_product(pivots, phases, ordering):
     return t
 
 
-# Products of _WY_WIDTH - 1 reflections (rank-1 steps), of _WY_WIDTH and one
-# more (one blocked panel), of a full panel and then a last one of
-# _WY_WIDTH - 1, _WY_WIDTH and _WY_WIDTH + 1 (each panel blocked with its
-# own T), and 2 _PANEL +- 1.
+# Products on both sides of the Haar sampler's switch, _WY_WIDTH - 1
+# reflections (the widest draw of rank-1 steps), _WY_WIDTH and one more; of a
+# full panel and then a last one of _WY_WIDTH - 1, _WY_WIDTH and
+# _WY_WIDTH + 1; and 2 _PANEL +- 1.  Every one runs panels, each with its T.
 PRODUCT_DIMS = [_WY_WIDTH, _WY_WIDTH + 1, _WY_WIDTH + 2, _PANEL + _WY_WIDTH,
                 _PANEL + _WY_WIDTH + 1, _PANEL + _WY_WIDTH + 2, 2 * _PANEL - 1, 2 * _PANEL + 1]
 
 
 class TestProductPanels:
-    def test_product_blocks_panels_by_width(self, monkeypatch):
-        # A product of fewer than _WY_WIDTH reflections forms no Y^dag; any
-        # other forms one per panel, a narrow last panel included, the last
-        # panel first.  A decomposed record carries the column loop's own WY
-        # form and forms none; the same pivots through the constructor form
-        # exactly those widths.
+    def test_products_form_one_factor_per_panel(self, monkeypatch):
+        # A product of a record, of one reflection (2), of a few (3), on
+        # both sides of the sampler's _WY_WIDTH (16, 17) or of several
+        # panels, forms one Y^dag per panel, a narrow last panel included,
+        # the last panel first, when the record is built by its constructor;
+        # a decomposed record carries the column loop's own WY form and
+        # forms none.
         calls = []
         wy_panel = ucoset.householder._wy_panel
 
@@ -812,7 +813,8 @@ class TestProductPanels:
             return wy_panel(v)
 
         monkeypatch.setattr(ucoset.householder, "_wy_panel", counting)
-        for n, widths in ((_WY_WIDTH, []), (_WY_WIDTH + 1, [_WY_WIDTH]),
+        for n, widths in ((2, [1]), (3, [2]), (_WY_WIDTH, [_WY_WIDTH - 1]),
+                          (_WY_WIDTH + 1, [_WY_WIDTH]),
                           (_PANEL + 2, [1, _PANEL]),
                           (_PANEL + _WY_WIDTH, [_WY_WIDTH - 1, _PANEL]),
                           (_PANEL + _WY_WIDTH + 1, [_WY_WIDTH, _PANEL]),
@@ -1132,6 +1134,18 @@ BAD_INPUTS = {
     "column-2d": lambda: pivot_from_column(np.ones((2, 1)), 1),
     "column-ragged": lambda: pivot_from_column([1.0, [0.0]], 1),
     "decompose-ragged": lambda: decompose([[1.0, 0.0], [0.0]]),
+    # An integer past the float range is not finite; an array is no ordering
+    # or side, though `in` would compare it entrywise.
+    "decompose-int-overflow": lambda: decompose([[10 ** 400]]),
+    "column-int-overflow": lambda: pivot_from_column([10 ** 400, 0.0], 1),
+    "apply-int-overflow": lambda: apply_reflection(decompose(U0).reflections[0],
+                                                   [10 ** 400, 0.0, 0.0]),
+    "phases-int-overflow": lambda: PhaseDiagonal([10 ** 400, 1.0], 2),
+    "stack-int-overflow": lambda: factorization_with(
+        pivots=[[10 ** 400, 0.0, 0.0], [0.0, 2.0, 0.0]]),
+    "factorization-ordering-array": lambda: factorization_with(ordering=np.zeros((2, 2))),
+    "apply-side-array": lambda: apply_reflection(decompose(U0).reflections[0], np.eye(3),
+                                                 np.zeros((2, 2))),
 }
 
 

@@ -34,6 +34,12 @@ BAD_INPUTS = {
     "ks-empty": lambda: haar.ks_statistic([], lambda x: x),
     "ks-two-sample-empty": lambda: haar.ks_statistic_two_sample([0.5], []),
     "oracle-dim": lambda: haar.haar_oracle(0, haar.RngStream(0)),
+    # An integer past the float range is not finite, as an entry or a scalar.
+    "tolerance-int-overflow": lambda: numkit.Tolerances(10 ** 400),
+    "tolerance-2^1024": lambda: numkit.Tolerances(2 ** 1024),
+    "matrix-int-overflow": lambda: numkit.unitarity_error([[10 ** 400]]),
+    "expm-int-overflow": lambda: numkit.expm_series([[10 ** 400]]),
+    "ks-int-overflow": lambda: haar.ks_statistic([0.5, 10 ** 400], lambda x: x),
 }
 
 

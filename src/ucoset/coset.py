@@ -179,7 +179,8 @@ class CosetFactor:
     @property
     def matrix(self) -> ComplexMatrix:
         i = self.level - 1
-        _, c, rho, _ = _chart(self.pivot[None], i)
+        with np.errstate(all="ignore"):
+            _, c, rho, _ = _chart(self.pivot[None], i)
         m = np.eye(self.dim, dtype=complex)
         _reflect_rows(m, i, self.pivot, c[0] * self.pivot.conj())
         m[i:, i] *= -1.0
@@ -245,36 +246,36 @@ class Generator:
     def __post_init__(self):
         _check_level(self.level, self.dim)
         b = _frozen_array(self.b, (self.dim - self.level,), complex, "b")
-        if float(np.linalg.norm(b)) > math.pi + BALL_SLACK:
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(b))
+        if norm > math.pi + BALL_SLACK:
             raise DomainError("||B|| must not exceed pi")
         object.__setattr__(self, "b", b)
 
 
-def _row_sq(a, rows, k):
-    # The sum of |a_i|^2 over each row of a but its corner, column k[j] of
-    # row j (or k, for one int): elementwise steps and row sums, so that a
-    # row's sum is the same, bit for bit, alone or in a stack.
+def _row_sq(a, k):
+    # The sum of |a_i|^2 over each row of a but its corner, column k + j of
+    # row j: elementwise steps and row sums, so that a row's sum is the same,
+    # bit for bit, alone or in a stack.
     sq = np.square(a.real)
     sq += np.square(a.imag)
-    sq[rows, k] = 0.0
-    return sq.sum(axis=1)
+    sq.reshape(-1)[k::a.shape[1] + 1] = 0.0
+    return np.add.reduce(sq, axis=1)
 
 
 def _chart(p, k):
     # conj(p_k), 2 / <p|p>, the corner rho = 2 |p_k|^2 / <p|p> - 1 and the
     # row times 2 conj(p_k) / <p|p>, whose entries after the corner are X,
     # of each row of the pivots p, as arrays; row j has its corner in
-    # column k[j] (or k, for one int).  <p|p> is summed as |p_k|^2 plus the
-    # row's other |p_i|^2, so that a pure-phase pivot gives exactly 1.
-    # Entries whose squares overflow give a NaN corner, without a warning,
-    # as Python floats would.
-    rows = np.arange(p.shape[0])
-    pk_bar = p[rows, k].conj()
-    with np.errstate(all="ignore"):
-        pk_sq = pk_bar.real * pk_bar.real + pk_bar.imag * pk_bar.imag
-        norm_sq = pk_sq + _row_sq(p, rows, k)
-        c = 2.0 / norm_sq
-        return pk_bar, c, 2.0 * pk_sq / norm_sq - 1.0, (c * pk_bar)[:, None] * p
+    # column k + j.  <p|p> is summed as |p_k|^2 plus the row's other
+    # |p_i|^2, so that a pure-phase pivot gives exactly 1.  Entries whose
+    # squares overflow give a NaN corner, as Python floats would, and warn
+    # unless the caller ignores floating-point errors, as both callers do.
+    pk_bar = np.diagonal(p, k).conj()
+    pk_sq = pk_bar.real * pk_bar.real + pk_bar.imag * pk_bar.imag
+    norm_sq = pk_sq + _row_sq(p, k)
+    c = 2.0 / norm_sq
+    return pk_bar, c, 2.0 * pk_sq / norm_sq - 1.0, (c * pk_bar)[:, None] * p
 
 
 def _factors(pivots, level: int) -> list:
@@ -286,24 +287,22 @@ def _factors(pivots, level: int) -> list:
     # fails one gets CosetVector itself, which raises that check's error.
     # Before the corner X is exactly zero unless the row's scale is not
     # finite, and then X fails anyway.
-    rows = np.arange(pivots.shape[0])
-    k = np.arange(level - 1, level - 1 + pivots.shape[0])
-    *_, rho, x = _chart(pivots, k)
-    x.setflags(write=False)
     with np.errstate(all="ignore"):
-        r_sq = _row_sq(x, rows, k)
+        *_, rho, x = _chart(pivots, level - 1)
+        r_sq = _row_sq(x, level - 1)
+    x.setflags(write=False)
     rho_in = rho.clip(0.0, 1.0)
     ok = (r_sq <= 1.0 + BALL_SLACK) & (np.abs(rho_in * rho_in + r_sq - 1.0) <= RHO_SLACK)
     n = pivots.shape[1]
     factors = []
-    for lv, (p, r, r_in, good) in enumerate(zip(pivots, rho.tolist(), rho_in.tolist(),
-                                                ok.tolist()), level):
+    for lv, (p, xr, r, r_in, good) in enumerate(zip(pivots, x, rho.tolist(), rho_in.tolist(),
+                                                    ok.tolist()), level):
         if r < -BALL_SLACK:
             v = None
         elif good:
-            v = _trusted(CosetVector, x=x[lv - level, lv:], level=lv, dim=n, rho=r_in)
+            v = _trusted(CosetVector, x=xr[lv:], level=lv, dim=n, rho=r_in)
         else:
-            v = CosetVector(x[lv - level, lv:], lv, n, r_in)
+            v = CosetVector(xr[lv:], lv, n, r_in)
         factors.append(_trusted(CosetFactor, level=lv, dim=n, pivot=p, vector=v))
     return factors
 

@@ -50,11 +50,18 @@ xGEQRT keeps ``T``, so that multiplying it back (``reconstruct``, or
 A product walks its panels once, the last first, each taking the rows of
 ``V^dag``, its own conjugate pivots, as a copy of that panel alone, where
 LAPACK's xLARFB reads ``V^dag`` through a transpose flag: no conjugate copy
-of the whole stack is made.  Without that factor (a record built by its
-constructor or read from a file, a stack of Haar samples of 16 reflections
-or more) it forms each panel's ``T`` from that copy in the pass that
-applies it, in closed form: the inverse of the upper triangle of
-``V^dag V`` with each diagonal entry ``<v|v>`` halved (Puglisi 1992).  A
+of the whole stack is made.  It starts from the identity and scales its
+columns by the phases once, at the end, so before a panel of b reflections
+acts, its own b rows and columns of the product are the identity's:
+``V^dag B`` is ``V^dag``'s first b columns as they are beside one matrix
+product of the rest with the trailing block.  So an N x N product's matrix
+products come to about 2 N^3 / 3 multiply-adds (12 % more at N = 64, 1 %
+at 256), where products over the whole block took 1.86 and 1.20 times
+that.  Without that factor (a record built by its constructor or read
+from a file, a stack of Haar samples of 16 reflections or more) it forms
+each panel's ``T`` from that copy in the pass that applies it, in closed
+form: the inverse of the upper triangle of ``V^dag V`` with each diagonal
+entry ``<v|v>`` halved (Puglisi 1992).  A
 reversed coset stack, whose corners are the Householder pivots' negated,
 is negated back in those copies.  A reversed product is computed as the
 adjoint of the forward one, of the same pivots and conjugate phases.
@@ -66,9 +73,9 @@ coordinates, where ``2 / <n|n>`` is known without a sum.
 A product of a stack of factorizations, as the Haar sampler makes, takes
 its batch axes last: (N - 1, N, ...) pivots, (N, ...) phases and an
 (N, N, ...) result, the layout of the sampler's draws.  Its panels, whose
-matrix products and inverses take batch axes first, run on one such copy
-of the product, each panel's conjugate pivots copied batch-first by the
-panel.
+matrix products and inverses take batch axes first, run on a product laid
+out batch-first, each panel's conjugate pivots copied batch-first by the
+panel, and the result is a batch-last view of it.
 """
 
 import functools
@@ -291,7 +298,8 @@ def apply_reflection(r: Reflection, m, side: str = "left"):
     ``side="left"`` computes ``R m`` (1-D input is a column), ``side="right"``
     computes ``m R`` (1-D input is a row).  The dense reflector is never
     formed, and only the rows (left) or columns (right) from the level on
-    change; cost is O((dim - level) * cols).
+    change; cost is O((dim - level) * cols).  A result that is not finite
+    raises ``DomainError``, with no warning.
     """
     if not isinstance(side, str) or side not in ("left", "right"):
         raise DomainError(f"side must be 'left' or 'right', got {side!r}")
@@ -313,7 +321,10 @@ def apply_reflection(r: Reflection, m, side: str = "left"):
     # reflects to the bits it has in a wider matrix; a sum over rows would
     # add a single column pairwise.
     rows = t.reshape(r.dim, -1)[i:]
-    rows -= u[i:, None] * (w[i:, None] * rows).cumsum(axis=0)[-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows -= u[i:, None] * (w[i:, None] * rows).cumsum(axis=0)[-1]
+    if not np.isfinite(t).all():
+        raise DomainError("reflected operand has non-finite entries")
     return t.T if right else t
 
 
@@ -412,31 +423,34 @@ def _product(pivots, phases, ordering: str, wy=None, flip: bool = False) -> Comp
     # the same pivots and conjugate phases, conjugated in place and
     # transposed.  Every panel, a lone reflection included, runs as the
     # blocked update B - Y (V^dag B), in one pass from the last panel back,
-    # on a _stack of t, and the result is a transposed view of that stack.
-    # Each panel's copy of V^dag, by _conj_panel, is freed once V^dag B is
-    # formed, and V^dag B after the update.  wy is the conjugate of each
-    # panel's Y^dag, as the column loop keeps it; None forms each by
-    # _wy_panel from that copy.  flip negates each pivot's corner, as a
-    # reversed coset stack composes, in the copies.
-    # R(u_{i+2}) ... D is diagonal on the leading i + 1 coordinates, so rows
-    # i.. of t are zero before column i, and a panel, whose pivots are all
-    # known, takes its own columns in the same update as those after it.
+    # on t, batch axes first, from the identity; the result is a transposed
+    # view of t, whose columns D scales once at the end.  wy is the
+    # conjugate of each panel's Y^dag, as the column loop keeps it; None
+    # forms each by _wy_panel from the panel's copy of V^dag, by
+    # _conj_panel.  flip negates each pivot's corner, as a reversed coset
+    # stack composes, in the copies.
+    # R(u_{i+2}) ... R(u_{N-1}) is the identity on the leading i + 1
+    # coordinates, so rows i.. of t are zero before column i, and a panel,
+    # whose pivots are all known, takes its own columns in the same update
+    # as those after it.  Rows and columns lo .. hi - 1 of t are still the
+    # identity's then, so V^dag B is V^dag's first hi - lo columns as they
+    # are beside the rest times t's trailing block, formed in place in the
+    # copy of V^dag: b (N - hi)^2 multiply-adds for a panel of b, not
+    # b (N - lo)^2.  The copy is freed after the update.
     if ordering == REVERSED:
         t = _product(pivots, phases.conj(), FORWARD, wy, flip)
         return np.conjugate(t, out=t).swapaxes(0, 1)
     n = phases.shape[0]
-    t = np.zeros((n,) + phases.shape, dtype=complex)
-    t.reshape((n * n,) + phases.shape[1:])[::n + 1] = phases
-    t = _stack(t)
+    t = np.zeros(phases.shape[1:] + (n, n), dtype=complex)
+    t.reshape(-1, n * n)[:, ::n + 1] = 1.0
     for k, (lo, hi) in reversed(list(enumerate(_panels(n)))):
         v = _conj_panel(pivots, lo, hi, flip)
         y = _wy_panel(v) if wy is None else wy[k]
-        blk = t[..., lo:, lo:]
-        vb = v @ blk
+        v[..., hi - lo:] = v[..., hi - lo:] @ t[..., hi:, hi:]
+        t[..., lo:, lo:] -= np.swapaxes(y, -1, -2) @ v
         del v
-        blk -= np.swapaxes(y, -1, -2) @ vb
-        del vb
-    return t.transpose(t.ndim - 2, t.ndim - 1, *range(t.ndim - 2))
+    t = t.transpose(t.ndim - 2, t.ndim - 1, *range(t.ndim - 2))
+    return np.multiply(t, phases, out=t)
 
 
 def pivot_from_column(w, level: int, tol: Tolerances | None = None):
@@ -549,16 +563,19 @@ def _clear_columns(u, tol: Tolerances, ordering: str) -> HouseholderFactorizatio
     # j of M: U^T forward, conj(U) reversed.  A panel's reflections so far,
     # R(v_1) ... R(v_k) = 1 - Y V^dag (V: their pivots from the panel's first
     # column on), act on column i as 1 - V Y^dag, by two matrix-vector
-    # products, much of a level's fixed cost at small N: dot on the C-ordered
-    # z, which skips the matmul ufunc's dispatch, and @ on the strided rows of
-    # v, which dot would copy whole.  Do not make them one form.
-    # _column_pivot, which pivot_from_column shares, then checks
-    # it, writes its pivot over row i and gives the corner, kept apart in
-    # corners; Y grows by c (v - Y V^dag v), kept as z = Y^dag.  Y = V T for
-    # the compact-WY T grown as zlarft does, one product fewer per column.
+    # products, much of a level's fixed cost at small N.  Each runs through
+    # ndarray.dot, which skips the matmul ufunc's dispatch but copies
+    # strided rows whole, so it reads C-ordered arrays only: z, and v, a
+    # copy of the panel's pivots from column lo on, each copied as it is
+    # written.  _column_pivot, which pivot_from_column shares, then checks
+    # column i, writes its pivot over row i and gives the corner, kept
+    # apart in corners; Y grows by c (v - Y V^dag v), kept as z = Y^dag.
+    # Y = V T for the compact-WY T grown as zlarft does, one product fewer
+    # per column.
     # Every later column then takes the panel in one update, and the record
     # keeps conj(z), the form _product applies, and w[:-1], with w made
-    # read-only, as its stack, so the loop allocates no second stack.
+    # read-only, as its stack, so the loop allocates no second stack, only
+    # one panel's copy at a time.
     # The corners, finite by the column checks, are the forward residual:
     # unit phases, each -e^{i phi_k} for the phase the loop gave its level.
     a = _as_square_matrix(u)
@@ -571,16 +588,17 @@ def _clear_columns(u, tol: Tolerances, ordering: str) -> HouseholderFactorizatio
     # An input far from unitary may overflow here; its column checks reject it.
     with np.errstate(over="ignore", invalid="ignore"):
         for lo, hi in _panels(n):
-            v = w[lo:hi, lo:]
+            v = np.empty((hi - lo, n - lo), dtype=complex)
             z = np.empty_like(v)
             for k, i in enumerate(range(lo, hi)):
                 col, vs, zs = w[i, lo:], v[:k], z[:k]
                 if k:
-                    col -= zs.dot(col) @ vs
+                    col -= zs.dot(col).dot(vs)
                 _, units[i], norm_sq, corners[i] = _column_pivot(w[i], i + 1, bound)
+                v[k] = col
                 zk = np.conjugate(col, out=z[k])
                 if k:
-                    zk -= (vs @ zk).dot(zs)
+                    zk -= vs.dot(zk).dot(zs)
                 zk *= 2.0 / norm_sq
             w[hi:, lo:] -= (w[hi:, lo:] @ z.T) @ v
             wy.append(np.conjugate(z, out=z))

@@ -187,12 +187,16 @@ def unitarity_error(m) -> float:
     float
         Zero for an exactly unitary matrix.  Otherwise it can differ from
         the defect of ``m^dag`` by up to a factor N: the largest entries of
-        both defects are bounded by their equal 2-norms.
+        both defects are bounded by their equal 2-norms.  A finite matrix
+        whose ``M^dag M`` overflows has the defect inf, with no warning.
     """
     a = _as_square_matrix(m)
-    defect = a.conj().T @ a
-    defect[np.diag_indices(a.shape[0])] -= 1.0
-    return float(np.max(np.abs(defect)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = a.conj().T @ a
+        defect[np.diag_indices(a.shape[0])] -= 1.0
+        err = float(np.max(np.abs(defect)))
+    # An overflowed entry may read inf - inf = NaN.
+    return math.inf if math.isnan(err) else err
 
 
 def expm_series(a) -> ComplexMatrix:
@@ -205,7 +209,8 @@ def expm_series(a) -> ComplexMatrix:
     max-magnitude drops below ``SERIES_CUTOFF``, within 14, and the result
     is squared ``s`` times.  Accurate to roughly machine precision for the
     moderate norms used here; kept intentionally free of clever rational
-    approximations so it can act as an independent oracle.
+    approximations so it can act as an independent oracle.  A result that
+    overflows raises ``DomainError``, with no warning.
     """
     mat = _as_square_matrix(a)
     n = mat.shape[0]
@@ -225,6 +230,9 @@ def expm_series(a) -> ComplexMatrix:
             break
         result = result + term
         k += 1
-    for _ in range(squarings):
-        result = result @ result
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(squarings):
+            result = result @ result
+    if not np.isfinite(result).all():
+        raise DomainError(f"matrix exponential overflows after {squarings} squarings")
     return result

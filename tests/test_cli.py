@@ -570,6 +570,12 @@ class TestVerify:
         assert run("verify", "--input", path) == 4
         assert "3.000" in capsys.readouterr().err
 
+    def test_overflowing_matrix_fails_without_a_warning(self, tmp_path, capsys):
+        path = write_json(tmp_path / "o.json", matrix_obj(np.full((2, 2), 1e200)))
+        assert run("verify", "--input", path) == 4
+        err = capsys.readouterr().err
+        assert "inf" in err and "Warning" not in err
+
     def test_non_square_matrix_fails(self, tmp_path):
         path = write_json(tmp_path / "r.json", matrix_obj(np.ones((1, 2))))
         assert run("verify", "--input", path) == 4

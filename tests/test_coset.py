@@ -1080,6 +1080,8 @@ BAD_INPUTS = {
     "u3-int-overflow": lambda: coset_u3_explicit(0.0, 10 ** 400, 0.0, 0.0),
     "factorization-ordering-array": lambda: CosetFactorization(
         eye_pivots(2, [1]), PhaseDiagonal(np.ones(2), 2), np.zeros((2, 2)), 2),
+    # A finite B whose norm overflows, with no warning on the way.
+    "generator-overflowing-norm": lambda: Generator(b=np.array([1e200]), dim=2, level=1),
 }
 
 

@@ -406,12 +406,13 @@ class TestHaarUnitary:
 
 class TestHaarUnitaryBatch:
     # From dim 17 on a product runs blocked panels, from dim 34 on a narrow
-    # last one too.  Each sum over a matrix's own axis adds in index order
+    # last one too, of one reflection at 34 and 66, after two full panels
+    # at 66.  Each sum over a matrix's own axis adds in index order
     # whatever the layout, and a lone ball's radius power is taken as a
     # stack's, so a draw has the same bits alone as in a stack.
-    @pytest.mark.parametrize("dim", range(1, 41))
+    @pytest.mark.parametrize("dim", [*range(1, 41), 65, 66])
     def test_equals_successive_single_draws(self, dim):
-        for count in (1, 2, 3, block_size(dim) + 1):
+        for count in (1, 2, 3, block_size(dim) + 1) if dim <= 40 else (2,):
             a = RngStream(51, dim)
             b = RngStream(51, dim)
             batch = haar_unitary_batch(dim, count, a)

@@ -977,9 +977,11 @@ class TestTracedPeak:
     # Bounds fixed from the arrays each call must hold at once, in units of
     # one N x N complex array: the work array or the product (1); one
     # blocked update's temporary, at most N x N (1); and either the WY
-    # factors the column loop keeps, sum b (N - lo) over its panels, or a
-    # product's panel of V^dag and V^dag B, b (N - lo) entries each with
-    # b <= _PANEL, under 1 at N >= 64 either way.  A record without the
+    # factors the column loop keeps, sum b (N - lo) over its panels so far,
+    # with the current panel's contiguous copy of its pivots, b (N - lo),
+    # or a product's panel of V^dag, b (N - lo) entries, which becomes
+    # V^dag B in place, with its one matrix product's temporary, b (N - hi),
+    # with b <= _PANEL, at most 1 at N >= 64 either way.  A record without the
     # carried factor forms each panel's in the pass that applies it, one
     # panel's Y, b (N - lo) entries, and its Gram and inverse, b^2 each, at
     # a time (under 1 more).  A coset record's
@@ -1038,9 +1040,12 @@ class TestAccuracy:
     # is twice its distance from a unitary matrix.  Fixed before measuring.
     PASS = 2.0 * np.finfo(float).eps
 
-    # Rank-1 products (2, 3, 16), one blocked panel (17, 33), a narrow last
-    # panel (34, 40, 48, 72) and full panels only (64, 65, 128, 256).
-    @pytest.mark.parametrize("n", [2, 3, 16, 17, 33, 34, 40, 48, 64, 65, 72, 128, 256])
+    # One panel (2, of one reflection, to 33), a narrow last panel (34 and
+    # 66, of one reflection; 40, 48, 72) and full panels only (64, 65, 128,
+    # 256).  Before a panel acts, its own rows and columns of the product
+    # are the identity, so a panel of one reflection takes only V^dag's
+    # first column as it is.
+    @pytest.mark.parametrize("n", [2, 3, 16, 17, 33, 34, 40, 48, 64, 65, 66, 72, 128, 256])
     @pytest.mark.parametrize("dec, conv, _", PANEL_ORDERINGS)
     def test_round_trip_within_a_multiple_of_n_eps(self, n, dec, conv, _):
         u = random_unitary(n, 770 + n)
@@ -1146,6 +1151,9 @@ BAD_INPUTS = {
     "factorization-ordering-array": lambda: factorization_with(ordering=np.zeros((2, 2))),
     "apply-side-array": lambda: apply_reflection(decompose(U0).reflections[0], np.eye(3),
                                                  np.zeros((2, 2))),
+    # A finite operand whose reflection overflows, with no warning on the way.
+    "apply-overflow": lambda: apply_reflection(Reflection(np.array([1, 1, 0j]), 1, 3),
+                                               np.full(3, 1e308)),
 }
 
 

@@ -35,6 +35,11 @@ class TestUnitarityError:
         with pytest.raises(ValueError):
             unitarity_error(m)
 
+    @pytest.mark.parametrize("entry", [1e200, 1e200 + 1e200j])
+    def test_overflow_is_inf_without_a_warning(self, entry):
+        # M^dag M overflows to inf, or with both parts large to inf - inf.
+        assert unitarity_error(np.full((2, 2), entry)) == math.inf
+
     def test_adjoint_symmetry_for_unitary_input(self):
         # err(M) and err(M^dag) agree for unitary M; both are already at
         # rounding level, so compare at twice machine epsilon.

@@ -40,6 +40,8 @@ BAD_INPUTS = {
     "matrix-int-overflow": lambda: numkit.unitarity_error([[10 ** 400]]),
     "expm-int-overflow": lambda: numkit.expm_series([[10 ** 400]]),
     "ks-int-overflow": lambda: haar.ks_statistic([0.5, 10 ** 400], lambda x: x),
+    # A finite input whose exponential overflows, with no warning on the way.
+    "expm-overflow": lambda: numkit.expm_series(np.full((2, 2), 1e3)),
 }
 
 

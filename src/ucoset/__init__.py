@@ -31,7 +31,7 @@ _NAMES = {
              "cosets_from_householder cosets_from_householder_reversed compose_cosets "
              "extract_coset_vector coset_matrix_from_X gamma_from_rho normal_from_coset_vector "
              "generator_matrix exp_coset coset_u2_explicit coset_u3_explicit",
-    "haar": "RngStream SampleReport OddDimensionError InvalidDimError TooFewSamplesError "
+    "haar": "RngStream Gate SampleReport OddDimensionError InvalidDimError TooFewSamplesError "
             "InvalidCountError sample_ball haar_unitary_batch haar_unitary haar_oracle "
             "haar_validate ks_statistic ks_statistic_two_sample",
 }

@@ -53,11 +53,6 @@ EXIT_STATS = 5
 
 KINDS = ("householder", "coset", "coset-reversed")
 
-# Twice 1.63, about the asymptotic 99th-percentile Kolmogorov critical value, 1.628.
-HAAR_TEST_KS_FACTOR = 2.0 * 1.63
-# False-alarm rate of the mean-moduli gate, split evenly over the dim^2 entries.
-HAAR_TEST_MEAN_ALARM = 1e-6
-
 
 class _InputError(Exception):
     """Unusable input file or argument; maps to exit code 2."""
@@ -293,7 +288,11 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_sample(args) -> int:
     rng = ucoset.haar.RngStream(args.seed)
-    matrices = [m for block in ucoset.haar._haar_blocks(args.dim, args.count, rng) for m in block]
+    try:
+        matrices = [m for block in ucoset.haar._haar_blocks(args.dim, args.count, rng)
+                    for m in block]
+    except (ucoset.haar.InvalidDimError, ucoset.haar.InvalidCountError) as exc:
+        raise _InputError(f"sample: {exc}") from exc
     obj = {
         "dim": args.dim,
         "count": args.count,
@@ -378,42 +377,28 @@ def cmd_haar_test(args) -> int:
         report = ucoset.haar.haar_validate(args.dim, args.samples, ucoset.haar.RngStream(args.seed))
     except (ucoset.haar.InvalidDimError, ucoset.haar.TooFewSamplesError) as exc:
         raise _InputError(f"haar-test: {exc}") from exc
-    threshold = HAAR_TEST_KS_FACTOR / math.sqrt(args.samples)
-    # |U_ij|^2 is Beta(1, N - 1) for Haar U, of mean 1/N and variance
-    # (N - 1) / (N^2 (N + 1)), so each entry's mean over S samples is near
-    # normal.  The largest deviation over the N^2 entries is gated at z
-    # standard errors, z = sqrt(2 ln(2 / a)), as P(|Z| > z) <= 2 e^{-z^2 / 2}
-    # = a, the false-alarm rate split over the entries (Bonferroni).
-    n, s = report.dim, report.sample_count
-    z = math.sqrt(2.0 * math.log(2.0 * n * n / HAAR_TEST_MEAN_ALARM))
-    mean_threshold = z * math.sqrt((n - 1) / (n * n * (n + 1) * s))
-    mean_dev = float(np.max(np.abs(report.mean_moduli - 1.0 / n)))
+    # The report's gates hold the thresholds and verdicts (haar.SampleReport).
+    ks, mean = report.ks_gate, report.mean_gate
     print(
         f"haar-test: dim {report.dim}, samples {report.sample_count}, "
         f"seed {args.seed}",
         file=sys.stderr,
     )
     print(
-        f"haar-test: KS statistic {report.ks_statistic:.5f} "
-        f"(threshold {threshold:.5f})",
+        f"haar-test: KS statistic {ks.statistic:.5f} (threshold {ks.threshold:.5f})",
         file=sys.stderr,
     )
     print(
-        f"haar-test: max |mean |U_ij|^2 - 1/dim| = {mean_dev:.3e} "
-        f"(threshold {mean_threshold:.3e})",
+        f"haar-test: max |mean |U_ij|^2 - 1/dim| = {mean.statistic:.3e} "
+        f"(threshold {mean.threshold:.3e})",
         file=sys.stderr,
     )
     for row in report.mean_moduli:
         print("haar-test:   " + "  ".join(f"{v:.4f}" for v in row), file=sys.stderr)
-    # A NaN statistic fails too.
-    failed = False
-    if not report.ks_statistic < threshold:
-        print("haar-test: FAIL KS statistic of |U_11|^2 past its threshold", file=sys.stderr)
-        failed = True
-    if not mean_dev <= mean_threshold:
-        print("haar-test: FAIL max |mean |U_ij|^2 - 1/dim| past its threshold", file=sys.stderr)
-        failed = True
-    if failed:
+    for gate, what in ((ks, "KS statistic of |U_11|^2"), (mean, "max |mean |U_ij|^2 - 1/dim|")):
+        if not gate.passed:
+            print(f"haar-test: FAIL {what} past its threshold", file=sys.stderr)
+    if not report.passed:
         return EXIT_STATS
     print("haar-test: PASS", file=sys.stderr)
     return EXIT_OK

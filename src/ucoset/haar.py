@@ -63,11 +63,27 @@ class InvalidDimError(UcosetError):
 
 
 class TooFewSamplesError(UcosetError):
-    """Statistical validation needs more samples to mean anything."""
+    """A sample count out of range: statistical validation needs at least
+    1000 samples to mean anything, and no more than one array can hold."""
 
 
 class InvalidCountError(UcosetError):
-    """A batch must hold at least one matrix."""
+    """A batch must hold at least one matrix, and fit in one array."""
+
+
+# The most complex entries one numpy array can hold.  Past it numpy raises a
+# bare ValueError for the shape or the byte count, so every size an entry
+# point takes is checked against it, with the entry point's own typed error,
+# before anything is drawn or allocated.
+_MAX_ENTRIES = np.iinfo(np.intp).max // np.dtype(complex).itemsize
+
+# The widest matrix one array holds.
+_MAX_DIM = math.isqrt(_MAX_ENTRIES)
+
+# Twice 1.63, about the asymptotic 99th-percentile Kolmogorov critical value, 1.628.
+HAAR_TEST_KS_FACTOR = 2.0 * 1.63
+# False-alarm rate of the mean-moduli gate, split evenly over the dim^2 entries.
+HAAR_TEST_MEAN_ALARM = 1e-6
 
 
 class RngStream:
@@ -100,18 +116,22 @@ class RngStream:
     def normals(self, count: int) -> np.ndarray:
         """Standard normal variates; advances ``draws`` by ``count``.
 
-        A ``count`` that is not a non-negative integer raises DomainError and
-        leaves ``draws`` as it was; so it does in ``uniforms``.
+        A ``count`` that is not a non-negative integer, or is more than one
+        array can hold, raises DomainError and leaves ``draws`` as it was;
+        so it does in ``uniforms``.
         """
-        count = _integer(count, "count", DomainError, 0)
-        self.draws += count
-        return self._gen.standard_normal(count)
+        return self._draw(self._gen.standard_normal, count)
 
     def uniforms(self, count: int) -> np.ndarray:
         """Uniform variates on [0, 1); advances ``draws`` by ``count``."""
-        count = _integer(count, "count", DomainError, 0)
+        return self._draw(self._gen.random, count)
+
+    def _draw(self, sampler, count) -> np.ndarray:
+        # ``draws`` moves only once the generator has delivered.
+        count = _integer(count, "count", DomainError, 0, _MAX_ENTRIES + 1)
+        out = sampler(count)
         self.draws += count
-        return self._gen.random(count)
+        return out
 
     def substream(self, index: int) -> "RngStream":
         """Fresh independent stream keyed ``(seed, stream + 1 + index)``.
@@ -127,13 +147,33 @@ class RngStream:
         return RngStream(self.seed, self.stream + 1 + index)
 
 
+class Gate(NamedTuple):
+    """One statistical gate: a statistic, its threshold and the verdict."""
+
+    statistic: float
+    threshold: float
+    passed: bool
+
+
 @dataclass(frozen=True, eq=False)
 class SampleReport:
-    """Summary statistics from ``haar_validate``.
+    """Summary statistics from ``haar_validate``, and the gates they pass.
 
     ``mean_moduli[i, j]`` is the sample mean of ``|U_ij|^2``, which is
     1/dim for the Haar measure; ``ks_statistic`` compares ``|U_11|^2``
     against its known distribution with density (dim-1)(1-t)^(dim-2).
+
+    Two read-only gates are derived from these fields on access, each a
+    ``Gate``; ``passed`` is true when both pass, and a NaN statistic fails
+    either.  With S = ``sample_count`` and N = ``dim``:
+
+    * ``ks_gate``: ``ks_statistic`` passes strictly below
+      ``HAAR_TEST_KS_FACTOR / sqrt(S)``.
+    * ``mean_gate``: the largest ``|mean_moduli[i, j] - 1/N|`` passes at or
+      below ``z sqrt((N - 1) / (N^2 (N + 1) S))``, z standard errors of a
+      Beta(1, N - 1) mean, with ``z = sqrt(2 ln(2 N^2 / a))`` for the
+      false-alarm rate a = ``HAAR_TEST_MEAN_ALARM`` split over the N^2
+      entries (Bonferroni).
     """
 
     dim: int
@@ -145,6 +185,26 @@ class SampleReport:
         moduli = np.array(self.mean_moduli, dtype=float)
         moduli.setflags(write=False)
         object.__setattr__(self, "mean_moduli", moduli)
+
+    @property
+    def ks_gate(self) -> Gate:
+        threshold = HAAR_TEST_KS_FACTOR / math.sqrt(self.sample_count)
+        return Gate(self.ks_statistic, threshold, bool(self.ks_statistic < threshold))
+
+    @property
+    def mean_gate(self) -> Gate:
+        # Each entry's mean over S samples is near normal, and the z of the
+        # docstring has P(|Z| > z) <= 2 e^{-z^2 / 2} = a / N^2, the false-alarm
+        # rate of one entry.
+        n, s = self.dim, self.sample_count
+        z = math.sqrt(2.0 * math.log(2.0 * n * n / HAAR_TEST_MEAN_ALARM))
+        threshold = z * math.sqrt((n - 1) / (n * n * (n + 1) * s))
+        dev = float(np.max(np.abs(self.mean_moduli - 1.0 / n)))
+        return Gate(dev, threshold, dev <= threshold)
+
+    @property
+    def passed(self) -> bool:
+        return self.ks_gate.passed and self.mean_gate.passed
 
 
 # Each sum in P(m, t) keeps its terms down to 2^-60 of its largest one.
@@ -329,9 +389,10 @@ def sample_ball(dim: int, rng: RngStream) -> np.ndarray:
     ``F(||g||^2)`` is uniform on (0, 1) and independent of the direction.
     No rejection, no extra variate.
 
-    Raises OddDimensionError unless ``dim`` is a positive even integer.
+    Raises OddDimensionError unless ``dim`` is a positive even integer that
+    one array can hold.
     """
-    if _integer(dim, "ball dimension", OddDimensionError, 2) % 2:
+    if _integer(dim, "ball dimension", OddDimensionError, 2, _MAX_ENTRIES + 1) % 2:
         raise OddDimensionError(f"ball dimension must be a positive even integer, got {dim!r}")
     return _ball_points(_instance(rng, RngStream, "rng").normals(dim), (dim // 2,))
 
@@ -340,8 +401,8 @@ def _haar_coordinates(dim: int, count: int, rng: RngStream):
     # The X_k of levels 1 .. dim - 1 concatenated in draw order, their rho_k
     # and the phases e^{i phi} of ``count`` draws, batch axis last, with the
     # checks, variates and ``draws`` of ``haar_unitary_batch``.
-    dim = _integer(dim, "dim", InvalidDimError, 1)
-    count = _integer(count, "count", InvalidCountError, 1)
+    dim = _integer(dim, "dim", InvalidDimError, 1, _MAX_DIM + 1)
+    count = _integer(count, "count", InvalidCountError, 1, _MAX_ENTRIES // (dim * dim) + 1)
     g = np.empty((count, dim * (dim - 1)))
     u = np.empty((count, dim))
     gen = _instance(rng, RngStream, "rng")._gen
@@ -416,7 +477,9 @@ def haar_unitary_batch(dim: int, count: int, rng: RngStream) -> np.ndarray:
     (count, dim, dim) view.
 
     Raises InvalidDimError unless ``dim`` is an integer at least 1, and
-    InvalidCountError unless ``count`` is an integer at least 1.
+    InvalidCountError unless ``count`` is an integer at least 1, each before
+    any variate is drawn; so they do for a stack of more entries than one
+    array can hold, InvalidDimError if one matrix is already too large.
     """
     x, rho, phases = _haar_coordinates(dim, count, rng)
     if len(rho) < _WY_WIDTH:
@@ -450,9 +513,10 @@ def haar_oracle(dim: int, rng: RngStream) -> ComplexMatrix:
     The R diagonal is divided out by its phases, which removes the QR sign
     ambiguity and makes the distribution exactly Haar.  Consumes
     ``2 * dim**2`` normals (interleaved real/imaginary parts).  Raises
-    InvalidDimError unless ``dim`` is an integer at least 1.
+    InvalidDimError, before any draw, unless ``dim`` is an integer at least
+    1 whose normals one array can hold.
     """
-    dim = _integer(dim, "dim", InvalidDimError, 1)
+    dim = _integer(dim, "dim", InvalidDimError, 1, math.isqrt(_MAX_ENTRIES // 2) + 1)
     flat = _instance(rng, RngStream, "rng").normals(2 * dim * dim)
     z = (flat[0::2] + 1j * flat[1::2]).reshape(dim, dim) / math.sqrt(2.0)
     q, r = np.linalg.qr(z)
@@ -509,14 +573,19 @@ def haar_validate(dim: int, samples: int, rng: RngStream) -> SampleReport:
 
     The |U_11|^2 values are tested against their exact CDF
     ``1 - (1 - t)^(dim - 1)`` and every ``|U_ij|^2`` is averaged (exact
-    mean 1/dim).  ``dim`` must be an integer at least 2 (else
-    InvalidDimError) and ``samples`` one at least 1000 (else
-    TooFewSamplesError).  The matrices are those of ``samples`` successive
-    ``haar_unitary`` calls, drawn in blocks of ``haar_unitary_batch``, so
-    memory stays bounded whatever the sample count.
+    mean 1/dim).  The report carries the verdict too: its ``ks_gate`` holds
+    the KS statistic to ``HAAR_TEST_KS_FACTOR / sqrt(samples)``, its
+    ``mean_gate`` the largest mean deviation from 1/dim to a Bonferroni
+    bound at false-alarm rate ``HAAR_TEST_MEAN_ALARM``, and ``passed`` is
+    true when both pass (``SampleReport``).  ``dim`` must be an integer at
+    least 2 (else InvalidDimError) and ``samples`` one at least 1000 (else
+    TooFewSamplesError), each no more than one array can hold.  The
+    matrices are those of ``samples`` successive ``haar_unitary`` calls,
+    drawn in blocks of ``haar_unitary_batch``, so memory stays bounded
+    whatever the sample count.
     """
-    dim = _integer(dim, "dim", InvalidDimError, 2)
-    samples = _integer(samples, "samples", TooFewSamplesError, 1000)
+    dim = _integer(dim, "dim", InvalidDimError, 2, _MAX_DIM + 1)
+    samples = _integer(samples, "samples", TooFewSamplesError, 1000, _MAX_ENTRIES + 1)
     moduli_sum = np.zeros((dim, dim))
     corner = np.empty(samples)
     done = 0

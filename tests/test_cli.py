@@ -559,6 +559,10 @@ class TestSample:
         assert run("sample", "--dim", "abc") == 2
         assert run("sample", "--dim", "3", "--count", "2.5") == 2
         assert run("haar-test", "--dim", "2", "--seed", "x") == 2
+        # Sizes past numpy's index range.
+        assert run("sample", "--dim", str(10 ** 20)) == 2
+        assert run("haar-test", "--dim", str(10 ** 20)) == 2
+        assert run("haar-test", "--dim", "2", "--samples", str(10 ** 20)) == 2
 
 
 class TestVerify:

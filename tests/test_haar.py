@@ -25,7 +25,7 @@ from ucoset import (
     unitarity_error,
 )
 from ucoset import haar
-from ucoset.haar import _BLOCK_ENTRIES, _ROW_SCAN, _WY_WIDTH, _reg_gamma, _switch
+from ucoset.haar import _BLOCK_ENTRIES, _ROW_SCAN, _WY_WIDTH, SampleReport, _reg_gamma, _switch
 from ucoset.householder import FORWARD, _pivots, _product
 
 from golden_data import maxdiff
@@ -155,10 +155,11 @@ class TestRngStream:
         assert rng.draws == 7
 
     @pytest.mark.parametrize("method", ["normals", "uniforms"])
-    @pytest.mark.parametrize("count", [-1, 2.5, True, math.nan, math.inf])
+    @pytest.mark.parametrize("count", [-1, 2.5, True, math.nan, math.inf, 10 ** 20])
     def test_count_must_be_a_non_negative_integer(self, method, count):
         # Truncated, 2.5 would deliver 2 variates and True 1; -1 would move
-        # ``draws`` back before numpy raised, and NaN raise an untyped error.
+        # ``draws`` back before numpy raised, NaN raise an untyped error, and
+        # 10**20, past numpy's index range, both.
         rng = RngStream(3)
         rng.normals(2)
         with pytest.raises(DomainError):
@@ -203,6 +204,20 @@ NOT_AN_INTEGER = [
                  id="validate-samples-float"),
     pytest.param(lambda v: haar_validate(3, v, RngStream(0)), TooFewSamplesError, math.inf,
                  id="validate-samples-inf"),
+    # Sizes whose arrays would be past numpy's index range, where numpy
+    # raises a bare ValueError.
+    pytest.param(lambda v: sample_ball(v, RngStream(0)), OddDimensionError, 2 * 10 ** 20,
+                 id="ball-past-index-range"),
+    pytest.param(lambda v: haar_unitary(v, RngStream(0)), InvalidDimError, 10 ** 20,
+                 id="haar-past-index-range"),
+    pytest.param(lambda v: haar_unitary_batch(3, v, RngStream(0)), InvalidCountError, 10 ** 20,
+                 id="batch-count-past-index-range"),
+    pytest.param(lambda v: haar_oracle(v, RngStream(0)), InvalidDimError, 10 ** 20,
+                 id="oracle-past-index-range"),
+    pytest.param(lambda v: haar_validate(v, 1000, RngStream(0)), InvalidDimError, 10 ** 20,
+                 id="validate-dim-past-index-range"),
+    pytest.param(lambda v: haar_validate(3, v, RngStream(0)), TooFewSamplesError, 10 ** 20,
+                 id="validate-samples-past-index-range"),
 ]
 
 
@@ -213,6 +228,20 @@ def test_counts_and_dims_must_be_integers(call, error, value):
     with pytest.raises(error) as info:
         call(value)
     assert isinstance(info.value, UcosetError)
+
+
+@pytest.mark.parametrize("draw", [
+    lambda rng: sample_ball(2 * 10 ** 20, rng),
+    lambda rng: haar_oracle(10 ** 20, rng),
+    lambda rng: haar_unitary(10 ** 20, rng),
+    lambda rng: haar_unitary_batch(3, 10 ** 20, rng),
+], ids=["ball", "oracle", "haar", "batch-count"])
+def test_a_size_past_the_index_range_draws_nothing(draw):
+    rng = RngStream(0)
+    rng.normals(2)
+    with pytest.raises(UcosetError):
+        draw(rng)
+    assert rng.draws == 2
 
 
 def test_numpy_integers_are_integers():
@@ -689,6 +718,48 @@ class TestKsStatistics:
         a = np.linspace(0.0, 1.0, 100)
         b = np.linspace(5.0, 6.0, 100)
         assert ks_statistic_two_sample(a, b) == 1.0
+
+
+class TestGates:
+    # Each gate's verdict against its own threshold on hand-built reports:
+    # a statistic one ulp below, at and one ulp above it, and NaN.
+    def test_ks_gate_passes_strictly_below_its_threshold(self):
+        def report(stat):
+            return SampleReport(2, 2000, stat, np.full((2, 2), 0.5))
+
+        t = report(0.0).ks_gate.threshold
+        assert t == 2.0 * 1.63 / math.sqrt(2000) == haar.HAAR_TEST_KS_FACTOR / math.sqrt(2000)
+        for stat, passed in [(np.nextafter(t, 0.0), True), (t, False),
+                             (np.nextafter(t, 1.0), False), (math.nan, False)]:
+            r = report(stat)
+            g = r.ks_gate
+            assert (g.threshold, g.passed, r.passed) == (t, passed, passed), stat
+            assert g.statistic == stat or math.isnan(stat)
+
+    def test_mean_gate_passes_at_or_below_its_threshold(self):
+        # At dim 2 every mean in [1/2, 1) is 1/2 plus a multiple of 2^-53,
+        # a difference numpy takes exactly, so a sample count whose threshold
+        # is such a multiple puts a mean exactly at it.
+        def report(samples, mean):
+            return SampleReport(2, samples, 0.0, [[0.5, mean], [0.5, 0.5]])
+
+        samples = next(s for s in range(1000, 2000)
+                       if (report(s, 0.5).mean_gate.threshold * 2 ** 53).is_integer())
+        t = report(samples, 0.5).mean_gate.threshold
+        at = 0.5 + t
+        assert at - 0.5 == t
+        for mean, passed in [(np.nextafter(at, 0.0), True), (at, True),
+                             (np.nextafter(at, 1.0), False), (math.nan, False)]:
+            r = report(samples, mean)
+            g = r.mean_gate
+            assert (g.threshold, g.passed, r.passed) == (t, passed, passed), mean
+            assert g.statistic == mean - 0.5 or math.isnan(mean)
+        assert report(samples, at).mean_gate.statistic == t
+
+    def test_a_sampled_report_passes(self):
+        report = haar_validate(3, 2000, RngStream(46))
+        assert report.ks_gate.statistic == report.ks_statistic
+        assert report.ks_gate.passed and report.mean_gate.passed and report.passed
 
 
 class TestHaarValidate:

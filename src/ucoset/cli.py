@@ -2,9 +2,9 @@
 
 Subcommands: decompose, reconstruct, sample, verify, haar-test.
 
-Exit codes: 0 success, 1 internal invariant violation, 2 bad arguments or
-unreadable input, 3 non-unitary input matrix, 4 verification failure,
-5 statistical failure.
+Exit codes: 0 success, 1 internal invariant violation, 2 bad arguments,
+unreadable input or a size past the machine's memory, 3 non-unitary input
+matrix, 4 verification failure, 5 statistical failure.
 
 File formats are JSON with complex numbers as [re, im] pairs:
 
@@ -33,8 +33,10 @@ which the package imports on first use, so it loads only what it runs.
 
 import argparse
 import functools
+import itertools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -76,16 +78,26 @@ def _load_json(path):
         raise _InputError(f"{path} nests too deeply to read") from exc
 
 
-def _dump_json(obj, path):
-    text = json.dumps(obj) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-        return
+def _dump_json(obj, path, items=()):
+    # json.dumps(obj) and a newline.  items, if any, fill obj's last value,
+    # an empty list: each is encoded and written as it arrives, so one is
+    # held as text at a time, and the bytes are json.dumps's of the filled obj.
+    text = json.dumps(obj)
+    body = ((", " if k else "") + json.dumps(item) for k, item in enumerate(items))
+    chunks = itertools.chain([text[:-2]], body, [text[-2:] + "\n"])
     try:
+        if path is None:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+            return
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     except OSError as exc:
-        raise _InputError(f"cannot write {path}: {exc}") from exc
+        if path is None:
+            # A reader gone from stdout: what stdout still buffers goes to
+            # the null device, so that the flush at exit does not fail too.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise _InputError(f"cannot write {'stdout' if path is None else path}: {exc}") from exc
 
 
 def _numbers(data, shape, what) -> np.ndarray:
@@ -287,19 +299,17 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    rng = ucoset.haar.RngStream(args.seed)
+    # The first block is drawn before the output is opened, so a rejected
+    # --dim or --count writes nothing; each later one is written as it is
+    # drawn, so one block of the stack is alive at a time.
+    blocks = ucoset.haar._haar_blocks(args.dim, args.count, ucoset.haar.RngStream(args.seed))
     try:
-        matrices = [m for block in ucoset.haar._haar_blocks(args.dim, args.count, rng)
-                    for m in block]
+        # iter() lets the first block go once it is written.
+        blocks = itertools.chain(iter([next(blocks)]), blocks)
     except (ucoset.haar.InvalidDimError, ucoset.haar.InvalidCountError) as exc:
         raise _InputError(f"sample: {exc}") from exc
-    obj = {
-        "dim": args.dim,
-        "count": args.count,
-        "seed": args.seed,
-        "matrices": [_matrix_to_obj(m) for m in matrices],
-    }
-    _dump_json(obj, args.output)
+    header = {"dim": args.dim, "count": args.count, "seed": args.seed, "matrices": []}
+    _dump_json(header, args.output, (_matrix_to_obj(m) for block in blocks for m in block))
     print(
         f"sampled {args.count} Haar-distributed {args.dim}x{args.dim} "
         f"matrices with seed {args.seed}",
@@ -465,6 +475,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"error: {args.command}: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
     except UcosetError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

@@ -315,41 +315,29 @@ def apply_reflection(r: Reflection, m, side: str = "left"):
     # of the transpose.
     t = np.array(a.T if right else a, order="C")
     u = r.pivot.conj() if right else r.pivot
-    i, w = r.level - 1, (2.0 / r.norm_sq) * u.conj()
-    # <u|w> per column as the last cumulative sum down the rows, which adds
-    # in index order for any column count, so that a vector or one column
-    # reflects to the bits it has in a wider matrix; a sum over rows would
-    # add a single column pairwise.
-    rows = t.reshape(r.dim, -1)[i:]
     with np.errstate(over="ignore", invalid="ignore"):
-        rows -= u[i:, None] * (w[i:, None] * rows).cumsum(axis=0)[-1]
+        _reflect_rows(t.reshape(r.dim, -1), r.level - 1, u, (2.0 / r.norm_sq) * u.conj())
     if not np.isfinite(t).all():
         raise DomainError("reflected operand has non-finite entries")
     return t.T if right else t
 
 
 def _reflect_rows(t, i, u, w) -> None:
-    # t <- (1 - |u> w) t = R(u) t in place, for the row w = (2 / <u|u>) u^dag
-    # of a pivot u whose components before index i are exactly zero, so only
-    # rows i.. of t change.
+    # t <- (1 - |u> w) t = R(u) t in place, for a 2-D t and the row
+    # w = (2 / <u|u>) u^dag of a pivot u whose components before index i are
+    # exactly zero, so only rows i.. of t change.  <u|w> per column is the
+    # last cumulative sum down the rows, which adds in index order for any
+    # column count, so that a vector or one column reflects to the bits it
+    # has in a wider matrix; a sum over rows would add a single column
+    # pairwise.
     rows = t[i:]
-    rows -= u[i:, None] * (w[i:, None] * rows).sum(axis=0)
+    rows -= u[i:, None] * (w[i:, None] * rows).cumsum(axis=0)[-1]
 
 
 def _panels(n: int) -> list:
     # (lo, hi) per panel of pivot rows lo .. hi - 1 of the N - 1 reflections
     # of an N-dim product, _PANEL rows each but the last.
     return [(lo, min(lo + _PANEL, n - 1)) for lo in range(0, n - 1, _PANEL)]
-
-
-def _stack(a, conj: bool = False) -> np.ndarray:
-    # a (r, c, ...), or its conjugate if conj, as its C-ordered stack of
-    # r x c matrices, batch axes first, as matmul and inv take them, whose
-    # matrices matmul hands to BLAS one by one.  A C-ordered a without batch
-    # axes comes back as a view of its memory (or a conjugate copy); anything
-    # else is copied.
-    a = a.transpose(*range(2, a.ndim), 0, 1)
-    return np.conjugate(a, order="C") if conj else np.ascontiguousarray(a)
 
 
 @functools.lru_cache(maxsize=64)
@@ -388,11 +376,14 @@ def _negated_corners(pivots) -> np.ndarray:
 
 def _conj_panel(pivots, lo: int, hi: int, flip: bool = False) -> np.ndarray:
     # V^dag of the panel of pivot rows lo .. hi - 1 of the pivots (N - 1, N,
-    # ...), from column lo on: a _stack of the conjugates of those rows
-    # alone, so no copy of the whole stack is made.  flip negates each row's
-    # corner in that copy, as _negated_corners does to the stack; a sign
-    # flip is exact, so the copy's bits are those of the flipped stack's.
-    v = _stack(pivots[lo:hi, lo:], conj=True)
+    # ...), from column lo on: a C-ordered copy of the conjugates of those
+    # rows alone, batch axes first, as matmul and inv take them, so that
+    # matmul hands its matrices to BLAS one by one and no copy of the whole
+    # stack is made.  flip negates each row's corner in that copy, as
+    # _negated_corners does to the stack; a sign flip is exact, so the
+    # copy's bits are those of the flipped stack's.
+    v = pivots[lo:hi, lo:]
+    v = np.conjugate(v.transpose(*range(2, v.ndim), 0, 1), order="C")
     if flip:
         k = np.arange(hi - lo)
         v[..., k, k] *= -1.0

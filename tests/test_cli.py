@@ -4,14 +4,15 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from statistics import NormalDist
 
 import numpy as np
 import pytest
 
 import ucoset
-from ucoset import RngStream, cli, haar_unitary, reflect_matrix
-from ucoset.haar import SampleReport
+from ucoset import RngStream, cli, haar_unitary, haar_unitary_batch, reflect_matrix
+from ucoset.haar import _BLOCK_ENTRIES, SampleReport
 
 from golden_data import (GOLDEN_DIR, U0, maxdiff, perturbed_to_defect, random_unitary,
                          reversed_repro)
@@ -37,6 +38,16 @@ def matrix_from_obj(obj):
     return np.array(
         [[complex(re, im) for re, im in row] for row in obj["data"]]
     ).reshape(obj["rows"], obj["cols"])
+
+
+def child_env():
+    """The environment of a child that imports ucoset from where this process
+    did, even when that directory reached sys.path only through pytest's
+    pythonpath."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ucoset.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def write_json(path, obj):
@@ -545,6 +556,70 @@ class TestSample:
         expected = np.array([haar_unitary(dim, rng) for _ in range(count)])
         assert maxdiff(written, expected) <= 1e-13
 
+    @pytest.mark.parametrize("dim", [2, 3, 16, 17])
+    def test_blocks_write_the_bytes_of_the_whole_stack(self, tmp_path, capsys, dim):
+        # Three sampler blocks, the last of one matrix, written as they are
+        # drawn, to a file and to stdout: the bytes of json.dumps of the file
+        # built from one stack.
+        count = 2 * max(1, _BLOCK_ENTRIES // (dim * dim)) + 1
+        stack = haar_unitary_batch(dim, count, RngStream(21))
+        obj = {"dim": dim, "count": count, "seed": 21,
+               "matrices": [matrix_obj(m) for m in stack]}
+        expected = json.dumps(obj) + "\n"
+        out = tmp_path / "s.json"
+        args = ("sample", "--dim", str(dim), "--count", str(count), "--seed", "21")
+        assert run(*args, "--output", str(out)) == 0
+        assert out.read_text() == expected
+        capsys.readouterr()
+        assert run(*args) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_sample_holds_one_block(self, tmp_path):
+        # 600 16x16 matrices are 19 blocks of 32; their whole file as Python
+        # objects and text is about 35 MiB.
+        out = str(tmp_path / "s.json")
+        run("sample", "--dim", "16", "--count", "1", "--output", out)
+        tracemalloc.start()
+        try:
+            assert run("sample", "--dim", "16", "--count", "600", "--output", out) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+
+    @pytest.mark.parametrize("argv, usage", [
+        (("sample", "--dim", "0"), True),
+        (("sample", "--dim", "3", "--count", "0"), True),
+        (("sample", "--dim", str(10 ** 20)), False),
+        (("sample", "--dim", "100000000"), False),
+        (("haar-test", "--dim", "2", "--samples", "100000000000000000"), False),
+    ], ids=["dim-0", "count-0", "dim-past-index-range", "dim-past-memory", "samples-past-memory"])
+    def test_rejected_size_writes_nothing(self, tmp_path, capsys, argv, usage):
+        # Below 1 (argparse's usage and error lines), past numpy's index
+        # range, or within it but past the machine's memory (71.1 PiB of
+        # normals, 711 PiB of |U_11|^2), which numpy refuses before it
+        # allocates: one error line and no file.
+        out = tmp_path / "s.json"
+        if argv[0] == "sample":
+            argv += ("--output", str(out))
+        assert run(*argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert [x for x in err if "error: " in x] == err[-1:], err
+        assert usage or err[0].startswith("error: ") and len(err) == 1, err
+        assert not out.exists()
+
+    def test_reader_gone_from_stdout(self):
+        # The child blocks on a full pipe long before its 2.2 MB are out;
+        # once the reader closes it, the next block's write fails.
+        with subprocess.Popen(
+                [sys.executable, "-m", "ucoset.cli", "sample", "--dim", "16", "--count", "200"],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env()) as proc:
+            assert proc.stdout.read(10) == b'{"dim": 16'
+            proc.stdout.close()
+            err = proc.stderr.read().decode().splitlines()
+        assert proc.returncode == 2
+        assert err == ["error: cannot write stdout: [Errno 32] Broken pipe"]
+
     def test_seed_changes_output(self, tmp_path):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
@@ -563,6 +638,9 @@ class TestSample:
         assert run("sample", "--dim", str(10 ** 20)) == 2
         assert run("haar-test", "--dim", str(10 ** 20)) == 2
         assert run("haar-test", "--dim", "2", "--samples", str(10 ** 20)) == 2
+        # Sizes inside it but past the machine's memory.
+        assert run("sample", "--dim", "100000000") == 2
+        assert run("haar-test", "--dim", "2", "--samples", "100000000000000000") == 2
 
 
 class TestVerify:
@@ -709,16 +787,11 @@ class TestUsage:
 
     def test_module_entry_point(self, tmp_path):
         path = write_json(tmp_path / "u0.json", matrix_obj(U0))
-        # The child imports ucoset from where this process did, even when
-        # that directory reached sys.path only through pytest's pythonpath.
-        src = os.path.dirname(os.path.dirname(os.path.abspath(ucoset.__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "ucoset.cli", "verify", "--input", path],
             capture_output=True,
             text=True,
-            env=env,
+            env=child_env(),
         )
         assert proc.returncode == 0
         assert "PASS" in proc.stderr

@@ -37,6 +37,7 @@ import itertools
 import json
 import math
 import os
+import stat
 import sys
 
 import numpy as np
@@ -78,6 +79,26 @@ def _load_json(path):
         raise _InputError(f"{path} nests too deeply to read") from exc
 
 
+def _write_in_place(path, chunks):
+    # Writes chunks over the file at path from its start, then cuts a
+    # regular file at the end of what was written, also when the write ends
+    # early, so no byte of its old content is left past the new.  Opening
+    # with O_TRUNC instead stalls for tens of milliseconds on a file written
+    # before (ext4's replace-via-truncate flush, it seems); so does a rename
+    # over it.  A file that is not regular, such as /dev/null, is not cut,
+    # as O_TRUNC leaves it alone too.
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", encoding="utf-8") as fh:
+        try:
+            fh.writelines(chunks)
+        finally:
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                try:
+                    fh.flush()
+                finally:
+                    os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+
+
 def _dump_json(obj, path, items=()):
     # json.dumps(obj) and a newline.  items, if any, fill obj's last value,
     # an empty list: each is encoded and written as it arrives, so one is
@@ -90,8 +111,7 @@ def _dump_json(obj, path, items=()):
             sys.stdout.writelines(chunks)
             sys.stdout.flush()
             return
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(chunks)
+        _write_in_place(path, chunks)
     except OSError as exc:
         if path is None:
             # A reader gone from stdout: what stdout still buffers goes to

@@ -491,7 +491,11 @@ def haar_unitary_batch(dim: int, count: int, rng: RngStream) -> np.ndarray:
 
 def _haar_blocks(dim: int, count: int, rng: RngStream):
     # ``count`` matrices as successive ``haar_unitary_batch`` stacks of at
-    # most _BLOCK_ENTRIES entries each (at least one matrix).
+    # most _BLOCK_ENTRIES entries each (at least one matrix).  dim and count
+    # take that function's checks, the stack bound included, before the
+    # first block, so a count no one stack could hold is rejected up front.
+    dim = _integer(dim, "dim", InvalidDimError, 1, _MAX_DIM + 1)
+    count = _integer(count, "count", InvalidCountError, 1, _MAX_ENTRIES // (dim * dim) + 1)
     block = max(1, _BLOCK_ENTRIES // (dim * dim))
     for start in range(0, count, block):
         yield haar_unitary_batch(dim, min(block, count - start), rng)
@@ -579,13 +583,15 @@ def haar_validate(dim: int, samples: int, rng: RngStream) -> SampleReport:
     bound at false-alarm rate ``HAAR_TEST_MEAN_ALARM``, and ``passed`` is
     true when both pass (``SampleReport``).  ``dim`` must be an integer at
     least 2 (else InvalidDimError) and ``samples`` one at least 1000 (else
-    TooFewSamplesError), each no more than one array can hold.  The
+    TooFewSamplesError), each no more than one array can hold, the
+    ``samples * dim**2`` entries of the stack too.  The
     matrices are those of ``samples`` successive ``haar_unitary`` calls,
     drawn in blocks of ``haar_unitary_batch``, so memory stays bounded
     whatever the sample count.
     """
     dim = _integer(dim, "dim", InvalidDimError, 2, _MAX_DIM + 1)
-    samples = _integer(samples, "samples", TooFewSamplesError, 1000, _MAX_ENTRIES + 1)
+    samples = _integer(samples, "samples", TooFewSamplesError, 1000,
+                       _MAX_ENTRIES // (dim * dim) + 1)
     moduli_sum = np.zeros((dim, dim))
     corner = np.empty(samples)
     done = 0

@@ -518,11 +518,14 @@ def _column_pivot(w, level: int, bound: float):
     # which must lie in 1 .. N - 1, over it: exactly zero before the level,
     # where exact zeros keep the leading subspace exactly invariant, and
     # w_k + e^{i phi} at it.  Returns the pivot phase phi, e^{i phi},
-    # <u|u> = t + 2 rho + 1 and the corner of R(u) w,
-    # w_k - (2 / <u|u>) <u|w> u_k, from the tail's sum t and rho = |w_k|;
-    # <u|w> = t + rho is formed as conj(u_k) w_k + t - rho^2, so that the
-    # rounding of e^{i phi} cancels as in a rank-1 update.  e^{i phi} comes
-    # from atan2: w_k / rho leaves the unit circle for subnormal w_k.
+    # <u|u> and the corner of R(u) w, w_k - (2 / <u|u>) <u|w> u_k, from the
+    # tail's sum t and rho = |w_k|.  <u|u> is |u_k|^2 + t - rho^2 for the
+    # rounded corner u_k the pivot holds, so that 2 / <u|u> is that pivot's
+    # reflection; the exact t + 2 rho + 1 is not, and put a round trip at
+    # N = 2 past its bound by 9 %.  <u|w> = t + rho is formed as
+    # conj(u_k) w_k + t - rho^2, so that the rounding of e^{i phi} cancels
+    # as in a rank-1 update.  e^{i phi} comes from atan2: w_k / rho leaves
+    # the unit circle for subnormal w_k.
     tail = _check_column(w, level, bound)
     i = level - 1
     wk = w.item(i)
@@ -531,11 +534,12 @@ def _column_pivot(w, level: int, bound: float):
     unit = complex(math.cos(phi), math.sin(phi))
     w[:i] = 0.0
     w[i] = uk = wk + unit
-    norm_sq = tail + 2.0 * rho + 1.0
+    rest = tail - rho * rho
+    norm_sq = (uk.real * uk.real + uk.imag * uk.imag) + rest
     if norm_sq < _MIN_NORM_SQ:
         raise NotUnitLengthError(f"pivot norm-squared {norm_sq} at level {level} "
                                  "below the bound 2")
-    return phi, unit, norm_sq, wk - (2.0 / norm_sq) * (uk.conjugate() * wk + (tail - rho * rho)) * uk
+    return phi, unit, norm_sq, wk - (2.0 / norm_sq) * (uk.conjugate() * wk + rest) * uk
 
 
 def _clear_columns(u, tol: Tolerances, ordering: str) -> HouseholderFactorization:

@@ -1,9 +1,11 @@
 import copy
+import errno
 import json
 import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from statistics import NormalDist
 
@@ -593,12 +595,18 @@ class TestSample:
         (("sample", "--dim", str(10 ** 20)), False),
         (("sample", "--dim", "100000000"), False),
         (("haar-test", "--dim", "2", "--samples", "100000000000000000"), False),
-    ], ids=["dim-0", "count-0", "dim-past-index-range", "dim-past-memory", "samples-past-memory"])
+        (("sample", "--dim", "3", "--count", str(10 ** 20)), False),
+        (("haar-test", "--dim", "1048576", "--samples", "1048576"), False),
+    ], ids=["dim-0", "count-0", "dim-past-index-range", "dim-past-memory", "samples-past-memory",
+            "count-past-stack-bound", "samples-past-stack-bound"])
     def test_rejected_size_writes_nothing(self, tmp_path, capsys, argv, usage):
         # Below 1 (argparse's usage and error lines), past numpy's index
         # range, or within it but past the machine's memory (71.1 PiB of
         # normals, 711 PiB of |U_11|^2), which numpy refuses before it
-        # allocates: one error line and no file.
+        # allocates: one error line and no file.  So is a stack whose
+        # count * dim^2 entries are past the index range, though each block
+        # would fit, checked before anything is drawn: a sample file of about
+        # 10^22 bytes, or 8 TiB of haar-test's mean moduli.
         out = tmp_path / "s.json"
         if argv[0] == "sample":
             argv += ("--output", str(out))
@@ -641,6 +649,159 @@ class TestSample:
         # Sizes inside it but past the machine's memory.
         assert run("sample", "--dim", "100000000") == 2
         assert run("haar-test", "--dim", "2", "--samples", "100000000000000000") == 2
+        # Stacks of count * dim^2 entries past the index range.
+        assert run("sample", "--dim", "3", "--count", str(10 ** 20)) == 2
+        assert run("haar-test", "--dim", "1048576", "--samples", "1048576") == 2
+
+
+# Every command that writes --output: its argv, with U0 and COSET standing
+# for an input matrix and factorization file.  40 16x16 samples are two
+# sampler blocks.
+WRITERS = {
+    "decompose-householder": ("decompose", "--input", "U0", "--mode", "householder"),
+    "decompose-coset": ("decompose", "--input", "U0", "--mode", "coset"),
+    "decompose-coset-reversed": ("decompose", "--input", "U0", "--mode", "coset-reversed"),
+    "reconstruct": ("reconstruct", "--input", "COSET"),
+    "sample": ("sample", "--dim", "16", "--count", "40", "--seed", "3"),
+}
+
+
+class TestOutputFile:
+    # --output is written in place from its start and then cut at the end
+    # of what was written; old content is never left past the new.
+
+    @pytest.fixture(params=list(WRITERS), ids=list(WRITERS))
+    def writer(self, request, tmp_path):
+        """The command's argv and the bytes it writes to a fresh path."""
+        inputs = {"U0": write_json(tmp_path / "u0.json", matrix_obj(U0)),
+                  "COSET": str(GOLDEN_DIR / "u0_coset.json")}
+        argv = tuple(inputs.get(a, a) for a in WRITERS[request.param])
+        fresh = tmp_path / "fresh.json"
+        assert run(*argv, "--output", str(fresh)) == 0
+        return argv, fresh.read_bytes()
+
+    def test_over_an_existing_file_writes_the_fresh_bytes(self, tmp_path, capsys, writer):
+        argv, expected = writer
+        capsys.readouterr()
+        assert run(*argv) == 0
+        assert capsys.readouterr().out.encode() == expected
+        out = tmp_path / "old.json"
+        for size in (2 * len(expected), len(expected) + 1, len(expected) - 1,
+                     len(expected) // 2, 0):
+            out.write_bytes(b"#" * size)
+            assert run(*argv, "--output", str(out)) == 0
+            assert out.read_bytes() == expected, size
+
+    def test_links_and_mode_are_kept(self, tmp_path, writer):
+        argv, expected = writer
+        target = tmp_path / "target.json"
+        target.write_bytes(b"#" * (2 * len(expected)))
+        target.chmod(0o640)
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        hard = tmp_path / "hard.json"
+        os.link(target, hard)
+        assert run(*argv, "--output", str(link)) == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == hard.read_bytes() == expected
+        assert target.stat().st_mode & 0o777 == 0o640
+
+    def test_null_device(self, writer):
+        argv, _ = writer
+        assert run(*argv, "--output", os.devnull) == 0
+
+    def test_fifo_gets_the_bytes(self, tmp_path, writer):
+        # A FIFO is not regular, so it is neither sought in nor cut.
+        argv, expected = writer
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        try:
+            assert run(*argv, "--output", str(fifo)) == 0
+        finally:
+            reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert got == [expected]
+
+    @pytest.mark.parametrize("error, code", [
+        (OSError(errno.ENOSPC, "No space left on device"), 2),
+        (MemoryError(), 2),
+        (KeyboardInterrupt(), None),
+    ], ids=["OSError", "MemoryError", "KeyboardInterrupt"])
+    def test_write_that_ends_early_leaves_no_old_bytes(self, tmp_path, monkeypatch, capsys,
+                                                       writer, error, code):
+        # The first block is written, the next raises: the file holds what
+        # was written, a prefix of the full output, and nothing after it.
+        argv, expected = writer
+        real = cli._write_in_place
+
+        def first_block_only(path, chunks):
+            def failing():
+                yield next(chunks)
+                raise error
+            real(path, failing())
+
+        monkeypatch.setattr(cli, "_write_in_place", first_block_only)
+        out = tmp_path / "old.json"
+        out.write_bytes(b"#" * (2 * len(expected)))
+        if code is None:
+            with pytest.raises(type(error)):
+                run(*argv, "--output", str(out))
+        else:
+            assert run(*argv, "--output", str(out)) == code
+            assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
+        got = out.read_bytes()
+        assert 0 < len(got) < len(expected)
+        assert got == expected[:len(got)]
+
+    def test_sample_block_that_fails_leaves_no_old_bytes(self, tmp_path, monkeypatch, capsys):
+        # The sampler raises after its first block of 32 matrices.
+        argv = WRITERS["sample"]
+        fresh = tmp_path / "fresh.json"
+        assert run(*argv, "--output", str(fresh)) == 0
+        expected = fresh.read_bytes()
+        real = ucoset.haar._haar_blocks
+
+        def first_block_only(dim, count, rng):
+            yield next(real(dim, count, rng))
+            raise OSError(errno.EIO, "Input/output error")
+
+        monkeypatch.setattr(ucoset.haar, "_haar_blocks", first_block_only)
+        out = tmp_path / "old.json"
+        out.write_bytes(b"#" * (2 * len(expected)))
+        assert run(*argv, "--output", str(out)) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: cannot write {out}: [Errno {errno.EIO}] Input/output error")
+        got = out.read_bytes()
+        assert got == expected[:len(got)]
+        assert len(json.loads(got.decode() + "]}")["matrices"]) == 32
+
+    def test_existing_output_is_not_truncated_on_open(self, tmp_path, monkeypatch, writer):
+        # Guard: on ext4, opening a file written before with O_TRUNC blocked
+        # for 60-90 ms (about 1.5 s for the 29 MiB file of N = 1024), more
+        # than decompose and its JSON at N = 32 take, while the in-place
+        # write and cut took 0.1-0.2 ms; a rename over the file stalled as
+        # long.  So the output keeps its inode and is never opened with
+        # O_TRUNC.
+        argv, expected = writer
+        out = tmp_path / "old.json"
+        out.write_bytes(b"#" * (2 * len(expected)))
+        inode = out.stat().st_ino
+        flags = []
+        real_open = os.open
+
+        def spy(path, flag, *args, **kwargs):
+            if os.fspath(path) == str(out):
+                flags.append(flag)
+            return real_open(path, flag, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", spy)
+        assert run(*argv, "--output", str(out)) == 0
+        assert flags and not any(flag & os.O_TRUNC for flag in flags)
+        assert out.stat().st_ino == inode
+        assert out.read_bytes() == expected
 
 
 class TestVerify:

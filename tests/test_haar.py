@@ -244,6 +244,21 @@ def test_a_size_past_the_index_range_draws_nothing(draw):
     assert rng.draws == 2
 
 
+@pytest.mark.parametrize("draw, error", [
+    (lambda rng: next(haar._haar_blocks(3, 10 ** 20, rng)), InvalidCountError),
+    (lambda rng: next(haar._haar_blocks(2 ** 20, 2 ** 20, rng)), InvalidCountError),
+    (lambda rng: haar_validate(2 ** 20, 2 ** 20, rng), TooFewSamplesError),
+], ids=["blocks-dim-3", "blocks-dim-2^20", "validate-dim-2^20"])
+def test_a_stack_past_the_index_range_is_rejected_before_its_first_block(draw, error):
+    # A count whose count * dim^2 entries no one stack could hold, though the
+    # count and the dim each fit: blocked, each block would fit, and the
+    # draw would run until the disk or the memory ran out.
+    rng = RngStream(0)
+    with pytest.raises(error):
+        draw(rng)
+    assert rng.draws == 0
+
+
 def test_numpy_integers_are_integers():
     rng = RngStream(np.uint64(3), np.int32(1))
     assert haar_unitary_batch(np.int64(3), np.int16(2), rng).shape == (2, 3, 3)

@@ -1061,9 +1061,12 @@ class TestAccuracy:
     # A monomial matrix, a permutation times unit phases, draws only the
     # degenerate pivots: each column is cleared either where it stands
     # (|w_k| = 1, so rho 1 and X zero) or from a later row (w_k = 0, so
-    # rho 0 and X one entry of modulus 1), the two edges of the ball.
+    # rho 0 and X one entry of modulus 1), the two edges of the ball.  Seed
+    # 782966 at n = 2 erred by 6.18 eps against the 5.66 eps bound while
+    # <u|u> was summed as t + 2 rho + 1 rather than from the rounded corner.
     @pytest.mark.parametrize("n", [*range(1, 41), 64, 65])
     @given(seed=st.integers(0, 2 ** 32 - 1))
+    @example(seed=782966)
     @settings(max_examples=3)
     def test_monomial_matrices_take_degenerate_pivots(self, n, seed):
         rng = np.random.default_rng(seed)

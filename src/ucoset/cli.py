@@ -29,10 +29,17 @@ including literals that overflow a float, are rejected on input.  JSON
 payloads go to --output or stdout; status messages go to stderr.  A command
 reaches ``coset`` and ``haar`` as ``ucoset.coset`` and ``ucoset.haar``,
 which the package imports on first use, so it loads only what it runs.
+
+A process enters through ``run``, as ``python -m ucoset.cli`` and the
+``ucoset`` script do: it freezes the import-time heap (``gc.freeze``), numpy's
+tens of thousands of objects, and turns off the cyclic collector, which JSON
+decoding and exit would run over that heap, though a command leaves only its
+parser's few hundred objects in cycles.  ``main`` leaves the collector alone.
 """
 
 import argparse
 import functools
+import gc
 import itertools
 import json
 import math
@@ -44,8 +51,8 @@ import numpy as np
 
 import ucoset
 from . import householder
-from .numkit import (DEFAULT_TOLERANCES, ROUND_TRIP_FACTOR, DomainError, Tolerances,
-                     UcosetError, _integer, unitarity_error)
+from .numkit import (DEFAULT_TOLERANCES, DomainError, Tolerances, UcosetError, _integer,
+                     round_trip_bound, unitarity_error)
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -294,7 +301,7 @@ def cmd_decompose(args) -> int:
     elif args.mode == "coset-reversed":
         f = ucoset.coset.cosets_from_householder_reversed(f)
     n = u.shape[0]
-    bound = ROUND_TRIP_FACTOR * (math.sqrt(n) * tol.unitarity_tol + n * np.finfo(float).eps)
+    bound = round_trip_bound(n, tol.unitarity_tol)
     err = float(np.max(np.abs(_product(f) - u)))
     if err > bound:
         print(f"internal error: reconstruction error {err:.3e} exceeds {bound:.1e}",
@@ -504,5 +511,12 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
 
 
+def run(argv=None) -> int:
+    """``main(argv)`` with the import-time heap frozen and the collector off."""
+    gc.freeze()
+    gc.disable()
+    return main(argv)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

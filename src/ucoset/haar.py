@@ -276,7 +276,7 @@ class _BallPlan(NamedTuple):
     # whose zeros end it after m terms; the first head weight is negated, so
     # that the head sum comes out negated.  ``column`` holds each level's
     # first column.  Then the runs of 2 m coordinates and the radius powers
-    # 1 / 2 m, 0-d for one level.
+    # 1 / 2 m.
     m: np.ndarray
     switch: np.ndarray
     lead: np.ndarray
@@ -300,15 +300,10 @@ def _ball_plan(ms: tuple, batch: int) -> _BallPlan:
     def levels(a):
         return a.reshape(a.shape + (1,) * batch)
 
-    # The radius power of one level is 0-d.  ndarray.__pow__ has a fast path
-    # for a 0-d exponent that takes 0.5 (m = 1) as a square root for one
-    # value as for a stack, where an exponent array goes through pow.  That
-    # path is a numpy internal, not a documented rule, and a lone N = 2 draw
-    # keeps the bits of its stack only through it (checked on numpy 2.4.6).
     plan = _BallPlan(levels(m), levels(switch), levels(lead),
                      np.stack([switch / (m + 1.0 + k), head], axis=-1).reshape(len(k), -1),
                      levels(np.arange(0, 2 * len(ms), 2)), sizes, np.cumsum(sizes) - sizes,
-                     levels(1.0 / sizes) if len(ms) > 1 else np.array(1.0 / sizes[0]))
+                     levels(1.0 / sizes))
     for a in plan:
         a.setflags(write=False)
     return plan
@@ -374,9 +369,12 @@ def _ball_points(g: np.ndarray, ms: tuple) -> np.ndarray:
     # Each run of 2 m entries along the first axis of g, a Gaussian vector
     # per batch position, scaled to a uniform point of the ball B^{2m}: its
     # radius is P(m, |g|^2 / 2)^(1 / 2m).
+    # m = 1 (N = 2) takes its radius as a correctly rounded square root, which
+    # gives a lone draw its stack's bits; pow may round one value apart.
     plan = _ball_plan(ms, g.ndim - 1)
     s = np.maximum(np.add.reduceat(g * g, plan.starts), _NORM_FLOOR)
-    scale = _reg_gamma(ms, s * 0.5) ** plan.inv_sizes / np.sqrt(s)
+    p = _reg_gamma(ms, s * 0.5)
+    scale = (np.sqrt(p) if ms == (1,) else p ** plan.inv_sizes) / np.sqrt(s)
     return g * scale.repeat(plan.sizes, axis=0)
 
 

@@ -66,6 +66,11 @@ SERIES_CUTOFF = 1e-18
 ROUND_TRIP_FACTOR = 4.0
 
 
+def round_trip_bound(dim: int, defect: float) -> float:
+    """ROUND_TRIP_FACTOR (sqrt(N) defect + N eps) at N = ``dim``: the CLI's round-trip bound."""
+    return ROUND_TRIP_FACTOR * (math.sqrt(dim) * defect + dim * np.finfo(float).eps)
+
+
 def _real(x, what: str, error):
     # x as a float if it is a real number (an int, float or numpy real, not a
     # bool) that a float holds, else the caller's typed ``error`` rather than

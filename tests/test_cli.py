@@ -1,12 +1,15 @@
 import copy
 import errno
+import gc
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
@@ -956,3 +959,79 @@ class TestUsage:
         )
         assert proc.returncode == 0
         assert "PASS" in proc.stderr
+
+
+# The target of the ucoset console script, as pyproject.toml declares it.
+SCRIPT = re.search(r'^ucoset = "(.*)"$', (Path(__file__).resolve().parents[1] / "pyproject.toml")
+                   .read_text(), re.M).group(1)
+
+# The commands of one N = 32 round trip, and a sample: their argv, with IN,
+# FAC and OUT standing for the input matrix, a coset file and the output.
+ENTRY_COMMANDS = {
+    "decompose-householder": ("decompose", "--input", "IN", "--output", "OUT"),
+    "decompose-coset": ("decompose", "--input", "IN", "--mode", "coset", "--output", "OUT"),
+    "decompose-coset-reversed": ("decompose", "--input", "IN", "--mode", "coset-reversed",
+                                 "--output", "OUT"),
+    "reconstruct": ("reconstruct", "--input", "FAC", "--output", "OUT"),
+    "verify": ("verify", "--input", "FAC"),
+    "sample": ("sample", "--dim", "32", "--count", "3", "--seed", "5", "--output", "OUT"),
+}
+
+
+class TestProcessEntry:
+    # run() freezes the import-time heap and turns the cyclic collector off
+    # for the rest of its process; main() leaves the collector as it is.
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    @pytest.mark.parametrize("argv, code", [
+        (("verify", "--input", str(GOLDEN_DIR / "u0.json")), 0),
+        (("reconstruct", "--input", str(GOLDEN_DIR / "missing.json")), 2),
+    ], ids=["success", "exit-2"])
+    def test_main_leaves_the_collector_alone(self, enabled, argv, code):
+        was_enabled = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            frozen = gc.get_freeze_count()
+            assert run(*argv) == code
+            assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+
+    @pytest.mark.parametrize("entry", ["-m", SCRIPT], ids=["module", "script"])
+    def test_entry_freezes_the_heap_and_turns_the_collector_off(self, entry):
+        # Runs the module as python -m does, or calls the script's target as
+        # a console script does, and reports the collector when it exits.
+        child = ("import gc, importlib, runpy, sys\n"
+                 "entry = sys.argv.pop(1)\n"
+                 "before = gc.isenabled(), gc.get_freeze_count()\n"
+                 "try:\n"
+                 "    if entry == '-m':\n"
+                 "        runpy.run_module('ucoset.cli', run_name='__main__')\n"
+                 "    module, attr = entry.split(':')\n"
+                 "    sys.exit(getattr(importlib.import_module(module), attr)())\n"
+                 "except SystemExit as exc:\n"
+                 "    print(*before, gc.isenabled(), gc.get_freeze_count() > 0, exc.code)\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", child, entry, "verify", "--input", str(GOLDEN_DIR / "u0.json")],
+            capture_output=True, text=True, env=child_env())
+        assert proc.stdout.split() == ["True", "0", "False", "True", "0"], proc.stderr
+
+    @pytest.mark.parametrize("command", list(ENTRY_COMMANDS))
+    def test_module_entry_writes_what_main_writes(self, tmp_path, capsys, command):
+        u = haar_unitary(32, RngStream(7))
+        paths = {"IN": write_json(tmp_path / "u.json", matrix_obj(u)),
+                 "FAC": write_json(tmp_path / "fac.json",
+                                   cli._factorization_to_obj(record(u, "coset")))}
+
+        def argv(out):
+            names = dict(paths, OUT=str(tmp_path / out))
+            return [names.get(a, a) for a in ENTRY_COMMANDS[command]]
+
+        proc = subprocess.run([sys.executable, "-m", "ucoset.cli", *argv("proc.json")],
+                              capture_output=True, text=True, env=child_env())
+        code = run(*argv("main.json"))
+        out, err = capsys.readouterr()
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+        assert code == 0 and err
+        if "OUT" in ENTRY_COMMANDS[command]:
+            assert (tmp_path / "proc.json").read_bytes() == (tmp_path / "main.json").read_bytes()

@@ -12,10 +12,9 @@ the loops of the level below.  The child confirms from ``__cpu_features__``
 that the cap took effect, and a cap that does not (a numpy that does not
 read the variable) is skipped.
 
-The N = 2 lone draw, in both Haar tests, keeps its stack's bits only through
-``ndarray.__pow__``'s fast path for a 0-d exponent, which takes the radius
-power 0.5 of a lone ball as a square root as it does for a stack
-(``haar._ball_plan``): a numpy internal, not a documented rule.
+The N = 2 draw, in both Haar tests, takes its one ball's radius power 1/2 as
+``np.sqrt``, which rounds correctly for a lone value as for a stack; ``pow``
+on an exponent array may not (``haar._ball_points``).
 """
 
 import os

@@ -37,7 +37,7 @@ import ucoset
 import ucoset.householder
 from ucoset.haar import _WY_WIDTH
 from ucoset.householder import _PANEL, _conj_panel, _panels, _product, _wy_panel
-from ucoset.numkit import ROUND_TRIP_FACTOR
+from ucoset.numkit import round_trip_bound
 
 from golden_data import (
     PIVOT_PHASES,
@@ -611,10 +611,6 @@ LOOP_GATE_DIMS = [1, 2, 3, 12, 64, 65, 130, 300]
 # Largest defect, in units of the tolerance, of an input whose every column
 # check passes: 3 tol + O(N tol^2), up to rounding (see _clear_columns).
 GATE_REJECT = 3.0
-
-
-def round_trip_bound(dim, defect):
-    return ROUND_TRIP_FACTOR * (math.sqrt(dim) * defect + dim * np.finfo(float).eps)
 
 
 class TestLoopGate:
